@@ -366,6 +366,18 @@ class SimulationSession:
                 now = t
 
     # ------------------------------------------------------------------
+    def _check_dirty_conservation(self) -> None:
+        """Every page that entered the cache's dirty index left it
+        exactly once (flush, dirty eviction or drop) or is still there."""
+        writeback = self.env.vfs.writeback
+        stats = writeback.cache.stats
+        left = (writeback.flushed_pages + stats.dirty_evictions
+                + stats.dirty_drops + writeback.dirty_count)
+        if stats.dirtied != left:
+            raise SimulationError(
+                f"dirty pages not conserved: {stats.dirtied} dirtied,"
+                f" {left} flushed, evicted, dropped or still dirty")
+
     def run(self) -> RunResult:
         """Replay everything; returns the accounting."""
         if self._ran:
@@ -396,6 +408,7 @@ class SimulationSession:
                                           lambda p=prog: self._process(p),
                                           label=f"{prog.name}[0]")
             self.loop.run()
+            self._check_dirty_conservation()
         end_time = max((p.last_completion for p in self.programs),
                        default=0.0)
         # Asynchronous flushes and in-flight transitions can commit the

@@ -14,14 +14,16 @@ active/inactive lists approximate:
 * **Am** — an LRU of pages re-referenced while in A1out; this is the
   protected hot set.
 
-Dirty state is tracked per page; evicting a dirty page surfaces it to the
-caller so the write-back layer can schedule the flush.
+The cache is the single owner of dirty state: an insertion-ordered index
+maps each resident dirty page to the time it was first dirtied since its
+last clean (Linux's ``dirtied_when``).  Evicting a dirty page surfaces it
+to the caller so the write-back layer can schedule the flush.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kernel.page import Extent, PageId
 from repro.units import Seconds
@@ -37,6 +39,10 @@ class CacheStats:
     evictions: int = 0
     ghost_promotions: int = 0
     dirty_evictions: int = 0
+    #: pages that entered the dirty index; each leaves it once, by a
+    #: flush (:meth:`TwoQCache.take_dirty`), a dirty eviction or a drop.
+    dirtied: int = 0
+    dirty_drops: int = 0
 
     @property
     def accesses(self) -> int:
@@ -45,16 +51,6 @@ class CacheStats:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-
-@dataclass
-class _PageMeta:
-    dirty: bool = False
-    dirtied_at: float = field(default=0.0)
-    #: Linux's PG_referenced: set on the first A1in touch, promotion to
-    #: Am happens on the second.  Keeps one-touch prefetched pages (and
-    #: whole sequential scans) out of the protected set.
-    referenced: bool = False
 
 
 class TwoQCache:
@@ -80,13 +76,21 @@ class TwoQCache:
         self.capacity = int(capacity_pages)
         self.kin = max(1, int(self.capacity * kin_fraction))
         self.kout = max(1, int(self.capacity * kout_fraction))
-        self._a1in: OrderedDict[PageId, _PageMeta] = OrderedDict()
+        #: A1in maps each page to Linux's PG_referenced: set on the
+        #: first A1in touch, promotion to Am happens on the second.  Keeps
+        #: one-touch prefetched pages (and whole sequential scans) out of
+        #: the protected set.
+        self._a1in: OrderedDict[PageId, bool] = OrderedDict()
         self._a1out: OrderedDict[PageId, None] = OrderedDict()
-        self._am: OrderedDict[PageId, _PageMeta] = OrderedDict()
+        self._am: OrderedDict[PageId, None] = OrderedDict()
         #: Union of A1in and Am keys, kept in lockstep so residency
         #: checks (the cost model's hottest query) are one set lookup
         #: instead of two ordered-dict probes.
         self._resident: set[PageId] = set()
+        #: Resident dirty page -> first dirtied since its last clean.
+        #: The replay clock never runs backwards, so insertion order is
+        #: dirtying order and the first entry is the oldest.
+        self._dirty: dict[PageId, float] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -122,15 +126,23 @@ class TwoQCache:
 
     def is_dirty(self, page: PageId) -> bool:
         """Whether a resident page is dirty (False if absent)."""
-        meta = self._a1in.get(page) or self._am.get(page)
-        return bool(meta and meta.dirty)
+        return page in self._dirty
 
     def dirty_pages(self) -> list[PageId]:
-        """All resident dirty pages, oldest dirtied first."""
-        pages = [(m.dirtied_at, p)
-                 for q in (self._a1in, self._am)
-                 for p, m in q.items() if m.dirty]
-        return [p for _, p in sorted(pages)]
+        """All resident dirty pages, oldest dirtied first (cold path)."""
+        dirty = self._dirty
+        return sorted(dirty, key=lambda p: (dirty[p], p))
+
+    @property
+    def dirty_count(self) -> int:
+        """Resident dirty pages (O(1))."""
+        return len(self._dirty)
+
+    def oldest_dirtied_at(self) -> float | None:
+        """When the oldest dirty page was dirtied, or None (O(1))."""
+        for dirtied_at in self._dirty.values():
+            return dirtied_at
+        return None
 
     # ------------------------------------------------------------------
     # access path
@@ -146,19 +158,19 @@ class TwoQCache:
             self._am.move_to_end(page)
             self.stats.hits += 1
             return True
-        meta = self._a1in.get(page)
-        if meta is not None:
+        referenced = self._a1in.get(page)
+        if referenced is not None:
             # Linux's two-touch promotion: the first A1in reference
             # sets PG_referenced, the second moves the page to the
             # active set.  (Classic 2Q never promotes from A1in, which
             # lets a scan flush a hot set that was re-read before ever
             # being evicted; one-touch promotion would instead let
             # every prefetched-then-read scan page flood Am.)
-            if meta.referenced:
+            if referenced:
                 del self._a1in[page]
-                self._am[page] = meta
+                self._am[page] = None
             else:
-                meta.referenced = True
+                self._a1in[page] = True
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -174,31 +186,28 @@ class TwoQCache:
         write-back layer can flush them.
         """
         if page in self._resident:
-            meta = self._am.get(page)
-            if meta is not None:
+            if page in self._am:
                 self._am.move_to_end(page)
-            else:
-                meta = self._a1in[page]
             if dirty:
-                meta.dirty = True
-                meta.dirtied_at = now
+                self.mark_dirty(page, now)
             return []
-        meta = _PageMeta(dirty=dirty, dirtied_at=now if dirty else 0.0)
         if page in self._a1out:
             del self._a1out[page]
-            self._am[page] = meta
+            self._am[page] = None
             self.stats.ghost_promotions += 1
         else:
-            self._a1in[page] = meta
+            self._a1in[page] = False
         self._resident.add(page)
         self.stats.insertions += 1
+        if dirty:
+            self._dirty[page] = now
+            self.stats.dirtied += 1
         if len(self._resident) > self.capacity:
             return self._reclaim()
         return []
 
-    def insert_run(self, inode: int, start: int, end: int, *,
-                   dirty: bool = False, now: Seconds = 0.0) -> list[PageId]:
-        """Batched :meth:`insert` of pages ``[start, end)`` of ``inode``.
+    def insert_run(self, inode: int, start: int, end: int) -> list[PageId]:
+        """Batched clean :meth:`insert` of pages ``[start, end)`` of ``inode``.
 
         Reclaim still runs after every single insertion (so the eviction
         stream is bit-identical to one-at-a-time inserts); the batching
@@ -211,26 +220,18 @@ class TwoQCache:
         a1in, a1out, am = self._a1in, self._a1out, self._am
         capacity = self.capacity
         stats = self.stats
-        dirtied_at = now if dirty else 0.0
         for index in range(start, end):
             page = PageId(inode, index)
             if page in resident:
-                meta = am.get(page)
-                if meta is not None:
+                if page in am:
                     am.move_to_end(page)
-                else:
-                    meta = a1in[page]
-                if dirty:
-                    meta.dirty = True
-                    meta.dirtied_at = now
                 continue
-            meta = _PageMeta(dirty=dirty, dirtied_at=dirtied_at)
             if page in a1out:
                 del a1out[page]
-                am[page] = meta
+                am[page] = None
                 stats.ghost_promotions += 1
             else:
-                a1in[page] = meta
+                a1in[page] = False
             resident.add(page)
             stats.insertions += 1
             if len(resident) > capacity:
@@ -240,23 +241,27 @@ class TwoQCache:
         return flushed
 
     def mark_dirty(self, page: PageId, now: Seconds) -> bool:
-        """Mark a resident page dirty; returns False if not resident."""
-        meta = self._a1in.get(page) or self._am.get(page)
-        if meta is None:
+        """Mark a resident page dirty; returns False if not resident.
+
+        A page already dirty keeps its first dirtying time.
+        """
+        if page not in self._resident:
             return False
-        if not meta.dirty:
-            meta.dirty = True
-            meta.dirtied_at = now
+        if page not in self._dirty:
+            self._dirty[page] = now
+            self.stats.dirtied += 1
         return True
 
-    def clean(self, page: PageId) -> None:
-        """Clear the dirty bit after a successful write-back."""
-        meta = self._a1in.get(page) or self._am.get(page)
-        if meta is not None:
-            meta.dirty = False
+    def take_dirty(self) -> dict[PageId, float]:
+        """Clear every dirty bit at once (a full flush); returns the
+        former index, ``page -> dirtied_at`` in dirtying order."""
+        dirty, self._dirty = self._dirty, {}
+        return dirty
 
     def drop(self, page: PageId) -> None:
         """Invalidate a page (used by tests and failure injection)."""
+        if self._dirty.pop(page, None) is not None:
+            self.stats.dirty_drops += 1
         self._a1in.pop(page, None)
         self._am.pop(page, None)
         self._a1out.pop(page, None)
@@ -270,15 +275,15 @@ class TwoQCache:
         flushed: list[PageId] = []
         while len(self._resident) > self.capacity:
             if len(self._a1in) > self.kin or not self._am:
-                page, meta = self._a1in.popitem(last=False)
+                page, _ = self._a1in.popitem(last=False)
                 self._a1out[page] = None
                 while len(self._a1out) > self.kout:
                     self._a1out.popitem(last=False)
             else:
-                page, meta = self._am.popitem(last=False)
+                page, _ = self._am.popitem(last=False)
             self._resident.discard(page)
             self.stats.evictions += 1
-            if meta.dirty:
+            if self._dirty.pop(page, None) is not None:
                 self.stats.dirty_evictions += 1
                 flushed.append(page)
         return flushed

@@ -179,11 +179,8 @@ class VirtualFileSystem:
 
     def complete_fetch(self, extent: Extent, now: Seconds) -> list[Extent]:
         """Install fetched pages; returns dirty extents evicted en route."""
-        flushed = self.cache.insert_run(extent.inode, extent.start,
-                                        extent.end, now=now)
-        for page in flushed:
-            self.writeback.note_clean(page)
-        return runs_from_pages(flushed)
+        return runs_from_pages(self.cache.insert_run(
+            extent.inode, extent.start, extent.end))
 
     # ------------------------------------------------------------------
     # write path
@@ -210,9 +207,6 @@ class VirtualFileSystem:
                 self.cache.mark_dirty(page, now)
             else:
                 flushed.extend(self.cache.insert(page, dirty=True, now=now))
-            self.writeback.note_dirty(page, now)
-        for page in flushed:
-            self.writeback.note_clean(page)
         return runs_from_pages(flushed)
 
     def plan_writeback(self, now: Seconds, *, disk_active: bool) -> list[Extent]:

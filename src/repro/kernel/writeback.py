@@ -54,7 +54,11 @@ class WritebackConfig:
 
 
 class LaptopModeWriteback:
-    """Decides which dirty pages to flush at each opportunity."""
+    """Decides which dirty pages to flush at each opportunity.
+
+    A stateless policy over the cache's dirty index: the cache alone
+    records which pages are dirty and since when.
+    """
 
     def __init__(self, cache: TwoQCache,
                  config: WritebackConfig | None = None) -> None:
@@ -62,33 +66,20 @@ class LaptopModeWriteback:
         self.config = config or WritebackConfig()
         self.flush_count = 0
         self.flushed_pages = 0
-        self._dirty_times: dict[tuple[int, int], float] = {}
-
-    # ------------------------------------------------------------------
-    def note_dirty(self, page, now: Seconds) -> None:
-        """Record a page becoming dirty at ``now``."""
-        self._dirty_times.setdefault(tuple(page), now)
-
-    def note_clean(self, page) -> None:
-        """Record a page flushed (by us or by eviction)."""
-        self._dirty_times.pop(tuple(page), None)
 
     @property
     def dirty_count(self) -> int:
-        return len(self._dirty_times)
+        return self.cache.dirty_count
 
     def oldest_dirty_age(self, now: Seconds) -> float:
         """Age of the oldest dirty page (0 if none)."""
-        if not self._dirty_times:
-            return 0.0
-        return now - min(self._dirty_times.values())
+        oldest = self.cache.oldest_dirtied_at()
+        return 0.0 if oldest is None else now - oldest
 
-    # ------------------------------------------------------------------
     def next_forced_flush(self) -> float | None:
         """Absolute time the oldest dirty page expires, or None."""
-        if not self._dirty_times:
-            return None
-        return min(self._dirty_times.values()) + self.config.max_age
+        oldest = self.cache.oldest_dirtied_at()
+        return None if oldest is None else oldest + self.config.max_age
 
     def plan_flush(self, now: Seconds, *, disk_active: bool) -> list[Extent]:
         """Extents to flush at ``now``; empty list means nothing due.
@@ -97,26 +88,16 @@ class LaptopModeWriteback:
         a page exceeded ``max_age`` or the dirty limit tripped — and then
         *everything* goes, to buy the longest possible quiet period.
         """
-        if not self._dirty_times:
+        oldest = self.cache.oldest_dirtied_at()
+        if oldest is None:
             return []
-        due = (disk_active and self.config.eager_on_active) \
-            or self.oldest_dirty_age(now) >= self.config.max_age \
-            or self.dirty_count >= self.config.dirty_limit_pages
-        if not due:
+        config = self.config
+        if not ((disk_active and config.eager_on_active)
+                or now - oldest >= config.max_age
+                or self.cache.dirty_count >= config.dirty_limit_pages):
             return []
-        pages = [p for p in self.cache.dirty_pages()
-                 if tuple(p) in self._dirty_times]
-        # Pages already evicted-with-flush are gone from the cache but
-        # may linger in our table; drop them.
-        stale = set(self._dirty_times) - {tuple(p) for p in pages}
-        for key in stale:
-            self._dirty_times.pop(key, None)
-        if not pages:
-            return []
-        extents = runs_from_pages(pages)
-        for p in pages:
-            self.cache.clean(p)
-            self.note_clean(p)
+        # runs_from_pages sorts, so the index's order never shows.
+        pages = self.cache.take_dirty()
         self.flush_count += 1
-        self.flushed_pages += sum(e.npages for e in extents)
-        return extents
+        self.flushed_pages += len(pages)
+        return runs_from_pages(pages)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernel.cache import TwoQCache
 from repro.kernel.page import PageId
+from repro.kernel.writeback import LaptopModeWriteback
 
 
 def page(i, n):
@@ -106,7 +107,7 @@ class TestDirtyTracking:
         c.insert(page(1, 0))
         assert c.mark_dirty(page(1, 0), now=1.0)
         assert c.is_dirty(page(1, 0))
-        c.clean(page(1, 0))
+        assert c.take_dirty() == {page(1, 0): 1.0}
         assert not c.is_dirty(page(1, 0))
 
     def test_mark_dirty_missing_page(self):
@@ -126,6 +127,24 @@ class TestDirtyTracking:
         c.insert(page(1, 1), dirty=True, now=5.0)
         c.insert(page(1, 0), dirty=True, now=1.0)
         assert c.dirty_pages() == [page(1, 0), page(1, 1)]
+
+    def test_redirtying_keeps_first_dirtied_time(self):
+        c = TwoQCache(16)
+        wb = LaptopModeWriteback(c)
+        c.insert(page(1, 0), dirty=True, now=1.0)
+        c.insert(page(1, 1), dirty=True, now=3.0)
+        c.insert(page(1, 0), dirty=True, now=5.0)
+        assert c.dirty_pages() == [page(1, 0), page(1, 1)]
+        assert wb.oldest_dirty_age(10.0) == 9.0
+
+    def test_drop_counts_dirty_pages(self):
+        c = TwoQCache(16)
+        c.insert(page(1, 0), dirty=True, now=1.0)
+        c.insert(page(1, 1))
+        c.drop(page(1, 0))
+        c.drop(page(1, 1))
+        assert not c.is_dirty(page(1, 0))
+        assert (c.stats.dirtied, c.stats.dirty_drops) == (1, 1)
 
     def test_insert_existing_page_can_dirty_it(self):
         c = TwoQCache(16)

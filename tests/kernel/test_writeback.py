@@ -1,10 +1,17 @@
 """Unit tests for laptop-mode write-back."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.kernel.cache import TwoQCache
-from repro.kernel.page import PageId
+from repro.kernel.page import PAGE_SIZE, PageId
+from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
+from repro.sim.engine import SimulationError
+from tests.conftest import make_trace
 
 
 def setup(capacity=64, **cfg):
@@ -16,7 +23,6 @@ def setup(capacity=64, **cfg):
 def dirty(cache, wb, inode, index, now):
     p = PageId(inode, index)
     cache.insert(p, dirty=True, now=now)
-    wb.note_dirty(p, now)
     return p
 
 
@@ -100,11 +106,7 @@ class TestBookkeeping:
         """Pages flushed by cache eviction must not be re-flushed."""
         cache, wb = setup(capacity=4)
         for i in range(10):                  # forces dirty evictions
-            p = PageId(1, i)
-            evicted = cache.insert(p, dirty=True, now=float(i))
-            wb.note_dirty(p, float(i))
-            for q in evicted:
-                wb.note_clean(q)
+            cache.insert(PageId(1, i), dirty=True, now=float(i))
         extents = wb.plan_flush(100.0, disk_active=True)
         flushed = {p for e in extents for p in e.pages()}
         assert all(p in cache for p in flushed)
@@ -115,3 +117,120 @@ class TestBookkeeping:
         wb.plan_flush(1.0, disk_active=True)
         assert wb.flush_count == 1
         assert wb.flushed_pages == 1
+
+
+def _conserved(vfs):
+    stats = vfs.cache.stats
+    return stats.dirtied == (vfs.writeback.flushed_pages
+                             + stats.dirty_evictions + stats.dirty_drops
+                             + vfs.writeback.dirty_count)
+
+
+class TestDirtyIndexModel:
+    """The cache's dirty index against a reference built only from what
+    the VFS returns: written pages, minus forced-eviction extents, minus
+    flushed extents."""
+
+    MAX_AGE = 10.0
+    DIRTY_LIMIT = 6
+    FILE_PAGES = 24
+
+    _ops = st.lists(st.one_of(
+        # Writes span at most kin (4) pages, so a page a write dirties
+        # cannot be pushed out of A1in by that same write.
+        st.tuples(st.just("write"), st.integers(1, 2),
+                  st.integers(0, FILE_PAGES - 4), st.integers(1, 4)),
+        st.tuples(st.just("read"), st.integers(1, 2),
+                  st.integers(0, FILE_PAGES - 4), st.integers(1, 4)),
+        st.tuples(st.just("flush"), st.booleans())),
+        max_size=60)
+    _gaps = st.lists(st.sampled_from([0.0, 0.5, 2.0, 7.5, 40.0]),
+                     min_size=60, max_size=60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ops, _gaps)
+    def test_index_matches_reference(self, ops, gaps):
+        vfs = VirtualFileSystem(16 * PAGE_SIZE,
+                                writeback_config=WritebackConfig(
+                                    max_age=self.MAX_AGE,
+                                    dirty_limit_pages=self.DIRTY_LIMIT))
+        for inode in (1, 2):
+            vfs.register_file(inode, self.FILE_PAGES * PAGE_SIZE)
+        ref: dict[PageId, float] = {}
+        now = 0.0
+        for op, gap in zip(ops, gaps):
+            now += gap
+            if op[0] == "write":
+                _, inode, start, npages = op
+                forced = vfs.write(1, inode, start * PAGE_SIZE,
+                                   npages * PAGE_SIZE, now)
+                # A written page evicted before its own turn in the
+                # write comes back dirtied anew, so subtract first.
+                for extent in forced:
+                    for page in extent.pages():
+                        del ref[page]
+                for index in range(start, start + npages):
+                    ref.setdefault(PageId(inode, index), now)
+            elif op[0] == "read":
+                _, inode, start, npages = op
+                plan = vfs.read(1, inode, start * PAGE_SIZE,
+                                npages * PAGE_SIZE, now)
+                for fetched in plan.fetch_extents:
+                    for extent in vfs.complete_fetch(fetched, now):
+                        for page in extent.pages():
+                            del ref[page]
+            else:
+                disk_active = op[1]
+                due = bool(ref) and (
+                    disk_active
+                    or now - min(ref.values()) >= self.MAX_AGE
+                    or len(ref) >= self.DIRTY_LIMIT)
+                flushed = {p for e in vfs.plan_writeback(
+                    now, disk_active=disk_active) for p in e.pages()}
+                # Laptop mode flushes everything once anything is due.
+                assert flushed == (set(ref) if due else set())
+                for page in flushed:
+                    del ref[page]
+            assert set(vfs.cache.dirty_pages()) == set(ref)
+            expected = min(ref.values()) + self.MAX_AGE if ref else None
+            assert vfs.writeback.next_forced_flush() == expected
+            assert _conserved(vfs)
+
+
+def _write_trace():
+    calls = []
+    for i in range(40):
+        calls.append((1, i * 8192, 8192, "write", i * 0.5))
+        calls.append((2, i * 16384, 16384, "read", i * 0.5 + 0.1))
+    return make_trace(calls)
+
+
+class TestSessionConservation:
+    def test_event_loop_run_conserves_dirty_pages(self):
+        # WNIC-only keeps the disk asleep, so nothing flushes eagerly
+        # and the small cache evicts dirty pages instead.
+        session = SimulationSession([ProgramSpec(_write_trace())],
+                                    WnicOnlyPolicy(), seed=1,
+                                    memory_bytes=32 * PAGE_SIZE)
+        session.run()
+        assert not session.used_fast_path
+        vfs = session.env.vfs
+        assert vfs.cache.stats.dirtied > 0
+        assert vfs.cache.stats.dirty_evictions > 0
+        assert _conserved(vfs)
+
+    def test_corrupted_counter_raises(self, monkeypatch):
+        real = LaptopModeWriteback.plan_flush
+
+        def overcounting(self, now, *, disk_active):
+            extents = real(self, now, disk_active=disk_active)
+            if extents:
+                self.flushed_pages += 1
+            return extents
+
+        monkeypatch.setattr(LaptopModeWriteback, "plan_flush",
+                            overcounting)
+        session = SimulationSession([ProgramSpec(_write_trace())],
+                                    DiskOnlyPolicy(), seed=1)
+        with pytest.raises(SimulationError, match="not conserved"):
+            session.run()
