@@ -172,8 +172,9 @@ class SimulationSession:
 
         The fast path replays a precomputed kernel-path plan with a
         flat clock instead of driving the event loop; it engages only
-        when the replay is plan-shaped (one all-READ program, no
-        faults, no strict checking) and is bit-identical when it does.
+        when the replay is plan-shaped (one all-READ program, with or
+        without faults and strict checking) and is bit-identical when
+        it does.
         Turning it off forces the event loop — parity tests do.
         """
         self._configure()
@@ -329,15 +330,16 @@ class SimulationSession:
     def _burst_plan(self):
         """The fast path's plan, or None when it must disengage.
 
-        Event-granular replay stays in charge whenever dynamic state
-        the plan cannot capture is present: multiple programs
-        interleave on the shared cache and disk, a fault schedule
-        perturbs device behaviour mid-run, or strict invariant checking
-        wants to observe the event clock.  Writes disqualify a trace
-        inside :func:`~repro.sim.plan.plan_for` itself.
+        Event-granular replay stays in charge only when several
+        programs interleave on the shared cache and disk; writes
+        disqualify a trace inside :func:`~repro.sim.plan.plan_for`
+        itself.  Faults and strict checking ride the plan: the cache,
+        readahead and C-SCAN path depend only on the trace, the memory
+        size and the seed, while faults act only on the devices behind
+        the router and the checker watches the clock, the meters and
+        the service results — all still live in :meth:`_service_record`.
         """
-        if (len(self.programs) != 1 or self.faults is not None
-                or self._checker is not None):
+        if len(self.programs) != 1:
             return None
         return plan_for(self._program_specs[0].trace,
                         self._memory_bytes, self._seed)

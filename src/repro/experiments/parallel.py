@@ -475,7 +475,7 @@ class ParallelSweepExecutor:
         refs = tuple(ProgramRef.of(spec) for spec in specs)
         for spec, ref in zip(specs, refs, strict=True):
             stage_payload(ref.digest, spec.trace)
-        if len(specs) == 1 and faults is None:
+        if len(specs) == 1:
             # Build the burst plan once, parent-side: plan_for memoises
             # it process-wide, so forked workers (and every serial cell)
             # inherit the finished plan copy-on-write instead of each

@@ -204,11 +204,14 @@ def run_point(programs_factory: Callable[[], list[ProgramSpec]],
         sanitize = SANITIZE_DEFAULT
     if sanitize:
         # Policies and devices are stateful: the shadow twin needs a
-        # fresh policy instance, not a re-run of the primary's.
+        # fresh policy instance, not a re-run of the primary's, and a
+        # rewound fault schedule, since the primary consumed its
+        # spin-up cursor.
         result = run_shadowed(
             session,
-            lambda: _build_session(programs_factory, policy_factory(),
-                                   wnic_spec, config, faults))
+            lambda: _build_session(
+                programs_factory, policy_factory(), wnic_spec, config,
+                faults.copy() if faults is not None else None))
     else:
         result = session.run()
     return SweepPoint(policy=policy.name,

@@ -11,9 +11,9 @@ drifts the twins apart until a parity test happens to cover it.
 These rules make the promise checkable without running anything:
 
 * **R10 path-coverage drift** — every ``SimulationSession`` /
-  ``MobileSystem`` parameter and ``FaultSpec`` field is either read by
-  the fast-path cone (``_burst_plan`` / ``_replay_plan`` and everything
-  they call) or named in the refusal predicate.
+  ``MobileSystem`` parameter is either read by the fast-path cone
+  (``_burst_plan`` / ``_replay_plan`` and everything they call) or
+  named in the refusal predicate.
 * **R11 kernel-pair drift** — the packed walks account the same
   breakdown buckets, spec constants and DPM transitions as the device
   models they shadow, and numpy aliases in gated modules are only used
@@ -352,64 +352,11 @@ def _r10_mobile_system(project: Project,
     return findings
 
 
-def _maximal_self_chains(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                         self_name: str | None) -> list[tuple[str, ...]]:
-    inner = {id(node.value) for node in ast.walk(fn)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.value, ast.Attribute)}
-    chains = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and id(node) not in inner:
-            chain = _attr_chain(node)
-            if chain is not None and chain[0] == self_name:
-                chains.append(chain)
-    return chains
-
-
-def _r10_fault_fields(project: Project,
-                      model: _SessionModel) -> list[Finding]:
-    specs = _classes_named(project, "FaultSpec")
-    burst = model.methods.get("_burst_plan")
-    if not specs or burst is None or "faults" not in model.stored:
-        return []
-    spec_fields = [
-        stmt.target.id for stmt in specs[0].node.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-    ]
-    fault_attrs = _closure(set(model.stored["faults"]), model.edges)
-    chains = [
-        chain
-        for chain in _maximal_self_chains(burst, _self_arg(burst))
-        if len(chain) >= 2 and chain[1] in fault_attrs
-    ]
-    field_chains = [chain for chain in chains if len(chain) >= 3]
-    if not field_chains:
-        # Either untouched entirely (the parameter-coverage check
-        # reports that, once, at the parameter) or a bare whole-object
-        # refusal, which covers every present and future field.  A
-        # bare mention *conjoined* with field reads does not rescue:
-        # `faults is not None and faults.outage_rate > 0` still only
-        # refuses on the fields it names.
-        return []
-    mentioned = {part for chain in field_chains for part in chain[2:]}
-    missing = [f for f in spec_fields if f not in mentioned]
-    if not missing:
-        return []
-    return [Finding(
-        path=model.path, line=burst.lineno, col=burst.col_offset,
-        rule="R10",
-        message="_burst_plan refuses on individual FaultSpec fields"
-                f" but ignores {', '.join(missing)} — gate on the"
-                " whole faults object or cover every field")]
-
-
 def _run_r10(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for model in _session_models(project):
         findings.extend(_r10_params(model))
         findings.extend(_r10_mobile_system(project, model))
-        findings.extend(_r10_fault_fields(project, model))
     return findings
 
 

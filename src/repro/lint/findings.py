@@ -125,9 +125,9 @@ RULES: dict[str, Rule] = {
         Rule(
             id="R10",
             name="path-coverage-drift",
-            summary="every SimulationSession/MobileSystem parameter and"
-                    " FaultSpec field is either read by the fast path"
-                    " or named in its refusal predicate",
+            summary="every SimulationSession/MobileSystem parameter is"
+                    " either read by the fast path or named in its"
+                    " refusal predicate",
             rationale="the BurstPlan fast path is a shortcut over the"
                       " event loop; a new session knob the shortcut"
                       " neither consumes nor refuses on is silently"

@@ -10,15 +10,19 @@ from repro.core.simulator import ProgramSpec
 from repro.experiments.cache import RunCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FlexFetchFactory
+import repro.experiments.parallel as parallel_mod
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
     ProgramRef,
     SweepCellError,
     SweepJob,
     _execute_job,
+    resolve_payload,
     stage_payload,
 )
 from repro.experiments.runner import ProgramSet, run_sweep
+from repro.faults.schedule import FaultSpec
+from repro.sim.plan import BurstPlan, plan_key
 from tests.conftest import make_trace
 
 
@@ -136,6 +140,22 @@ class TestJobExecution:
             programs, {"Disk-only": DiskOnlyPolicy},
             [config.wnic_spec], config)
         assert _execute_job(job).result == direct["Disk-only"][0].result
+
+
+class TestPlanStaging:
+    def test_faulted_sweep_stages_the_plan(self, config, programs,
+                                           monkeypatch):
+        """Faulted single-program cells ride the BurstPlan, so the
+        parent builds and stages it once for every worker to inherit."""
+        monkeypatch.setattr(parallel_mod, "_WORKER_PAYLOADS", {})
+        spec = programs.specs[0].prepared()
+        key = plan_key(spec.compiled.digest, config.memory_bytes,
+                       config.seed)
+        ParallelSweepExecutor(1).run_sweep(
+            ProgramSet((spec,)), {"Disk-only": DiskOnlyPolicy},
+            [config.wnic_spec], config,
+            faults=FaultSpec(spinup_fail_prob=0.3))
+        assert isinstance(resolve_payload(key), BurstPlan)
 
 
 class TestParallelWithCache:

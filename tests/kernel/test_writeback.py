@@ -127,9 +127,10 @@ def _conserved(vfs):
 
 
 class TestDirtyIndexModel:
-    """The cache's dirty index against a reference built only from what
-    the VFS returns: written pages, minus forced-eviction extents, minus
-    flushed extents."""
+    """The cache's dirty index against a reference built from what the
+    VFS returns: written pages, minus forced-eviction extents, minus
+    flushed extents (residency places a page written and evicted by the
+    same write)."""
 
     MAX_AGE = 10.0
     DIRTY_LIMIT = 6
@@ -164,13 +165,22 @@ class TestDirtyIndexModel:
                 _, inode, start, npages = op
                 forced = vfs.write(1, inode, start * PAGE_SIZE,
                                    npages * PAGE_SIZE, now)
-                # A written page evicted before its own turn in the
-                # write comes back dirtied anew, so subtract first.
-                for extent in forced:
-                    for page in extent.pages():
-                        del ref[page]
-                for index in range(start, start + npages):
-                    ref.setdefault(PageId(inode, index), now)
+                written = {PageId(inode, index)
+                           for index in range(start, start + npages)}
+                forced_pages = {p for e in forced for p in e.pages()}
+                # A forced page was dirty before the write or dirtied by
+                # it; either way its eviction cleaned it.
+                for page in forced_pages:
+                    assert page in ref or page in written
+                    ref.pop(page, None)
+                # A written page evicted before its own turn comes back
+                # dirtied anew; one evicted after its turn (it sat at the
+                # A1in tail) stays out.  Residency tells the two apart.
+                for page in written:
+                    if page in vfs.cache:
+                        ref.setdefault(page, now)
+                    else:
+                        assert page in forced_pages
             elif op[0] == "read":
                 _, inode, start, npages = op
                 plan = vfs.read(1, inode, start * PAGE_SIZE,

@@ -6,10 +6,14 @@ performance shortcut, so for every figure scenario the fast-path result
 must equal the event-loop result *field for field* (``RunResult`` is a
 plain dataclass; ``==`` compares every float and dict exactly).
 
-The fast path must also know when to stand down: multi-program replays,
-fault schedules, and strict invariant checking all perturb the replay in
-ways a frozen plan cannot express, so those sessions must report
-``used_fast_path == False`` (and still produce identical results).
+Fault schedules and strict invariant checking ride the plan too:
+faults act only on the disk and the WNIC behind the router, and the
+checker watches the clock, the meters and the service results, none of
+which the plan freezes.  Every such session must report
+``used_fast_path`` and still match the event loop field for field.  The
+fast path stands down only where a frozen plan cannot express the
+replay: a trace with writes (fig1) or two programs sharing the cache
+(fig4).
 """
 
 from __future__ import annotations
@@ -97,28 +101,54 @@ def test_fast_path_matches_event_loop(fig_id, config, figure_setups):
         assert all(fast_engaged)
 
 
-def test_faulted_session_refuses_fast_path(config, figure_setups):
-    """A fault schedule perturbs devices mid-run; the plan cannot."""
-    programs, policies = figure_setups["fig3"]
-    factory = next(iter(policies.values()))
-    spec = FaultSpec(outage_rate=0.001, spinup_fail_prob=0.2)
-    baseline = _session(programs(), factory, config)
-    faulted = _session(programs(), factory, config).with_faults(
-        FaultSchedule(spec, seed=7))
-    baseline.run()
-    faulted.run()
-    assert baseline.used_fast_path
-    assert not faulted.used_fast_path
+#: One spec per fault process, then all three at once.
+FAULT_SPECS = {
+    "outage": FaultSpec(outage_rate=0.05),
+    "rate-flap": FaultSpec(rate_flap_rate=0.02),
+    "spinup": FaultSpec(spinup_fail_prob=0.3),
+    "all": FaultSpec(outage_rate=0.05, rate_flap_rate=0.02,
+                     spinup_fail_prob=0.3),
+}
+
+#: The single-program all-read figures: every cell rides the plan.
+PLANNED_FIGURES = ("fig2", "fig3", "fig5")
 
 
-def test_strict_session_refuses_fast_path(config, figure_setups):
-    """Strict invariant checking watches the event loop; no shortcut."""
-    programs, policies = figure_setups["fig3"]
-    factory = next(iter(policies.values()))
-    strict = _session(programs(), factory, config).with_strict()
-    relaxed = _session(programs(), factory, config)
-    strict_result = strict.run()
-    relaxed_result = relaxed.run()
-    assert not strict.used_fast_path
-    assert relaxed.used_fast_path
-    assert strict_result == relaxed_result
+def _assert_rides_plan(fig_id, config, figure_setups, *,
+                       faults=None, strict=False):
+    """Every policy of ``fig_id`` takes the fast path and matches its
+    event-loop twin exactly.  ``faults`` is a :class:`FaultSpec`; each
+    session gets its own schedule, since a run consumes its spin-up
+    cursor."""
+    programs, policies = figure_setups[fig_id]
+
+    def build(factory):
+        schedule = (FaultSchedule(faults, seed=config.seed)
+                    if faults is not None else None)
+        return _session(programs(), factory, config, faults=schedule,
+                        strict=strict)
+
+    for name, factory in policies.items():
+        fast = build(factory)
+        slow = build(factory).with_fast_path(False)
+        fast_result = fast.run()
+        slow_result = slow.run()
+        assert fast.used_fast_path, f"{fig_id}/{name} left the plan"
+        assert not slow.used_fast_path
+        assert fast_result == slow_result, f"{fig_id}/{name} diverged"
+
+
+@pytest.mark.parametrize("fault_id", FAULT_SPECS)
+@pytest.mark.parametrize("fig_id", PLANNED_FIGURES)
+def test_faulted_session_rides_fast_path(fig_id, fault_id, config,
+                                         figure_setups):
+    """Faults act on the devices behind the router, not on the plan."""
+    _assert_rides_plan(fig_id, config, figure_setups,
+                       faults=FAULT_SPECS[fault_id])
+
+
+@pytest.mark.parametrize("fig_id", PLANNED_FIGURES)
+def test_strict_session_rides_fast_path(fig_id, config, figure_setups):
+    """Strict checking watches clock, meters and service results, which
+    the flat clock drives exactly as the event loop does."""
+    _assert_rides_plan(fig_id, config, figure_setups, strict=True)

@@ -10,8 +10,9 @@ Three layers of proof:
   cursor lies about residency) raises ``ReplayDivergenceError`` that
   pinpoints the first diverging stage, record and field;
 * **plumbing**: ``run_point(sanitize=True)`` returns bit-identical
-  results, skips the twin for event-loop-only cells, and the bit
-  comparison itself distinguishes what ``==`` cannot.
+  results, skips the twin for event-loop-only cells, hands a faulted
+  cell's twin a rewound fault schedule, and the bit comparison itself
+  distinguishes what ``==`` cannot.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.shadow as shadow_mod
 import repro.sim.plan as plan_mod
 from repro.core.profile import profile_from_trace
 from repro.core.session import SimulationSession
@@ -37,7 +39,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import _standard_policies
 from repro.experiments.runner import run_point
 from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.traces.synth import generate_thunderbird
+from repro.traces.synth import generate_grep_make, generate_thunderbird
 from repro.traces.trace import Trace
 from repro.sim.clock import MB
 
@@ -149,14 +151,13 @@ class TestPlumbing:
         assert sanitized.result == plain.result
 
     def test_event_loop_cells_skip_the_twin(self):
-        """A faulted cell refuses the fast path; the sanitizer must
-        not build (or run) a shadow twin for it."""
-        config, trace, policies = _setup(0, 1.0)
-        factory = policies["FlexFetch"]
-        spec = FaultSpec(outage_rate=0.001, spinup_fail_prob=0.2)
-        session = _session(trace, factory(), config,
-                           config.memory_bytes,
-                           faults=FaultSchedule(spec, seed=7))
+        """A fig1 cell (grep+make writes) refuses the fast path; the
+        sanitizer must not build (or run) a shadow twin for it."""
+        config = ExperimentConfig()
+        trace = generate_grep_make(config.seed)
+        factory = _standard_policies(profile_from_trace(trace),
+                                     config)["FlexFetch"]
+        session = _session(trace, factory(), config, config.memory_bytes)
 
         def explode() -> SimulationSession:
             raise AssertionError("twin built for an event-loop cell")
@@ -164,6 +165,29 @@ class TestPlumbing:
         result = run_shadowed(session, explode)
         assert not session.used_fast_path
         assert math.isfinite(result.end_time)
+
+    def test_faulted_twin_replays_the_same_spinup_failures(
+            self, monkeypatch):
+        """The primary consumes its schedule's spin-up cursor, so the
+        twin must get a rewound copy: otherwise its disk never fails a
+        spin-up and the diff reports a divergence that is not there."""
+        config, trace, policies = _setup(7, 1.0)
+        compared = []
+        real_compare = shadow_mod.compare_runs
+
+        def counting_compare(*args):
+            compared.append(args)
+            real_compare(*args)
+
+        monkeypatch.setattr(shadow_mod, "compare_runs", counting_compare)
+        point = run_point(
+            lambda: [ProgramSpec(trace)], policies["Disk-only"],
+            config.wnic_spec, config,
+            faults=FaultSchedule(FaultSpec(spinup_fail_prob=0.3),
+                                 seed=config.seed),
+            sanitize=True)
+        assert len(compared) == 1   # fast path taken, twin diffed
+        assert point.result.disk_breakdown["disk.spinup-failed"] > 0
 
     def test_bit_equal_is_stricter_than_eq(self):
         assert _bit_equal(float("nan"), float("nan"))
