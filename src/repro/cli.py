@@ -44,7 +44,7 @@ from repro.experiments.report import (
 from repro.experiments.tables import table1, table2, table3
 from repro.faults.invariants import SimulationInvariantError
 from repro.faults.schedule import FaultSchedule, FaultSpec, FaultSpecError
-from repro.sim.engine import SimulationError
+from repro.sim.clock import SimulationError
 from repro.traces.io import TraceValidationError, save_trace_csv, \
     save_trace_jsonl
 from repro.traces.strace import StraceParseError, format_strace_line
@@ -430,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                               " sweep-failures.json)")
     p_sweep.add_argument("--sanitize", action="store_true",
                          help="shadow-verify every live fast-path cell"
-                              " against the event loop at the bit level"
-                              " (same as REPRO_SANITIZE=1; divergence"
+                              " against the live kernel path at the bit"
+                              " level (same as REPRO_SANITIZE=1; divergence"
                               " raises ReplayDivergenceError)")
     p_sweep.add_argument("--chaos", metavar="SPEC",
                          help="fault injection for the orchestrator,"

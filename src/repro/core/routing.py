@@ -25,7 +25,7 @@ from repro.devices.wnic import Direction
 from repro.faults.invariants import InvariantChecker
 from repro.faults.schedule import FaultSchedule
 from repro.kernel.page import Extent
-from repro.sim.engine import SimulationError
+from repro.sim.clock import SimulationError
 from repro.traces.record import OpType
 from repro.units import Seconds
 

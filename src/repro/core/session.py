@@ -3,13 +3,16 @@
 "We built a simulator that is driven by real-life applications'
 execution traces...  It simulates the management of two storage devices
 (hard disk and wireless interface card) and the buffer cache in the
-memory."  :class:`SimulationSession` is that simulator, assembled from
-explicit layers over the :class:`~repro.sim.engine.EventLoop`:
+memory."  :class:`SimulationSession` is that simulator: one closed-loop
+scheduler (a ``(time, seq, program)`` heap in
+:meth:`SimulationSession._replay`) driving explicit layers:
 
 * **workload** (`repro.core.workload`) — closed-loop
   :class:`ProgramDriver`\\ s replaying recorded traces;
 * **kernel** (`repro.kernel.path`) — every syscall walks the
-  cache/readahead/write-back path; only misses reach a device;
+  cache/readahead/write-back path; only misses reach a device.  A
+  plan-shaped run swaps in a :class:`~repro.sim.plan.PlanCursor` that
+  answers the same calls from a frozen BurstPlan;
 * **device services** (`repro.devices.service`) — disk and WNIC behind
   one protocol, owning spin-up/PSM accounting and fault paths;
 * **policy routing** (`repro.core.routing`) — the policy under test
@@ -42,6 +45,7 @@ program).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from heapq import heapify, heappop, heapreplace
 
 from repro.core.policies import Policy, RequestContext
 from repro.core.routing import RequestRouter
@@ -57,12 +61,11 @@ from repro.devices.dpm import SpindownPolicy
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.faults.invariants import InvariantChecker
 from repro.faults.schedule import FaultSchedule
-from repro.sim.clock import MB, TIME_EPSILON
-from repro.sim.engine import EventLoop, SimulationError
-from repro.sim.plan import PlanCursor, plan_for
+from repro.sim.clock import MB, SimulationError
+from repro.sim.plan import BurstPlan, PlanCursor, plan_for
 from repro.traces.compile import OPS_BY_CODE
 from repro.traces.record import OpType
-from repro.units import Bytes
+from repro.units import Bytes, Seconds
 
 
 class SimulationSession:
@@ -97,8 +100,9 @@ class SimulationSession:
         #: (sinks cannot be added mid-run, only disabled).
         self._sinks_hot: SinkSet | None = None
         self._fast_path = True
-        #: set by :meth:`run`: True when the replay consumed a
-        #: :class:`~repro.sim.plan.BurstPlan` instead of the event loop.
+        #: set by :meth:`run`: True when the kernel surface was a
+        #: :class:`~repro.sim.plan.BurstPlan` cursor instead of the live
+        #: kernel path.
         self.used_fast_path = False
 
     # ------------------------------------------------------------------
@@ -170,12 +174,13 @@ class SimulationSession:
     def with_fast_path(self, enabled: bool = True) -> SimulationSession:
         """Toggle the BurstPlan fast path (on by default).
 
-        The fast path replays a precomputed kernel-path plan with a
-        flat clock instead of driving the event loop; it engages only
+        The fast path swaps the live kernel path for a cursor over a
+        precomputed kernel-path plan; the scheduler and everything
+        behind the kernel are the same either way.  It engages only
         when the replay is plan-shaped (one all-READ program, with or
         without faults and strict checking) and is bit-identical when
         it does.
-        Turning it off forces the event loop — parity tests do.
+        Turning it off forces the live kernel path — parity tests do.
         """
         self._configure()
         self._fast_path = enabled
@@ -218,7 +223,6 @@ class SimulationSession:
             self.env.register_trace(spec.trace)
         self.policy = self._policy
         self.programs = [ProgramDriver(s) for s in self._program_specs]
-        self.loop = EventLoop()
         # A schedule with nothing scheduled must be a strict no-op: the
         # devices never see it and every float path stays byte-identical.
         self.faults = self._faults \
@@ -235,24 +239,13 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # syscall processing
     # ------------------------------------------------------------------
-    def _process(self, prog: ProgramDriver) -> None:
-        now = self.loop.now
-        completion = self._service_record(prog, now)
-        think = prog.advance()
-        if think is None:
-            return
-        self.loop.schedule_at(completion + think,
-                              lambda p=prog: self._process(p),
-                              label=f"{prog.name}[{prog.index}]")
-
     def _service_record(self, prog: ProgramDriver,
                         now: Seconds) -> float:
         """Service one record at ``now``; returns its completion time.
 
-        The single body both replay modes share: the event loop calls
-        it from :meth:`_process`, the BurstPlan fast path from its flat
-        clock loop (with the kernel surface swapped for a
-        :class:`~repro.sim.plan.PlanCursor`).
+        :meth:`_replay` calls it for every record, whichever kernel
+        surface is in place: the live kernel path or a
+        :class:`~repro.sim.plan.PlanCursor`.
         """
         # Index the compiled columns directly — same fields a ReplayOp
         # would carry, minus one object allocation per record.
@@ -327,10 +320,10 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # BurstPlan fast path
     # ------------------------------------------------------------------
-    def _burst_plan(self):
+    def _burst_plan(self) -> BurstPlan | None:
         """The fast path's plan, or None when it must disengage.
 
-        Event-granular replay stays in charge only when several
+        The live kernel path stays in charge only when several
         programs interleave on the shared cache and disk; writes
         disqualify a trace inside :func:`~repro.sim.plan.plan_for`
         itself.  Faults and strict checking ride the plan: the cache,
@@ -344,28 +337,36 @@ class SimulationSession:
         return plan_for(self._program_specs[0].trace,
                         self._memory_bytes, self._seed)
 
-    def _replay_plan(self, prog: ProgramDriver) -> None:
-        """Flat-clock replay of one program over its BurstPlan.
+    # ------------------------------------------------------------------
+    # the scheduler
+    # ------------------------------------------------------------------
+    def _replay(self) -> None:
+        """Replay every program on one closed-loop scheduler.
 
-        Clock semantics mirror the event loop exactly: the first record
-        fires at ``max(start_time, 0.0)`` and each next record at
-        ``max(completion + think, now)`` — the same clamp
-        ``schedule_at`` applies when it pins an event time.
+        A heap of ``(time, seq, program)`` holds each unfinished
+        program's next issue time; ``seq`` is the insertion slot, so
+        simultaneous records fire in scheduling order (program order
+        at the start).  A record issues at its scheduled time or the
+        clock, whichever is later, and its successor follows one
+        recorded think time after it completes.
         """
-        if prog.done:
-            return
-        if prog.start_time < -TIME_EPSILON:
-            raise SimulationError(
-                f"cannot schedule at {prog.start_time} before now 0.0")
-        now = max(prog.start_time, 0.0)
-        while True:
+        heap: list[tuple[float, int, ProgramDriver]] = [
+            (prog.start_time, seq, prog)
+            for seq, prog in enumerate(self.programs) if not prog.done]
+        heapify(heap)
+        seq = len(self.programs)
+        now = 0.0
+        while heap:
+            t, _, prog = heap[0]
+            if t > now:
+                now = t
             completion = self._service_record(prog, now)
             think = prog.advance()
             if think is None:
-                return
-            t = completion + think
-            if t > now:
-                now = t
+                heappop(heap)
+            else:
+                heapreplace(heap, (completion + think, seq, prog))
+                seq += 1
 
     # ------------------------------------------------------------------
     def _check_dirty_conservation(self) -> None:
@@ -401,15 +402,8 @@ class SimulationSession:
         self.policy.begin_run(0.0)
         self.sinks.on_run_begin(self.policy.name, 0.0)
         self._sinks_hot = self.sinks if len(self.sinks) else None
-        if plan is not None:
-            self._replay_plan(self.programs[0])
-        else:
-            for prog in self.programs:
-                if not prog.done:
-                    self.loop.schedule_at(prog.start_time,
-                                          lambda p=prog: self._process(p),
-                                          label=f"{prog.name}[0]")
-            self.loop.run()
+        self._replay()
+        if plan is None:
             self._check_dirty_conservation()
         end_time = max((p.last_completion for p in self.programs),
                        default=0.0)

@@ -1,14 +1,15 @@
 """Shadow-execution sanitizer for the BurstPlan fast path.
 
-The fast path (DESIGN.md §15–§16) is a performance shortcut with a
+The fast path (DESIGN.md §15–§16) swaps the live kernel path for a
+cursor over a frozen BurstPlan, under the same scheduler, with a
 bit-identical contract: for every plan-shaped cell it must produce the
 same :class:`~repro.core.telemetry.RunResult` — every float, dict and
-counter — as the discrete event loop.  The static rules R10–R13
-(``repro.lint.equiv``) catch the *structural* ways the two replays can
-drift apart; this module is the dynamic half: with ``REPRO_SANITIZE=1``
-(or ``flexfetch sweep --sanitize``) every cell that engages the fast
-path is re-run through the event loop in shadow and the two runs are
-diffed at the bit level, stage by stage:
+counter — as the live kernel path.  The static rules R10–R13
+(``repro.lint.equiv``) catch the *structural* ways the two kernel
+surfaces can drift apart; this module is the dynamic half: with
+``REPRO_SANITIZE=1`` (or ``flexfetch sweep --sanitize``) every cell that
+engages the fast path is run once more on the live kernel path and the
+two runs are diffed at the bit level, stage by stage:
 
 1. **service** — the per-extent service stream (program, source,
    bytes, energy, completion) recorded by a telemetry sink on each run;
@@ -49,7 +50,7 @@ _SYSCALL_FIELDS = ("program", "op", "nbytes", "now")
 
 
 class ReplayDivergenceError(RuntimeError):
-    """The fast path and the event loop disagreed at the bit level.
+    """The fast path and the live kernel path disagreed at the bit level.
 
     Attributes
     ----------
@@ -82,7 +83,7 @@ class ReplayDivergenceError(RuntimeError):
         self.slow_breakdown = dict(slow_breakdown)
         at = f"[{index}]" if index >= 0 else ""
         super().__init__(
-            f"fast path diverged from event loop at {stage}{at}"
+            f"fast path diverged from live kernel path at {stage}{at}"
             f".{field}: fast={fast!r} != slow={slow!r}")
 
 
@@ -148,13 +149,13 @@ def run_shadowed(session: SimulationSession,
                  build_twin: Callable[[], SimulationSession]
                  ) -> RunResult:
     """Run ``session``; if it took the fast path, replay ``build_twin``
-    through the event loop and verify bit-identical behaviour.
+    on the live kernel path and verify bit-identical behaviour.
 
     ``build_twin`` must recreate the session from scratch (policies and
     devices are stateful, so the primary cannot be re-run); the twin is
-    forced onto the event loop with ``with_fast_path(False)``.  Returns
-    the primary's result — a sanitized sweep is bit-identical to an
-    unsanitized one or it raises.
+    forced onto the live kernel path with ``with_fast_path(False)``.
+    Returns the primary's result — a sanitized sweep is bit-identical
+    to an unsanitized one or it raises.
     """
     fast_sink = RecordingSink()
     session.add_sink(fast_sink)

@@ -13,9 +13,10 @@ of the codebase already guarantees:
 
 * every simulation input is an immutable value (specs, compiled traces,
   frozen configs) — no shared mutable state;
-* event ordering inside a run is a pure function of that run's schedule
-  (per-loop tie-break slots in :class:`~repro.sim.engine.EventLoop`),
-  independent of whatever else ran in the worker process.
+* record ordering inside a run is a pure function of that run's
+  schedule (per-session tie-break slots in the scheduler heap of
+  :class:`~repro.core.session.SimulationSession`), independent of
+  whatever else ran in the worker process.
 
 Heavy payloads never ride inside job pickles.  Before the pool spawns,
 the parent stages each distinct compiled trace (and any policy-factory
@@ -209,7 +210,7 @@ class SweepJob:
     #: the worker rebuilds the (mutable-cursor) schedule from
     #: (spec, seed) — the same pair the cache key hashes.
     faults: FaultSpec | None = None
-    #: shadow-verify the cell against the event loop
+    #: shadow-verify the cell against the live kernel path
     #: (:mod:`repro.core.shadow`); None defers to ``REPRO_SANITIZE``.
     #: Verification-only — the returned result is bit-identical either
     #: way (a divergence raises), so it stays out of the cache key.

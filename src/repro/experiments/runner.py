@@ -192,7 +192,7 @@ def run_point(programs_factory: Callable[[], list[ProgramSpec]],
 
     ``sanitize`` (default: the ``REPRO_SANITIZE`` environment toggle)
     shadow-verifies the cell: if the run takes the BurstPlan fast path,
-    an event-loop twin is built from the same factories and the two
+    a live-kernel twin is built from the same factories and the two
     replays are diffed at the bit level
     (:mod:`repro.core.shadow`).  The returned point is always the
     primary run's — a divergence raises instead of returning.

@@ -1,18 +1,19 @@
 """Dual-path equivalence rules R10-R13 (DESIGN.md §17).
 
-The replay engine keeps two implementations of every hot computation:
-the discrete event loop (the oracle) and the BurstPlan fast path, which
-itself forks into packed numpy kernels and scalar fallbacks.  All of
-them promise *bit-identical* results.  Nothing in Python enforces that
-promise structurally — a parameter added to the session, a cost term
-added to a device model, or a new input to ``build_plan`` silently
-drifts the twins apart until a parity test happens to cover it.
+The replay keeps two implementations of every hot computation behind
+one scheduler: the live kernel path (the oracle) and the BurstPlan fast
+path, which itself forks into packed numpy kernels and scalar
+fallbacks.  All of them promise *bit-identical* results.  Nothing in
+Python enforces that promise structurally — a parameter added to the
+session, a cost term added to a device model, or a new input to
+``build_plan`` silently drifts the twins apart until a parity test
+happens to cover it.
 
 These rules make the promise checkable without running anything:
 
 * **R10 path-coverage drift** — every ``SimulationSession`` /
   ``MobileSystem`` parameter is either read by the fast-path cone
-  (``_burst_plan`` / ``_replay_plan`` and everything they call) or
+  (``_burst_plan`` / ``_replay`` and everything they call) or
   named in the refusal predicate.
 * **R11 kernel-pair drift** — the packed walks account the same
   breakdown buckets, spec constants and DPM transitions as the device
@@ -241,8 +242,8 @@ class _SessionModel:
         return edges
 
     def _cone(self) -> set[str]:
-        """_burst_plan/_replay_plan plus transitively called methods."""
-        cone = {name for name in ("_burst_plan", "_replay_plan")
+        """_burst_plan/_replay plus transitively called methods."""
+        cone = {name for name in ("_burst_plan", "_replay")
                 if name in self.methods}
         queue = list(cone)
         while queue:
@@ -286,7 +287,7 @@ def _session_models(project: Project) -> list[_SessionModel]:
     return [
         _SessionModel(project, cls)
         for cls in _classes_named(project, "SimulationSession")
-        if {"_burst_plan", "_replay_plan"} <= cls.methods.keys()
+        if {"_burst_plan", "_replay"} <= cls.methods.keys()
     ]
 
 
@@ -313,7 +314,7 @@ def _r10_params(model: _SessionModel) -> list[Finding]:
             path=model.path, line=arg.lineno, col=arg.col_offset,
             rule="R10",
             message=f"session parameter '{arg.arg}' is neither read by"
-                    " the fast-path cone (_burst_plan/_replay_plan)"
+                    " the fast-path cone (_burst_plan/_replay)"
                     " nor named in its refusal predicate — runs that"
                     " vary it replay identically"))
     return findings
@@ -346,7 +347,7 @@ def _r10_mobile_system(project: Project,
                     path=model.path, line=node.lineno,
                     col=node.col_offset, rule="R10",
                     message=f"MobileSystem parameter '{param}' is not"
-                            " forwarded by the session — an event-loop"
+                            " forwarded by the session — a live-kernel"
                             " knob the session can never set, invisible"
                             " to the fast-path refusal predicate"))
     return findings
@@ -624,7 +625,7 @@ def _r11_device(project: Project, cls_name: str, anchor: str,
             path=walk_path, line=line, col=col, rule="R11",
             message=f"packed-walk bucket '{bucket}' does not exist in"
                     f" the {cls_name} device model — the walk charges"
-                    " energy the event loop never does"))
+                    " energy the device model never does"))
 
     for attr in sorted(set(dev.spec_attrs) - walk_spec_union
                        - spec_allowance):

@@ -129,7 +129,7 @@ RULES: dict[str, Rule] = {
                     " either read by the fast path or named in its"
                     " refusal predicate",
             rationale="the BurstPlan fast path is a shortcut over the"
-                      " event loop; a new session knob the shortcut"
+                      " live kernel path; a new session knob the shortcut"
                       " neither consumes nor refuses on is silently"
                       " ignored — two runs that vary it return"
                       " bit-identical (wrong) results until a parity"

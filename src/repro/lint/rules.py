@@ -97,7 +97,7 @@ def impurity_of_call(dotted: str, node: ast.Call) -> str | None:
     """
     if dotted in _WALL_CLOCK:
         return (f"wall-clock call {dotted}() — simulation"
-                " time comes from the event loop, never the"
+                " time comes from the replay scheduler, never the"
                 " host clock")
     if dotted in _ENTROPY or dotted.startswith("secrets."):
         return (f"nondeterministic entropy source {dotted}()"

@@ -1,14 +1,14 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
-This subpackage provides the timing, event-loop, randomness, and
+This subpackage provides the timing, randomness, replay-plan and
 energy-accounting primitives every other layer of the reproduction is
-built on:
+built on (the closed-loop scheduler itself is a small heap inside
+:class:`~repro.core.session.SimulationSession`):
 
-* :mod:`repro.sim.clock` — simulation-time helpers and unit conversions.
-* :mod:`repro.sim.events` — the :class:`~repro.sim.events.Event` record and
-  its deterministic ordering.
-* :mod:`repro.sim.engine` — a heap-based event loop
-  (:class:`~repro.sim.engine.EventLoop`) with process-style helpers.
+* :mod:`repro.sim.clock` — simulation-time helpers, unit conversions
+  and :class:`~repro.sim.clock.SimulationError`.
+* :mod:`repro.sim.plan` — memoised BurstPlans of the kernel path and the
+  :class:`~repro.sim.plan.PlanCursor` that replays them.
 * :mod:`repro.sim.rng` — reproducible per-component random streams.
 * :mod:`repro.sim.metrics` — continuous energy integration
   (:class:`~repro.sim.metrics.EnergyMeter`) and state timelines.
@@ -24,10 +24,9 @@ from repro.sim.clock import (
     USEC,
     Mbps,
     bytes_per_second,
+    SimulationError,
     seconds_to_transfer,
 )
-from repro.sim.engine import EventLoop, SimulationError
-from repro.sim.events import Event
 from repro.sim.metrics import EnergyMeter, StateTimeline, TimeWeightedStat
 from repro.sim.rng import child_seed, make_rng
 
@@ -40,8 +39,6 @@ __all__ = [
     "Mbps",
     "bytes_per_second",
     "seconds_to_transfer",
-    "Event",
-    "EventLoop",
     "SimulationError",
     "EnergyMeter",
     "StateTimeline",

@@ -36,8 +36,9 @@ GB: Bytes = 1024 * 1024 * 1024
 MSEC: Seconds = 1e-3
 USEC: Seconds = 1e-6
 
-#: Smallest meaningful time difference; used to de-jitter float comparisons.
-TIME_EPSILON: Seconds = 1e-9
+
+class SimulationError(RuntimeError):
+    """Raised on misuse of a replay session or a broken run invariant."""
 
 
 def Mbps(megabits: float) -> BytesPerSecond:

@@ -19,7 +19,7 @@ from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.session import SimulationSession
 from repro.core.telemetry import NullSink, RecordingSink, SinkSet
 from repro.core.workload import ProgramSpec
-from repro.sim.engine import SimulationError
+from repro.sim.clock import SimulationError
 from repro.traces.synth import generate_grep
 
 SEED = 11

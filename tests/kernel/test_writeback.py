@@ -10,7 +10,7 @@ from repro.kernel.cache import TwoQCache
 from repro.kernel.page import PAGE_SIZE, PageId
 from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
-from repro.sim.engine import SimulationError
+from repro.sim.clock import SimulationError
 from tests.conftest import make_trace
 
 

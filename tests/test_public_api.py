@@ -43,8 +43,8 @@ class TestTopLevelExports:
 
 class TestSubpackageImports:
     @pytest.mark.parametrize("module", [
-        "repro.sim", "repro.sim.clock", "repro.sim.engine",
-        "repro.sim.events", "repro.sim.metrics", "repro.sim.rng",
+        "repro.sim", "repro.sim.clock", "repro.sim.metrics",
+        "repro.sim.rng",
         "repro.devices", "repro.devices.disk", "repro.devices.dpm",
         "repro.devices.layout", "repro.devices.power",
         "repro.devices.specs", "repro.devices.wnic",
