@@ -17,7 +17,7 @@ run's partial profile as requests stream past (§2.3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.devices.specs import HITACHI_DK23DA
@@ -62,17 +62,17 @@ class IOBurst:
     requests: tuple[ProfiledRequest, ...]
     start: float
     end: float
+    #: Total bytes requested in the burst (summed once, at construction:
+    #: every profile build and splice reads it for every burst).
+    nbytes: Bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a burst has at least one request")
         if self.end < self.start:
             raise ValueError("burst ends before it starts")
-
-    @property
-    def nbytes(self) -> Bytes:
-        """Total bytes requested in the burst."""
-        return sum(r.size for r in self.requests)
+        object.__setattr__(self, "nbytes",
+                           sum(r.size for r in self.requests))
 
     @property
     def duration(self) -> Seconds:

@@ -18,12 +18,20 @@ The cache is the single owner of dirty state: an insertion-ordered index
 maps each resident dirty page to the time it was first dirtied since its
 last clean (Linux's ``dirtied_when``).  Evicting a dirty page surfaces it
 to the caller so the write-back layer can schedule the flush.
+
+One :meth:`TwoQCache.scan_window` pass serves a read and one install
+loop serves fetches and writes, but reclaim still runs after every
+insertion: a run can evict its own earlier pages from A1in, and trim a
+ghost from A1out that a later page of the same run would have hit, so
+evicting once per run would break the 2Q rules.  Keys are plain
+``(inode, index)`` tuples, equal in hash and value to :class:`PageId`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.kernel.page import Extent, PageId
 from repro.units import Seconds
@@ -102,14 +110,6 @@ class TwoQCache:
     def __len__(self) -> int:
         return len(self._resident)
 
-    def is_resident(self, inode: int, index: int) -> bool:
-        """O(1) residency check without constructing a :class:`PageId`.
-
-        ``PageId`` is a tuple subclass, so the plain ``(inode, index)``
-        tuple hashes and compares equal to the stored key.
-        """
-        return (inode, index) in self._resident
-
     def resident_count(self, inode: int, start: int, end: int) -> int:
         """Resident pages of ``inode`` in ``[start, end)`` (O(1) each)."""
         resident = self._resident
@@ -154,12 +154,42 @@ class TwoQCache:
         device and then calls :meth:`insert`.  This split is what lets
         the VFS batch misses into readahead-sized device extents.
         """
-        if page in self._am:
-            self._am.move_to_end(page)
-            self.stats.hits += 1
-            return True
-        referenced = self._a1in.get(page)
-        if referenced is not None:
+        inode, index = page
+        return not self.scan_window(inode, index, index + 1,
+                                    index, index + 1)[0]
+
+    def scan_window(self, inode: int, start: int, end: int,
+                    demand_start: int, demand_end: int
+                    ) -> tuple[int, list[tuple[int, int]]]:
+        """One read's pass over ``[start, end)`` of ``inode``.
+
+        Pages in ``[demand_start, demand_end)`` (inside the window) are
+        references and count as hits or misses; the readahead pages
+        around them are only probed for residency.  Returns the demand
+        miss count and the non-resident pages as ascending
+        ``(run_start, run_end)`` runs.  Nothing is inserted.
+        """
+        resident = self._resident
+        if resident.isdisjoint(zip(repeat(inode), range(start, end))):
+            # Nothing resident (a cold read): one C-level probe, and
+            # every demand page is a miss.
+            misses = demand_end - demand_start
+            self.stats.misses += misses
+            return misses, [(start, end)] if start < end else []
+        a1in, am = self._a1in, self._am
+        missing = [index for index in range(start, demand_start)
+                   if (inode, index) not in resident]
+        hits = 0
+        for index in range(demand_start, demand_end):
+            page = (inode, index)
+            if page in am:
+                am.move_to_end(page)
+                hits += 1
+                continue
+            referenced = a1in.get(page)
+            if referenced is None:
+                missing.append(index)
+                continue
             # Linux's two-touch promotion: the first A1in reference
             # sets PG_referenced, the second moves the page to the
             # active set.  (Classic 2Q never promotes from A1in, which
@@ -167,77 +197,117 @@ class TwoQCache:
             # being evicted; one-touch promotion would instead let
             # every prefetched-then-read scan page flood Am.)
             if referenced:
-                del self._a1in[page]
-                self._am[page] = None
+                del a1in[page]
+                am[page] = None
             else:
-                self._a1in[page] = True
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+                a1in[page] = True
+            hits += 1
+        misses = demand_end - demand_start - hits
+        self.stats.hits += hits
+        self.stats.misses += misses
+        missing += [index for index in range(demand_end, end)
+                    if (inode, index) not in resident]
+        runs: list[tuple[int, int]] = []
+        if missing:
+            run_start = run_end = missing[0]
+            for index in missing:
+                if index != run_end:
+                    runs.append((run_start, run_end))
+                    run_start = index
+                run_end = index + 1
+            runs.append((run_start, run_end))
+        return misses, runs
 
     def insert(self, page: PageId, *, dirty: bool = False,
                now: Seconds = 0.0) -> list[PageId]:
-        """Install a fetched/written page; returns evicted dirty pages.
+        """Install one page; returns evicted dirty pages.
 
-        Pages whose identity is still in the A1out ghost list go straight
-        to Am (they have proven re-reference value); new pages enter A1in.
-        Clean evictions vanish silently; dirty ones are returned so the
-        write-back layer can flush them.
+        A clean insert is a one-page :meth:`insert_run`, a dirty one a
+        one-page :meth:`write_run` (a resident page is then only marked
+        dirty, with no queue move).
         """
-        if page in self._resident:
-            if page in self._am:
-                self._am.move_to_end(page)
-            if dirty:
-                self.mark_dirty(page, now)
-            return []
-        if page in self._a1out:
-            del self._a1out[page]
-            self._am[page] = None
-            self.stats.ghost_promotions += 1
-        else:
-            self._a1in[page] = False
-        self._resident.add(page)
-        self.stats.insertions += 1
-        if dirty:
-            self._dirty[page] = now
-            self.stats.dirtied += 1
-        if len(self._resident) > self.capacity:
-            return self._reclaim()
-        return []
+        inode, index = page
+        return self._install_run(inode, index, index + 1,
+                                 now if dirty else None)
 
     def insert_run(self, inode: int, start: int, end: int) -> list[PageId]:
-        """Batched clean :meth:`insert` of pages ``[start, end)`` of ``inode``.
+        """Install fetched pages ``[start, end)`` of ``inode`` clean.
 
-        Reclaim still runs after every single insertion (so the eviction
-        stream is bit-identical to one-at-a-time inserts); the batching
-        saves the per-page call and list plumbing on the fetch-completion
-        path, where multi-page readahead extents land.  The body is
-        :meth:`insert` inlined with the queues bound to locals.
+        A page already resident moves to Am's MRU end if it is in Am.
+        Returns the dirty pages evicted en route.
         """
-        flushed: list[PageId] = []
+        return self._install_run(inode, start, end, None)
+
+    def write_run(self, inode: int, start: int, end: int,
+                  now: Seconds) -> list[PageId]:
+        """Dirty pages ``[start, end)`` of ``inode``, installing the
+        absent ones; returns the dirty pages evicted en route.
+
+        A page already resident is only marked dirty (keeping its first
+        dirtying time), with no queue move.
+        """
+        return self._install_run(inode, start, end, now)
+
+    def _install_run(self, inode: int, start: int, end: int,
+                     dirty_at: float | None) -> list[PageId]:
+        """The single install loop behind every insert.
+
+        Pages whose identity is still in the A1out ghost list go straight
+        to Am (they have proven re-reference value); new pages enter
+        A1in.  Reclaim runs after every insertion, so a run may evict
+        its own earlier pages.  Clean evictions vanish silently; dirty
+        ones are returned so the write-back layer can flush them.
+        """
         resident = self._resident
-        a1in, a1out, am = self._a1in, self._a1out, self._am
-        capacity = self.capacity
-        stats = self.stats
+        a1in, a1out, am, dirty = self._a1in, self._a1out, self._am, self._dirty
+        kin, kout = self.kin, self.kout
+        # Only the rare branches count; the rest follows from sizes.
+        resident_before, dirty_before = len(resident), len(dirty)
+        room = self.capacity - resident_before
+        flushed: list[PageId] = []
+        skipped = promoted = 0
         for index in range(start, end):
-            page = PageId(inode, index)
+            page = (inode, index)
             if page in resident:
-                if page in am:
-                    am.move_to_end(page)
+                skipped += 1
+                if dirty_at is None:
+                    if page in am:
+                        am.move_to_end(page)
+                elif page not in dirty:
+                    dirty[page] = dirty_at
                 continue
             if page in a1out:
                 del a1out[page]
                 am[page] = None
-                stats.ghost_promotions += 1
+                promoted += 1
             else:
                 a1in[page] = False
             resident.add(page)
-            stats.insertions += 1
-            if len(resident) > capacity:
-                evicted = self._reclaim()
-                if evicted:
-                    flushed.extend(evicted)
+            if dirty_at is not None:
+                dirty[page] = dirty_at
+            if room > 0:
+                room -= 1
+                continue
+            # Reclaim the one page over capacity: A1in's oldest (its
+            # identity joins the A1out ghosts) unless A1in is within
+            # Kin, else Am's least recently used.
+            if len(a1in) > kin or not am:
+                victim, _ = a1in.popitem(last=False)
+                a1out[victim] = None
+                if len(a1out) > kout:
+                    a1out.popitem(last=False)
+            else:
+                victim, _ = am.popitem(last=False)
+            resident.discard(victim)
+            if dirty.pop(victim, None) is not None:
+                flushed.append(victim)
+        inserted = end - start - skipped
+        stats = self.stats
+        stats.insertions += inserted
+        stats.ghost_promotions += promoted
+        stats.evictions += inserted - (len(resident) - resident_before)
+        stats.dirty_evictions += len(flushed)
+        stats.dirtied += len(dirty) - dirty_before + len(flushed)
         return flushed
 
     def mark_dirty(self, page: PageId, now: Seconds) -> bool:
@@ -266,27 +336,6 @@ class TwoQCache:
         self._am.pop(page, None)
         self._a1out.pop(page, None)
         self._resident.discard(page)
-
-    # ------------------------------------------------------------------
-    # replacement
-    # ------------------------------------------------------------------
-    def _reclaim(self) -> list[PageId]:
-        """Evict until within capacity; returns evicted *dirty* pages."""
-        flushed: list[PageId] = []
-        while len(self._resident) > self.capacity:
-            if len(self._a1in) > self.kin or not self._am:
-                page, _ = self._a1in.popitem(last=False)
-                self._a1out[page] = None
-                while len(self._a1out) > self.kout:
-                    self._a1out.popitem(last=False)
-            else:
-                page, _ = self._am.popitem(last=False)
-            self._resident.discard(page)
-            self.stats.evictions += 1
-            if self._dirty.pop(page, None) is not None:
-                self.stats.dirty_evictions += 1
-                flushed.append(page)
-        return flushed
 
     # ------------------------------------------------------------------
     # introspection for tests

@@ -59,7 +59,10 @@ class TwoWindowReadahead:
 
     def state(self, pid: int, inode: int) -> ReadaheadState:
         """The stream state for ``(pid, inode)`` (created on demand)."""
-        return self._streams.setdefault((pid, inode), ReadaheadState())
+        st = self._streams.get((pid, inode))
+        if st is None:
+            st = self._streams[(pid, inode)] = ReadaheadState()
+        return st
 
     def reset(self, pid: int, inode: int) -> None:
         """Forget a stream (file close)."""

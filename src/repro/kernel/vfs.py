@@ -27,7 +27,6 @@ from repro.kernel.cache import TwoQCache
 from repro.kernel.page import (
     MAX_READAHEAD_PAGES,
     Extent,
-    PageId,
     pages_of_range,
     runs_from_pages,
     split_max_pages,
@@ -138,49 +137,24 @@ class VirtualFileSystem:
         file_pages = max(meta.pages, demand.end)
         widened = self.readahead.plan(pid, inode, demand, file_pages)
 
-        # Hot path: iterate page indices and only materialise PageIds
-        # for demand-page cache accesses — readahead windows make the
-        # widened extent much larger than the demand range.  Because the
-        # scan walks one inode's indices in ascending order, the miss
-        # runs can be built inline instead of collecting PageIds and
-        # regrouping them afterwards.
-        cache = self.cache
-        demand_start, demand_end = demand.start, demand.end
-        miss_demand = 0
-        runs: list[Extent] = []
-        run_start = -1
-        run_end = -1
-        for index in range(widened.start, widened.end):
-            if demand_start <= index < demand_end:
-                if cache.access(PageId(inode, index)):
-                    continue
-                miss_demand += 1
-            elif cache.is_resident(inode, index):
-                continue
-            if index == run_end:
-                run_end = index + 1
-            else:
-                if run_start >= 0:
-                    runs.append(Extent(inode, run_start,
-                                       run_end - run_start))
-                run_start = index
-                run_end = index + 1
-        if run_start >= 0:
-            runs.append(Extent(inode, run_start, run_end - run_start))
-        hit_pages = (demand_end - demand_start) - miss_demand
+        miss_demand, runs = self.cache.scan_window(
+            inode, widened.start, widened.end, demand.start, demand.end)
         fetches: list[Extent] = []
         max_pages = self.readahead.max_pages
-        for run in runs:
+        for run_start, run_end in runs:
+            run = Extent(inode, run_start, run_end - run_start)
             if run.npages <= max_pages:
                 fetches.append(run)
             else:
                 fetches.extend(split_max_pages(run, max_pages))
-        return FetchPlan(demand, tuple(fetches), hit_pages, miss_demand)
+        return FetchPlan(demand, tuple(fetches),
+                         demand.npages - miss_demand, miss_demand)
 
     def complete_fetch(self, extent: Extent, now: Seconds) -> list[Extent]:
         """Install fetched pages; returns dirty extents evicted en route."""
-        return runs_from_pages(self.cache.insert_run(
-            extent.inode, extent.start, extent.end))
+        flushed = self.cache.insert_run(extent.inode, extent.start,
+                                        extent.end)
+        return runs_from_pages(flushed) if flushed else []
 
     # ------------------------------------------------------------------
     # write path
@@ -201,13 +175,8 @@ class VirtualFileSystem:
         demand = pages_of_range(inode, offset, size)
         if demand is None:
             return []
-        flushed: list[PageId] = []
-        for page in demand.pages():
-            if page in self.cache:
-                self.cache.mark_dirty(page, now)
-            else:
-                flushed.extend(self.cache.insert(page, dirty=True, now=now))
-        return runs_from_pages(flushed)
+        flushed = self.cache.write_run(inode, demand.start, demand.end, now)
+        return runs_from_pages(flushed) if flushed else []
 
     def plan_writeback(self, now: Seconds, *, disk_active: bool) -> list[Extent]:
         """Dirty extents due for flushing under laptop-mode policy."""
@@ -222,10 +191,11 @@ class VirtualFileSystem:
         FlexFetch's cache filter uses this to drop profiled requests that
         would be buffer-cache hits from its device cost estimates.
         """
-        demand = pages_of_range(inode, offset, size)
-        if demand is None:
+        # Inline of pages_of_range (same validation, no Extent built):
+        # FlexFetch's cache filter calls this per profiled request.
+        if offset < 0 or size < 0:
+            raise ValueError("negative offset or size")
+        if size == 0:
             return 0
-        # Hot path (FlexFetch's cache filter calls this per profiled
-        # request): one set lookup per page, no PageId construction.
-        return self.cache.resident_count(inode, demand.start,
-                                         demand.end) * 4096
+        return self.cache.resident_count(
+            inode, offset // 4096, (offset + size - 1) // 4096 + 1) * 4096

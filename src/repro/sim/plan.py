@@ -115,7 +115,9 @@ class _RecordingResidency(set):
     ``len``), and only transitions state — ``add`` fires on pages that
     were absent, ``discard`` on pages that were present — so the op log
     alternates per page and the net effect of a record is decided by
-    its first and last op alone.
+    its first and last op alone.  Every other mutator raises, so a cache
+    change that bypasses the log fails loudly instead of corrupting the
+    plan's deltas.
     """
 
     __slots__ = ("ops",)
@@ -131,6 +133,13 @@ class _RecordingResidency(set):
     def discard(self, page) -> None:
         self.ops.append((False, page))
         super().discard(page)
+
+    def _unrecorded(self, *args) -> None:
+        raise TypeError("the residency recorder logs only add/discard;"
+                        " any other mutation would escape the plan deltas")
+
+    update = difference_update = remove = pop = clear = _unrecorded
+    __ior__ = __isub__ = __iand__ = __ixor__ = _unrecorded
 
     def drain_net_delta(self) -> tuple[tuple[PageId, ...],
                                        tuple[PageId, ...]]:

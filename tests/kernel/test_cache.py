@@ -184,3 +184,148 @@ class TestProperties:
             assert len(c) <= cap
         assert c.stats.accesses == c.stats.hits + c.stats.misses
         assert 0.0 <= c.stats.hit_ratio <= 1.0
+
+
+class _PageAtATimeCache(TwoQCache):
+    """Reference model: the 2Q rules applied one page per call, with
+    reclaim as a separate pass after each insertion.  A write marks a
+    resident page dirty and inserts an absent one dirty."""
+
+    def access(self, page):
+        if page in self._am:
+            self._am.move_to_end(page)
+            self.stats.hits += 1
+            return True
+        referenced = self._a1in.get(page)
+        if referenced is not None:
+            if referenced:
+                del self._a1in[page]
+                self._am[page] = None
+            else:
+                self._a1in[page] = True
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def insert(self, page, *, dirty=False, now=0.0):
+        if page in self._resident:
+            if page in self._am:
+                self._am.move_to_end(page)
+            if dirty:
+                self.mark_dirty(page, now)
+            return []
+        if page in self._a1out:
+            del self._a1out[page]
+            self._am[page] = None
+            self.stats.ghost_promotions += 1
+        else:
+            self._a1in[page] = False
+        self._resident.add(page)
+        self.stats.insertions += 1
+        if dirty:
+            self._dirty[page] = now
+            self.stats.dirtied += 1
+        return self._reclaim()
+
+    def _reclaim(self):
+        flushed = []
+        while len(self._resident) > self.capacity:
+            if len(self._a1in) > self.kin or not self._am:
+                victim, _ = self._a1in.popitem(last=False)
+                self._a1out[victim] = None
+                while len(self._a1out) > self.kout:
+                    self._a1out.popitem(last=False)
+            else:
+                victim, _ = self._am.popitem(last=False)
+            self._resident.discard(victim)
+            self.stats.evictions += 1
+            if self._dirty.pop(victim, None) is not None:
+                self.stats.dirty_evictions += 1
+                flushed.append(victim)
+        return flushed
+
+    def scan_window(self, inode, start, end, demand_start, demand_end):
+        missing = []
+        misses = 0
+        for index in range(start, end):
+            if demand_start <= index < demand_end:
+                if self.access(page(inode, index)):
+                    continue
+                misses += 1
+            elif page(inode, index) in self._resident:
+                continue
+            missing.append(index)
+        runs = []
+        for index in missing:
+            if runs and runs[-1][1] == index:
+                runs[-1] = (runs[-1][0], index + 1)
+            else:
+                runs.append((index, index + 1))
+        return misses, runs
+
+    def insert_run(self, inode, start, end):
+        flushed = []
+        for index in range(start, end):
+            flushed += self.insert(page(inode, index))
+        return flushed
+
+    def write_run(self, inode, start, end, now):
+        flushed = []
+        for index in range(start, end):
+            if page(inode, index) in self:
+                self.mark_dirty(page(inode, index), now)
+            else:
+                flushed += self.insert(page(inode, index), dirty=True,
+                                       now=now)
+        return flushed
+
+
+class TestRunLoopsMatchPageAtATime:
+    """The run-granular scan and install loop against the page-at-a-time
+    reference, at capacities small enough that a run evicts its own
+    pages and hits ghosts its own earlier insertions trimmed."""
+
+    _window = st.tuples(st.integers(1, 2), st.integers(0, 30),
+                        st.integers(0, 12), st.integers(0, 12),
+                        st.integers(0, 12))
+    _run = st.tuples(st.integers(1, 2), st.integers(0, 30),
+                     st.integers(0, 12))
+    _ops = st.lists(st.one_of(
+        st.tuples(st.just("scan"), _window),
+        st.tuples(st.just("insert_run"), _run),
+        st.tuples(st.just("write_run"), _run),
+        st.tuples(st.just("access"), _run),
+        st.tuples(st.just("drop"), _run),
+        st.tuples(st.just("take_dirty"), st.none())), max_size=80)
+
+    @staticmethod
+    def _state(c):
+        return (list(c._a1in.items()), list(c._a1out), list(c._am),
+                list(c._dirty.items()), set(c._resident), c.stats)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 16), _ops)
+    def test_same_queues_dirty_index_stats_and_results(self, cap, ops):
+        run, ref = TwoQCache(cap), _PageAtATimeCache(cap)
+        for now, (op, args) in enumerate(ops):
+            if op == "scan":
+                inode, start, head, demand, tail = args
+                call = ("scan_window", inode, start,
+                        start + head + demand + tail, start + head,
+                        start + head + demand)
+            elif op in ("insert_run", "write_run"):
+                inode, start, npages = args
+                call = (op, inode, start, start + npages)
+                if op == "write_run":
+                    call += (float(now),)
+            elif op in ("access", "drop"):
+                call = (op, page(args[0], args[1]))
+            else:
+                call = (op,)
+            got = getattr(run, call[0])(*call[1:])
+            want = getattr(ref, call[0])(*call[1:])
+            if op == "take_dirty":
+                got, want = list(got.items()), list(want.items())
+            assert got == want
+            assert self._state(run) == self._state(ref)
