@@ -62,7 +62,7 @@ from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.faults.invariants import InvariantChecker
 from repro.faults.schedule import FaultSchedule
 from repro.sim.clock import MB, SimulationError
-from repro.sim.plan import BurstPlan, PlanCursor, plan_for
+from repro.sim.plan import BurstPlan, plan_for
 from repro.traces.compile import OPS_BY_CODE
 from repro.traces.record import OpType
 from repro.units import Bytes, Seconds
@@ -100,7 +100,7 @@ class SimulationSession:
         #: (sinks cannot be added mid-run, only disabled).
         self._sinks_hot: SinkSet | None = None
         self._fast_path = True
-        #: set by :meth:`run`: True when the kernel surface was a
+        #: set on materialisation: True when the kernel surface is a
         #: :class:`~repro.sim.plan.BurstPlan` cursor instead of the live
         #: kernel path.
         self.used_fast_path = False
@@ -176,8 +176,8 @@ class SimulationSession:
 
         The fast path swaps the live kernel path for a cursor over a
         precomputed kernel-path plan; the scheduler and everything
-        behind the kernel are the same either way.  It engages only
-        when the replay is plan-shaped (one all-READ program, with or
+        behind the kernel are the same either way.  It engages
+        whenever the replay has one program (reads or writes, with or
         without faults and strict checking) and is bit-identical when
         it does.
         Turning it off forces the live kernel path — parity tests do.
@@ -210,17 +210,22 @@ class SimulationSession:
             raise ValueError("need at least one program")
         if self._policy is None:
             raise ValueError("need a policy (with_policy or constructor)")
-        self.env = MobileSystem(
-            disk_spec=self._disk_spec, wnic_spec=self._wnic_spec,
-            memory_bytes=self._memory_bytes, seed=self._seed,
-            spindown_policy=self._spindown_policy)
         # Compile-once: record-level specs are lowered here (memoised
         # per trace object), so repeated sessions over the same trace
         # share one CompiledTrace and construction is O(1) in its size.
         self._program_specs = [spec.prepared()
                                for spec in self._program_specs]
-        for spec in self._program_specs:
-            self.env.register_trace(spec.trace)
+        plan = self._burst_plan() if self._fast_path else None
+        self.used_fast_path = plan is not None
+        self.env = MobileSystem(
+            disk_spec=self._disk_spec, wnic_spec=self._wnic_spec,
+            memory_bytes=self._memory_bytes, seed=self._seed,
+            spindown_policy=self._spindown_policy, plan=plan)
+        if plan is None:
+            # The live kernel path learns the files; a plan's walk
+            # already placed them.
+            for spec in self._program_specs:
+                self.env.register_trace(spec.trace)
         self.policy = self._policy
         self.programs = [ProgramDriver(s) for s in self._program_specs]
         # A schedule with nothing scheduled must be a strict no-op: the
@@ -324,15 +329,17 @@ class SimulationSession:
         """The fast path's plan, or None when it must disengage.
 
         The live kernel path stays in charge only when several
-        programs interleave on the shared cache and disk; writes
-        disqualify a trace inside :func:`~repro.sim.plan.plan_for`
-        itself.  Faults and strict checking ride the plan: the cache,
-        readahead and C-SCAN path depend only on the trace, the memory
-        size and the seed, while faults act only on the devices behind
-        the router and the checker watches the clock, the meters and
-        the service results — all still live in :meth:`_service_record`.
+        programs interleave on the shared cache and disk: then which
+        pages are resident depends on completion times.  For one
+        program it depends only on the trace, the memory size and the
+        seed, so reads, writes, faults and strict checking all ride
+        the plan.  The clock-dependent rest — which pages are still
+        dirty and when laptop mode flushes — stays live in the cursor,
+        faults act only on the devices behind the router, and the
+        checker watches the clock, the meters and the service results,
+        all still live in :meth:`_service_record`.
         """
-        if len(self.programs) != 1:
+        if len(self._program_specs) != 1:
             return None
         return plan_for(self._program_specs[0].trace,
                         self._memory_bytes, self._seed)
@@ -389,22 +396,12 @@ class SimulationSession:
                 " (policies and devices are stateful)")
         self._materialise()
         self._ran = True
-        plan = self._burst_plan() if self._fast_path else None
-        self.used_fast_path = plan is not None
-        if plan is not None:
-            # Swap the kernel surface for the plan replayer before the
-            # policy attaches — every residency query and extent fetch
-            # from here on is answered from the frozen plan.
-            cursor = PlanCursor(plan)
-            self.env.kernel = cursor
-            self.env.vfs = cursor
         self.policy.attach(self.env)
         self.policy.begin_run(0.0)
         self.sinks.on_run_begin(self.policy.name, 0.0)
         self._sinks_hot = self.sinks if len(self.sinks) else None
         self._replay()
-        if plan is None:
-            self._check_dirty_conservation()
+        self._check_dirty_conservation()
         end_time = max((p.last_completion for p in self.programs),
                        default=0.0)
         # Asynchronous flushes and in-flight transitions can commit the

@@ -27,6 +27,7 @@ from repro.kernel.path import KernelPath
 from repro.kernel.scheduler import CScanScheduler
 from repro.kernel.vfs import VirtualFileSystem
 from repro.sim.clock import MB
+from repro.sim.plan import BurstPlan, PlanCursor
 from repro.traces.compile import CompiledTrace
 from repro.traces.trace import Trace
 from repro.units import Bytes, Seconds
@@ -35,20 +36,35 @@ _STANDBY = DiskState.STANDBY.value
 
 
 class MobileSystem:
-    """Shared environment: devices, kernel path, and disk layout."""
+    """Shared environment: devices, kernel path, and disk layout.
+
+    Given a :class:`~repro.sim.plan.BurstPlan`, the kernel surface is a
+    :class:`~repro.sim.plan.PlanCursor` over it and the layout is the
+    plan's; no trace is registered then.
+    """
 
     def __init__(self, *, disk_spec: DiskSpec = HITACHI_DK23DA,
                  wnic_spec: WnicSpec = AIRONET_350,
                  memory_bytes: Bytes = 64 * MB,
                  seed: int = 0,
-                 spindown_policy: SpindownPolicy | None = None) -> None:
+                 spindown_policy: SpindownPolicy | None = None,
+                 plan: BurstPlan | None = None) -> None:
         self.disk = HardDisk(disk_spec, spindown_policy=spindown_policy)
         self.wnic = WirelessNic(wnic_spec)
-        self.vfs = VirtualFileSystem(memory_bytes)
-        self.layout = DiskLayout(seed)
-        self.scheduler = CScanScheduler()
+        self.vfs: VirtualFileSystem | PlanCursor
+        self.kernel: KernelPath | PlanCursor
+        if plan is None:
+            self.vfs = VirtualFileSystem(memory_bytes)
+            self.layout = DiskLayout(seed)
+            self.kernel = KernelPath(self.vfs, CScanScheduler(),
+                                     self._locate)
+        else:
+            # A plan was walked at this memory size and seed: it already
+            # placed the trace's files, and its cursor answers for the
+            # cache, readahead, elevator and VFS.
+            self.layout = plan.layout
+            self.vfs = self.kernel = PlanCursor(plan)
         # -- layer seams over the raw devices --------------------------
-        self.kernel = KernelPath(self.vfs, self.scheduler, self._locate)
         self.cost_model = CostModel(self.disk, self.wnic, self.layout)
         self._services: dict[DataSource, DeviceService] = {
             DataSource.DISK: DiskService(self.disk, self.layout),

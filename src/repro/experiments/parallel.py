@@ -484,9 +484,8 @@ class ParallelSweepExecutor:
             # registry alongside the trace makes the sharing observable.
             plan = plan_for(specs[0].compiled, config.memory_bytes,
                             config.seed)
-            if plan is not None:
-                stage_payload(plan_key(plan.digest, config.memory_bytes,
-                                       config.seed), plan)
+            stage_payload(plan_key(plan.digest, config.memory_bytes,
+                                   config.seed), plan)
         factories = {name: _prepare_factory(factory)
                      for name, factory in policy_factories.items()}
         self._ensure_cache_chaos(config.seed)

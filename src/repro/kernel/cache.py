@@ -15,9 +15,10 @@ active/inactive lists approximate:
   protected hot set.
 
 The cache is the single owner of dirty state: an insertion-ordered index
-maps each resident dirty page to the time it was first dirtied since its
-last clean (Linux's ``dirtied_when``).  Evicting a dirty page surfaces it
-to the caller so the write-back layer can schedule the flush.
+(:class:`DirtyIndex`) maps each resident dirty page to the time it was
+first dirtied since its last clean (Linux's ``dirtied_when``).  Evicting
+a dirty page surfaces it to the caller so the write-back layer can
+schedule the flush.
 
 One :meth:`TwoQCache.scan_window` pass serves a read and one install
 loop serves fetches and writes, but reclaim still runs after every
@@ -61,7 +62,39 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-class TwoQCache:
+class DirtyIndex:
+    """Dirty-page state and the counters that go with it.
+
+    Maps each resident dirty page to the time it was first dirtied
+    since its last clean.  The replay clock never runs backwards, so
+    insertion order is dirtying order and the first entry is the
+    oldest.  Write-back reads only this surface: :class:`TwoQCache` is
+    one, and a BurstPlan cursor's dirty overlay is another.
+    """
+
+    def __init__(self, stats: CacheStats) -> None:
+        self._dirty: dict[PageId, float] = {}
+        self.stats = stats
+
+    @property
+    def dirty_count(self) -> int:
+        """Resident dirty pages (O(1))."""
+        return len(self._dirty)
+
+    def oldest_dirtied_at(self) -> float | None:
+        """When the oldest dirty page was dirtied, or None (O(1))."""
+        for dirtied_at in self._dirty.values():
+            return dirtied_at
+        return None
+
+    def take_dirty(self) -> dict[PageId, float]:
+        """Clear every dirty bit at once (a full flush); returns the
+        former index, ``page -> dirtied_at`` in dirtying order."""
+        dirty, self._dirty = self._dirty, {}
+        return dirty
+
+
+class TwoQCache(DirtyIndex):
     """Simplified 2Q replacement over :class:`PageId` keys.
 
     Parameters
@@ -95,11 +128,11 @@ class TwoQCache:
         #: checks (the cost model's hottest query) are one set lookup
         #: instead of two ordered-dict probes.
         self._resident: set[PageId] = set()
-        #: Resident dirty page -> first dirtied since its last clean.
-        #: The replay clock never runs backwards, so insertion order is
-        #: dirtying order and the first entry is the oldest.
-        self._dirty: dict[PageId, float] = {}
-        self.stats = CacheStats()
+        super().__init__(CacheStats())
+        #: When a list, every eviction appends ``(index, victim)``: the
+        #: page index whose insertion reclaimed ``victim``.  The plan
+        #: compiler records a walk's residency changes through it.
+        self.victims: list[tuple[int, PageId]] | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -132,17 +165,6 @@ class TwoQCache:
         """All resident dirty pages, oldest dirtied first (cold path)."""
         dirty = self._dirty
         return sorted(dirty, key=lambda p: (dirty[p], p))
-
-    @property
-    def dirty_count(self) -> int:
-        """Resident dirty pages (O(1))."""
-        return len(self._dirty)
-
-    def oldest_dirtied_at(self) -> float | None:
-        """When the oldest dirty page was dirtied, or None (O(1))."""
-        for dirtied_at in self._dirty.values():
-            return dirtied_at
-        return None
 
     # ------------------------------------------------------------------
     # access path
@@ -265,6 +287,7 @@ class TwoQCache:
         resident_before, dirty_before = len(resident), len(dirty)
         room = self.capacity - resident_before
         flushed: list[PageId] = []
+        victims = self.victims
         skipped = promoted = 0
         for index in range(start, end):
             page = (inode, index)
@@ -299,6 +322,8 @@ class TwoQCache:
             else:
                 victim, _ = am.popitem(last=False)
             resident.discard(victim)
+            if victims is not None:
+                victims.append((index, victim))
             if dirty.pop(victim, None) is not None:
                 flushed.append(victim)
         inserted = end - start - skipped
@@ -321,12 +346,6 @@ class TwoQCache:
             self._dirty[page] = now
             self.stats.dirtied += 1
         return True
-
-    def take_dirty(self) -> dict[PageId, float]:
-        """Clear every dirty bit at once (a full flush); returns the
-        former index, ``page -> dirtied_at`` in dirtying order."""
-        dirty, self._dirty = self._dirty, {}
-        return dirty
 
     def drop(self, page: PageId) -> None:
         """Invalidate a page (used by tests and failure injection)."""

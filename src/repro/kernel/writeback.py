@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernel.cache import TwoQCache
+from repro.kernel.cache import DirtyIndex
 from repro.kernel.page import Extent, runs_from_pages
 from repro.units import Seconds
 
@@ -56,11 +56,12 @@ class WritebackConfig:
 class LaptopModeWriteback:
     """Decides which dirty pages to flush at each opportunity.
 
-    A stateless policy over the cache's dirty index: the cache alone
+    A stateless policy over a :class:`~repro.kernel.cache.DirtyIndex`
+    (the page cache, or a BurstPlan cursor's overlay): the index alone
     records which pages are dirty and since when.
     """
 
-    def __init__(self, cache: TwoQCache,
+    def __init__(self, cache: DirtyIndex,
                  config: WritebackConfig | None = None) -> None:
         self.cache = cache
         self.config = config or WritebackConfig()

@@ -1,72 +1,49 @@
-"""Phase 1 of two-phase replay: policy-independent burst planning.
+"""Phase 1 of two-phase replay: policy-independent kernel-path planning.
 
 A sweep evaluates the same trace under dozens of (policy, device)
 cells, yet every cell used to re-walk the whole kernel path — page
-cache, readahead, C-SCAN ordering — even though nothing on that path
-depends on the policy or the device specs.  The kernel path is a pure
-function of ``(CompiledTrace, memory_bytes, seed)``: the cache is
-capacity-driven, readahead looks only at access patterns, and the
-C-SCAN elevator orders by a layout placed from the experiment seed.
+cache, readahead, C-SCAN ordering — even though, for one program,
+nothing on that path that decides *which pages are resident* depends
+on the policy, the devices or the clock.  Residency is a pure function
+of ``(CompiledTrace, memory_bytes, seed)``: the cache is
+capacity-driven and picks victims from its 2Q queues alone, readahead
+looks only at access patterns, the C-SCAN elevator orders by a layout
+placed from the experiment seed, and write-back never moves a page
+(a flush only clears dirty bits).  Only two things follow the clock:
+which evicted pages are still dirty, and when laptop mode flushes.
 
-:func:`build_plan` runs that walk exactly once and freezes the outcome
-into a :class:`BurstPlan`: the per-record device extents (already
-C-SCAN ordered), the net page-residency delta each record applies to
-the cache, the final cache counters, and packed per-record columns
-(fetch bytes, cached-vs-miss page splits, think gaps, burst-stage
-boundaries) for the vectorized cost kernels.  Plans are memoised by
-trace content digest via :func:`plan_for`, so one plan per trace per
-process is shared copy-on-write across all sweep cells and forked
-workers — the same lifecycle as the compile-once trace registry.
-
-Columns are numpy arrays when numpy is importable, ``array``-module
-buffers otherwise; set ``REPRO_NO_NUMPY=1`` before import to force the
-fallback (the CI no-numpy leg does).  Both forms hold identical IEEE
-doubles/int64s, so downstream consumers are bit-identical either way.
+:func:`build_plan` runs that walk exactly once, over reads and writes
+alike, and freezes it into a :class:`BurstPlan`: the per-record device
+extents (already C-SCAN ordered), the net page-residency delta each
+record applies to the cache, the ordered victims of every write, the
+final cache counters and the placed disk layout.  A
+:class:`PlanCursor` replays it and keeps the clock-dependent part — a
+dirty index with the cache's exact semantics — live, under the same
+:class:`~repro.kernel.writeback.LaptopModeWriteback` the live kernel
+uses.  Plans are memoised by trace content digest via
+:func:`plan_for`, so one plan per trace per process is shared
+copy-on-write across all sweep cells and forked workers — the same
+lifecycle as the compile-once trace registry.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from repro.core.burst import BURST_THRESHOLD_DEFAULT
 from repro.devices.layout import BLOCK_SIZE, DiskLayout
-from repro.kernel.cache import CacheStats
-from repro.kernel.page import Extent, PageId
+from repro.kernel.cache import CacheStats, DirtyIndex
+from repro.kernel.page import Extent, PageId, runs_from_pages
 from repro.kernel.path import KernelPath
 from repro.kernel.scheduler import CScanScheduler
 from repro.kernel.vfs import VirtualFileSystem
+from repro.kernel.writeback import LaptopModeWriteback
 from repro.traces.compile import CompiledTrace
 from repro.units import Bytes, Seconds
 
-# Resolved once at import: the fallback contract is a process-wide
-# property, not a per-call switch, so plans built anywhere in the
-# process agree on their column representation.
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        _np = None
-
 #: Compiled op code for READ (see ``repro.traces.compile.OPS_BY_CODE``).
 _READ_OP = 0
-
-
-def _pack_q(values) -> object:
-    """Pack ints into an int64 column (numpy or ``array('q')``)."""
-    if _np is not None:
-        return _np.asarray(list(values), dtype=_np.int64)
-    return array("q", values)
-
-
-def _pack_d(values) -> object:
-    """Pack floats into a float64 column (numpy or ``array('d')``)."""
-    if _np is not None:
-        return _np.asarray(list(values), dtype=_np.float64)
-    return array("d", values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,106 +51,69 @@ class BurstPlan:
     """Frozen outcome of one kernel-path walk of a compiled trace.
 
     Everything here is policy- and device-independent.  ``extents[i]``
-    are the device requests record ``i`` issues, already in the order
-    the C-SCAN elevator would hand them to a device; ``added[i]`` /
-    ``removed[i]`` are the *net* page-residency delta the record applies
-    to the page cache (insertions minus reclaims, compressed so a page
-    touched many times appears at most once).  ``final_stats`` is the
-    cache counter state after the last record.
+    are the device requests read record ``i`` issues, already in the
+    order the C-SCAN elevator would hand them to a device (empty for a
+    write).  The three ragged columns are flat ``array('q')`` buffers
+    with per-record bounds: record ``i`` owns
+    ``column[bounds[i]:bounds[i + 1]]``.
 
-    The packed columns summarise the same walk for batch consumers:
-    ``fetch_bytes`` is what each record moves off a device,
-    ``hit_pages``/``miss_pages`` split each record's demand pages into
-    cached and fetched, ``think_gaps`` mirrors the compiled trace's
-    inter-record gaps, and ``stage_bounds`` marks the record indices
-    where a new I/O burst begins under the default burst threshold.
+    * ``added``/``removed`` hold ``(inode, start, end)`` page runs: the
+      *net* residency delta record ``i`` applies to the page cache
+      (insertions minus reclaims, so a page appears at most once).
+    * ``victims`` holds ``(index, inode, page)`` triples: every page a
+      write's insertions reclaimed, in eviction order, tagged with the
+      page index of the write whose insertion evicted it.
+
+    ``final_stats`` is the cache counter state after the last record,
+    with the dirty counters zeroed (the cursor counts those live), and
+    ``layout`` is the disk layout the walk placed the trace's files on.
     """
 
     digest: str
     memory_bytes: Bytes
     seed: int
     record_count: int
+    layout: DiskLayout
     extents: tuple[tuple[Extent, ...], ...]
-    added: tuple[tuple[PageId, ...], ...]
-    removed: tuple[tuple[PageId, ...], ...]
+    added: array[int]
+    added_bounds: array[int]
+    removed: array[int]
+    removed_bounds: array[int]
+    victims: array[int]
+    victim_bounds: array[int]
     final_stats: CacheStats
-    fetch_bytes: object   # int64 column, one entry per record
-    hit_pages: object     # int64 column, demand pages served from cache
-    miss_pages: object    # int64 column, demand pages fetched
-    think_gaps: object    # float64 column, record_count - 1 entries
-    stage_bounds: object  # int64 column, burst-start record indices
 
     def stats_copy(self) -> CacheStats:
         """A private, mutation-safe copy of the final cache counters."""
         return replace(self.final_stats)
 
 
-class _RecordingResidency(set):
-    """Drop-in for ``TwoQCache._resident`` that logs every mutation.
-
-    The cache only ever calls ``add``/``discard`` (plus containment and
-    ``len``), and only transitions state — ``add`` fires on pages that
-    were absent, ``discard`` on pages that were present — so the op log
-    alternates per page and the net effect of a record is decided by
-    its first and last op alone.  Every other mutator raises, so a cache
-    change that bypasses the log fails loudly instead of corrupting the
-    plan's deltas.
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.ops: list[tuple[bool, PageId]] = []
-
-    def add(self, page) -> None:
-        self.ops.append((True, page))
-        super().add(page)
-
-    def discard(self, page) -> None:
-        self.ops.append((False, page))
-        super().discard(page)
-
-    def _unrecorded(self, *args) -> None:
-        raise TypeError("the residency recorder logs only add/discard;"
-                        " any other mutation would escape the plan deltas")
-
-    update = difference_update = remove = pop = clear = _unrecorded
-    __ior__ = __isub__ = __iand__ = __ixor__ = _unrecorded
-
-    def drain_net_delta(self) -> tuple[tuple[PageId, ...],
-                                       tuple[PageId, ...]]:
-        """Net (added, removed) pages since the last drain."""
-        if not self.ops:
-            return (), ()
-        first_last: dict[PageId, list[bool]] = {}
-        for is_add, page in self.ops:
-            entry = first_last.get(page)
-            if entry is None:
-                first_last[page] = [is_add, is_add]
-            else:
-                entry[1] = is_add
-        self.ops.clear()
-        added = tuple(p for p, (f, l) in first_last.items() if f and l)
-        removed = tuple(p for p, (f, l) in first_last.items()
-                        if not f and not l)
-        return added, removed
+def _pack_runs(out: array[int], pages: Iterable[PageId]) -> None:
+    """Append ``pages`` to ``out`` as maximal ``(inode, start, end)``
+    runs."""
+    run_inode = run_start = run_end = -1
+    for inode, index in sorted(pages):
+        if inode == run_inode and index == run_end:
+            run_end += 1
+            continue
+        if run_inode >= 0:
+            out.extend((run_inode, run_start, run_end))
+        run_inode, run_start, run_end = inode, index, index + 1
+    if run_inode >= 0:
+        out.extend((run_inode, run_start, run_end))
 
 
 def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
-               seed: int) -> BurstPlan | None:
-    """Walk the kernel path once and freeze it; None if not plannable.
+               seed: int) -> BurstPlan:
+    """Walk the kernel path once and freeze it.
 
-    Only all-READ traces are plannable: a write dirties pages whose
-    flush timing depends on device state, which is exactly the dynamic
-    coupling the plan exists to exclude.
+    Every single-program trace is plannable: a write's page run and its
+    victims are fixed by the record sequence, and only whether a victim
+    is still dirty waits for the replay's clock.
     """
-    if any(op != _READ_OP for op in trace.ops):
-        return None
-
     # A private kernel path wired exactly as MobileSystem wires the real
     # one — same cache capacity, same seeded layout, same elevator —
-    # with a recording residency set swapped in underneath the cache.
+    # with the cache reporting every eviction.
     vfs = VirtualFileSystem(memory_bytes)
     layout = DiskLayout(seed)
     kernel = KernelPath(
@@ -184,64 +124,87 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     for inode, size in zip(inodes_table, sizes_table, strict=True):
         vfs.register_file(inode, size)
         layout.add_file(inode, max(size, 1))
-    recorder = _RecordingResidency()
-    vfs.cache._resident = recorder
+    cache = vfs.cache
+    resident = cache._resident
+    evicted: list[tuple[int, PageId]] = []
+    cache.victims = evicted
 
+    ops = trace.ops
     pids = memoryview(trace.pids).cast("q")
     inodes = memoryview(trace.inodes).cast("q")
     offsets = memoryview(trace.offsets).cast("q")
     sizes = memoryview(trace.sizes).cast("q")
-    thinks = memoryview(trace.thinks).cast("d")
 
     extents: list[tuple[Extent, ...]] = []
-    added: list[tuple[PageId, ...]] = []
-    removed: list[tuple[PageId, ...]] = []
-    fetch_bytes: list[int] = []
-    hit_pages: list[int] = []
-    miss_pages: list[int] = []
+    added, removed, victims = array("q"), array("q"), array("q")
+    added_bounds, removed_bounds, victim_bounds = (
+        array("q", [0]), array("q", [0]), array("q", [0]))
+    order_for_disk = kernel.order_for_disk
     for i in range(trace.record_count):
-        fetch_plan = vfs.read(pids[i], inodes[i], offsets[i],
-                              sizes[i], 0.0)
-        ordered = kernel.order_for_disk(list(fetch_plan.fetch_extents))
-        # The session completes each fetch in service order; residency
-        # is time-independent, so completing here reproduces the same
-        # cache state the replay will observe after the record.
-        for extent in ordered:
-            vfs.complete_fetch(extent, 0.0)
-        net_added, net_removed = recorder.drain_net_delta()
-        extents.append(tuple(ordered))
-        added.append(net_added)
-        removed.append(net_removed)
-        fetch_bytes.append(sum(e.nbytes for e in ordered))
-        hit_pages.append(fetch_plan.hit_pages)
-        miss_pages.append(fetch_plan.miss_pages)
+        inode, offset, size = inodes[i], offsets[i], sizes[i]
+        if ops[i] == _READ_OP:
+            ordered = vfs.read(pids[i], inode, offset, size,
+                               0.0).fetch_extents
+            if len(ordered) > 1:
+                ordered = tuple(order_for_disk(list(ordered)))
+            # The session completes each fetch in service order;
+            # residency is time-independent, so installing here
+            # reproduces the cache state the replay observes after the
+            # record.  (VirtualFileSystem.complete_fetch is insert_run
+            # plus the dirty victims, which no replay of the plan needs.)
+            for extent in ordered:
+                cache.insert_run(extent.inode, extent.start, extent.end)
+            extents.append(ordered)
+            if not evicted:
+                for extent in ordered:
+                    added.extend((extent.inode, extent.start, extent.end))
+            else:
+                # Fetched pages were absent before the read and every
+                # victim present, and a victim is never fetched back
+                # within the same record.
+                fetched = {(extent.inode, index) for extent in ordered
+                           for index in range(extent.start, extent.end)}
+                gone = {page for _, page in evicted}
+                _pack_runs(added, fetched - gone)
+                _pack_runs(removed, gone - fetched)
+        else:
+            extents.append(())
+            # Residency of the written pages before the write; a victim
+            # outside them was resident before it too.
+            before: dict[PageId, bool] = {}
+            if size > 0:
+                for index in range(offset // BLOCK_SIZE,
+                                   (offset + size - 1) // BLOCK_SIZE + 1):
+                    page = (inode, index)
+                    before[page] = page in resident
+            vfs.write(pids[i], inode, offset, size, 0.0)
+            for index, page in evicted:
+                victims.extend((index, page[0], page[1]))
+                before.setdefault(page, True)
+            _pack_runs(added, [page for page, was in before.items()
+                               if not was and page in resident])
+            _pack_runs(removed, [page for page, was in before.items()
+                                 if was and page not in resident])
+        evicted.clear()
+        added_bounds.append(len(added))
+        removed_bounds.append(len(removed))
+        victim_bounds.append(len(victims))
 
-    bounds = [0] if trace.record_count else []
-    bounds.extend(i + 1 for i, gap in enumerate(thinks)
-                  if gap >= BURST_THRESHOLD_DEFAULT)
     return BurstPlan(
         digest=trace.digest,
         memory_bytes=memory_bytes,
         seed=seed,
         record_count=trace.record_count,
+        layout=layout,
         extents=tuple(extents),
-        added=tuple(added),
-        removed=tuple(removed),
-        final_stats=replace(vfs.cache.stats),
-        fetch_bytes=_pack_q(fetch_bytes),
-        hit_pages=_pack_q(hit_pages),
-        miss_pages=_pack_q(miss_pages),
-        think_gaps=_pack_d(thinks),
-        stage_bounds=_pack_q(bounds))
-
-
-class _CacheView:
-    """The slice of the cache surface a finished plan still answers."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats: CacheStats) -> None:
-        self.stats = stats
+        added=added,
+        added_bounds=added_bounds,
+        removed=removed,
+        removed_bounds=removed_bounds,
+        victims=victims,
+        victim_bounds=victim_bounds,
+        final_stats=replace(cache.stats, dirtied=0, dirty_evictions=0,
+                            dirty_drops=0))
 
 
 class PlanCursor:
@@ -253,7 +216,8 @@ class PlanCursor:
     ``resident_bytes`` answers policy cache-filter queries from the
     plan's residency deltas.  The resident set is materialised lazily —
     policies that never query residency never pay for it — and then
-    kept live by applying each record's net delta as it is read.
+    kept live by applying each record's net delta as it is read or
+    written.
 
     The delta timing matches the real cache exactly at every point the
     replay can observe it: residency is only queried before any read
@@ -261,15 +225,27 @@ class PlanCursor:
     record ``i-1``), or in the syscall hook *after* it completes (state
     after record ``i``), so applying record ``i``'s whole delta at
     ``read(i)`` is indistinguishable from the page-by-page original.
+
+    Dirty pages replay live, in ``cache``, a
+    :class:`~repro.kernel.cache.DirtyIndex` whose counters start from
+    the plan's: ``write`` dirties the written pages and pops the
+    victims in the order the cache evicted them, and ``read`` pops the
+    record's removed pages — the only pages a read's fetches can evict
+    dirty — while ``plan_writeback`` runs the live kernel's laptop-mode
+    policy over the index.
     """
 
-    __slots__ = ("plan", "cache", "_index", "_resident", "_tracking")
+    __slots__ = ("plan", "cache", "writeback", "_index", "_resident",
+                 "_tracking")
 
     def __init__(self, plan: BurstPlan) -> None:
         self.plan = plan
-        self.cache = _CacheView(plan.stats_copy())
+        self.cache = DirtyIndex(plan.stats_copy())
+        self.writeback = LaptopModeWriteback(self.cache)
         self._index = 0
-        self._resident: set[PageId] = set()
+        #: inode -> one byte per page, 1 where resident; a run applies
+        #: as one slice assignment and a range counts in C.
+        self._resident: dict[int, bytearray] = {}
         self._tracking = False
 
     # -- kernel surface ------------------------------------------------
@@ -278,26 +254,70 @@ class PlanCursor:
         i = self._index
         self._index = i + 1
         if self._tracking:
+            self._apply_delta(i)
+        dirty = self.cache._dirty
+        if dirty:
+            # A read's fetches evict only pages resident before it, and
+            # never fetch one back: its dirty victims are exactly the
+            # removed pages still dirty.
             plan = self.plan
-            self._resident.update(plan.added[i])
-            self._resident.difference_update(plan.removed[i])
+            removed = plan.removed
+            evicted = 0
+            for k in range(plan.removed_bounds[i],
+                           plan.removed_bounds[i + 1], 3):
+                page_inode = removed[k]
+                for index in range(removed[k + 1], removed[k + 2]):
+                    if dirty.pop((page_inode, index), None) is not None:
+                        evicted += 1
+            self.cache.stats.dirty_evictions += evicted
         return self.plan.extents[i]
 
     def write(self, pid: int, inode: int, offset: int, size: Bytes,
               now: Seconds) -> list[Extent]:
-        raise RuntimeError(
-            "BurstPlan replay saw a write — plans are only built for"
-            " all-READ traces")
+        i = self._index
+        self._index = i + 1
+        if self._tracking:
+            self._apply_delta(i)
+        if size == 0:
+            return []
+        plan = self.plan
+        cache = self.cache
+        dirty = cache._dirty
+        dirty_before = len(dirty)
+        flushed: list[PageId] = []
+        # Replays TwoQCache._install_run's order: each page is dirtied
+        # (keeping an earlier dirtying time), then the victim its
+        # insertion reclaimed leaves the index.
+        victims = plan.victims
+        next_index = offset // BLOCK_SIZE
+        for k in range(plan.victim_bounds[i], plan.victim_bounds[i + 1],
+                       3):
+            step = victims[k]
+            for index in range(next_index, step + 1):
+                dirty.setdefault((inode, index), now)
+            next_index = step + 1
+            victim = (victims[k + 1], victims[k + 2])
+            if dirty.pop(victim, None) is not None:
+                flushed.append(victim)
+        for index in range(next_index, (offset + size - 1) // BLOCK_SIZE + 1):
+            dirty.setdefault((inode, index), now)
+        stats = cache.stats
+        stats.dirty_evictions += len(flushed)
+        stats.dirtied += len(dirty) - dirty_before + len(flushed)
+        return runs_from_pages(flushed) if flushed else []
 
     def complete_fetch(self, extent: Extent,
                        now: Seconds) -> list[Extent]:
-        # Read fetches never force evictions to a device; the cache
-        # bookkeeping they would do is already frozen into the plan.
+        # The plan already holds the fetch's residency change, and
+        # ``read`` already evicted its dirty victims; the live kernel's
+        # return value here is discarded by the router either way.
         return []
 
     def plan_writeback(self, now: Seconds, *,
                        disk_active: bool) -> list[Extent]:
-        return []  # an all-READ trace never dirties a page
+        if not self.cache._dirty:
+            return []  # a read-only stretch: nothing can be due
+        return self.writeback.plan_flush(now, disk_active=disk_active)
 
     # -- vfs surface ----------------------------------------------------
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes:
@@ -310,28 +330,44 @@ class PlanCursor:
             return 0
         if not self._tracking:
             self._materialise_residency()
-        resident = self._resident
-        count = 0
-        for index in range(offset // 4096, (offset + size - 1) // 4096 + 1):
-            if (inode, index) in resident:
-                count += 1
-        return count * 4096
+        pages = self._resident.get(inode)
+        if pages is None:
+            return 0
+        return pages.count(1, offset // 4096,
+                           (offset + size - 1) // 4096 + 1) * 4096
 
-    def _materialise_residency(self) -> None:
+    def _apply_delta(self, i: int) -> None:
+        """Apply record ``i``'s net residency delta."""
         plan = self.plan
         resident = self._resident
+        added = plan.added
+        for k in range(plan.added_bounds[i], plan.added_bounds[i + 1], 3):
+            inode, start, end = added[k], added[k + 1], added[k + 2]
+            pages = resident.get(inode)
+            if pages is None:
+                pages = resident[inode] = bytearray(end)
+            elif len(pages) < end:
+                pages.extend(bytes(end - len(pages)))
+            pages[start:end] = b"\x01" * (end - start)
+        removed = plan.removed
+        for k in range(plan.removed_bounds[i],
+                       plan.removed_bounds[i + 1], 3):
+            start, end = removed[k + 1], removed[k + 2]
+            # Only resident pages are removed, so the row exists and
+            # already covers the run.
+            resident[removed[k]][start:end] = bytes(end - start)
+
+    def _materialise_residency(self) -> None:
         for i in range(self._index):
-            resident.update(plan.added[i])
-            resident.difference_update(plan.removed[i])
+            self._apply_delta(i)
         self._tracking = True
 
 
 #: Plan-once memo, the planning sibling of the compile-once trace cache
 #: and the worker payload registry: populated in the sweep parent before
 #: the pool forks, inherited copy-on-write by every worker.  Keyed by
-#: content digest plus the two kernel-path inputs; unplannable traces
-#: memoise ``None`` so the write-op scan runs once, not per cell.
-_PLAN_MEMO: dict[tuple[str, int, int], BurstPlan | None] = {}
+#: content digest plus the two kernel-path inputs.
+_PLAN_MEMO: dict[tuple[str, int, int], BurstPlan] = {}
 
 
 def plan_key(digest: str, memory_bytes: Bytes, seed: int) -> str:
@@ -340,7 +376,7 @@ def plan_key(digest: str, memory_bytes: Bytes, seed: int) -> str:
 
 
 def plan_for(trace: CompiledTrace, memory_bytes: Bytes,
-             seed: int) -> BurstPlan | None:
+             seed: int) -> BurstPlan:
     """Memoised :func:`build_plan` — one plan per trace per process."""
     key = (trace.digest, int(memory_bytes), int(seed))
     try:

@@ -216,18 +216,25 @@ def _write_trace():
 
 
 class TestSessionConservation:
-    def test_event_loop_run_conserves_dirty_pages(self):
+    @staticmethod
+    def _run(fast_path):
         # WNIC-only keeps the disk asleep, so nothing flushes eagerly
         # and the small cache evicts dirty pages instead.
         session = SimulationSession([ProgramSpec(_write_trace())],
                                     WnicOnlyPolicy(), seed=1,
                                     memory_bytes=32 * PAGE_SIZE)
-        session.run()
-        assert not session.used_fast_path
+        session.with_fast_path(fast_path).run()
+        assert session.used_fast_path is fast_path
         vfs = session.env.vfs
         assert vfs.cache.stats.dirtied > 0
         assert vfs.cache.stats.dirty_evictions > 0
         assert _conserved(vfs)
+
+    def test_event_loop_run_conserves_dirty_pages(self):
+        self._run(fast_path=False)
+
+    def test_plan_run_conserves_dirty_pages(self):
+        self._run(fast_path=True)
 
     def test_corrupted_counter_raises(self, monkeypatch):
         real = LaptopModeWriteback.plan_flush

@@ -10,9 +10,10 @@ Fault schedules and strict invariant checking ride the plan too:
 faults act only on the disk and the WNIC behind the router, and the
 checker watches the clock, the meters and the service results, none of
 which the plan freezes.  Every such session must report
-``used_fast_path`` and still match the event loop field for field.  The
-fast path stands down only where a frozen plan cannot express the
-replay: a trace with writes (fig1) or two programs sharing the cache
+``used_fast_path`` and still match the event loop field for field.
+Write traces (fig1) ride the plan too: the cursor replays dirty pages
+and laptop-mode flushes live.  The fast path stands down only where a
+frozen plan cannot express the replay: two programs sharing the cache
 (fig4).
 """
 
@@ -92,13 +93,49 @@ def test_fast_path_matches_event_loop(fig_id, config, figure_setups):
         assert not slow.used_fast_path
         assert fast_result == slow_result, f"{fig_id}/{name} diverged"
         fast_engaged.append(fast.used_fast_path)
-    if fig_id in ("fig1", "fig4"):
-        # fig1's grep+make trace contains writes (not plannable); fig4
-        # interleaves two programs.  Both need the event loop.
+    if fig_id == "fig4":
+        # fig4 interleaves two programs on the shared cache: residency
+        # then depends on completion times, so it needs the live kernel.
         assert not any(fast_engaged)
     else:
-        # Single-program all-read figures must exercise the shortcut.
+        # Every single-program figure, fig1's writes included, must
+        # exercise the shortcut.
         assert all(fast_engaged)
+
+
+def _dirty_books(session):
+    """The dirty-page counters a run leaves on its kernel surface."""
+    stats = session.env.vfs.cache.stats
+    writeback = session.env.vfs.writeback
+    return (stats.dirtied, stats.dirty_evictions, writeback.flush_count,
+            writeback.flushed_pages, writeback.dirty_count)
+
+
+@pytest.mark.parametrize("policy_name", ["WNIC-only", "FlexFetch"])
+@pytest.mark.parametrize("memory_mb", [1, 4])
+def test_fig1_small_cache_parity(memory_mb, policy_name, config,
+                                 figure_setups):
+    """At the default 64 MB no write ever evicts a dirty page; small
+    caches drive the cursor's dirty-eviction branch as well as its
+    flushes, and both surfaces must agree on every dirty counter."""
+    programs, policies = figure_setups["fig1"]
+    factory = policies[policy_name]
+    memory = memory_mb * 2**20
+
+    def build():
+        return SimulationSession(programs(), factory(),
+                                 disk_spec=config.disk_spec,
+                                 wnic_spec=config.wnic_spec,
+                                 memory_bytes=memory, seed=config.seed)
+
+    fast = build()
+    slow = build().with_fast_path(False)
+    assert fast.run() == slow.run()
+    assert fast.used_fast_path and not slow.used_fast_path
+    books = _dirty_books(fast)
+    assert books == _dirty_books(slow)
+    dirtied, dirty_evictions, _, flushed_pages, _ = books
+    assert dirtied > 0 and dirty_evictions > 0 and flushed_pages > 0
 
 
 #: One spec per fault process, then all three at once.

@@ -5,12 +5,12 @@ Three layers of proof:
 * **property**: across perturbed Table-3 scenarios (memory size, seed,
   think-time scale) the sanitizer finds zero divergences — the fast
   path really is bit-identical to the event loop, not just on the
-  golden grid;
+  golden grid, and a write trace's cell shadow-diffs clean;
 * **detection**: a deliberately broken fast-path kernel (the plan
   cursor lies about residency) raises ``ReplayDivergenceError`` that
   pinpoints the first diverging stage, record and field;
 * **plumbing**: ``run_point(sanitize=True)`` returns bit-identical
-  results, skips the twin for event-loop-only cells, hands a faulted
+  results, skips the twin for multi-program cells, hands a faulted
   cell's twin a rewound fault schedule, and the bit comparison itself
   distinguishes what ``==`` cannot.
 """
@@ -39,7 +39,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import _standard_policies
 from repro.experiments.runner import run_point
 from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.traces.synth import generate_grep_make, generate_thunderbird
+from repro.traces.synth import (
+    generate_grep_make,
+    generate_grep_make_xmms,
+    generate_thunderbird,
+)
 from repro.traces.trace import Trace
 from repro.sim.clock import MB
 
@@ -151,19 +155,40 @@ class TestPlumbing:
         assert sanitized.result == plain.result
 
     def test_event_loop_cells_skip_the_twin(self):
-        """A fig1 cell (grep+make writes) refuses the fast path; the
-        sanitizer must not build (or run) a shadow twin for it."""
+        """A fig4 cell (grep+make beside disk-pinned xmms) interleaves
+        two programs on the live kernel path; the sanitizer must not
+        build (or run) a shadow twin for it."""
         config = ExperimentConfig()
-        trace = generate_grep_make(config.seed)
-        factory = _standard_policies(profile_from_trace(trace),
+        fg, bg = generate_grep_make_xmms(config.seed)
+        factory = _standard_policies(profile_from_trace(fg),
                                      config)["FlexFetch"]
-        session = _session(trace, factory(), config, config.memory_bytes)
+        session = SimulationSession(
+            [ProgramSpec(fg),
+             ProgramSpec(bg, profiled=False, disk_pinned=True)],
+            factory(), disk_spec=config.disk_spec,
+            wnic_spec=config.wnic_spec, memory_bytes=config.memory_bytes,
+            seed=config.seed)
 
         def explode() -> SimulationSession:
             raise AssertionError("twin built for an event-loop cell")
 
         result = run_shadowed(session, explode)
         assert not session.used_fast_path
+        assert math.isfinite(result.end_time)
+
+    def test_write_cells_shadow_clean(self):
+        """A fig1 cell (grep+make writes) rides the plan, so the
+        sanitizer replays its twin on the live kernel and diffs it."""
+        config = ExperimentConfig()
+        trace = generate_grep_make(config.seed)
+        factory = _standard_policies(profile_from_trace(trace),
+                                     config)["FlexFetch"]
+        session = _session(trace, factory(), config, config.memory_bytes)
+        result = run_shadowed(
+            session,
+            lambda: _session(trace, factory(), config,
+                             config.memory_bytes))
+        assert session.used_fast_path
         assert math.isfinite(result.end_time)
 
     def test_faulted_twin_replays_the_same_spinup_failures(
