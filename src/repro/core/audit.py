@@ -5,8 +5,10 @@ consumption with the estimated consumption if the data were fetched from
 the other source."  The counterfactual side of that comparison lives
 here: the observed requests of the finished stage are reassembled into a
 burst/think structure and replayed on the alternative device through the
-shared :class:`~repro.core.costmodel.CostModel`.  The policy itself only
-compares the two joule numbers.
+shared :class:`~repro.core.costmodel.CostModel`.  During the stage they
+are kept as plain tuples; :class:`ProfiledRequest` objects are built only
+when the audit replays them.  The policy itself only compares the two
+joule numbers.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from collections.abc import Sequence
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.costmodel import CostModel
 from repro.core.decision import DataSource
+from repro.traces.record import OpType
 from repro.units import Joules, Seconds
 
-#: one observed request: (request, service start, service end).
-ObservedRequest = tuple[ProfiledRequest, float, float]
+#: one observed request: (inode, offset, size, op, service start,
+#: service end).
+ObservedRequest = tuple[int, int, int, OpType, float, float]
 
 
 @dataclass
@@ -40,9 +44,9 @@ class StageAccounting:
         default_factory=lambda: {DataSource.DISK: 0.0,
                                  DataSource.NETWORK: 0.0})
 
-    def observe(self, req: ProfiledRequest, start: float,
-                end: float) -> None:
-        self.observed.append((req, start, end))
+    def observe(self, inode: int, offset: int, size: int, op: OpType,
+                start: float, end: float) -> None:
+        self.observed.append((inode, offset, size, op, start, end))
 
 
 def observed_to_bursts(observed: Sequence[ObservedRequest],
@@ -56,9 +60,10 @@ def observed_to_bursts(observed: Sequence[ObservedRequest],
     """
     bursts: list[IOBurst] = []
     thinks: list[float] = []
-    cur: list[ProfiledRequest] = [observed[0][0]]
-    cur_start, prev_end = observed[0][1], observed[0][2]
-    for req, start, end in observed[1:]:
+    inode, offset, size, op, cur_start, prev_end = observed[0]
+    cur = [ProfiledRequest(inode=inode, offset=offset, size=size, op=op)]
+    for inode, offset, size, op, start, end in observed[1:]:
+        req = ProfiledRequest(inode=inode, offset=offset, size=size, op=op)
         gap = start - prev_end
         if gap >= threshold:
             bursts.append(IOBurst(tuple(cur), cur_start, prev_end))
@@ -130,7 +135,7 @@ def counterfactual_energy(cost_model: CostModel,
         return 0.0
     if alt is DataSource.DISK and disk_kept_spinning:
         return cost_model.spinning_disk_marginal_energy(
-            req.size for req, _start, _end in observed)
+            obs[2] for obs in observed)
     bursts, thinks = observed_to_bursts(observed, burst_threshold)
     est = cost_model.stage_estimate(
         alt, bursts, thinks, now=now, include_other=False,

@@ -29,8 +29,10 @@ Two evaluation paths produce the same numbers (DESIGN.md §16).  The
 request.  The *packed path* — taken whenever the device is a stock
 :class:`HardDisk` (fixed spin-down timeout, no sleep state) or
 :class:`WirelessNic` (no PSM bulk transfers) — first packs the stage
-into flat per-request columns (sizes, disk placement, transfer seconds;
-numpy when available, ``array``-style lists otherwise), then walks them
+from a profile's precompiled :class:`~repro.core.profile.ProfileColumns`
+(request lists lower to the same columns) into flat per-request columns
+(cache-filtered sizes, disk placement, transfer seconds; numpy when
+available, ``array``-style lists otherwise), then walks them
 in one tight loop that transcribes the clone's meter arithmetic
 event-for-event.  Because float addition is not associative, the walk
 accumulates per-bucket energy in the exact same order the
@@ -47,6 +49,7 @@ from typing import Protocol
 
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.decision import DataSource
+from repro.core.profile import ExecutionProfile, ProfileColumns
 from repro.devices.disk import DiskState, HardDisk
 from repro.devices.dpm import FixedTimeout
 from repro.devices.layout import DiskLayout
@@ -55,6 +58,7 @@ from repro.traces.record import OpType
 from repro.units import (
     ABS_TOLERANCE,
     Bytes,
+    BytesPerSecond,
     Joules,
     Seconds,
     transfer_seconds,
@@ -199,15 +203,14 @@ def _replay_requests(source: DataSource,
                      now: Seconds,
                      layout: DiskLayout | None,
                      other_device: HardDisk | WirelessNic | None,
-                     min_duration: Seconds | None,
-                     pack: _PackedStage | None = None) -> StageEstimate:
+                     min_duration: Seconds | None) -> StageEstimate:
     """Dispatch a cache-filtered stage to the packed or object path."""
     if _packed_ok(device) and (other_device is None
                                or _packed_ok(other_device)):
-        if pack is None:
-            pack = _PackedStage(
-                request_lists,
-                layout if type(device) is HardDisk else None)
+        cols = ProfileColumns(request_lists)
+        placed = _placed_blocks(
+            cols, layout if type(device) is HardDisk else None)
+        pack = _PackedStage(cols, 0, len(request_lists), placed, None)
         return _replay_packed(source, device, pack, thinks, now=now,
                               other_device=other_device,
                               min_duration=min_duration)
@@ -216,45 +219,74 @@ def _replay_requests(source: DataSource,
                           min_duration=min_duration)
 
 
+def _placed_blocks(cols: ProfileColumns,
+                   layout: DiskLayout | None) -> list[int | None]:
+    """Disk block of each request's first page, ``None`` when unplaced.
+
+    Same placement rule as the object path: an inode the layout does
+    not know, or a profiled offset past the current file, falls back
+    to an average seek.
+    """
+    placed: list[int | None] = []
+    for inode, offset in zip(cols.inodes, cols.offsets, strict=True):
+        block = None
+        if layout is not None and inode in layout:
+            ext = layout.get(inode)
+            rel = offset // 4096
+            if rel < ext.nblocks:
+                block = ext.start_block + rel
+        placed.append(block)
+    return placed
+
+
 class _PackedStage:
     """Device-independent flat columns for one cache-filtered stage.
 
     One instance serves both sides of a :meth:`CostModel.stage_pair`:
-    the placement lookups happen once, and the per-request sizes are
-    converted to transfer seconds per device bandwidth on demand.
+    the §2.3.2 cache filter runs once over the column range, and the
+    per-request sizes are converted to transfer seconds per device
+    bandwidth on demand.
     """
 
     __slots__ = ("counts", "sizes", "blocks", "nblocks", "recv",
                  "total_bytes", "total_requests", "_sizes_f")
 
-    def __init__(self,
-                 request_lists: Sequence[Sequence[ProfiledRequest]],
-                 layout: DiskLayout | None) -> None:
+    def __init__(self, cols: ProfileColumns, first: int, stop: int,
+                 placed: Sequence[int | None],
+                 vfs: ResidencyOracle | None) -> None:
+        """Pack bursts ``first:stop`` of ``cols``.
+
+        ``placed`` is :func:`_placed_blocks` of ``cols``; with ``vfs``
+        the cache filter drops fully resident reads and shrinks
+        partially resident ones by their resident bytes, exactly as
+        :func:`filter_cached` does.
+        """
+        inodes = cols.inodes
+        offsets = cols.offsets
+        col_sizes = cols.sizes
+        reads = cols.reads
+        bounds = cols.bounds
+        resident_bytes = vfs.resident_bytes if vfs is not None else None
         counts: list[int] = []
         sizes: list[int] = []
-        blocks: list[int | None] = []
-        nblocks: list[int] = []
-        recv: list[bool] = []
-        for requests in request_lists:
-            counts.append(len(requests))
-            for req in requests:
-                if req.size < 0:
-                    raise ValueError("negative request size")
-                sizes.append(req.size)
-                recv.append(req.op is OpType.READ)
-                block = None
-                nb = 0
-                if layout is not None and req.inode in layout:
-                    # Same placement rule as the object path: profiled
-                    # offsets past the current file fall back to an
-                    # average seek (block stays None).
-                    ext = layout.get(req.inode)
-                    rel = req.offset // 4096
-                    if rel < ext.nblocks:
-                        block = ext.start_block + rel
-                        nb = -(-req.size // 4096)
-                blocks.append(block)
-                nblocks.append(nb)
+        kept: list[int] = []
+        for b in range(first, stop):
+            before = len(kept)
+            for i in range(bounds[b], bounds[b + 1]):
+                size = col_sizes[i]
+                if reads[i] and resident_bytes is not None:
+                    resident = resident_bytes(inodes[i], offsets[i], size)
+                    if resident > 0:
+                        size -= resident
+                        if size <= 0:
+                            continue
+                kept.append(i)
+                sizes.append(size)
+            counts.append(len(kept) - before)
+        blocks = [placed[i] for i in kept]
+        recv = [reads[i] for i in kept]
+        nblocks = [0 if block is None else -(-size // 4096)
+                   for block, size in zip(blocks, sizes, strict=True)]
         self.counts = counts
         self.sizes = sizes
         self.blocks = blocks
@@ -287,7 +319,7 @@ _NO_REQUESTS: _PackedStage | None = None
 def _empty_pack() -> _PackedStage:
     global _NO_REQUESTS
     if _NO_REQUESTS is None:
-        _NO_REQUESTS = _PackedStage((), None)
+        _NO_REQUESTS = _PackedStage(ProfileColumns(()), 0, 0, (), None)
     return _NO_REQUESTS
 
 
@@ -713,6 +745,10 @@ class CostModel:
                                                - spec.idle_power)
         self._disk_transition_investment: Joules = (spec.spinup_energy
                                                     + spec.spindown_energy)
+        #: (columns, layout file count, placed blocks) of the last
+        #: profile :meth:`stage_pair` packed.
+        self._placed_cache: tuple[ProfileColumns, int,
+                                  list[int | None]] | None = None
 
     # -- stage-granular estimates --------------------------------------
     def stage_estimate(self, source: DataSource,
@@ -743,36 +779,58 @@ class CostModel:
                             other_device=other,
                             min_duration=min_duration)
 
-    def stage_pair(self, bursts: Sequence[IOBurst],
-                   thinks: Sequence[float], *,
-                   now: Seconds,
+    def stage_pair(self, profile: ExecutionProfile, first: int, stop: int,
+                   *, now: Seconds,
                    vfs: ResidencyOracle | None = None,
                    disk: HardDisk | None = None,
                    wnic: WirelessNic | None = None
                    ) -> tuple[StageEstimate, StageEstimate]:
-        """Both scenarios' estimates, cross-baselines included.
+        """Both scenarios' estimates for bursts ``first:stop`` of
+        ``profile``, cross-baselines included.
 
-        The §2.3.2 cache filter and the request packing run once and
-        feed both replays — the pair is the hot call of FlexFetch's
-        stage loop, and residency queries dominate its setup cost.
+        The pair is the hot call of FlexFetch's stage loop.  On stock
+        devices the §2.3.2 cache filter runs once over the profile's
+        precompiled columns and the one :class:`_PackedStage` feeds both
+        walks; disk placement comes from :meth:`_placed`, looked up once
+        per profile and layout.  Devices the packed walk refuses get the
+        cache-filtered request lists on the object path.
         """
-        if len(bursts) != len(thinks):
-            raise ValueError("bursts and thinks must align")
         d_dev = disk if disk is not None else self.disk
         w_dev = wnic if wnic is not None else self.wnic
+        thinks = profile.thinks[first:stop]
+        if _packed_ok(d_dev) and _packed_ok(w_dev):
+            cols = profile.columns
+            pack = _PackedStage(cols, first, stop, self._placed(cols), vfs)
+            return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
+                                   now=now, other_device=w_dev,
+                                   min_duration=None),
+                    _replay_packed(DataSource.NETWORK, w_dev, pack, thinks,
+                                   now=now, other_device=d_dev,
+                                   min_duration=None))
+        bursts = profile.bursts[first:stop]
         request_lists = (filter_cached(bursts, vfs) if vfs is not None
                          else [list(b.requests) for b in bursts])
-        pack = (_PackedStage(request_lists, self.layout)
-                if _packed_ok(d_dev) and _packed_ok(w_dev) else None)
-        d = _replay_requests(DataSource.DISK, d_dev, request_lists,
-                             thinks, now=now, layout=self.layout,
-                             other_device=w_dev, min_duration=None,
-                             pack=pack)
-        n = _replay_requests(DataSource.NETWORK, w_dev, request_lists,
-                             thinks, now=now, layout=self.layout,
-                             other_device=d_dev, min_duration=None,
-                             pack=pack)
-        return d, n
+        return (_replay_object(DataSource.DISK, d_dev, request_lists,
+                               thinks, now=now, layout=self.layout,
+                               other_device=w_dev, min_duration=None),
+                _replay_object(DataSource.NETWORK, w_dev, request_lists,
+                               thinks, now=now, layout=self.layout,
+                               other_device=d_dev, min_duration=None))
+
+    def _placed(self, cols: ProfileColumns) -> list[int | None]:
+        """:func:`_placed_blocks` of ``cols`` over this system's layout.
+
+        Computed on the first decision, once every file is registered,
+        and kept while the layout holds the same files: ``add_file``
+        never moves a placed file, so only a grown layout invalidates.
+        """
+        layout = self.layout
+        nfiles = len(layout) if layout is not None else 0
+        cached = self._placed_cache
+        if cached is None or cached[0] is not cols or cached[1] != nfiles:
+            cached = (cols, nfiles, _placed_blocks(cols, layout))
+            self._placed_cache = cached
+        return cached[2]
 
     # -- per-request marginal costs (BlueFS's myopic view) -------------
     def marginal_pair(self, now: Seconds, nbytes: Bytes,

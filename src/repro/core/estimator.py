@@ -4,7 +4,8 @@ The estimation machinery moved into the shared
 :class:`~repro.core.costmodel.CostModel`; this module keeps the old
 function-style surface importable.  ``estimate_stage`` is
 :func:`repro.core.costmodel.replay_stage` under its historical name, and
-``estimate_both`` is a :meth:`CostModel.stage_pair` over ad-hoc devices.
+``estimate_both`` is a :meth:`CostModel.stage_pair` over ad-hoc devices
+and a profile of the given bursts.
 New code should go through ``env.cost_model`` instead of calling these
 free functions with raw devices.
 """
@@ -24,6 +25,7 @@ from repro.devices.disk import HardDisk
 from repro.devices.layout import DiskLayout
 from repro.devices.wnic import WirelessNic
 from repro.core.burst import IOBurst
+from repro.core.profile import ExecutionProfile
 from repro.units import Seconds
 
 __all__ = [
@@ -46,5 +48,6 @@ def estimate_both(disk: HardDisk, wnic: WirelessNic,
                   vfs: ResidencyOracle | None = None
                   ) -> tuple[StageEstimate, StageEstimate]:
     """Both scenarios' estimates for one stage, cross-baselines included."""
-    return CostModel(disk, wnic, layout).stage_pair(bursts, thinks,
-                                                    now=now, vfs=vfs)
+    profile = ExecutionProfile(bursts, thinks)
+    return CostModel(disk, wnic, layout).stage_pair(
+        profile, 0, len(profile), now=now, vfs=vfs)

@@ -5,10 +5,17 @@ from a recorded execution profile (§2.2: the upcoming profile slice is
 replayed through clones of both devices and the three decision rules
 pick with the user's loss rate), then keeps the decision honest against
 runtime dynamics (§2.3): splice re-evaluation as observed bursts close
+or the observed byte count crosses an old-profile burst boundary
 (§2.3.1), the stage-end audit against a counterfactual replay on the
 alternative device (§2.3.1, see :mod:`repro.core.audit`), the
 buffer-cache filter (§2.3.2), and free-riding on an externally
 kept-alive disk (§2.3.3).
+
+The splice needs no assembled profile: its upcoming slice is always the
+old profile's bursts after the observed byte count (DESIGN.md §7), so
+per system call the policy keeps only that count, the last completion
+time (to see a burst close) and the next old-profile burst boundary —
+it never builds the current run's bursts.
 
 All device arithmetic goes through the system's shared
 :class:`~repro.core.costmodel.CostModel`; this module holds only the
@@ -24,7 +31,6 @@ from collections import deque
 from typing import Any
 
 from repro.core.audit import StageAccounting, audit_stage
-from repro.core.burst import OnlineBurstTracker, ProfiledRequest
 from repro.core.decision import DataSource, DecisionInputs, decide
 from repro.core.flexfetch_config import FlexFetchConfig
 from repro.core.policies import Policy, RequestContext
@@ -63,7 +69,7 @@ class FlexFetchPolicy(Policy):
         FlexFetch merges these programs' profiles and forms evaluation
         stage on the aggregate profile."  The profiles are interleaved
         on their recorded timelines and the result drives one shared
-        policy instance (the runtime tracker already aggregates all
+        policy instance (its observed byte count already aggregates all
         profiled programs' syscalls).
         """
         if not profiles:
@@ -80,8 +86,13 @@ class FlexFetchPolicy(Policy):
         self.config = config or FlexFetchConfig()
         if not self.config.adaptive:
             self.name = "FlexFetch-static"
-        self.tracker = OnlineBurstTracker(
-            threshold=self.config.burst_threshold)
+        #: demand bytes of the profiled system calls seen so far — the
+        #: run's position on the old profile.
+        self.observed_bytes = 0
+        #: latest completion of an observed call (``start + max(0.0,
+        #: end - start)``), ``None`` before the first: a gap of at least
+        #: the burst threshold after it closes a burst (§2.1).
+        self._last_end: float | None = None
         self.current_source = DataSource.DISK
         self.profile_trusted = True
         self.audit_override: DataSource | None = None
@@ -93,20 +104,21 @@ class FlexFetchPolicy(Policy):
         self.free_rides = 0
         self.splice_flips = 0
         self.fault_failovers = 0
-        #: old-profile burst index the observed byte count has reached;
-        #: crossing it triggers the §2.3.1 re-evaluation.
-        self._boundary_seen = 0
+        #: cumulative bytes that end the old-profile burst the observed
+        #: byte count is in: reaching them crosses a burst boundary,
+        #: which triggers the §2.3.1 re-evaluation.
+        self._next_boundary_bytes = self._crossing_point(0)
         self._last_reevaluation = float("-inf")
 
     # ------------------------------------------------------------------
     # profile positioning
     # ------------------------------------------------------------------
-    def _assembled_profile(self) -> ExecutionProfile:
-        """Old profile with the observed prefix spliced in (§2.3.1)."""
-        bursts, thinks = self.tracker.snapshot()
-        if not bursts or not self.config.feature("splice_reevaluation"):
-            return self.profile
-        return self.profile.spliced(bursts, thinks)
+    def _crossing_point(self, index: int) -> float:
+        """Cumulative bytes through old-profile burst ``index``;
+        infinite past the profile's end, where nothing is crossed."""
+        if index < len(self.profile):
+            return self.profile.bytes_through(index)
+        return float("inf")
 
     # ------------------------------------------------------------------
     # decision machinery
@@ -115,16 +127,17 @@ class FlexFetchPolicy(Policy):
                              ) -> DataSource:
         """Run the §2.2 rules on the upcoming profile slice.
 
-        A switch away from the current source must clear the configured
+        The slice starts at the observed byte count, which is where the
+        §2.3.1 assembled profile's upcoming slice starts too.  A switch
+        away from the current source must clear the configured
         hysteresis margin in estimated energy; near-break-even stages
         keep the incumbent to avoid paying transition costs for noise.
         """
         assert self.env is not None
-        profile = self._assembled_profile()
-        bursts, thinks = profile.upcoming_slice(
-            self.tracker.total_bytes,
+        first, stop = self.profile.upcoming_range(
+            self.observed_bytes,
             self.config.stage_length * self.config.decision_horizon_stages)
-        if not bursts:
+        if first == stop:
             # Nothing known ahead: keep the current source.
             return self.current_source
         vfs = self.env.vfs if self.config.feature("cache_filter") else None
@@ -140,8 +153,8 @@ class FlexFetchPolicy(Policy):
             from repro.devices.wnic import WirelessNic
             disk = HardDisk(self.env.disk.spec, start_time=now)
             wnic = WirelessNic(self.env.wnic.spec, start_time=now)
-        d, n = self.env.cost_model.stage_pair(bursts, thinks, now=now,
-                                              vfs=vfs, disk=disk,
+        d, n = self.env.cost_model.stage_pair(self.profile, first, stop,
+                                              now=now, vfs=vfs, disk=disk,
                                               wnic=wnic)
         source = decide(DecisionInputs(t_disk=d.time, e_disk=d.energy,
                                        t_network=n.time,
@@ -170,9 +183,6 @@ class FlexFetchPolicy(Policy):
     def begin_run(self, now: Seconds) -> None:
         source = self._decide_from_profile(now, reason="initial")
         self._begin_stage(now, source)
-
-    def end_run(self, now: Seconds) -> None:
-        self.tracker.flush()
 
     # ------------------------------------------------------------------
     # stage audit (§2.3.1 second half)
@@ -246,35 +256,44 @@ class FlexFetchPolicy(Policy):
         """Device-level observation: feeds the stage audit's replay."""
         if not ctx.profiled:
             return
-        start = float(getattr(result, "arrival", ctx.now))
-        end = float(getattr(result, "completion", ctx.now))
-        req = ProfiledRequest(inode=ctx.inode, offset=ctx.offset,
-                              size=max(1, ctx.nbytes), op=ctx.op)
         if self._stage is not None:
-            self._stage.observe(req, start, end)
+            self._stage.observe(
+                ctx.inode, ctx.offset, max(1, ctx.nbytes), ctx.op,
+                float(getattr(result, "arrival", ctx.now)),
+                float(getattr(result, "completion", ctx.now)))
 
     def on_syscall(self, ctx: RequestContext, start: float,
                    end: float) -> None:
-        """Demand-level observation: profile building and positioning.
+        """Demand-level observation: profile position and burst closes.
 
         Tracking system calls (not device transfers) keeps the byte
         position aligned with the old profile, which also counts
         syscall bytes — readahead overshoot and cache absorption would
         otherwise drift the position off the profile's burst grid.
         """
-        closed = self.tracker.observe(ctx.inode, ctx.offset, ctx.nbytes,
-                                      ctx.op, start, end)
-        # §2.3.1: re-evaluate "whenever the amount just exceeds the
-        # amount of data requested in the first N I/O bursts" of the old
-        # profile — i.e. on crossing an old-profile burst boundary — and
-        # also when an observed burst closes (fresh think-time evidence).
-        boundary = self.profile.burst_index_for_bytes(
-            self.tracker.total_bytes)
-        crossed = boundary > self._boundary_seen
-        self._boundary_seen = max(self._boundary_seen, boundary)
+        closed = crossed = False
+        size = ctx.nbytes
+        if size > 0:
+            last_end = self._last_end
+            if last_end is None:
+                last_end = 0.0
+            else:
+                closed = start - last_end >= self.config.burst_threshold
+            self._last_end = max(last_end, start + max(0.0, end - start))
+            observed = self.observed_bytes + size
+            self.observed_bytes = observed
+            # §2.3.1: re-evaluate "whenever the amount just exceeds the
+            # amount of data requested in the first N I/O bursts" of the
+            # old profile — i.e. on crossing an old-profile burst
+            # boundary — and also when an observed burst closes (fresh
+            # think-time evidence).
+            if observed >= self._next_boundary_bytes:
+                crossed = True
+                self._next_boundary_bytes = self._crossing_point(
+                    self.profile.burst_index_for_bytes(observed))
         due = end - self._last_reevaluation \
             >= self.config.reevaluation_min_interval
-        if (closed is not None or crossed) and due \
+        if (closed or crossed) and due \
                 and self.config.feature("splice_reevaluation") \
                 and self.profile_trusted:
             self._last_reevaluation = end

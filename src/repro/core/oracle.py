@@ -83,12 +83,12 @@ class ClairvoyantStagePolicy(Policy):
     # ------------------------------------------------------------------
     def _decide(self, now: Seconds) -> None:
         assert self.env is not None
-        bursts, thinks = self.profile.upcoming_slice(
+        first, stop = self.profile.upcoming_range(
             self._bytes_seen, self.stage_length * self.horizon_stages)
-        if not bursts:
+        if first == stop:
             return
-        d, n = self.env.cost_model.stage_pair(bursts, thinks, now=now,
-                                              vfs=self.env.vfs)
+        d, n = self.env.cost_model.stage_pair(self.profile, first, stop,
+                                              now=now, vfs=self.env.vfs)
         source = decide(
             DecisionInputs(t_disk=d.time, e_disk=d.energy,
                            t_network=n.time, e_network=n.energy),

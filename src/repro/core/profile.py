@@ -10,20 +10,30 @@ can be re-examined at stage granularity.
 The profile also supports the §2.3.1 *splice*: replacing its first N
 bursts with the bursts observed in the current run once the observed
 byte count passes them, producing the assembled profile on which the
-decision rule is re-run.
+decision rule is re-run.  The decision rule only ever reads the
+assembled profile's *upcoming* slice, which is always the old profile's
+bursts from ``burst_index_for_bytes(observed)`` on (DESIGN.md §7), so
+FlexFetch slices the old profile through :meth:`upcoming_range` and
+:meth:`spliced` stays as the reference that equivalence is tested
+against.
+
+For the cost model the profile lowers its requests once into flat
+:class:`ProfileColumns`, cached on the (immutable) profile.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.burst import (
     BURST_THRESHOLD_DEFAULT,
     IOBurst,
+    ProfiledRequest,
     extract_bursts,
 )
+from repro.traces.record import OpType
 from repro.traces.trace import Trace
 from repro.units import Bytes, Seconds
 
@@ -49,6 +59,41 @@ class Stage:
     @property
     def burst_count(self) -> int:
         return self.last - self.first + 1
+
+
+class ProfileColumns:
+    """Flat per-request columns of a sequence of bursts.
+
+    ``inodes``/``offsets``/``sizes``/``reads`` hold one entry per
+    request in burst order; burst ``b`` owns requests
+    ``bounds[b]:bounds[b + 1]``.  This is the one input form of the
+    cost model's packed walk: profiles lower to it once, request lists
+    (the stage audit, ad-hoc estimates) on every call.
+    """
+
+    __slots__ = ("inodes", "offsets", "sizes", "reads", "bounds")
+
+    def __init__(self,
+                 request_lists: Iterable[Iterable[ProfiledRequest]]
+                 ) -> None:
+        inodes: list[int] = []
+        offsets: list[int] = []
+        sizes: list[int] = []
+        reads: list[bool] = []
+        bounds = [0]
+        read = OpType.READ
+        for requests in request_lists:
+            for req in requests:
+                inodes.append(req.inode)
+                offsets.append(req.offset)
+                sizes.append(req.size)
+                reads.append(req.op is read)
+            bounds.append(len(sizes))
+        self.inodes = inodes
+        self.offsets = offsets
+        self.sizes = sizes
+        self.reads = reads
+        self.bounds = bounds
 
 
 class ExecutionProfile:
@@ -77,6 +122,7 @@ class ExecutionProfile:
             total += b.nbytes
             cum.append(total)
         self._cum_bytes: list[int] = cum
+        self._columns: ProfileColumns | None = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -98,13 +144,21 @@ class ExecutionProfile:
             raise IndexError(burst_index)
         return self._cum_bytes[burst_index]
 
-    def burst_index_for_bytes(self, nbytes: Bytes) -> Bytes:
+    # An index, not a byte count, whatever the name suggests to R2.
+    def burst_index_for_bytes(self, nbytes: Bytes) -> int:  # repro-lint: ignore[R2]
         """Index of the first burst whose cumulative bytes reach ``nbytes``.
 
         Returns ``len(self)`` when ``nbytes`` exceeds the whole profile.
         """
         return bisect.bisect_left(self._cum_bytes, max(0, nbytes) + 1) \
             if nbytes >= 0 else 0
+
+    @property
+    def columns(self) -> ProfileColumns:
+        """Every request as flat columns, lowered on first use."""
+        if self._columns is None:
+            self._columns = ProfileColumns(b.requests for b in self.bursts)
+        return self._columns
 
     # ------------------------------------------------------------------
     def stages(self, stage_length: float = STAGE_LENGTH_DEFAULT
@@ -142,27 +196,34 @@ class ExecutionProfile:
         thinks = self.thinks[stage.first:stage.last + 1]
         return bursts, thinks
 
-    def upcoming_slice(self, nbytes_seen: Bytes, horizon: Seconds
-                       ) -> tuple[list[IOBurst], list[float]]:
-        """The next ~``horizon`` seconds of profile after ``nbytes_seen``.
+    def upcoming_range(self, nbytes_seen: Bytes, horizon: Seconds
+                       ) -> tuple[int, int]:
+        """Burst indices ``(first, stop)`` of the next ~``horizon``
+        seconds of profile after ``nbytes_seen``.
 
-        The decision rules replay this slice through the device clones.
+        The decision rules replay this range through the device clones.
         A one-stage horizon is myopic — a one-time cost like the active
         disk's spin-down tail dominates and pins the choice to the
         incumbent device — so callers typically look a couple of stage
         lengths ahead.
         """
-        start = self.burst_index_for_bytes(nbytes_seen)
-        bursts: list[IOBurst] = []
-        thinks: list[float] = []
+        first = stop = self.burst_index_for_bytes(nbytes_seen)
+        bursts = self.bursts
+        thinks = self.thinks
+        n = len(bursts)
         acc = 0.0
-        for i in range(start, len(self.bursts)):
-            bursts.append(self.bursts[i])
-            thinks.append(self.thinks[i])
-            acc += self.bursts[i].duration + self.thinks[i]
+        while stop < n:
+            acc += bursts[stop].duration + thinks[stop]
+            stop += 1
             if acc > horizon:
                 break
-        return bursts, thinks
+        return first, stop
+
+    def upcoming_slice(self, nbytes_seen: Bytes, horizon: Seconds
+                       ) -> tuple[list[IOBurst], list[float]]:
+        """The bursts and thinks of :meth:`upcoming_range`."""
+        first, stop = self.upcoming_range(nbytes_seen, horizon)
+        return list(self.bursts[first:stop]), list(self.thinks[first:stop])
 
     # ------------------------------------------------------------------
     def spliced(self, observed_bursts: Sequence[IOBurst],
@@ -175,6 +236,12 @@ class ExecutionProfile:
         of data requested in the first N I/O bursts, we use the new
         profile for this run to replace the N I/O bursts in the old
         profile".
+
+        Its upcoming slice after the observed bytes is the old profile's
+        (``spliced(obs, t).upcoming_slice(b, h) ==
+        upcoming_slice(b, h)`` with ``b`` the observed bytes), so the
+        policy never builds it; it stays as the reference for that
+        equivalence.
         """
         if len(observed_bursts) != len(observed_thinks):
             raise ValueError("observed bursts and thinks must align")
@@ -182,10 +249,6 @@ class ExecutionProfile:
         n = self.burst_index_for_bytes(observed_bytes)
         bursts = list(observed_bursts) + list(self.bursts[n:])
         thinks = list(observed_thinks) + list(self.thinks[n:])
-        if thinks and list(observed_thinks):
-            # The think after the last observed burst bridges into the
-            # old tail; keep the observed value (it is the live one).
-            pass
         return ExecutionProfile(bursts, thinks,
                                 name=f"{self.name}+observed")
 

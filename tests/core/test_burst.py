@@ -1,5 +1,7 @@
 """Unit and property tests for I/O-burst extraction (§2.1)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,12 @@ from repro.core.burst import (
     BURST_THRESHOLD_DEFAULT,
     MERGE_LIMIT_BYTES,
     IOBurst,
-    OnlineBurstTracker,
     ProfiledRequest,
     extract_bursts,
 )
+from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
+from repro.core.policies import RequestContext
+from repro.core.profile import ExecutionProfile
 from repro.traces.record import OpType, SyscallRecord
 
 
@@ -118,46 +122,67 @@ class TestIOBurstValidation:
             ProfiledRequest(inode=1, offset=0, size=0, op=OpType.READ)
 
 
-class TestOnlineTracker:
-    def test_matches_offline_extraction(self):
-        records = [rec(1, 0, 10, 0.0), rec(1, 10, 10, 0.005),
-                   rec(2, 0, 50, 3.0), rec(2, 50, 50, 3.001),
-                   rec(1, 100, 10, 9.0)]
-        offline_bursts, offline_thinks = extract_bursts(records)
-        tracker = OnlineBurstTracker()
-        for r in records:
-            tracker.observe(r.inode, r.offset, r.size, r.op,
-                            r.timestamp, r.end_time)
-        tracker.flush()
-        assert len(tracker.bursts) == len(offline_bursts)
-        for a, b in zip(tracker.bursts, offline_bursts, strict=True):
-            assert a.requests == b.requests
-        assert tracker.thinks == pytest.approx(offline_thinks)
+def _gap(prev_end, kind, extra):
+    """A start time whose gap after ``prev_end`` sits on the threshold's
+    edge: one ulp either side of it, exactly on it, or well clear."""
+    edge = prev_end + BURST_THRESHOLD_DEFAULT
+    if kind == "ulp-below":
+        return math.nextafter(edge, -math.inf)
+    if kind == "ulp-above":
+        return math.nextafter(edge, math.inf)
+    if kind == "edge":
+        return edge
+    return prev_end + extra
 
-    def test_observe_returns_closed_burst(self):
-        tracker = OnlineBurstTracker()
-        assert tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0) is None
-        closed = tracker.observe(1, 10, 10, OpType.READ, 5.0, 5.0)
-        assert closed is not None
-        assert closed.nbytes == 10
 
-    def test_snapshot_includes_open_burst(self):
-        tracker = OnlineBurstTracker()
-        tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0)
-        bursts, thinks = tracker.snapshot()
-        assert len(bursts) == 1
-        assert len(tracker.bursts) == 0      # snapshot does not mutate
+class TestFlexFetchBurstClose:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["ulp-below", "edge", "ulp-above", "free"]),
+        st.floats(0.0, 0.05),
+        # negative durations: the call "ends" before it starts
+        st.floats(-0.01, 0.03),
+        st.integers(0, 3)), min_size=1, max_size=30))
+    def test_policy_closes_where_extract_bursts_splits(self, steps):
+        """FlexFetch sees a burst close on exactly the system calls where
+        the off-line extractor starts a new burst, zero-size calls and
+        ``end < start`` included."""
+        policy = FlexFetchPolicy(
+            ExecutionProfile([], []),
+            FlexFetchConfig(reevaluation_min_interval=0.0))
+        closes: list[int] = []
 
-    def test_total_bytes(self):
-        tracker = OnlineBurstTracker()
-        tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0)
-        tracker.observe(1, 10, 30, OpType.READ, 5.0, 5.0)
-        assert tracker.total_bytes == 40
+        def on_close(now, *, reason):
+            # An empty profile never crosses a burst boundary, so every
+            # re-evaluation is a burst close.
+            assert reason == "splice"
+            closes.append(len(records) - 1)
+            policy._last_reevaluation = -math.inf
+            return policy.current_source
 
-    def test_zero_size_ignored(self):
-        tracker = OnlineBurstTracker()
-        assert tracker.observe(1, 0, 0, OpType.READ, 0.0, 0.0) is None
-        assert tracker.total_bytes == 0
+        policy._decide_from_profile = on_close
+        records: list[SyscallRecord] = []
+        prev_end = 0.0
+        for kind, extra, dur, blocks in steps:
+            start = _gap(prev_end, kind, extra)
+            end = start + dur
+            size = 4096 * blocks
+            records.append(rec(1, 0, size, start,
+                               dur=max(0.0, end - start)))
+            policy.on_syscall(RequestContext(
+                now=start, program="p", profiled=True, disk_pinned=False,
+                inode=1, offset=0, nbytes=size, op=OpType.READ),
+                start, end)
+            if size:
+                prev_end = max(prev_end, records[-1].end_time)
+
+        def nbursts(k):
+            return len(extract_bursts(records[:k])[0])
+
+        splits = [k for k in range(len(records))
+                  if 0 < nbursts(k) < nbursts(k + 1)]
+        assert closes == splits
+        assert policy.observed_bytes == sum(r.size for r in records)
 
 
 class TestProperties:

@@ -57,8 +57,8 @@ class TestConcurrentReplay:
             [profile_from_trace(a), profile_from_trace(b)])
         result = ReplaySimulator([ProgramSpec(a), ProgramSpec(b)],
                                  policy, seed=1).run()
-        # Tracker aggregated both programs' demand bytes.
-        assert policy.tracker.total_bytes == pytest.approx(
+        # The policy counted both programs' demand bytes.
+        assert policy.observed_bytes == pytest.approx(
             sum(r.size for r in a.data_records())
             + sum(r.size for r in b.data_records()), rel=0.01)
         assert result.total_energy > 0

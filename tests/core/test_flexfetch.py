@@ -214,7 +214,7 @@ class TestObservation:
     def test_tracker_counts_demand_bytes(self, tiny_trace):
         policy = FlexFetchPolicy(profile_from_trace(tiny_trace))
         ReplaySimulator([ProgramSpec(tiny_trace)], policy, seed=1).run()
-        assert policy.tracker.total_bytes == 3 * 4096
+        assert policy.observed_bytes == 3 * 4096
 
     def test_unprofiled_requests_not_observed(self):
         trace = sparse_small_trace()
@@ -222,4 +222,4 @@ class TestObservation:
         ReplaySimulator(
             [ProgramSpec(trace, profiled=False, disk_pinned=True)],
             policy, seed=1).run()
-        assert policy.tracker.total_bytes == 0
+        assert policy.observed_bytes == 0

@@ -1,6 +1,7 @@
 """Unit tests for execution profiles and evaluation stages (§2.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.profile import (
@@ -135,6 +136,46 @@ class TestSplice:
         old = profile([(100, 1, 0)])
         with pytest.raises(ValueError):
             old.spliced([burst(1, 0, 1)], [])
+
+
+# (nbytes, duration, think_after) of one burst.
+_burst_spec = st.tuples(st.integers(1, 1000), st.floats(0.0, 30.0),
+                        st.floats(0.0, 30.0))
+
+
+class TestImplicitSplice:
+    """The assembled profile's upcoming slice is the old profile's.
+
+    FlexFetch relies on this to slice the old profile directly instead
+    of building ``spliced`` at every decision.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(old=st.lists(_burst_spec, max_size=12),
+           observed=st.lists(_burst_spec, max_size=12),
+           horizon=st.floats(0.0, 200.0))
+    def test_spliced_upcoming_slice_is_old_slice(self, old, observed,
+                                                 horizon):
+        old_profile = profile(old)
+        obs = profile(observed)
+        seen = obs.total_bytes
+        spliced = old_profile.spliced(obs.bursts, obs.thinks)
+        assert spliced.upcoming_slice(seen, horizon) == \
+            old_profile.upcoming_slice(seen, horizon)
+
+    def test_empty_observation(self):
+        old = profile([(100, 1.0, 5.0), (200, 2.0, 0.0)])
+        assert old.spliced([], []).upcoming_slice(0, 10.0) == \
+            old.upcoming_slice(0, 10.0) == (list(old.bursts),
+                                            list(old.thinks))
+
+    def test_observation_past_the_end(self):
+        old = profile([(100, 1.0, 5.0), (200, 2.0, 0.0)])
+        observed = [burst(250, 0.0, 1.0), burst(100, 3.0, 1.0)]
+        spliced = old.spliced(observed, [2.0, 0.0])
+        assert spliced.upcoming_slice(350, 100.0) == \
+            old.upcoming_slice(350, 100.0) == ([], [])
+        assert old.upcoming_range(350, 100.0) == (2, 2)
 
 
 class TestMerge:
