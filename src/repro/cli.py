@@ -8,7 +8,7 @@
     flexfetch all                    # everything (slow)
     flexfetch run mplayer            # single workload, all policies,
                                      # default link settings
-    flexfetch run grep+make --faults outage-rate=0.01 --strict
+    flexfetch run grep+make --faults outage-rate=0.01
     flexfetch faults grep+make       # energy vs wireless outage rate
     flexfetch lint                   # determinism/units static analysis
     flexfetch sweep fig3 --journal s.jsonl --retries 3 --timeout 120
@@ -120,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                     wnic_spec=config.wnic_spec,
                                     memory_bytes=config.memory_bytes,
                                     seed=config.seed)
-                  .with_faults(faults, strict=args.strict)
+                  .with_faults(faults)
                   .run())
         line = result.summary()
         failovers = sum(result.fault_failovers.values())
@@ -152,8 +152,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     progress = (lambda line: print(f"  {line}", file=sys.stderr)) \
         if args.verbose else None
     panel = fault_panel(config, scenario=args.workload, rates=rates,
-                        base_spec=base, strict=args.strict,
-                        progress=progress)
+                        base_spec=base, progress=progress)
     print(render_fault_panel(panel))
     if args.csv:
         print("# fault panel CSV")
@@ -375,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--faults", metavar="SPEC",
                        help="inject faults, e.g."
                        " 'outage-rate=0.01,spinup-fail-prob=0.2'")
-    p_run.add_argument("--strict", action="store_true",
-                       help="runtime invariant checking (fail loudly)")
 
     p_faults = sub.add_parser(
         "faults", help="energy of all policies vs wireless outage rate")
@@ -385,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated outage rates (1/s)")
     p_faults.add_argument("--faults", metavar="SPEC",
                           help="base fault spec the rate sweep overrides")
-    p_faults.add_argument("--strict", action="store_true",
-                          help="runtime invariant checking on every run")
     p_faults.add_argument("--csv", action="store_true",
                           help="also dump CSV data")
     p_faults.add_argument("--verbose", action="store_true",

@@ -31,9 +31,8 @@ request.  The *packed path* — taken whenever the device is a stock
 :class:`WirelessNic` (no PSM bulk transfers) — first packs the stage
 from a profile's precompiled :class:`~repro.core.profile.ProfileColumns`
 (request lists lower to the same columns) into flat per-request columns
-(cache-filtered sizes, disk placement, transfer seconds; numpy when
-available, ``array``-style lists otherwise), then walks them
-in one tight loop that transcribes the clone's meter arithmetic
+(cache-filtered sizes, disk placement, transfer seconds), then walks
+them in one tight loop that transcribes the clone's meter arithmetic
 event-for-event.  Because float addition is not associative, the walk
 accumulates per-bucket energy in the exact same order the
 :class:`~repro.sim.metrics.EnergyMeter` would, so both paths are
@@ -42,7 +41,6 @@ bit-identical — a property the test suite asserts with Hypothesis.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import Protocol
@@ -63,14 +61,6 @@ from repro.units import (
     Seconds,
     transfer_seconds,
 )
-
-if os.environ.get("REPRO_NO_NUMPY"):  # forced fallback (CI no-numpy leg)
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy ships with the image
-        _np = None
 
 _TOL = ABS_TOLERANCE
 _IDLE = DiskState.IDLE.value
@@ -249,7 +239,7 @@ class _PackedStage:
     """
 
     __slots__ = ("counts", "sizes", "blocks", "nblocks", "recv",
-                 "total_bytes", "total_requests", "_sizes_f")
+                 "total_bytes", "total_requests")
 
     def __init__(self, cols: ProfileColumns, first: int, stop: int,
                  placed: Sequence[int | None],
@@ -294,20 +284,10 @@ class _PackedStage:
         self.recv = recv
         self.total_bytes = sum(sizes)
         self.total_requests = len(sizes)
-        self._sizes_f = None
 
     def transfer_column(self,
                         bandwidth_bps: BytesPerSecond) -> list[float]:
-        """Per-request transfer seconds (``size / bandwidth``).
-
-        The numpy path and the scalar fallback are bit-identical: both
-        perform one correctly-rounded int->float64 conversion and one
-        IEEE-754 division per element.
-        """
-        if _np is not None:
-            if self._sizes_f is None:
-                self._sizes_f = _np.asarray(self.sizes, dtype=_np.float64)
-            return (self._sizes_f / bandwidth_bps).tolist()
+        """Per-request transfer seconds (``size / bandwidth``)."""
         return [transfer_seconds(size, bandwidth_bps)
                 for size in self.sizes]
 

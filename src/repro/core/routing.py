@@ -22,7 +22,7 @@ from repro.core.workload import ProgramDriver
 from repro.devices.layout import BLOCK_SIZE
 from repro.devices.service import ServiceOutcome
 from repro.devices.wnic import Direction
-from repro.faults.invariants import InvariantChecker
+from repro.faults.invariants import TOLERANCE, check_service
 from repro.faults.schedule import FaultSchedule
 from repro.kernel.page import Extent
 from repro.sim.clock import SimulationError
@@ -39,12 +39,10 @@ class RequestRouter:
     MAX_FAULT_ATTEMPTS = 32
 
     def __init__(self, env: MobileSystem, policy: Policy, *,
-                 faults: FaultSchedule | None = None,
-                 checker: InvariantChecker | None = None) -> None:
+                 faults: FaultSchedule | None = None) -> None:
         self.env = env
         self.policy = policy
         self.faults = faults
-        self.checker = checker
         self._disk_service = env.service_for(DataSource.DISK)
         self._wnic_service = env.service_for(DataSource.NETWORK)
         self._avoid_until = {DataSource.DISK: float("-inf"),
@@ -94,9 +92,12 @@ class RequestRouter:
         if not spec.profiled and source is DataSource.DISK:
             policy.on_external_disk_request(when)
         policy.on_serviced(ctx, source, result)
-        if self.checker is not None:
-            self.checker.on_service(result, program=prog.name,
-                                    source=source.value)
+        # Every run audits every extent: causal times, non-negative
+        # energy.  Inline compares; check_service only builds the error.
+        if not (result.arrival - TOLERANCE <= result.start
+                <= result.completion + TOLERANCE
+                and result.energy >= -TOLERANCE):
+            check_service(result, program=prog.name, source=source.value)
         return source, result
 
     # ------------------------------------------------------------------

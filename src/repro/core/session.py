@@ -40,6 +40,11 @@ cache and are reported to the policy as external disk activity;
 laptop-mode write-back flushes piggy-back on an active disk and are
 asynchronous (they cost device time and energy but never delay the
 program).
+
+Every run audits itself (:mod:`repro.faults.invariants`): the router
+checks each device service result, and :meth:`SimulationSession.run`
+checks exactly-once coverage and meter/residency agreement before it
+returns.  Nothing turns the audit off.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from repro.core.telemetry import (
 from repro.core.workload import ProgramDriver, ProgramSpec
 from repro.devices.dpm import SpindownPolicy
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
-from repro.faults.invariants import InvariantChecker
+from repro.faults.invariants import check_coverage, check_result
 from repro.faults.schedule import FaultSchedule
 from repro.sim.clock import MB, SimulationError
 from repro.sim.plan import BurstPlan, plan_for
@@ -79,7 +84,6 @@ class SimulationSession:
                  seed: int = 0,
                  spindown_policy: SpindownPolicy | None = None,
                  faults: FaultSchedule | None = None,
-                 strict: bool = False,
                  sinks: Iterable[MetricsSink] = ()) -> None:
         self._program_specs: list[ProgramSpec] = list(programs or ())
         self._policy = policy
@@ -89,7 +93,6 @@ class SimulationSession:
         self._seed = seed
         self._spindown_policy = spindown_policy
         self._faults = faults
-        self._strict = strict
         self.sinks = SinkSet(tuple(sinks))
         self._request_count = 0
         self._materialised = False
@@ -156,19 +159,11 @@ class SimulationSession:
         self._spindown_policy = policy
         return self
 
-    def with_faults(self, faults: FaultSchedule | None,
-                    *, strict: bool | None = None) -> SimulationSession:
-        """Attach a fault schedule (and optionally strict checking)."""
+    def with_faults(self, faults: FaultSchedule | None
+                    ) -> SimulationSession:
+        """Attach a fault schedule."""
         self._configure()
         self._faults = faults
-        if strict is not None:
-            self._strict = strict
-        return self
-
-    def with_strict(self, strict: bool = True) -> SimulationSession:
-        """Toggle runtime invariant checking (fail loudly)."""
-        self._configure()
-        self._strict = strict
         return self
 
     def with_fast_path(self, enabled: bool = True) -> SimulationSession:
@@ -178,8 +173,8 @@ class SimulationSession:
         precomputed kernel-path plan; the scheduler and everything
         behind the kernel are the same either way.  It engages
         whenever the replay has one program (reads or writes, with or
-        without faults and strict checking) and is bit-identical when
-        it does.
+        without faults) and is bit-identical when it does; every run
+        is audited the same way on either surface.
         Turning it off forces the live kernel path — parity tests do.
         """
         self._configure()
@@ -235,10 +230,8 @@ class SimulationSession:
         if self.faults is not None:
             self.env.disk.set_fault_schedule(self.faults)
             self.env.wnic.set_fault_schedule(self.faults)
-        self._checker = InvariantChecker() if self._strict else None
         self.router = RequestRouter(self.env, self.policy,
-                                    faults=self.faults,
-                                    checker=self._checker)
+                                    faults=self.faults)
         self._materialised = True
 
     # ------------------------------------------------------------------
@@ -261,9 +254,6 @@ class SimulationSession:
         size = prog.sizes[i]
         op = OPS_BY_CODE[prog.ops[i]]
         self._request_count += 1
-        if self._checker is not None:
-            self._checker.on_clock(now, self.env)
-            self._checker.on_record(prog.name, prog.index, size)
         env = self.env
         kernel = env.kernel
         policy = self.policy
@@ -332,12 +322,11 @@ class SimulationSession:
         programs interleave on the shared cache and disk: then which
         pages are resident depends on completion times.  For one
         program it depends only on the trace, the memory size and the
-        seed, so reads, writes, faults and strict checking all ride
-        the plan.  The clock-dependent rest — which pages are still
-        dirty and when laptop mode flushes — stays live in the cursor,
-        faults act only on the devices behind the router, and the
-        checker watches the clock, the meters and the service results,
-        all still live in :meth:`_service_record`.
+        seed, so reads, writes and faults all ride the plan.  The
+        clock-dependent rest — which pages are still dirty and when
+        laptop mode flushes — stays live in the cursor, faults act only
+        on the devices behind the router, and the router audits every
+        service result, all still live in :meth:`_service_record`.
         """
         if len(self._program_specs) != 1:
             return None
@@ -389,7 +378,7 @@ class SimulationSession:
                 f" {left} flushed, evicted, dropped or still dirty")
 
     def run(self) -> RunResult:
-        """Replay everything; returns the accounting."""
+        """Replay everything, audit it, and return the accounting."""
         if self._ran:
             raise SimulationError(
                 "session already ran; build a fresh SimulationSession"
@@ -426,12 +415,8 @@ class SimulationSession:
             fault_retries=self.router.fault_retries,
             fault_failovers=self.router.fault_failovers,
             fault_wasted_energy=self.router.fault_wasted)
-        if self._checker is not None:
-            expected = {
-                p.name: (p.record_count, p.total_bytes)
-                for p in self.programs}
-            self._checker.on_end(result, expected,
-                                 disk_spec=self.env.disk.spec,
-                                 wnic_spec=self.env.wnic.spec)
+        check_coverage(self.programs, self._request_count)
+        check_result(result, disk_spec=self.env.disk.spec,
+                     wnic_spec=self.env.wnic.spec)
         self.sinks.on_run_end(result)
         return result

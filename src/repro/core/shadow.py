@@ -21,10 +21,9 @@ stage, the index of the diverging event, the field, both values and
 both energy breakdowns — enough to localise a single wrong constant to
 the record that first exposed it.
 
-The toggle is resolved once at import time (exactly like
-``REPRO_NO_NUMPY`` in :mod:`repro.core.costmodel`): reading the
-environment inside the sweep worker's call cone would be a determinism
-leak that lint rule R6 rightly rejects.
+The toggle is resolved once at import time: reading the environment
+inside the sweep worker's call cone would be a determinism leak that
+lint rule R6 rightly rejects.
 """
 
 from __future__ import annotations

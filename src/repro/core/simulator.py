@@ -58,8 +58,7 @@ class ReplaySimulator(SimulationSession):
                  memory_bytes: Bytes = 64 * MB,
                  seed: int = 0,
                  spindown_policy: SpindownPolicy | None = None,
-                 faults: FaultSchedule | None = None,
-                 strict: bool = False) -> None:
+                 faults: FaultSchedule | None = None) -> None:
         # stacklevel=2: report the *caller's* construction site, not
         # this __init__, so the warning is actionable from the console.
         warnings.warn(
@@ -69,5 +68,5 @@ class ReplaySimulator(SimulationSession):
         super().__init__(programs, policy, disk_spec=disk_spec,
                          wnic_spec=wnic_spec, memory_bytes=memory_bytes,
                          seed=seed, spindown_policy=spindown_policy,
-                         faults=faults, strict=strict)
+                         faults=faults)
         self._materialise()

@@ -341,7 +341,6 @@ def fault_panel(config: ExperimentConfig | None = None, *,
                 scenario: str = "grep+make",
                 rates: tuple[float, ...] = (0.0, 0.002, 0.005, 0.01, 0.02),
                 base_spec: FaultSpec | None = None,
-                strict: bool = False,
                 progress: Callable[[str], None] | None = None
                 ) -> FaultPanelResult:
     """All four policies' energy as the wireless link degrades.
@@ -370,7 +369,7 @@ def fault_panel(config: ExperimentConfig | None = None, *,
                                         wnic_spec=config.wnic_spec,
                                         memory_bytes=config.memory_bytes,
                                         seed=config.seed)
-                      .with_faults(faults, strict=strict)
+                      .with_faults(faults)
                       .run())
             panel.curves[name].append(FaultSweepPoint(
                 policy=result.policy, outage_rate=rate, result=result))

@@ -4,16 +4,17 @@ The paper's evaluation assumes a perfect wireless link and a disk whose
 spin-ups always succeed.  This package removes that assumption: a
 seeded, deterministic :class:`FaultSchedule` injects link outages,
 802.11b rate fallback, and disk spin-up failures into the device models,
-and :class:`InvariantChecker` gives the simulator a ``strict`` mode that
-verifies physical invariants while the (now much more adversarial)
-replay runs.
+and every replay — faulted or not — audits its physical invariants
+(:mod:`repro.faults.invariants`), raising
+:class:`SimulationInvariantError` when one breaks.
 """
 
 from repro.faults.chaos import CacheChaos, ChaosInjector, ChaosSpec
 from repro.faults.invariants import (
-    InvariantChecker,
     SimulationInvariantError,
+    check_coverage,
     check_result,
+    check_service,
 )
 from repro.faults.schedule import (
     FALLBACK_RATES_BPS,
@@ -31,8 +32,9 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "FaultSpecError",
-    "InvariantChecker",
     "RateWindow",
     "SimulationInvariantError",
+    "check_coverage",
     "check_result",
+    "check_service",
 ]

@@ -1,34 +1,47 @@
-"""Runtime invariant checking (``strict`` replay mode).
+"""Runtime invariant checking, on every replay.
 
 Fault injection makes the simulator walk paths the paper's ideal
 devices never exercised — aborted transfers, failed spin-ups,
-mid-stage failovers — exactly where accounting bugs hide.  The
-:class:`InvariantChecker` rides along with a strict-mode replay and
-raises a structured :class:`SimulationInvariantError` (naming the check
-and the offending event context) the moment one of these breaks:
+mid-stage failovers — exactly where accounting bugs hide.  Every
+:class:`~repro.core.session.SimulationSession` run therefore audits
+itself and raises a structured :class:`SimulationInvariantError`
+(naming the check and the offending context) the moment one of these
+breaks:
 
-* **clock monotonicity** — event time never goes backwards;
-* **non-negative energy deltas** — device meters only ever accumulate;
 * **causal service times** — ``arrival <= start <= completion`` for
-  every device service result;
-* **exactly-once servicing** — every data-moving trace record is
-  processed exactly once per program, covering every trace byte;
+  every device service result, and **non-negative service energy**
+  (the router compares each extent inline and calls
+  :func:`check_service` only to raise);
+* **exactly-once servicing** — at the end of the run every program
+  finished its trace and the session serviced as many records as the
+  traces hold (:func:`check_coverage`); the scheduler services each
+  program's records in order, one per step, so the counts suffice;
 * **meter vs residency agreement** — the end-of-run result passes every
-  :func:`repro.experiments.validate.validate_run` conservation check.
+  :func:`repro.experiments.validate.validate_run` conservation check
+  (:func:`check_result`).
+
+Two properties need no runtime check because their producers guarantee
+them: the scheduler's clock only moves forward (it advances only to a
+later issue time), and a device meter never decreases
+(:class:`~repro.sim.metrics.EnergyMeter` rejects negative watts and
+impulses, as do the state and transition specs, and charges
+``power * dt`` only for ``dt > 0``).  The run's end time is at least
+its last completion, which is at least its last issue time, so a run
+cannot end before its last event either.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any
-from repro.units import Bytes, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.system import MobileSystem
     from repro.core.telemetry import RunResult
+    from repro.core.workload import ProgramDriver
+    from repro.devices.service import ServiceOutcome
 
 #: Tolerance for float accumulation error in energy/time comparisons.
-_EPS = 1e-6
+TOLERANCE = 1e-6
 
 
 class SimulationInvariantError(RuntimeError):
@@ -37,7 +50,7 @@ class SimulationInvariantError(RuntimeError):
     Attributes
     ----------
     check:
-        Short name of the violated invariant (e.g. ``"clock"``).
+        Short name of the violated invariant (e.g. ``"service-order"``).
     context:
         The offending event's details (times, energies, record ids).
     """
@@ -53,13 +66,53 @@ class SimulationInvariantError(RuntimeError):
         return ", ".join(f"{k}={v}" for k, v in sorted(self.context.items()))
 
 
+def check_service(result: ServiceOutcome, *, program: str,
+                  source: str) -> None:
+    """Raise unless one device service result is causal and costs >= 0 J."""
+    arrival = result.arrival
+    start = result.start
+    completion = result.completion
+    if not arrival - TOLERANCE <= start <= completion + TOLERANCE:
+        raise SimulationInvariantError(
+            "service-order", "service result times are not causal",
+            {"program": program, "source": source, "arrival": arrival,
+             "start": start, "completion": completion})
+    if not result.energy >= -TOLERANCE:
+        raise SimulationInvariantError(
+            "energy", "negative service energy",
+            {"program": program, "source": source,
+             "energy": result.energy})
+
+
+def check_coverage(programs: Iterable[ProgramDriver],
+                   requests: int) -> None:
+    """Raise unless ``requests`` covers every program's trace exactly.
+
+    Every driver must have finished, and the session must have
+    serviced exactly as many records as the traces hold.
+    """
+    expected = 0
+    for prog in programs:
+        if not prog.done:
+            raise SimulationInvariantError(
+                "exactly-once", "program did not finish its trace",
+                {"program": prog.name, "expected": prog.record_count,
+                 "next_record": prog.index})
+        expected += prog.record_count
+    if requests != expected:
+        raise SimulationInvariantError(
+            "exactly-once",
+            "not every trace record was serviced exactly once",
+            {"expected": expected, "serviced": requests})
+
+
 def check_result(result: RunResult, **spec_kwargs: Any) -> None:
     """Raise if ``result`` fails any physical-consistency check.
 
-    Thin strict-mode wrapper over
-    :func:`repro.experiments.validate.validate_run` — the meters, the
-    state residencies, and the routing tallies must all agree.
-    ``spec_kwargs`` (``disk_spec`` / ``wnic_spec``) are forwarded.
+    Thin wrapper over :func:`repro.experiments.validate.validate_run`
+    — the meters, the state residencies, and the routing tallies must
+    all agree.  ``spec_kwargs`` (``disk_spec`` / ``wnic_spec``) are
+    forwarded.
     """
     # Imported lazily: validate.py imports RunResult from the simulator,
     # which imports this module.
@@ -70,89 +123,3 @@ def check_result(result: RunResult, **spec_kwargs: Any) -> None:
         raise SimulationInvariantError(
             first.check, first.detail,
             {"policy": result.policy, "issues": len(issues)})
-
-
-class InvariantChecker:
-    """Per-run invariant tracker the simulator drives in strict mode."""
-
-    def __init__(self) -> None:
-        self._last_clock = float("-inf")
-        self._last_energy: dict[str, float] = defaultdict(float)
-        self._serviced: dict[str, set[int]] = defaultdict(set)
-        self._serviced_bytes: dict[str, int] = defaultdict(int)
-
-    # ------------------------------------------------------------------
-    # event-time hooks
-    # ------------------------------------------------------------------
-    def on_clock(self, now: Seconds, env: MobileSystem) -> None:
-        """An event fired at ``now``: clock and meters must move forward."""
-        if now < self._last_clock - _EPS:
-            raise SimulationInvariantError(
-                "clock", "event time went backwards",
-                {"now": now, "previous": self._last_clock})
-        self._last_clock = max(self._last_clock, now)
-        for name, device in (("disk", env.disk), ("wnic", env.wnic)):
-            energy = device.energy()
-            if energy < self._last_energy[name] - _EPS:
-                raise SimulationInvariantError(
-                    "energy", f"{name} meter decreased",
-                    {"now": now, "energy": energy,
-                     "previous": self._last_energy[name]})
-            self._last_energy[name] = max(self._last_energy[name], energy)
-
-    def on_record(self, program: str, index: int, nbytes: Bytes) -> None:
-        """Program ``program`` is processing trace record ``index``."""
-        if index in self._serviced[program]:
-            raise SimulationInvariantError(
-                "exactly-once", "trace record serviced twice",
-                {"program": program, "record": index})
-        self._serviced[program].add(index)
-        self._serviced_bytes[program] += nbytes
-
-    def on_service(self, result: Any, *, program: str, source: str) -> None:
-        """A device finished one extent; its timings must be causal."""
-        arrival = float(getattr(result, "arrival", 0.0))
-        start = float(getattr(result, "start", arrival))
-        completion = float(getattr(result, "completion", start))
-        if not (arrival - _EPS <= start <= completion + _EPS):
-            raise SimulationInvariantError(
-                "service-order",
-                "service result times are not causal",
-                {"program": program, "source": source, "arrival": arrival,
-                 "start": start, "completion": completion})
-        energy = float(getattr(result, "energy", 0.0))
-        if energy < -_EPS:
-            raise SimulationInvariantError(
-                "energy", "negative service energy",
-                {"program": program, "source": source, "energy": energy})
-
-    # ------------------------------------------------------------------
-    # end of run
-    # ------------------------------------------------------------------
-    def on_end(self, result: RunResult,
-               expected: dict[str, tuple[int, int]], **spec_kwargs: Any
-               ) -> None:
-        """Final audit: record coverage, then meter/residency agreement.
-
-        ``expected`` maps program name to ``(record_count, data_bytes)``
-        from its trace.
-        """
-        for program, (count, nbytes) in expected.items():
-            seen = self._serviced[program]
-            if len(seen) != count or (count and max(seen) != count - 1):
-                missing = sorted(set(range(count)) - seen)[:5]
-                raise SimulationInvariantError(
-                    "exactly-once",
-                    "not every trace record was serviced exactly once",
-                    {"program": program, "expected": count,
-                     "seen": len(seen), "first_missing": missing})
-            if self._serviced_bytes[program] != nbytes:
-                raise SimulationInvariantError(
-                    "exactly-once", "trace bytes serviced != trace bytes",
-                    {"program": program, "expected": nbytes,
-                     "seen": self._serviced_bytes[program]})
-        if result.end_time < self._last_clock - _EPS:
-            raise SimulationInvariantError(
-                "clock", "run ended before its last event",
-                {"end_time": result.end_time, "last": self._last_clock})
-        check_result(result, **spec_kwargs)

@@ -1,9 +1,9 @@
-"""Dual-path equivalence rules R10-R13 (DESIGN.md §17).
+"""Dual-path equivalence rules R10, R11 and R13 (DESIGN.md §17).
 
-The replay keeps two implementations of every hot computation behind
-one scheduler: the live kernel path (the oracle) and the BurstPlan fast
-path, which itself forks into packed numpy kernels and scalar
-fallbacks.  All of them promise *bit-identical* results.  Nothing in
+The replay keeps two implementations of its hot computations: behind
+one scheduler, the live kernel path (the oracle) and the BurstPlan fast
+path; inside the cost model, the object-path device clones (the oracle)
+and the packed walks.  Both pairs promise *bit-identical* results.  Nothing in
 Python enforces that promise structurally — a parameter added to the
 session, a cost term added to a device model, or a new input to
 ``build_plan`` silently drifts the twins apart until a parity test
@@ -17,11 +17,7 @@ These rules make the promise checkable without running anything:
   named in the refusal predicate.
 * **R11 kernel-pair drift** — the packed walks account the same
   breakdown buckets, spec constants and DPM transitions as the device
-  models they shadow, and numpy aliases in gated modules are only used
-  under an ``is not None`` guard.
-* **R12 float-reassociation** — no numpy reductions in modules under
-  the ``REPRO_NO_NUMPY`` bit-identical contract (reductions
-  reassociate; elementwise lanes round exactly like their scalar twin).
+  models they shadow.
 * **R13 plan-staleness** — memoised plans are never mutated and every
   ``build_plan`` input is folded into ``plan_for``'s memo key.
 
@@ -98,13 +94,6 @@ _WNIC_TRANSITION_ALLOWANCE: frozenset[tuple[str, str]] = frozenset()
 
 #: Breakdown-bucket literals: ``"disk.spinup"``, ``"wnic.recv"``, ...
 _BUCKET_RE = re.compile(r"^(disk|wnic)\.[a-z0-9_.>-]+$")
-
-#: numpy reductions whose accumulation order differs from a scalar
-#: left-to-right loop (R12).  ``add.reduce`` is caught separately.
-_REDUCTIONS = frozenset({
-    "sum", "dot", "matmul", "prod", "mean", "cumsum", "cumprod",
-    "einsum", "trapz", "nansum", "nanmean", "inner", "outer",
-})
 
 #: Frozen plan types (R13) and the factories that hand them out.
 _FROZEN_PLANS = frozenset({"BurstPlan", "CompiledTrace"})
@@ -651,84 +640,6 @@ def _r11_device(project: Project, cls_name: str, anchor: str,
     return findings
 
 
-def _numpy_alias(module: ModuleIR) -> str | None:
-    """The module's numpy alias, iff gated by REPRO_NO_NUMPY."""
-    gated = any(isinstance(node, ast.Constant)
-                and node.value == "REPRO_NO_NUMPY"
-                for node in ast.walk(module.tree))
-    if not gated:
-        return None
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    return alias.asname or "numpy"
-    return None
-
-
-def _terminates(stmts: list[ast.stmt]) -> bool:
-    return bool(stmts) and isinstance(stmts[-1], (ast.Return, ast.Raise))
-
-
-def _unguarded_numpy_uses(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                          alias: str) -> list[ast.Name]:
-    """Load uses of the numpy alias outside any ``is not None`` guard.
-
-    A guard is an If/IfExp whose test mentions the alias (uses inside
-    the subtree are guarded), an early-return If whose body or orelse
-    terminates (everything after it is guarded), or an assert on the
-    alias.
-    """
-    spans: list[tuple[int, int]] = []
-    after: int | None = None
-
-    def mentions(tree: ast.expr) -> bool:
-        return any(isinstance(node, ast.Name) and node.id == alias
-                   for node in ast.walk(tree))
-
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.If, ast.IfExp)) and mentions(node.test):
-            end = node.end_lineno or node.lineno
-            spans.append((node.lineno, end))
-            if isinstance(node, ast.If) and (
-                    _terminates(node.body) or _terminates(node.orelse)):
-                after = end if after is None else min(after, end)
-        elif isinstance(node, ast.Assert) and mentions(node.test):
-            end = node.end_lineno or node.lineno
-            spans.append((node.lineno, end))
-            after = end if after is None else min(after, end)
-    unguarded = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and node.id == alias \
-                and isinstance(node.ctx, ast.Load):
-            if any(a <= node.lineno <= b for a, b in spans):
-                continue
-            if after is not None and node.lineno > after:
-                continue
-            unguarded.append(node)
-    return unguarded
-
-
-def _r11_numpy_guards(project: Project) -> list[Finding]:
-    findings = []
-    for module in project.modules.values():
-        alias = _numpy_alias(module)
-        if alias is None:
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            for use in _unguarded_numpy_uses(node, alias):
-                findings.append(Finding(
-                    path=module.path, line=use.lineno,
-                    col=use.col_offset, rule="R11",
-                    message=f"numpy alias '{alias}' used without an"
-                            f" 'if {alias} is not None' guard — the"
-                            " scalar twin crashes under"
-                            " REPRO_NO_NUMPY=1"))
-    return findings
-
-
 def _run_r11(project: Project) -> list[Finding]:
     enums = _enum_values(project)
     disk_walk = _collect_walk_effects(
@@ -747,45 +658,6 @@ def _run_r11(project: Project) -> list[Finding]:
         project, "WirelessNic", "_wnic_walk", "wnic.", wnic_walk,
         spec_union, _WNIC_BUCKET_ALLOWANCE, _WNIC_SPEC_ALLOWANCE,
         _WNIC_TRANSITION_ALLOWANCE, enums)
-    findings += _r11_numpy_guards(project)
-    return findings
-
-
-# --------------------------------------------------------------------
-# R12: float reassociation under the REPRO_NO_NUMPY contract
-# --------------------------------------------------------------------
-
-def _run_r12(project: Project) -> list[Finding]:
-    findings = []
-    for module in project.modules.values():
-        alias = _numpy_alias(module)
-        if alias is None:
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) \
-                    or not isinstance(node.func, ast.Attribute):
-                continue
-            func = node.func
-            chain = _attr_chain(func)
-            name: str | None = None
-            if chain is not None and chain[0] == alias and (
-                    chain[-1] in _REDUCTIONS or chain[-1] == "reduce"):
-                name = ".".join(chain)
-            elif func.attr in _REDUCTIONS and any(
-                    isinstance(sub, ast.Name) and sub.id == alias
-                    for sub in ast.walk(func.value)):
-                name = f".{func.attr}()"
-            if name is None:
-                continue
-            findings.append(Finding(
-                path=module.path, line=node.lineno,
-                col=node.col_offset, rule="R12",
-                message=f"numpy reduction '{name}' reassociates"
-                        " floating-point accumulation; the scalar"
-                        " fallback sums left-to-right, so the two"
-                        " REPRO_NO_NUMPY legs round differently —"
-                        " keep vector code elementwise and reduce"
-                        " with the scalar loop"))
     return findings
 
 
@@ -918,11 +790,11 @@ def run_equiv_rules(project: Project,
     """Run the dual-path equivalence rules over a built project.
 
     Mirrors :func:`repro.lint.interproc.run_project_rules`: ``select``
-    of ``None`` means all of R10-R13, suppression filtering is the
+    of ``None`` means all of R10, R11 and R13, suppression filtering is the
     caller's job, findings come back in (path, line, col, rule,
     message) order.
     """
-    wanted = {"R10", "R11", "R12", "R13"}
+    wanted = {"R10", "R11", "R13"}
     if select is not None:
         wanted &= select
     if not wanted or not project.modules:
@@ -932,8 +804,6 @@ def run_equiv_rules(project: Project,
         findings.extend(_run_r10(project))
     if "R11" in wanted:
         findings.extend(_run_r11(project))
-    if "R12" in wanted:
-        findings.extend(_run_r12(project))
     if "R13" in wanted:
         findings.extend(_run_r13(project))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule,

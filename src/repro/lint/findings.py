@@ -151,20 +151,6 @@ RULES: dict[str, Rule] = {
                       " here without running anything.",
         ),
         Rule(
-            id="R12",
-            name="float-reassociation",
-            summary="no numpy reductions (sum/dot/mean/...) in modules"
-                    " under the REPRO_NO_NUMPY bit-identical contract",
-            rationale="numpy reduces with pairwise/SIMD association;"
-                      " the scalar fallback accumulates left-to-right."
-                      " The two orders round differently, so a"
-                      " reduction over energy/time columns silently"
-                      " breaks the contract that REPRO_NO_NUMPY=1"
-                      " produces bit-identical results.  Elementwise"
-                      " vector arithmetic is fine — each lane rounds"
-                      " exactly like its scalar twin.",
-        ),
-        Rule(
             id="R13",
             name="plan-staleness",
             summary="memoised plans are immutable and every plan input"

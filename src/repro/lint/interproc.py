@@ -390,8 +390,8 @@ def _run_r7(graph: CallGraph) -> list[Finding]:
 # R8 — cache-key soundness
 # ----------------------------------------------------------------------
 #: SimulationSession.__init__ parameters that cannot change a RunResult
-#: (observers and error-strictness), so the cache key may omit them.
-_RESULT_NEUTRAL = frozenset({"self", "strict", "sinks"})
+#: (observers), so the cache key may omit them.
+_RESULT_NEUTRAL = frozenset({"self", "sinks"})
 
 #: suffixes stripped when matching a session parameter against a
 #: description key (``disk_spec`` is keyed as ``"disk"``).

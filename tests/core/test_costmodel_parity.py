@@ -1,14 +1,10 @@
-"""Bitwise parity of the vectorized burst-cost kernel.
+"""Bitwise parity of the packed burst-cost kernel.
 
 Two independent equivalences keep the packed kernel honest:
 
 * **packed vs object** — ``_replay_requests`` dispatching to the packed
   columns must reproduce ``_replay_object`` (a clone-driven replay of
   the same requests) *exactly*, field for field, bit for bit;
-* **numpy vs scalar fallback** — with ``costmodel._np`` forced to None
-  the pure-Python column math must land on the same IEEE doubles as the
-  numpy path (one correctly-rounded int->float64 conversion and one
-  division per element either way);
 * **profile range vs request lists** — ``CostModel.stage_pair`` over a
   profile's precompiled columns must reproduce the request-list route
   (``filter_cached`` then ``_replay_requests``), on packed devices and
@@ -24,7 +20,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import costmodel
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.costmodel import (
     CostModel,
@@ -125,35 +120,6 @@ class TestPackedVsObject:
         obj = _estimate(DataSource.DISK, lambda: HardDisk(HITACHI_DK23DA),
                         stage, thinks, use_packed=False, **kwargs)
         assert packed == obj
-
-
-class TestNumpyVsScalarFallback:
-    """Forcing the scalar fallback must not move a single bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(stage=_stage, now=_now, data=st.data())
-    def test_disk_and_wnic_stages(self, stage, now, data):
-        thinks = _thinks_for(stage, data)
-        layout = _layout()
-        with_np = (
-            _estimate(DataSource.DISK, lambda: HardDisk(HITACHI_DK23DA),
-                      stage, thinks, now=now, layout=layout),
-            _estimate(DataSource.NETWORK,
-                      lambda: WirelessNic(AIRONET_350),
-                      stage, thinks, now=now, layout=None))
-        saved = costmodel._np
-        costmodel._np = None
-        try:
-            without_np = (
-                _estimate(DataSource.DISK,
-                          lambda: HardDisk(HITACHI_DK23DA),
-                          stage, thinks, now=now, layout=layout),
-                _estimate(DataSource.NETWORK,
-                          lambda: WirelessNic(AIRONET_350),
-                          stage, thinks, now=now, layout=None))
-        finally:
-            costmodel._np = saved
-        assert with_np == without_np
 
 
 #: a file smaller than the drawn offsets reach (exercises past-EOF).

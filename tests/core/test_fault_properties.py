@@ -1,8 +1,8 @@
 """Property-based fault-injection tests.
 
 Random small workloads under random (but seeded, deterministic) fault
-schedules: every policy must complete the trace, every run must satisfy
-the strict-mode invariants, and injected faults can only ever cost a
+schedules: every policy must complete the trace, every run must pass
+the audit every replay runs, and injected faults can only ever cost a
 device energy, never save it (failover aside — see TestFaultsOnlyCost).
 """
 
@@ -69,9 +69,9 @@ COMMON = dict(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 
-def _run(trace, make_policy, *, faults=None, strict=False):
+def _run(trace, make_policy, *, faults=None):
     return ReplaySimulator([ProgramSpec(trace)], make_policy(trace),
-                           seed=1, faults=faults, strict=strict).run()
+                           seed=1, faults=faults).run()
 
 
 class TestEveryPolicyCompletesUnderFaults:
@@ -81,11 +81,12 @@ class TestEveryPolicyCompletesUnderFaults:
            fault_seed=st.integers(0, 2**31 - 1))
     def test_completes_and_invariants_hold(self, name, trace, spec,
                                            fault_seed):
-        """Strict mode (clock, energy, exactly-once, conservation) holds
-        on every faulted run, and the whole trace is serviced."""
+        """The run audit (service order, energy, exactly-once,
+        conservation) holds on every faulted run, and the whole trace
+        is serviced."""
         make_policy = POLICIES[name]
         faults = FaultSchedule(spec, seed=fault_seed)
-        result = _run(trace, make_policy, faults=faults, strict=True)
+        result = _run(trace, make_policy, faults=faults)
         assert result.requests == len(trace.data_records())
 
 

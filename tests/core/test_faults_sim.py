@@ -21,9 +21,9 @@ def _steady_trace(n=60, gap=2.0, size=65536):
     ], file_sizes={1: 512 * 65536})
 
 
-def _run(trace, policy, *, faults=None, strict=False, seed=1):
+def _run(trace, policy, *, faults=None, seed=1):
     sim = ReplaySimulator([ProgramSpec(trace)], policy, seed=seed,
-                          faults=faults, strict=strict)
+                          faults=faults)
     return sim.run()
 
 
@@ -77,9 +77,9 @@ class TestOutageFailover:
     def test_flexfetch_fails_over_and_completes(self):
         trace = _steady_trace()
         profile = profile_from_trace(trace)
-        base = _run(trace, FlexFetchPolicy(profile), strict=True)
+        base = _run(trace, FlexFetchPolicy(profile))
         faulted = _run(trace, FlexFetchPolicy(profile),
-                       faults=self._outage(), strict=True)
+                       faults=self._outage())
         # Completed the whole trace despite the outage...
         assert faulted.requests == base.requests
         # ... by failing over to the disk mid-run ...
@@ -124,8 +124,7 @@ class TestOutageFailover:
 
     def test_wasted_energy_attributed_to_network(self):
         trace = _steady_trace()
-        faulted = _run(trace, WnicOnlyPolicy(), faults=self._outage(),
-                       strict=True)
+        faulted = _run(trace, WnicOnlyPolicy(), faults=self._outage())
         assert faulted.fault_wasted_energy.get("network", 0.0) > 0.0
         assert faulted.fault_retries.get("network", 0) >= 1
 
@@ -145,8 +144,7 @@ class TestSpinupFailover:
         trace = make_trace([
             (1, i * 4096, 4096, "read", i * 40.0) for i in range(4)
         ], file_sizes={1: 64 * 4096})
-        result = _run(trace, DiskOnlyPolicy(), faults=self._faults(),
-                      strict=True)
+        result = _run(trace, DiskOnlyPolicy(), faults=self._faults())
         assert result.disk_spinup_failures > 0
         assert sum(result.fault_failovers.values()) >= 1
         assert result.device_bytes["network"] > 0
@@ -158,8 +156,7 @@ class TestSpinupFailover:
         ], file_sizes={1: 64 * 4096})
         sim = ReplaySimulator(
             [ProgramSpec(trace, profiled=False, disk_pinned=True)],
-            DiskOnlyPolicy(), seed=1, faults=self._faults(n=6),
-            strict=True)
+            DiskOnlyPolicy(), seed=1, faults=self._faults(n=6))
         result = sim.run()
         # No remote replica: everything stayed on the disk, which kept
         # retrying until the failure sequence ran dry.
@@ -186,8 +183,7 @@ class TestFaultAccounting:
                          network_retries=0)
         result = _run(trace, WnicOnlyPolicy(),
                       faults=FaultSchedule(spec, seed=1,
-                                           outages=[(20.0, 3000.0)]),
-                      strict=True)
+                                           outages=[(20.0, 3000.0)]))
         total = sum(result.device_bytes.values())
         assert result.device_bytes["disk"] > 0
         assert total == sum(rec.size for rec in

@@ -1,25 +1,42 @@
-"""Unit tests for the strict-mode invariant checker."""
+"""Unit tests for the invariant audit every replay runs."""
+
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import session as session_module
 from repro.core.policies import DiskOnlyPolicy
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.workload import ProgramDriver
+from repro.devices.service import DiskService
 from repro.faults.invariants import (
-    InvariantChecker,
     SimulationInvariantError,
+    check_coverage,
     check_result,
+    check_service,
 )
 from tests.conftest import make_trace
 
 
-def _run_tiny():
-    trace = make_trace([
+def _tiny_trace():
+    return make_trace([
         (1, 0, 4096, "read", 0.0),
         (1, 4096, 8192, "read", 1.0),
         (1, 12288, 4096, "read", 30.0),
     ])
-    return ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
+
+
+def _run_tiny():
+    return ReplaySimulator([ProgramSpec(_tiny_trace())], DiskOnlyPolicy(),
                            seed=1).run()
+
+
+def _run_plain():
+    """A default session: no flags, nothing switched on."""
+    return SimulationSession([ProgramSpec(_tiny_trace())],
+                             DiskOnlyPolicy(), seed=1).run()
 
 
 class TestErrorShape:
@@ -33,22 +50,7 @@ class TestErrorShape:
 
 
 class TestChecker:
-    def test_clock_regression_raises(self):
-        checker = InvariantChecker()
-        env = MobileSystem(seed=0)
-        checker.on_clock(5.0, env)
-        with pytest.raises(SimulationInvariantError, match="clock"):
-            checker.on_clock(1.0, env)
-
-    def test_duplicate_record_raises(self):
-        checker = InvariantChecker()
-        checker.on_record("grep", 0, 4096)
-        with pytest.raises(SimulationInvariantError, match="exactly-once"):
-            checker.on_record("grep", 0, 4096)
-
     def test_non_causal_service_raises(self):
-        checker = InvariantChecker()
-
         class Result:
             arrival = 10.0
             start = 5.0
@@ -56,11 +58,9 @@ class TestChecker:
             energy = 0.1
 
         with pytest.raises(SimulationInvariantError, match="service-order"):
-            checker.on_service(Result(), program="p", source="disk")
+            check_service(Result(), program="p", source="disk")
 
     def test_negative_service_energy_raises(self):
-        checker = InvariantChecker()
-
         class Result:
             arrival = 0.0
             start = 0.0
@@ -68,14 +68,19 @@ class TestChecker:
             energy = -1.0
 
         with pytest.raises(SimulationInvariantError, match="energy"):
-            checker.on_service(Result(), program="p", source="disk")
+            check_service(Result(), program="p", source="disk")
 
     def test_missing_record_detected_at_end(self):
-        checker = InvariantChecker()
-        checker.on_record("grep", 0, 4096)
-        result = _run_tiny()
+        grep = SimpleNamespace(name="grep", record_count=2, index=2,
+                               done=True)
         with pytest.raises(SimulationInvariantError, match="exactly-once"):
-            checker.on_end(result, {"grep": (2, 8192)})
+            check_coverage([grep], requests=1)
+
+    def test_unfinished_program_detected_at_end(self):
+        grep = SimpleNamespace(name="grep", record_count=2, index=1,
+                               done=False)
+        with pytest.raises(SimulationInvariantError, match="exactly-once"):
+            check_coverage([grep], requests=1)
 
 
 class TestCheckResult:
@@ -97,8 +102,8 @@ class TestCheckResult:
             check_result(result)
 
 
-class TestStrictMode:
-    def test_strict_replay_passes_all_policies(self):
+class TestDefaultRunsAudited:
+    def test_default_replay_passes_all_policies(self):
         from repro.core.bluefs import BlueFSPolicy
         from repro.core.flexfetch import FlexFetchPolicy
         from repro.core.policies import WnicOnlyPolicy
@@ -108,16 +113,67 @@ class TestStrictMode:
         ])
         for policy in (DiskOnlyPolicy(), WnicOnlyPolicy(), BlueFSPolicy(),
                        FlexFetchPolicy(profile_from_trace(trace))):
-            result = ReplaySimulator([ProgramSpec(trace)], policy, seed=1,
-                                     strict=True).run()
+            result = ReplaySimulator([ProgramSpec(trace)], policy,
+                                     seed=1).run()
             assert result.requests > 0
 
-    def test_strict_passes_on_scenario_workload(self):
-        """Strict mode stays silent on a real figure workload."""
+    def test_default_run_passes_on_scenario_workload(self):
+        """The audit stays silent on a real figure workload."""
         from repro.core.flexfetch import FlexFetchPolicy
         from repro.traces.synth.scenarios import build_scenario
         scenario = build_scenario("grep", seed=7)
         result = ReplaySimulator(
             list(scenario.programs),
-            FlexFetchPolicy(scenario.profile), seed=7, strict=True).run()
+            FlexFetchPolicy(scenario.profile), seed=7).run()
         assert result.total_energy > 0
+
+
+class TestPlainRunAudit:
+    """A default session run raises when the replay breaks an invariant."""
+
+    def test_skipped_record_raises_exactly_once(self, monkeypatch):
+        class SkippingDriver(ProgramDriver):
+            def advance(self):
+                if self.index == 0:
+                    self.index += 1  # record 1 is never serviced
+                return super().advance()
+
+        monkeypatch.setattr(session_module, "ProgramDriver",
+                            SkippingDriver)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain()
+        assert err.value.check == "exactly-once"
+
+    def _doctor_disk_results(self, monkeypatch, **fields):
+        transfer = DiskService.transfer
+
+        def doctored(self, *args, **kwargs):
+            return replace(transfer(self, *args, **kwargs), **fields)
+
+        monkeypatch.setattr(DiskService, "transfer", doctored)
+
+    def test_service_before_arrival_raises_service_order(self,
+                                                         monkeypatch):
+        self._doctor_disk_results(monkeypatch, start=-1.0)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain()
+        assert err.value.check == "service-order"
+
+    def test_negative_service_energy_raises_energy(self, monkeypatch):
+        self._doctor_disk_results(monkeypatch, energy=-1.0)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain()
+        assert err.value.check == "energy"
+
+    def test_meter_corrupted_after_replay_raises_conservation(
+            self, monkeypatch):
+        replay = SimulationSession._replay
+
+        def corrupting(self):
+            replay(self)
+            self.env.disk.meter.add_impulse(100.0, "disk.active")
+
+        monkeypatch.setattr(SimulationSession, "_replay", corrupting)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain()
+        assert err.value.check == "conservation"

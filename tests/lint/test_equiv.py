@@ -1,4 +1,4 @@
-"""Dual-path equivalence rules R10-R13 (``repro.lint.equiv``).
+"""Dual-path equivalence rules R10, R11 and R13 (``repro.lint.equiv``).
 
 Each rule gets a checked-in bad/good ``.pysnippet`` fixture pair
 (positioned inside the package via ``package_rel`` so the anchors
@@ -101,25 +101,6 @@ class TestR11:
 
 
 # ----------------------------------------------------------------------
-# R12 — float reassociation under REPRO_NO_NUMPY
-# ----------------------------------------------------------------------
-class TestR12:
-    def test_bad_fixture_flags_both_reduction_forms(self):
-        findings = _lint_fixture("r12_bad", PLAN, "R12")
-        assert [f.rule for f in findings] == ["R12"] * 2
-        messages = " | ".join(f.message for f in findings)
-        assert "'_np.sum'" in messages
-        assert "'.dot()'" in messages
-
-    def test_good_fixture_elementwise_is_clean(self):
-        assert _lint_fixture("r12_good", PLAN, "R12") == []
-
-    def test_current_tree_is_clean(self):
-        assert lint_paths([REPO_ROOT / "src"],
-                          select=frozenset({"R12"})) == []
-
-
-# ----------------------------------------------------------------------
 # R13 — plan staleness
 # ----------------------------------------------------------------------
 class TestR13:
@@ -144,14 +125,14 @@ class TestR13:
 class TestSelfCheck:
     def test_lint_package_is_clean_under_equiv_rules(self):
         assert lint_paths([REPO_ROOT / "src" / "repro" / "lint"],
-                          select=frozenset({"R10", "R11", "R12",
+                          select=frozenset({"R10", "R11",
                                             "R13"})) == []
 
     def test_whole_tree_is_clean_under_equiv_rules(self):
         assert lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "tests",
              REPO_ROOT / "benchmarks", REPO_ROOT / "examples"],
-            select=frozenset({"R10", "R11", "R12", "R13"})) == []
+            select=frozenset({"R10", "R11", "R13"})) == []
 
     def test_pycache_is_gitignored(self):
         gitignore = (REPO_ROOT / ".gitignore").read_text(

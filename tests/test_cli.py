@@ -128,9 +128,8 @@ class TestInspect:
 class TestFaultFlags:
     def test_run_accepts_fault_flags(self):
         args = build_parser().parse_args(
-            ["run", "xmms", "--faults", "outage-rate=0.01", "--strict"])
+            ["run", "xmms", "--faults", "outage-rate=0.01"])
         assert args.faults == "outage-rate=0.01"
-        assert args.strict
 
     def test_faults_subcommand(self):
         args = build_parser().parse_args(
@@ -141,8 +140,7 @@ class TestFaultFlags:
 
     def test_faulted_run_executes(self, capsys):
         assert main(["run", "xmms", "--faults",
-                     "outage-rate=0.01,spinup-fail-prob=0.2",
-                     "--strict"]) == 0
+                     "outage-rate=0.01,spinup-fail-prob=0.2"]) == 0
         out = capsys.readouterr().out
         assert "FlexFetch" in out
 

@@ -6,11 +6,11 @@ performance shortcut, so for every figure scenario the fast-path result
 must equal the event-loop result *field for field* (``RunResult`` is a
 plain dataclass; ``==`` compares every float and dict exactly).
 
-Fault schedules and strict invariant checking ride the plan too:
-faults act only on the disk and the WNIC behind the router, and the
-checker watches the clock, the meters and the service results, none of
-which the plan freezes.  Every such session must report
-``used_fast_path`` and still match the event loop field for field.
+Fault schedules ride the plan too: faults act only on the disk and the
+WNIC behind the router, which the plan does not freeze.  Every such
+session must report ``used_fast_path`` and still match the event loop
+field for field.  Every session here, on either path, also runs the
+end-of-run audit and the router's per-extent service checks.
 Write traces (fig1) ride the plan too: the cursor replays dirty pages
 and laptop-mode flushes live.  The fast path stands down only where a
 frozen plan cannot express the replay: two programs sharing the cache
@@ -151,8 +151,7 @@ FAULT_SPECS = {
 PLANNED_FIGURES = ("fig2", "fig3", "fig5")
 
 
-def _assert_rides_plan(fig_id, config, figure_setups, *,
-                       faults=None, strict=False):
+def _assert_rides_plan(fig_id, config, figure_setups, *, faults=None):
     """Every policy of ``fig_id`` takes the fast path and matches its
     event-loop twin exactly.  ``faults`` is a :class:`FaultSpec`; each
     session gets its own schedule, since a run consumes its spin-up
@@ -162,8 +161,7 @@ def _assert_rides_plan(fig_id, config, figure_setups, *,
     def build(factory):
         schedule = (FaultSchedule(faults, seed=config.seed)
                     if faults is not None else None)
-        return _session(programs(), factory, config, faults=schedule,
-                        strict=strict)
+        return _session(programs(), factory, config, faults=schedule)
 
     for name, factory in policies.items():
         fast = build(factory)
@@ -182,10 +180,3 @@ def test_faulted_session_rides_fast_path(fig_id, fault_id, config,
     """Faults act on the devices behind the router, not on the plan."""
     _assert_rides_plan(fig_id, config, figure_setups,
                        faults=FAULT_SPECS[fault_id])
-
-
-@pytest.mark.parametrize("fig_id", PLANNED_FIGURES)
-def test_strict_session_rides_fast_path(fig_id, config, figure_setups):
-    """Strict checking watches clock, meters and service results, which
-    the flat clock drives exactly as the event loop does."""
-    _assert_rides_plan(fig_id, config, figure_setups, strict=True)
