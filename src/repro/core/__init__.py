@@ -3,7 +3,7 @@
 * :mod:`repro.core.burst` — I/O-burst extraction from syscall traces (§2.1).
 * :mod:`repro.core.profile` — execution profiles and evaluation stages (§2.2).
 * :mod:`repro.core.costmodel` — the shared device cost model every policy
-  estimates with (§2.2); :mod:`repro.core.estimator` is its compat shim.
+  estimates with (§2.2).
 * :mod:`repro.core.decision` — the three data-source rules with the
   user-specified loss rate (§2.2).
 * :mod:`repro.core.policies` — the policy interface plus the Disk-only and
@@ -16,8 +16,8 @@
 * the replay itself is layered: :mod:`repro.core.workload` drivers over
   :mod:`repro.kernel.path` and :mod:`repro.devices.service`, routed by
   :mod:`repro.core.routing`, observed by :mod:`repro.core.telemetry`,
-  wired together by :class:`repro.core.session.SimulationSession`
-  (:mod:`repro.core.simulator` remains as a deprecated shim).
+  wired together by :class:`repro.core.session.SimulationSession` over
+  the :class:`repro.core.system.MobileSystem` it builds.
 """
 
 from repro.core.burst import (
@@ -26,17 +26,17 @@ from repro.core.burst import (
     ProfiledRequest,
     extract_bursts,
 )
-from repro.core.costmodel import CostModel, MarginalCost
+from repro.core.costmodel import CostModel, MarginalCost, StageEstimate
 from repro.core.decision import DataSource, DecisionInputs, decide
-from repro.core.estimator import StageEstimate, estimate_stage
 from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
 from repro.core.oracle import ClairvoyantStagePolicy
 from repro.core.bluefs import BlueFSConfig, BlueFSPolicy
 from repro.core.policies import DiskOnlyPolicy, Policy, RequestContext, WnicOnlyPolicy
 from repro.core.profile import ExecutionProfile, Stage, profile_from_trace
 from repro.core.session import SimulationSession
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator, RunResult
-from repro.core.telemetry import MetricsSink, NullSink, RecordingSink
+from repro.core.system import MobileSystem
+from repro.core.telemetry import MetricsSink, NullSink, RecordingSink, RunResult
+from repro.core.workload import ProgramSpec
 
 __all__ = [
     "BURST_THRESHOLD_DEFAULT",
@@ -49,7 +49,6 @@ __all__ = [
     "DecisionInputs",
     "decide",
     "StageEstimate",
-    "estimate_stage",
     "FlexFetchConfig",
     "FlexFetchPolicy",
     "ClairvoyantStagePolicy",
@@ -67,7 +66,6 @@ __all__ = [
     "NullSink",
     "ProgramSpec",
     "RecordingSink",
-    "ReplaySimulator",
     "RunResult",
     "SimulationSession",
 ]

@@ -245,8 +245,8 @@ class SimulationSession:
         surface is in place: the live kernel path or a
         :class:`~repro.sim.plan.PlanCursor`.
         """
-        # Index the compiled columns directly — same fields a ReplayOp
-        # would carry, minus one object allocation per record.
+        # Index the compiled columns directly: no object allocation
+        # per record.
         i = prog.index
         pid = prog.pids[i]
         inode = prog.inodes[i]

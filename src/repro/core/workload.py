@@ -22,17 +22,11 @@ trace object), so both forms replay bit-identically.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
-from repro.traces.compile import OPS_BY_CODE, CompiledTrace, compile_trace
-from repro.traces.record import OpType
+from repro.traces.compile import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 from repro.units import Bytes, Seconds
-
-#: module-level warn-once latch for deprecated record-level specs
-#: crossing the sweep/cache boundary (see :func:`prepare_specs`).
-_warned_auto_compile = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,54 +61,16 @@ class ProgramSpec:
         return compile_trace(self.trace)
 
 
-def prepare_specs(specs: tuple[ProgramSpec, ...] | list[ProgramSpec],
-                  ) -> tuple[ProgramSpec, ...]:
-    """Compiled forms of ``specs``, warning once on record-level input.
-
-    The sweep pipeline (parallel executor, run cache) keys and ships
-    traces by compiled digest; record-level specs reaching it are
-    deprecated and auto-compiled here with a once-per-process warning.
-    """
-    global _warned_auto_compile
-    if any(not spec.is_prepared for spec in specs) \
-            and not _warned_auto_compile:
-        _warned_auto_compile = True
-        warnings.warn(
-            "record-level ProgramSpec auto-compiled on the fly;"
-            " pass ProgramSpec.prepared() (a CompiledTrace) to sweep"
-            " and cache APIs to compile once up front",
-            DeprecationWarning, stacklevel=3)
-    return tuple(spec.prepared() for spec in specs)
-
-
-class ReplayOp:
-    """One data-moving call, viewed from the compiled columns.
-
-    A lightweight cursor value — exactly the fields the replay loop
-    reads (no fd, no recorded duration: those never reach simulation).
-    """
-
-    __slots__ = ("pid", "inode", "offset", "size", "op")
-
-    def __init__(self, pid: int, inode: int, offset: int, size: int,
-                 op: OpType) -> None:
-        self.pid = pid
-        self.inode = inode
-        self.offset = offset
-        self.size = size
-        self.op = op
-
-
 class ProgramDriver:
     """Replay cursor of one program, reading compiled columns."""
 
     def __init__(self, spec: ProgramSpec) -> None:
-        self.spec = spec if spec.is_prepared else spec.prepared()
+        self.spec = spec.prepared()
         compiled = self.spec.trace
         assert isinstance(compiled, CompiledTrace)
         self.compiled = compiled
         #: raw compiled columns; the replay loop indexes them directly
-        #: instead of materialising a ReplayOp per record.
+        #: instead of materialising an object per record.
         self.ops = compiled.ops
         self.pids = memoryview(compiled.pids).cast("q")
         self.inodes = memoryview(compiled.inodes).cast("q")
@@ -144,13 +100,6 @@ class ProgramDriver:
     def start_time(self) -> Seconds:
         """Recorded timestamp of the first data record."""
         return self.compiled.start_time
-
-    @property
-    def current(self) -> ReplayOp:
-        """The record the replay cursor points at."""
-        i = self.index
-        return ReplayOp(self.pids[i], self.inodes[i], self.offsets[i],
-                        self.sizes[i], OPS_BY_CODE[self.ops[i]])
 
     def advance(self) -> float | None:
         """Move past the current record; returns the recorded think

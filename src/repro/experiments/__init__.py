@@ -3,7 +3,7 @@
 * :mod:`repro.experiments.config` — sweep definitions (latency 0-20 ms,
   the four 802.11b rates) and run configuration.
 * :mod:`repro.experiments.runner` — run a (workload x policy x link)
-  matrix and collect :class:`~repro.core.simulator.RunResult` rows.
+  matrix and collect :class:`~repro.core.telemetry.RunResult` rows.
 * :mod:`repro.experiments.figures` — builders for Figures 1-5.
 * :mod:`repro.experiments.parallel` — process-pool sweep execution.
 * :mod:`repro.experiments.cache` — content-addressed run cache.

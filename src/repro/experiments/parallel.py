@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.telemetry import RunResult
-from repro.core.workload import ProgramSpec, prepare_specs
+from repro.core.workload import ProgramSpec
 from repro.devices.specs import WnicSpec
 from repro.experiments.cache import CODE_VERSION_SALT, RunCache, run_key
 from repro.experiments.config import ExperimentConfig
@@ -472,7 +472,7 @@ class ParallelSweepExecutor:
         then an empty-curves dict, and peak point retention is bounded
         by the out-of-order completion window rather than the grid size.
         """
-        specs = prepare_specs(tuple(programs_factory()))
+        specs = tuple(spec.prepared() for spec in programs_factory())
         refs = tuple(ProgramRef.of(spec) for spec in specs)
         for spec, ref in zip(specs, refs, strict=True):
             stage_payload(ref.digest, spec.trace)

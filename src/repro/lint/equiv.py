@@ -1,20 +1,17 @@
-"""Dual-path equivalence rules R10, R11 and R13 (DESIGN.md §17).
+"""Dual-path equivalence rules R11 and R13 (DESIGN.md §17).
 
 The replay keeps two implementations of its hot computations: behind
 one scheduler, the live kernel path (the oracle) and the BurstPlan fast
 path; inside the cost model, the object-path device clones (the oracle)
 and the packed walks.  Both pairs promise *bit-identical* results.  Nothing in
-Python enforces that promise structurally — a parameter added to the
-session, a cost term added to a device model, or a new input to
-``build_plan`` silently drifts the twins apart until a parity test
-happens to cover it.
+Python enforces that promise structurally — a cost term added to a
+device model, or a new input to ``build_plan``, silently drifts the
+twins apart until a parity test happens to cover it.  (That every
+session input reaches both surfaces is checked behaviourally, by
+``tests/core/test_session_inputs.py``.)
 
 These rules make the promise checkable without running anything:
 
-* **R10 path-coverage drift** — every ``SimulationSession`` /
-  ``MobileSystem`` parameter is either read by the fast-path cone
-  (``_burst_plan`` / ``_replay`` and everything they call) or
-  named in the refusal predicate.
 * **R11 kernel-pair drift** — the packed walks account the same
   breakdown buckets, spec constants and DPM transitions as the device
   models they shadow.
@@ -23,7 +20,7 @@ These rules make the promise checkable without running anything:
 
 Like :mod:`repro.lint.interproc` the rules are *syntactic but
 whole-program*: they anchor on the real names of the replay machinery
-(``SimulationSession``, ``_disk_walk``, ``plan_for``, ...) and go
+(``_replay_packed``, ``_disk_walk``, ``plan_for``, ...) and go
 silent when an anchor is absent, so snippets and partial projects lint
 clean by default.  The dynamic half of the same contract is the shadow
 sanitizer in :mod:`repro.core.shadow`.
@@ -144,17 +141,6 @@ def _classes_named(project: Project, name: str) -> list[ClassIR]:
             if q.rsplit(".", 1)[-1] == name]
 
 
-def _closure(seeds: set[str], edges: dict[str, set[str]]) -> set[str]:
-    out = set(seeds)
-    queue = list(seeds)
-    while queue:
-        for nxt in edges.get(queue.pop(), ()):
-            if nxt not in out:
-                out.add(nxt)
-                queue.append(nxt)
-    return out
-
-
 def _assign_pairs(node: ast.AST) -> list[tuple[ast.expr, ast.expr]]:
     """Every ``(target, value)`` pair of Assign/AnnAssign under node."""
     pairs: list[tuple[ast.expr, ast.expr]] = []
@@ -164,190 +150,6 @@ def _assign_pairs(node: ast.AST) -> list[tuple[ast.expr, ast.expr]]:
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             pairs.append((stmt.target, stmt.value))
     return pairs
-
-
-# --------------------------------------------------------------------
-# R10: path-coverage drift
-# --------------------------------------------------------------------
-
-class _SessionModel:
-    """The fast-path coverage facts of one SimulationSession class."""
-
-    def __init__(self, project: Project, cls: ClassIR) -> None:
-        self.cls = cls
-        self.path = cls.module.path
-        self.methods: dict[str, ast.FunctionDef] = {
-            name: project.functions[q].node
-            for name, q in cls.methods.items()
-            if q in project.functions
-        }
-        self.init = self.methods.get("__init__")
-        self.params: list[ast.arg] = (
-            _params_of(self.init)[1:] if self.init is not None else [])
-        self.stored = self._stored_attrs()
-        self.edges = self._derived_edges()
-        self.cone = self._cone()
-        self.cone_attrs = self._cone_attrs()
-
-    def _stored_attrs(self) -> dict[str, set[str]]:
-        """init parameter -> the ``self.*`` attrs built from it."""
-        stored: dict[str, set[str]] = {a.arg: set() for a in self.params}
-        if self.init is None:
-            return stored
-        self_name = _self_arg(self.init)
-        for target, value in _assign_pairs(self.init):
-            chain = _attr_chain(target)
-            if chain is None or len(chain) != 2 or chain[0] != self_name:
-                continue
-            for node in ast.walk(value):
-                if isinstance(node, ast.Name) and node.id in stored:
-                    stored[node.id].add(chain[1])
-        return stored
-
-    def _derived_edges(self) -> dict[str, set[str]]:
-        """attr -> attrs assigned from it, across *every* method.
-
-        Derivations are not confined to ``_materialise``: ``run`` e.g.
-        builds ``_sinks_hot`` from ``sinks``, so a per-method scan
-        would falsely flag the ``sinks`` parameter as uncovered.
-        """
-        edges: dict[str, set[str]] = {}
-        for method in self.methods.values():
-            self_name = _self_arg(method)
-            if self_name is None:
-                continue
-            for target, value in _assign_pairs(method):
-                chain = _attr_chain(target)
-                if (chain is None or len(chain) != 2
-                        or chain[0] != self_name):
-                    continue
-                for node in ast.walk(value):
-                    if not isinstance(node, ast.Attribute):
-                        continue
-                    src = _attr_chain(node)
-                    if src is not None and src[0] == self_name \
-                            and len(src) >= 2:
-                        edges.setdefault(src[1], set()).add(chain[1])
-        return edges
-
-    def _cone(self) -> set[str]:
-        """_burst_plan/_replay plus transitively called methods."""
-        cone = {name for name in ("_burst_plan", "_replay")
-                if name in self.methods}
-        queue = list(cone)
-        while queue:
-            method = self.methods[queue.pop()]
-            self_name = _self_arg(method)
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == self_name
-                        and func.attr in self.methods
-                        and func.attr not in cone):
-                    cone.add(func.attr)
-                    queue.append(func.attr)
-        return cone
-
-    def _cone_attrs(self) -> set[str]:
-        attrs: set[str] = set()
-        for name in self.cone:
-            method = self.methods[name]
-            self_name = _self_arg(method)
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == self_name):
-                    attrs.add(node.attr)
-        return attrs
-
-    def coverage(self) -> dict[str, frozenset[str]]:
-        """init parameter -> the cone attrs that witness its coverage."""
-        return {
-            param: frozenset(
-                _closure(set(attrs), self.edges) & self.cone_attrs)
-            for param, attrs in self.stored.items()
-        }
-
-
-def _session_models(project: Project) -> list[_SessionModel]:
-    return [
-        _SessionModel(project, cls)
-        for cls in _classes_named(project, "SimulationSession")
-        if {"_burst_plan", "_replay"} <= cls.methods.keys()
-    ]
-
-
-def session_fast_path_coverage(project: Project
-                               ) -> dict[str, frozenset[str]]:
-    """Audit hook: map every ``SimulationSession.__init__`` parameter
-    to the fast-path attributes that witness its coverage.
-
-    An empty witness set is exactly what R10 flags; the session test
-    suite asserts every real parameter maps to a non-empty set.
-    """
-    for model in _session_models(project):
-        return model.coverage()
-    return {}
-
-
-def _r10_params(model: _SessionModel) -> list[Finding]:
-    findings = []
-    coverage = model.coverage()
-    for arg in model.params:
-        if coverage.get(arg.arg):
-            continue
-        findings.append(Finding(
-            path=model.path, line=arg.lineno, col=arg.col_offset,
-            rule="R10",
-            message=f"session parameter '{arg.arg}' is neither read by"
-                    " the fast-path cone (_burst_plan/_replay)"
-                    " nor named in its refusal predicate — runs that"
-                    " vary it replay identically"))
-    return findings
-
-
-def _r10_mobile_system(project: Project,
-                       model: _SessionModel) -> list[Finding]:
-    envs = _classes_named(project, "MobileSystem")
-    if not envs:
-        return []
-    init_q = envs[0].methods.get("__init__")
-    if init_q is None or init_q not in project.functions:
-        return []
-    env_params = [a.arg for a
-                  in _params_of(project.functions[init_q].node)[1:]]
-    findings = []
-    for method in model.methods.values():
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
-            if _last_name(node.func) != "MobileSystem":
-                continue
-            if any(kw.arg is None for kw in node.keywords):
-                continue  # **kwargs forwards everything
-            given = {kw.arg for kw in node.keywords}
-            for i, param in enumerate(env_params):
-                if i < len(node.args) or param in given:
-                    continue
-                findings.append(Finding(
-                    path=model.path, line=node.lineno,
-                    col=node.col_offset, rule="R10",
-                    message=f"MobileSystem parameter '{param}' is not"
-                            " forwarded by the session — a live-kernel"
-                            " knob the session can never set, invisible"
-                            " to the fast-path refusal predicate"))
-    return findings
-
-
-def _run_r10(project: Project) -> list[Finding]:
-    findings: list[Finding] = []
-    for model in _session_models(project):
-        findings.extend(_r10_params(model))
-        findings.extend(_r10_mobile_system(project, model))
-    return findings
 
 
 # --------------------------------------------------------------------
@@ -790,18 +592,16 @@ def run_equiv_rules(project: Project,
     """Run the dual-path equivalence rules over a built project.
 
     Mirrors :func:`repro.lint.interproc.run_project_rules`: ``select``
-    of ``None`` means all of R10, R11 and R13, suppression filtering is the
+    of ``None`` means both R11 and R13, suppression filtering is the
     caller's job, findings come back in (path, line, col, rule,
     message) order.
     """
-    wanted = {"R10", "R11", "R13"}
+    wanted = {"R11", "R13"}
     if select is not None:
         wanted &= select
     if not wanted or not project.modules:
         return []
     findings: list[Finding] = []
-    if "R10" in wanted:
-        findings.extend(_run_r10(project))
     if "R11" in wanted:
         findings.extend(_run_r11(project))
     if "R13" in wanted:

@@ -123,19 +123,6 @@ RULES: dict[str, Rule] = {
                       " through the call graph.",
         ),
         Rule(
-            id="R10",
-            name="path-coverage-drift",
-            summary="every SimulationSession/MobileSystem parameter is"
-                    " either read by the fast path or named in its"
-                    " refusal predicate",
-            rationale="the BurstPlan fast path is a shortcut over the"
-                      " live kernel path; a new session knob the shortcut"
-                      " neither consumes nor refuses on is silently"
-                      " ignored — two runs that vary it return"
-                      " bit-identical (wrong) results until a parity"
-                      " test happens to sweep that knob.",
-        ),
-        Rule(
             id="R11",
             name="kernel-pair-drift",
             summary="the packed replay kernels (_replay_packed /"

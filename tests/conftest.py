@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA
 from repro.traces.record import FileInfo, OpType, SyscallRecord
 from repro.traces.trace import Trace

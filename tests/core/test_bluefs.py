@@ -5,7 +5,9 @@ import pytest
 from repro.core.bluefs import BlueFSConfig, BlueFSPolicy
 from repro.core.decision import DataSource
 from repro.core.policies import RequestContext
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.system import MobileSystem
+from repro.core.workload import ProgramSpec
 from repro.devices.disk import DiskState
 from repro.sim.clock import MB
 from repro.traces.record import OpType
@@ -131,15 +133,15 @@ class TestGhostHints:
 class TestEndToEnd:
     def test_bluefs_beats_worst_fixed_policy(self, sparse_trace):
         from repro.core.policies import DiskOnlyPolicy
-        bluefs = ReplaySimulator([ProgramSpec(sparse_trace)],
-                                 BlueFSPolicy(), seed=1).run()
-        disk = ReplaySimulator([ProgramSpec(sparse_trace)],
-                               DiskOnlyPolicy(), seed=1).run()
+        bluefs = SimulationSession([ProgramSpec(sparse_trace)],
+                                   BlueFSPolicy(), seed=1).run()
+        disk = SimulationSession([ProgramSpec(sparse_trace)],
+                                 DiskOnlyPolicy(), seed=1).run()
         # Sparse 30 s-gap workload: reactive selection must not be
         # dramatically worse than the pure-disk baseline.
         assert bluefs.total_energy < disk.total_energy * 1.3
 
     def test_decision_log_populated(self, tiny_trace):
         policy = BlueFSPolicy()
-        ReplaySimulator([ProgramSpec(tiny_trace)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(tiny_trace)], policy, seed=1).run()
         assert policy.decision_log

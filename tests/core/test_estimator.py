@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.burst import IOBurst, ProfiledRequest
+from repro.core.costmodel import CostModel, filter_cached, replay_stage
 from repro.core.decision import DataSource
-from repro.core.estimator import estimate_both, estimate_stage, filter_cached
+from repro.core.profile import ExecutionProfile
 from repro.devices.disk import DiskState, HardDisk
 from repro.devices.wnic import WirelessNic
 from repro.sim.clock import MB
@@ -20,9 +21,9 @@ def burst(nbytes, start=0.0, dur=0.1, inode=1, offset=0):
 class TestBasicEstimates:
     def test_disk_estimate_includes_spinup_and_idle(self):
         disk = HardDisk()   # standby
-        est = estimate_stage(DataSource.DISK, disk,
-                             [burst(1 * MB), burst(1 * MB)], [10.0, 0.0],
-                             now=0.0)
+        est = replay_stage(DataSource.DISK, disk,
+                           [burst(1 * MB), burst(1 * MB)], [10.0, 0.0],
+                           now=0.0)
         # spin-up + two transfers + 10 s idle between bursts.
         assert est.energy > 5.0 + 10.0 * 1.6
         assert est.time > 10.0 + 1.6
@@ -31,46 +32,46 @@ class TestBasicEstimates:
 
     def test_network_estimate_includes_doze_cycles(self):
         wnic = WirelessNic()   # psm
-        est = estimate_stage(DataSource.NETWORK, wnic,
-                             [burst(64 * 1024), burst(64 * 1024)],
-                             [10.0, 0.0], now=0.0)
+        est = replay_stage(DataSource.NETWORK, wnic,
+                           [burst(64 * 1024), burst(64 * 1024)],
+                           [10.0, 0.0], now=0.0)
         # two wake-ups, two transfers, PSM idle between.
         assert est.energy > 2 * 0.51
         assert est.energy < 10.0      # far cheaper than the disk here
 
     def test_estimation_does_not_mutate_device(self):
         disk = HardDisk()
-        estimate_stage(DataSource.DISK, disk, [burst(1 * MB)], [0.0],
-                       now=0.0)
+        replay_stage(DataSource.DISK, disk, [burst(1 * MB)], [0.0],
+                     now=0.0)
         assert disk.state == DiskState.STANDBY.value
         assert disk.energy(0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            estimate_stage(DataSource.DISK, HardDisk(), [burst(1)], [],
-                           now=0.0)
+            replay_stage(DataSource.DISK, HardDisk(), [burst(1)], [],
+                         now=0.0)
 
     def test_empty_stage(self):
-        est = estimate_stage(DataSource.DISK, HardDisk(), [], [], now=0.0)
+        est = replay_stage(DataSource.DISK, HardDisk(), [], [], now=0.0)
         assert est.energy == 0.0
         assert est.time == 0.0
 
     def test_starts_from_live_state(self):
         cold = HardDisk()
         warm = HardDisk(initially_standby=False)
-        e_cold = estimate_stage(DataSource.DISK, cold, [burst(4096)],
-                                [0.0], now=0.0).energy
-        e_warm = estimate_stage(DataSource.DISK, warm, [burst(4096)],
-                                [0.0], now=0.0).energy
+        e_cold = replay_stage(DataSource.DISK, cold, [burst(4096)],
+                              [0.0], now=0.0).energy
+        e_warm = replay_stage(DataSource.DISK, warm, [burst(4096)],
+                              [0.0], now=0.0).energy
         assert e_cold > e_warm + 4.9    # spin-up difference
 
 
 class TestDpmInsideThinks:
     def test_long_think_spins_clone_down(self):
         disk = HardDisk(initially_standby=False)
-        est = estimate_stage(DataSource.DISK, disk,
-                             [burst(4096), burst(4096)], [60.0, 0.0],
-                             now=0.0)
+        est = replay_stage(DataSource.DISK, disk,
+                           [burst(4096), burst(4096)], [60.0, 0.0],
+                           now=0.0)
         # 20 s idle + spin-down + standby + spin-up again: cheaper than
         # idling the whole 60 s.
         assert est.energy < 60.0 * 1.6
@@ -81,15 +82,16 @@ class TestCrossBaseline:
     def test_other_device_baseline_added(self):
         disk = HardDisk()
         wnic = WirelessNic()
-        alone = estimate_stage(DataSource.DISK, disk, [burst(1 * MB)],
-                               [30.0, ][:1], now=0.0)
-        with_other = estimate_stage(DataSource.DISK, disk, [burst(1 * MB)],
-                                    [0.0], now=0.0, other_device=wnic)
+        alone = replay_stage(DataSource.DISK, disk, [burst(1 * MB)],
+                             [30.0, ][:1], now=0.0)
+        with_other = replay_stage(DataSource.DISK, disk, [burst(1 * MB)],
+                                  [0.0], now=0.0, other_device=wnic)
         assert with_other.energy > alone.energy
 
     def test_estimate_both_is_symmetric(self):
         disk, wnic = HardDisk(), WirelessNic()
-        d, n = estimate_both(disk, wnic, [burst(1 * MB)], [0.0], now=0.0)
+        d, n = CostModel(disk, wnic).stage_pair(
+            ExecutionProfile([burst(1 * MB)], [0.0]), 0, 1, now=0.0)
         assert d.source is DataSource.DISK
         assert n.source is DataSource.NETWORK
         assert d.energy > 0 and n.energy > 0
@@ -98,10 +100,10 @@ class TestCrossBaseline:
 class TestMinDuration:
     def test_tail_idle_charged(self):
         wnic = WirelessNic()
-        short = estimate_stage(DataSource.NETWORK, wnic, [burst(4096)],
-                               [0.0], now=0.0)
-        padded = estimate_stage(DataSource.NETWORK, wnic, [burst(4096)],
-                                [0.0], now=0.0, min_duration=40.0)
+        short = replay_stage(DataSource.NETWORK, wnic, [burst(4096)],
+                             [0.0], now=0.0)
+        padded = replay_stage(DataSource.NETWORK, wnic, [burst(4096)],
+                              [0.0], now=0.0, min_duration=40.0)
         assert padded.time == pytest.approx(40.0)
         # tail: 0.8 s CAM idle, one doze, then PSM for the rest.
         assert padded.energy > short.energy
@@ -139,9 +141,9 @@ class TestCacheFilter:
 
     def test_filter_feeds_estimate(self):
         disk = HardDisk()
-        est = estimate_stage(DataSource.DISK, disk,
-                             [burst(1 * MB, inode=1)], [0.0], now=0.0,
-                             vfs=self.FakeVfs())
+        est = replay_stage(DataSource.DISK, disk,
+                           [burst(1 * MB, inode=1)], [0.0], now=0.0,
+                           vfs=self.FakeVfs())
         assert est.nbytes == 0
         assert est.requests == 0
         assert est.energy == pytest.approx(0.0, abs=1e-9)

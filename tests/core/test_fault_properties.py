@@ -13,7 +13,8 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.traces.record import FileInfo, OpType, SyscallRecord
 from repro.traces.trace import Trace
@@ -70,8 +71,8 @@ COMMON = dict(max_examples=12, deadline=None,
 
 
 def _run(trace, make_policy, *, faults=None):
-    return ReplaySimulator([ProgramSpec(trace)], make_policy(trace),
-                           seed=1, faults=faults).run()
+    return SimulationSession([ProgramSpec(trace)], make_policy(trace),
+                             seed=1, faults=faults).run()
 
 
 class TestEveryPolicyCompletesUnderFaults:
@@ -123,7 +124,7 @@ class TestFaultsOnlyCost:
         """With no replica to fail over to, spin-up failures can only
         ever add retries and energy on the disk itself."""
         def run(faults=None):
-            return ReplaySimulator(
+            return SimulationSession(
                 [ProgramSpec(trace, profiled=False, disk_pinned=True)],
                 DiskOnlyPolicy(), seed=1, faults=faults).run()
 

@@ -7,7 +7,8 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.experiments.validate import validate_run
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from tests.conftest import make_trace
@@ -22,8 +23,8 @@ def _steady_trace(n=60, gap=2.0, size=65536):
 
 
 def _run(trace, policy, *, faults=None, seed=1):
-    sim = ReplaySimulator([ProgramSpec(trace)], policy, seed=seed,
-                          faults=faults)
+    sim = SimulationSession([ProgramSpec(trace)], policy, seed=seed,
+                            faults=faults)
     return sim.run()
 
 
@@ -154,7 +155,7 @@ class TestSpinupFailover:
         trace = make_trace([
             (1, i * 4096, 4096, "read", i * 40.0) for i in range(3)
         ], file_sizes={1: 64 * 4096})
-        sim = ReplaySimulator(
+        sim = SimulationSession(
             [ProgramSpec(trace, profiled=False, disk_pinned=True)],
             DiskOnlyPolicy(), seed=1, faults=self._faults(n=6))
         result = sim.run()

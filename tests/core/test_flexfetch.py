@@ -6,7 +6,9 @@ from repro.core.decision import DataSource
 from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
 from repro.core.policies import RequestContext
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.system import MobileSystem
+from repro.core.workload import ProgramSpec
 from repro.traces.record import OpType
 from tests.conftest import make_trace
 
@@ -66,14 +68,14 @@ class TestInitialDecision:
     def test_dense_profile_chooses_disk(self):
         trace = dense_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        ReplaySimulator([ProgramSpec(trace)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(trace)], policy, seed=1).run()
         assert policy.decision_log[0][1] is DataSource.DISK
         assert policy.decision_log[0][2] == "initial"
 
     def test_sparse_profile_chooses_network(self):
         trace = sparse_small_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        ReplaySimulator([ProgramSpec(trace)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(trace)], policy, seed=1).run()
         assert policy.decision_log[0][1] is DataSource.NETWORK
 
 
@@ -81,15 +83,15 @@ class TestEndToEndBehaviour:
     def test_dense_run_mostly_disk(self):
         trace = dense_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         assert result.device_bytes["disk"] > result.device_bytes["network"]
 
     def test_sparse_run_mostly_network(self):
         trace = sparse_small_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         assert result.device_bytes["network"] > result.device_bytes["disk"]
 
     def test_beats_or_matches_best_fixed_policy(self):
@@ -98,12 +100,12 @@ class TestEndToEndBehaviour:
         from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
         for trace in (dense_trace(), sparse_small_trace()):
             prof = profile_from_trace(trace)
-            ff = ReplaySimulator([ProgramSpec(trace)],
-                                 FlexFetchPolicy(prof), seed=1).run()
-            disk = ReplaySimulator([ProgramSpec(trace)],
-                                   DiskOnlyPolicy(), seed=1).run()
-            wnic = ReplaySimulator([ProgramSpec(trace)],
-                                   WnicOnlyPolicy(), seed=1).run()
+            ff = SimulationSession([ProgramSpec(trace)],
+                                   FlexFetchPolicy(prof), seed=1).run()
+            disk = SimulationSession([ProgramSpec(trace)],
+                                     DiskOnlyPolicy(), seed=1).run()
+            wnic = SimulationSession([ProgramSpec(trace)],
+                                     WnicOnlyPolicy(), seed=1).run()
             best = min(disk.total_energy, wnic.total_energy)
             assert ff.total_energy <= best * 1.10, trace.name
 
@@ -120,7 +122,7 @@ class TestStageAudit:
             [(2, i * 2 * mb, 2 * mb, "read", i * 1.0) for i in range(90)],
             name="actual", file_sizes={2: 180 * mb})
         policy = FlexFetchPolicy(stale)
-        ReplaySimulator([ProgramSpec(actual)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(actual)], policy, seed=1).run()
         assert policy.decision_log[0][1] is DataSource.NETWORK
         # The audit must eventually force the disk.
         assert any(s is DataSource.DISK for _, s, r in policy.decision_log
@@ -130,7 +132,7 @@ class TestStageAudit:
         stale = profile_from_trace(sparse_small_trace(n=6, gap=25.0))
         actual = dense_trace()
         policy = FlexFetchPolicy(stale, FlexFetchConfig(adaptive=False))
-        ReplaySimulator([ProgramSpec(actual)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(actual)], policy, seed=1).run()
         assert policy.audit_log == []
         assert all(r != "audit-override"
                    for _, _, r in policy.decision_log)
@@ -201,8 +203,8 @@ class TestSplice:
         trace = make_trace(sparse_calls + dense_calls, name="two-phase",
                            file_sizes={1: 5 * 65536, 2: 256 * 131072})
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         sources = [s for _, s, _ in policy.decision_log]
         assert DataSource.NETWORK in sources     # sparse phase
         assert DataSource.DISK in sources        # dense phase
@@ -213,13 +215,13 @@ class TestSplice:
 class TestObservation:
     def test_tracker_counts_demand_bytes(self, tiny_trace):
         policy = FlexFetchPolicy(profile_from_trace(tiny_trace))
-        ReplaySimulator([ProgramSpec(tiny_trace)], policy, seed=1).run()
+        SimulationSession([ProgramSpec(tiny_trace)], policy, seed=1).run()
         assert policy.observed_bytes == 3 * 4096
 
     def test_unprofiled_requests_not_observed(self):
         trace = sparse_small_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        ReplaySimulator(
+        SimulationSession(
             [ProgramSpec(trace, profiled=False, disk_pinned=True)],
             policy, seed=1).run()
         assert policy.observed_bytes == 0

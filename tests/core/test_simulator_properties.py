@@ -12,7 +12,8 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.experiments.validate import validate_run
 from repro.traces.record import FileInfo, OpType, SyscallRecord
 from repro.traces.trace import Trace
@@ -51,22 +52,22 @@ class TestConservationLaws:
     @settings(**COMMON)
     @given(workload())
     def test_disk_only_validates(self, trace):
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1).run()
         assert validate_run(result) == []
 
     @settings(**COMMON)
     @given(workload())
     def test_wnic_only_validates(self, trace):
-        result = ReplaySimulator([ProgramSpec(trace)], WnicOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], WnicOnlyPolicy(),
+                                   seed=1).run()
         assert validate_run(result) == []
 
     @settings(**COMMON)
     @given(workload())
     def test_bluefs_validates(self, trace):
-        result = ReplaySimulator([ProgramSpec(trace)], BlueFSPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], BlueFSPolicy(),
+                                   seed=1).run()
         assert validate_run(result) == []
 
     @settings(max_examples=10, deadline=None,
@@ -74,8 +75,8 @@ class TestConservationLaws:
     @given(workload())
     def test_flexfetch_validates(self, trace):
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         assert validate_run(result) == []
 
 
@@ -83,29 +84,29 @@ class TestCrossPolicyLaws:
     @settings(**COMMON)
     @given(workload())
     def test_runs_are_deterministic(self, trace):
-        a = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                            seed=5).run()
-        b = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                            seed=5).run()
+        a = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                              seed=5).run()
+        b = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                              seed=5).run()
         assert a.total_energy == b.total_energy
         assert a.end_time == b.end_time
 
     @settings(**COMMON)
     @given(workload())
     def test_single_source_policies_route_exclusively(self, trace):
-        disk = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                               seed=1).run()
+        disk = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                 seed=1).run()
         assert disk.device_bytes["network"] == 0
-        wnic = ReplaySimulator([ProgramSpec(trace)], WnicOnlyPolicy(),
-                               seed=1).run()
+        wnic = SimulationSession([ProgramSpec(trace)], WnicOnlyPolicy(),
+                                 seed=1).run()
         assert wnic.device_bytes["disk"] == 0
 
     @settings(**COMMON)
     @given(workload())
     def test_baseline_floor(self, trace):
         """Energy is never below each device's idle floor for the run."""
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1).run()
         floor = result.end_time * (0.15 + 0.39)   # standby + PSM
         assert result.total_energy >= floor * 0.95
 
@@ -114,8 +115,8 @@ class TestCrossPolicyLaws:
     def test_end_time_covers_trace_thinks(self, trace):
         """Closed-loop replay can only stretch, never shrink, the span
         of think time between first and last request."""
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1).run()
         data = trace.data_records()
         think_span = data[-1].timestamp - data[0].end_time
         assert result.end_time >= max(0.0, think_span) - 1e-6

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.cache import (
     RunCache,
     RunCacheCorruptionWarning,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, figure2
 from repro.experiments.runner import (

@@ -15,7 +15,8 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.devices.specs import AIRONET_350
 from repro.sim.clock import Mbps
 from repro.traces.synth import (
@@ -36,8 +37,8 @@ def run(trace_or_programs, policy, *, latency=1e-3, bandwidth_mbps=11.0):
     programs = (trace_or_programs
                 if isinstance(trace_or_programs, list)
                 else [ProgramSpec(trace_or_programs)])
-    return ReplaySimulator(programs, policy, wnic_spec=wnic,
-                           seed=SEED).run()
+    return SimulationSession(programs, policy, wnic_spec=wnic,
+                             seed=SEED).run()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulator import RunResult
+from repro.core.telemetry import RunResult
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import SweepPoint
 from repro.experiments.svg import render_panel_svg, save_figure_svg

@@ -8,14 +8,15 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from repro.experiments.validate import validate_run
 from tests.conftest import make_trace
 
 
 def run(trace, policy, **kw):
-    return ReplaySimulator([ProgramSpec(trace)], policy, seed=3,
-                           **kw).run()
+    return SimulationSession([ProgramSpec(trace)], policy, seed=3,
+                             **kw).run()
 
 
 def mixed_trace():

@@ -8,7 +8,7 @@ import pytest
 from repro.core import session as session_module
 from repro.core.policies import DiskOnlyPolicy
 from repro.core.session import SimulationSession
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.workload import ProgramSpec
 from repro.core.workload import ProgramDriver
 from repro.devices.service import DiskService
 from repro.faults.invariants import (
@@ -29,8 +29,8 @@ def _tiny_trace():
 
 
 def _run_tiny():
-    return ReplaySimulator([ProgramSpec(_tiny_trace())], DiskOnlyPolicy(),
-                           seed=1).run()
+    return SimulationSession([ProgramSpec(_tiny_trace())], DiskOnlyPolicy(),
+                             seed=1).run()
 
 
 def _run_plain():
@@ -113,8 +113,8 @@ class TestDefaultRunsAudited:
         ])
         for policy in (DiskOnlyPolicy(), WnicOnlyPolicy(), BlueFSPolicy(),
                        FlexFetchPolicy(profile_from_trace(trace))):
-            result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                     seed=1).run()
+            result = SimulationSession([ProgramSpec(trace)], policy,
+                                       seed=1).run()
             assert result.requests > 0
 
     def test_default_run_passes_on_scenario_workload(self):
@@ -122,7 +122,7 @@ class TestDefaultRunsAudited:
         from repro.core.flexfetch import FlexFetchPolicy
         from repro.traces.synth.scenarios import build_scenario
         scenario = build_scenario("grep", seed=7)
-        result = ReplaySimulator(
+        result = SimulationSession(
             list(scenario.programs),
             FlexFetchPolicy(scenario.profile), seed=7).run()
         assert result.total_energy > 0

@@ -1,10 +1,8 @@
-"""Dual-path equivalence rules R10, R11 and R13 (``repro.lint.equiv``).
+"""Dual-path equivalence rules R11 and R13 (``repro.lint.equiv``).
 
 Each rule gets a checked-in bad/good ``.pysnippet`` fixture pair
 (positioned inside the package via ``package_rel`` so the anchors
-resolve), a current-tree clean assertion, and — for R10 — a positive
-audit of the real ``SimulationSession``: every constructor parameter
-must map to a non-empty set of fast-path coverage witnesses.
+resolve) and a current-tree clean assertion.
 """
 
 from __future__ import annotations
@@ -12,13 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.lint import lint_paths, lint_source
-from repro.lint.equiv import session_fast_path_coverage
-from repro.lint.ir import build_project, parse_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
-SESSION = ("repro", "core", "session.py")
 COSTMODEL = ("repro", "core", "costmodel.py")
 PLAN = ("repro", "sim", "plan.py")
 
@@ -32,42 +27,6 @@ def _lint_fixture(name: str, package_rel: tuple[str, ...],
     return lint_source(_fixture(name), path=f"{name}.py",
                        package_rel=package_rel,
                        select=frozenset({rule}))
-
-
-# ----------------------------------------------------------------------
-# R10 — path-coverage drift
-# ----------------------------------------------------------------------
-class TestR10:
-    def test_bad_fixture_reports_both_drifts(self):
-        findings = _lint_fixture("r10_bad", SESSION, "R10")
-        assert [f.rule for f in findings] == ["R10"] * 2
-        messages = " | ".join(f.message for f in findings)
-        assert "session parameter 'readahead_pages'" in messages
-        assert "MobileSystem parameter 'readahead_pages'" in messages
-
-    def test_good_fixture_is_clean(self):
-        assert _lint_fixture("r10_good", SESSION, "R10") == []
-
-    def test_current_tree_is_clean(self):
-        assert lint_paths([REPO_ROOT / "src"],
-                          select=frozenset({"R10"})) == []
-
-    def test_real_session_every_parameter_is_covered(self):
-        """Audit: each SimulationSession.__init__ parameter has at
-        least one fast-path attribute witnessing read-or-refusal."""
-        path = REPO_ROOT / "src" / "repro" / "core" / "session.py"
-        module = parse_module(path.read_text(encoding="utf-8"),
-                              path=str(path), package_rel=SESSION)
-        assert module is not None
-        coverage = session_fast_path_coverage(build_project([module]))
-        assert coverage, "SimulationSession anchor not found"
-        uncovered = {p for p, attrs in coverage.items() if not attrs}
-        assert not uncovered
-        # Spot checks pinning the two trickiest derivation chains:
-        # sinks is only derived in run(); faults reaches the fast path
-        # only through the router it is wired into.
-        assert "_sinks_hot" in coverage["sinks"]
-        assert "router" in coverage["faults"]
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +84,13 @@ class TestR13:
 class TestSelfCheck:
     def test_lint_package_is_clean_under_equiv_rules(self):
         assert lint_paths([REPO_ROOT / "src" / "repro" / "lint"],
-                          select=frozenset({"R10", "R11",
-                                            "R13"})) == []
+                          select=frozenset({"R11", "R13"})) == []
 
     def test_whole_tree_is_clean_under_equiv_rules(self):
         assert lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "tests",
              REPO_ROOT / "benchmarks", REPO_ROOT / "examples"],
-            select=frozenset({"R10", "R11", "R13"})) == []
+            select=frozenset({"R11", "R13"})) == []
 
     def test_pycache_is_gitignored(self):
         gitignore = (REPO_ROOT / ".gitignore").read_text(

@@ -23,8 +23,8 @@ def test_shipped_test_and_example_trees_are_clean() -> None:
 
 def test_package_relative_recognises_both_layouts() -> None:
     assert package_relative(
-        Path("src/repro/core/simulator.py")) == \
-        ("repro", "core", "simulator.py")
+        Path("src/repro/core/session.py")) == \
+        ("repro", "core", "session.py")
     assert package_relative(
         Path("/site-packages/repro/sim/rng.py")) == \
         ("repro", "sim", "rng.py")

@@ -23,7 +23,7 @@ class TestTopLevelExports:
             DiskOnlyPolicy,
             FlexFetchPolicy,
             ProgramSpec,
-            ReplaySimulator,
+            SimulationSession,
             profile_from_trace,
         )
 
@@ -55,10 +55,10 @@ class TestSubpackageImports:
         "repro.traces.strace", "repro.traces.trace",
         "repro.traces.synth", "repro.traces.synth.scenarios",
         "repro.core", "repro.core.burst", "repro.core.bluefs",
-        "repro.core.decision", "repro.core.estimator",
+        "repro.core.costmodel", "repro.core.decision",
         "repro.core.flexfetch", "repro.core.oracle",
         "repro.core.policies", "repro.core.profile",
-        "repro.core.simulator",
+        "repro.core.session",
         "repro.experiments", "repro.experiments.config",
         "repro.experiments.figures", "repro.experiments.report",
         "repro.experiments.runner", "repro.experiments.sensitivity",

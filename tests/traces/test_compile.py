@@ -9,6 +9,7 @@ from repro.core.policies import DiskOnlyPolicy
 from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.traces.compile import (
+    OPS_BY_CODE,
     CompiledTrace,
     StraceSource,
     SyntheticSource,
@@ -60,8 +61,9 @@ class TestLowering:
         from repro.core.workload import ProgramDriver
         driver = ProgramDriver(driver_view)
         for rec in data:
-            cur = driver.current
-            assert (cur.pid, cur.inode, cur.offset, cur.size, cur.op) \
+            i = driver.index
+            assert (driver.pids[i], driver.inodes[i], driver.offsets[i],
+                    driver.sizes[i], OPS_BY_CODE[driver.ops[i]]) \
                 == (rec.pid, rec.inode, rec.offset, rec.size, rec.op)
             driver.advance()
         assert driver.done

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulator import ReplaySimulator
+from repro.core.session import SimulationSession
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.traces.synth.scenarios import SCENARIOS, build_scenario
 
@@ -57,7 +57,7 @@ class TestScenarioShape:
     @pytest.mark.parametrize("name", ["xmms", "acroread-stale"])
     def test_scenarios_are_replayable(self, name):
         s = build_scenario(name, seed=3)
-        result = ReplaySimulator(list(s.programs),
-                                 FlexFetchPolicy(s.profile),
-                                 seed=3).run()
+        result = SimulationSession(list(s.programs),
+                                   FlexFetchPolicy(s.profile),
+                                   seed=3).run()
         assert result.total_energy > 0
