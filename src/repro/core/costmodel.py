@@ -14,7 +14,7 @@ policies themselves never touch device arithmetic; they consult the
 :class:`CostModel` the :class:`~repro.core.system.MobileSystem` wires
 over its live devices.
 
-The on-line simulator here is simply a :meth:`clone` of the live device
+The on-line simulator here emulates a :meth:`clone` of the live device
 model (so the estimate starts from the device's *actual* current power
 state) replaying the stage's bursts closed-loop: requests within a burst
 go back-to-back, inter-burst think times advance the clone's clock and
@@ -24,19 +24,19 @@ idle watts between sparse bursts and the WNIC for CAM/PSM cycling.
 The §2.3.2 buffer-cache filter is applied before estimation: profiled
 requests whose data is resident in the page cache are shrunk or dropped.
 
-Two evaluation paths produce the same numbers (DESIGN.md §16).  The
-*object path* literally clones the device and replays request by
-request.  The *packed path* — taken whenever the device is a stock
-:class:`HardDisk` (fixed spin-down timeout, no sleep state) or
-:class:`WirelessNic` (no PSM bulk transfers) — first packs the stage
-from a profile's precompiled :class:`~repro.core.profile.ProfileColumns`
-(request lists lower to the same columns) into flat per-request columns
-(cache-filtered sizes, disk placement, transfer seconds), then walks
-them in one tight loop that transcribes the clone's meter arithmetic
-event-for-event.  Because float addition is not associative, the walk
-accumulates per-bucket energy in the exact same order the
-:class:`~repro.sim.metrics.EnergyMeter` would, so both paths are
-bit-identical — a property the test suite asserts with Hypothesis.
+There is one evaluation path (DESIGN.md §16).  A stage — a range of a
+profile's precompiled :class:`~repro.core.profile.ProfileColumns`, or
+request lists lowered to the same columns — is packed into flat
+per-request columns (cache-filtered sizes, disk placement, transfer
+seconds), then walked in one tight loop per device that transcribes the
+device model's meter arithmetic event-for-event: the disk's fixed or
+adaptive spin-down timeout and optional sleep tier, and the WNIC's CAM
+path and PSM bulk transfers.  Because float addition is not
+associative, the walk accumulates per-bucket energy in the exact same
+order the :class:`~repro.sim.metrics.EnergyMeter` would, so it is
+bit-identical to literally cloning the device and replaying request by
+request — a property the test suite asserts with Hypothesis against
+that clone-and-replay oracle.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import Protocol
 
-from repro.core.burst import IOBurst, ProfiledRequest
+from repro.core.burst import IOBurst
 from repro.core.decision import DataSource
 from repro.core.profile import ExecutionProfile, ProfileColumns
 from repro.devices.disk import DiskState, HardDisk
-from repro.devices.dpm import FixedTimeout
 from repro.devices.layout import DiskLayout
 from repro.devices.wnic import Direction, WirelessNic, WnicMode
 from repro.traces.record import OpType
@@ -96,39 +95,6 @@ class ResidencyOracle(Protocol):
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes: ...
 
 
-def filter_cached(bursts: Sequence[IOBurst],
-                  vfs: ResidencyOracle) -> list[list[ProfiledRequest]]:
-    """Apply the §2.3.2 cache filter to a stage's bursts.
-
-    Returns, per burst, the requests that would still reach a device:
-    fully resident requests vanish, partially resident ones shrink by
-    the resident byte count (an approximation that preserves totals).
-    Reads only — writes always dirty pages regardless of residency.
-    """
-    filtered: list[list[ProfiledRequest]] = []
-    resident_bytes = vfs.resident_bytes
-    for burst in bursts:
-        keep: list[ProfiledRequest] = []
-        for req in burst.requests:
-            if req.op is OpType.READ:
-                resident = resident_bytes(req.inode, req.offset, req.size)
-                if resident <= 0:
-                    # Nothing cached: the request passes through
-                    # unchanged, so skip rebuilding an identical record.
-                    keep.append(req)
-                    continue
-                remaining = req.size - resident
-                if remaining <= 0:
-                    continue
-                keep.append(ProfiledRequest(
-                    inode=req.inode, offset=req.offset,
-                    size=remaining, op=req.op))
-            else:
-                keep.append(req)
-        filtered.append(keep)
-    return filtered
-
-
 def replay_stage(source: DataSource,
                  device: HardDisk | WirelessNic,
                  bursts: Sequence[IOBurst],
@@ -160,52 +126,12 @@ def replay_stage(source: DataSource,
     """
     if len(bursts) != len(thinks):
         raise ValueError("bursts and thinks must align")
-    request_lists = (filter_cached(bursts, vfs) if vfs is not None
-                     else [list(b.requests) for b in bursts])
-    return _replay_requests(source, device, request_lists, thinks,
-                            now=now, layout=layout,
-                            other_device=other_device,
-                            min_duration=min_duration)
-
-
-def _packed_ok(device: HardDisk | WirelessNic) -> bool:
-    """Whether the packed kernel reproduces a clone of ``device``.
-
-    Clones are always fault-blind (``clone()`` drops the schedule), so
-    an attached fault schedule never disqualifies a device; what does
-    is machinery the walk does not model: subclasses, adaptive
-    spin-down timeouts, the optional sleep state, and PSM bulk
-    transfers.
-    """
-    if type(device) is HardDisk:
-        return (type(device.spindown_policy) is FixedTimeout
-                and device.spec.sleep_timeout is None
-                and device.state != _SLEEP)
-    if type(device) is WirelessNic:
-        return not device.spec.psm_transfer_enabled
-    return False
-
-
-def _replay_requests(source: DataSource,
-                     device: HardDisk | WirelessNic,
-                     request_lists: Sequence[Sequence[ProfiledRequest]],
-                     thinks: Sequence[float], *,
-                     now: Seconds,
-                     layout: DiskLayout | None,
-                     other_device: HardDisk | WirelessNic | None,
-                     min_duration: Seconds | None) -> StageEstimate:
-    """Dispatch a cache-filtered stage to the packed or object path."""
-    if _packed_ok(device) and (other_device is None
-                               or _packed_ok(other_device)):
-        cols = ProfileColumns(request_lists)
-        placed = _placed_blocks(
-            cols, layout if type(device) is HardDisk else None)
-        pack = _PackedStage(cols, 0, len(request_lists), placed, None)
-        return _replay_packed(source, device, pack, thinks, now=now,
-                              other_device=other_device,
-                              min_duration=min_duration)
-    return _replay_object(source, device, request_lists, thinks, now=now,
-                          layout=layout, other_device=other_device,
+    cols = ProfileColumns(b.requests for b in bursts)
+    placed = _placed_blocks(
+        cols, layout if isinstance(device, HardDisk) else None)
+    pack = _PackedStage(cols, 0, len(bursts), placed, vfs)
+    return _replay_packed(source, device, pack, thinks, now=now,
+                          other_device=other_device,
                           min_duration=min_duration)
 
 
@@ -213,9 +139,10 @@ def _placed_blocks(cols: ProfileColumns,
                    layout: DiskLayout | None) -> list[int | None]:
     """Disk block of each request's first page, ``None`` when unplaced.
 
-    Same placement rule as the object path: an inode the layout does
-    not know, or a profiled offset past the current file, falls back
-    to an average seek.
+    Profiled offsets come from a *prior* run and may exceed the current
+    file (different data set): an inode the layout does not know, or a
+    profiled offset past the current file, falls back to an average
+    seek.
     """
     placed: list[int | None] = []
     for inode, offset in zip(cols.inodes, cols.offsets, strict=True):
@@ -247,9 +174,10 @@ class _PackedStage:
         """Pack bursts ``first:stop`` of ``cols``.
 
         ``placed`` is :func:`_placed_blocks` of ``cols``; with ``vfs``
-        the cache filter drops fully resident reads and shrinks
-        partially resident ones by their resident bytes, exactly as
-        :func:`filter_cached` does.
+        the §2.3.2 cache filter drops fully resident reads and shrinks
+        partially resident ones by their resident bytes (an
+        approximation that preserves totals).  Writes always dirty
+        pages regardless of residency, so they pass unfiltered.
         """
         inodes = cols.inodes
         offsets = cols.offsets
@@ -311,18 +239,17 @@ def _replay_packed(source: DataSource,
                    other_device: HardDisk | WirelessNic | None,
                    min_duration: Seconds | None) -> StageEstimate:
     end_floor = now + min_duration if min_duration is not None else None
-    if type(device) is HardDisk:
-        transfers = pack.transfer_column(device.spec.bandwidth_bps)
+    transfers = pack.transfer_column(device.spec.bandwidth_bps)
+    if isinstance(device, HardDisk):
         t, energy = _disk_walk(device, pack, transfers, thinks, now,
                                end_floor)
     else:
-        transfers = pack.transfer_column(device.spec.bandwidth_bps)
         t, energy = _wnic_walk(device, pack, transfers, thinks, now,
                                end_floor)
     if other_device is not None:
         other_end = t if t >= now else now
         empty = _empty_pack()
-        if type(other_device) is HardDisk:
+        if isinstance(other_device, HardDisk):
             _, other_energy = _disk_walk(other_device, empty, (), (),
                                          now, other_end)
         else:
@@ -339,28 +266,35 @@ def _disk_walk(device: HardDisk, pack: _PackedStage,
                now: Seconds, end_floor: float | None) -> tuple[float, float]:
     """Replay packed requests against a virtual clone of ``device``.
 
-    Transcribes ``HardDisk.service`` / ``advance_to`` / the meter's
-    bucket accumulation into plain locals, in the exact event order of
-    the object path — including the zero-joule transition impulses,
-    whose bucket insertions fix the order ``EnergyMeter.total`` sums in.
-    Returns ``(end_time, max(0.0, energy_delta))``.
+    Transcribes ``HardDisk.service`` / ``advance_to`` / ``_apply_dpm``
+    and the meter's bucket accumulation into plain locals, in the exact
+    event order of a cloned device — including the zero-joule
+    transition impulses, whose bucket insertions fix the order
+    ``EnergyMeter.total`` sums in.  The spin-down policy is cloned (the
+    live one is never fed back to), and the sleep tier fires only when
+    the spec enables it.  Returns ``(end_time, max(0.0, energy_delta))``.
     """
     spec = device.spec
     idle_power = spec.idle_power
     active_power = spec.active_power
     standby_power = spec.standby_power
+    sleep_power = spec.sleep_power
+    sleep_timeout = spec.sleep_timeout
     access_time = spec.access_time
     t2t = spec.track_to_track_time
     avg_rotation = spec.avg_rotation_time
     seek_k = (spec.avg_seek_time - t2t) * 1.5
     total_blocks = max(1, spec.capacity_bytes // 4096)
     near = HardDisk.NEAR_SEEK_BLOCKS
-    timeout = device.spindown_policy.timeout()
+    policy = device.spindown_policy.clone()
+    timeout = policy.timeout()
     trs = device._transitions
     sd = trs[(_IDLE, _STANDBY)]
     su = trs[(_STANDBY, _ACTIVE)]
     ia = trs[(_IDLE, _ACTIVE)]
     ai = trs[(_ACTIVE, _IDLE)]
+    ts = trs[(_STANDBY, _SLEEP)]
+    wk = trs[(_SLEEP, _ACTIVE)]
 
     # clone(): fresh meter at the live meter's clock, current draw.
     meter = device.meter
@@ -371,12 +305,13 @@ def _disk_walk(device: HardDisk, pack: _PackedStage,
     last_activity = device.last_activity
     busy_until = device.busy_until
     head = device._head_position
+    quiet_since = device._quiet_since
     energy: dict[str, float] = {}
     get = energy.get
 
     def _advance_dpm(upto: float) -> None:
         # PowerStateMachine.advance_to + HardDisk._apply_dpm, inlined.
-        nonlocal state, m_last, m_power, m_bucket, busy_until
+        nonlocal state, m_last, m_power, m_bucket, busy_until, quiet_since
         if upto <= m_last:
             return
         if state == _IDLE:
@@ -397,6 +332,26 @@ def _disk_walk(device: HardDisk, pack: _PackedStage,
                     m_last = done
                 m_power = standby_power
                 m_bucket = "disk.standby"
+                if done > busy_until:
+                    busy_until = done
+                quiet_since = done
+        if sleep_timeout is not None and state == _STANDBY:
+            deadline = (busy_until if busy_until >= last_activity
+                        else last_activity) + sleep_timeout
+            if upto >= deadline:
+                dt = deadline - m_last
+                if dt > 0.0 and m_power > _TOL:
+                    energy[m_bucket] = get(m_bucket, 0.0) + m_power * dt
+                if deadline > m_last:
+                    m_last = deadline
+                energy["disk.to-sleep"] = \
+                    get("disk.to-sleep", 0.0) + ts.energy
+                done = deadline + ts.time
+                state = _SLEEP
+                if done > m_last:
+                    m_last = done
+                m_power = sleep_power
+                m_bucket = "disk.sleep"
                 if done > busy_until:
                     busy_until = done
         dt = upto - m_last
@@ -428,21 +383,7 @@ def _disk_walk(device: HardDisk, pack: _PackedStage,
                 energy[m_bucket] = get(m_bucket, 0.0) + m_power * dt
             if start > m_last:
                 m_last = start
-            if state == _STANDBY:
-                # demand spin-up (quiet-period feedback is a no-op for
-                # FixedTimeout, the only policy this walk accepts)
-                energy["disk.spinup"] = \
-                    get("disk.spinup", 0.0) + su.energy
-                done = start + su.time
-                state = _ACTIVE
-                if done > m_last:
-                    m_last = done
-                m_power = active_power
-                m_bucket = "disk.active"
-                if done > busy_until:
-                    busy_until = done
-                start = done
-            elif state == _IDLE:
+            if state == _IDLE:
                 energy["disk.idle->active"] = \
                     get("disk.idle->active", 0.0) + ia.energy
                 done = start + ia.time
@@ -454,6 +395,29 @@ def _disk_walk(device: HardDisk, pack: _PackedStage,
                 if done > busy_until:
                     busy_until = done
                 # service() discards this transition's completion time.
+            elif state == _STANDBY or state == _SLEEP:
+                # _note_quiet_period_end(start), then the demand
+                # spin-up (or, from sleep, the hard-reset wake).
+                if quiet_since is not None:
+                    policy.observe_quiet_period(
+                        max(0.0, start - quiet_since), spec.breakeven_time)
+                    quiet_since = None
+                    timeout = policy.timeout()
+                if state == _STANDBY:
+                    energy["disk.spinup"] = \
+                        get("disk.spinup", 0.0) + su.energy
+                    done = start + su.time
+                else:
+                    energy["disk.wake"] = get("disk.wake", 0.0) + wk.energy
+                    done = start + wk.time
+                state = _ACTIVE
+                if done > m_last:
+                    m_last = done
+                m_power = active_power
+                m_bucket = "disk.active"
+                if done > busy_until:
+                    busy_until = done
+                start = done
             if block is None or head is None:
                 position = access_time
             else:
@@ -513,9 +477,10 @@ def _wnic_walk(device: WirelessNic, pack: _PackedStage,
                now: Seconds, end_floor: float | None) -> tuple[float, float]:
     """Packed-column twin of :func:`_disk_walk` for the WNIC.
 
-    Transcribes ``WirelessNic.service`` (CAM path — PSM bulk transfers
-    disqualify the device in :func:`_packed_ok`) and the CAM->PSM doze
-    timeout.  Returns ``(end_time, max(0.0, energy_delta))``.
+    Transcribes ``WirelessNic.service`` — the CAM path, and with PSM
+    bulk transfers enabled ``_service_in_psm`` for small requests that
+    find the card in PSM — and the CAM->PSM doze timeout.  Returns
+    ``(end_time, max(0.0, energy_delta))``.
     """
     spec = device.spec
     cam_idle = spec.cam_idle_power
@@ -524,6 +489,12 @@ def _wnic_walk(device: WirelessNic, pack: _PackedStage,
     latency = spec.latency
     recv_power = spec.cam_recv_power
     send_power = spec.cam_send_power
+    psm_transfers = spec.psm_transfer_enabled
+    psm_max = spec.psm_transfer_max_bytes
+    psm_bandwidth = spec.bandwidth_bps * spec.psm_bandwidth_factor
+    beacon = spec.beacon_interval
+    psm_recv_power = spec.psm_recv_power
+    psm_send_power = spec.psm_send_power
     trs = device._transitions
     doze = trs[(_CAM, _PSM)]
     wake = trs[(_PSM, _CAM)]
@@ -574,6 +545,7 @@ def _wnic_walk(device: WirelessNic, pack: _PackedStage,
     idx = 0
     counts = pack.counts
     recvs = pack.recv
+    sizes = pack.sizes
     n_bursts = len(counts)
     for bi in range(n_bursts):
         for _ in range(counts[bi]):
@@ -587,6 +559,41 @@ def _wnic_walk(device: WirelessNic, pack: _PackedStage,
             if start > m_last:
                 m_last = start
             if state == _PSM:
+                size = sizes[idx - 1]
+                if psm_transfers and size <= psm_max:
+                    # _service_in_psm: the first byte waits for the next
+                    # beacon, the transfer runs at the derated rate, and
+                    # the card stays in PSM.
+                    first_byte = start + (beacon - start % beacon) + latency
+                    completion = first_byte + transfer_seconds(
+                        size, psm_bandwidth)
+                    dt = first_byte - m_last
+                    if dt > 0.0 and m_power > _TOL:
+                        energy[m_bucket] = \
+                            get(m_bucket, 0.0) + m_power * dt
+                    if first_byte > m_last:
+                        m_last = first_byte
+                    if is_recv:
+                        m_power = psm_recv_power
+                        m_bucket = "wnic.psm-recv"
+                    else:
+                        m_power = psm_send_power
+                        m_bucket = "wnic.psm-send"
+                    dt = completion - m_last
+                    if dt > 0.0 and m_power > _TOL:
+                        energy[m_bucket] = \
+                            get(m_bucket, 0.0) + m_power * dt
+                    if completion > m_last:
+                        m_last = completion
+                    # set_state_power(completion): back to PSM idle draw.
+                    m_power = psm_idle
+                    m_bucket = "wnic.psm"
+                    if completion > last_activity:
+                        last_activity = completion
+                    if completion > busy_until:
+                        busy_until = completion
+                    t = completion
+                    continue
                 # transition(start, CAM, bucket="wnic.wakeup")
                 energy["wnic.wakeup"] = \
                     get("wnic.wakeup", 0.0) + wake.energy
@@ -637,66 +644,6 @@ def _wnic_walk(device: WirelessNic, pack: _PackedStage,
     e1 = sum(energy.values())
     delta = e1 - e0
     return t, (delta if delta > 0.0 else 0.0)
-
-
-def _replay_object(source: DataSource,
-                   device: HardDisk | WirelessNic,
-                   request_lists: Sequence[Sequence[ProfiledRequest]],
-                   thinks: Sequence[float], *,
-                   now: Seconds,
-                   layout: DiskLayout | None,
-                   other_device: HardDisk | WirelessNic | None,
-                   min_duration: Seconds | None) -> StageEstimate:
-    """The literal clone-and-replay path (and the packed path's oracle)."""
-    clone = device.clone()
-    clone.advance_to(now)
-    e0 = clone.energy(now)
-
-    t = now
-    total_bytes = 0
-    total_requests = 0
-    is_disk = isinstance(clone, HardDisk)
-    for i, requests in enumerate(request_lists):
-        for req in requests:
-            total_bytes += req.size
-            total_requests += 1
-            if is_disk:
-                block = None
-                nblocks = None
-                if layout is not None and req.inode in layout:
-                    # Profiled offsets come from a *prior* run and may
-                    # exceed the current file (different data set);
-                    # unknown placement falls back to an average seek.
-                    ext = layout.get(req.inode)
-                    rel = req.offset // 4096
-                    if rel < ext.nblocks:
-                        block = ext.start_block + rel
-                        nblocks = -(-req.size // 4096)
-                result = clone.service(t, req.size, block=block,
-                                       block_count=nblocks)
-            else:
-                direction = (Direction.RECV if req.op is OpType.READ
-                             else Direction.SEND)
-                result = clone.service(t, req.size, direction=direction)
-            t = result.completion
-        is_last = i == len(request_lists) - 1
-        if not is_last:
-            t += thinks[i]
-            clone.advance_to(t)
-    if min_duration is not None:
-        t = max(t, now + min_duration)
-    clone.advance_to(t)
-    e1 = clone.energy(t)
-    energy = max(0.0, e1 - e0)
-    if other_device is not None:
-        other = other_device.clone()
-        other.advance_to(now)
-        oe0 = other.energy(now)
-        other.advance_to(max(t, now))
-        energy += max(0.0, other.energy(max(t, now)) - oe0)
-    return StageEstimate(source=source, time=max(0.0, t - now),
-                         energy=energy,
-                         nbytes=total_bytes, requests=total_requests)
 
 
 class CostModel:
@@ -768,34 +715,23 @@ class CostModel:
         """Both scenarios' estimates for bursts ``first:stop`` of
         ``profile``, cross-baselines included.
 
-        The pair is the hot call of FlexFetch's stage loop.  On stock
-        devices the §2.3.2 cache filter runs once over the profile's
-        precompiled columns and the one :class:`_PackedStage` feeds both
-        walks; disk placement comes from :meth:`_placed`, looked up once
-        per profile and layout.  Devices the packed walk refuses get the
-        cache-filtered request lists on the object path.
+        The pair is the hot call of FlexFetch's stage loop.  The §2.3.2
+        cache filter runs once over the profile's precompiled columns
+        and the one :class:`_PackedStage` feeds both walks; disk
+        placement comes from :meth:`_placed`, looked up once per
+        profile and layout.
         """
         d_dev = disk if disk is not None else self.disk
         w_dev = wnic if wnic is not None else self.wnic
         thinks = profile.thinks[first:stop]
-        if _packed_ok(d_dev) and _packed_ok(w_dev):
-            cols = profile.columns
-            pack = _PackedStage(cols, first, stop, self._placed(cols), vfs)
-            return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
-                                   now=now, other_device=w_dev,
-                                   min_duration=None),
-                    _replay_packed(DataSource.NETWORK, w_dev, pack, thinks,
-                                   now=now, other_device=d_dev,
-                                   min_duration=None))
-        bursts = profile.bursts[first:stop]
-        request_lists = (filter_cached(bursts, vfs) if vfs is not None
-                         else [list(b.requests) for b in bursts])
-        return (_replay_object(DataSource.DISK, d_dev, request_lists,
-                               thinks, now=now, layout=self.layout,
-                               other_device=w_dev, min_duration=None),
-                _replay_object(DataSource.NETWORK, w_dev, request_lists,
-                               thinks, now=now, layout=self.layout,
-                               other_device=d_dev, min_duration=None))
+        cols = profile.columns
+        pack = _PackedStage(cols, first, stop, self._placed(cols), vfs)
+        return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
+                               now=now, other_device=w_dev,
+                               min_duration=None),
+                _replay_packed(DataSource.NETWORK, w_dev, pack, thinks,
+                               now=now, other_device=d_dev,
+                               min_duration=None))
 
     def _placed(self, cols: ProfileColumns) -> list[int | None]:
         """:func:`_placed_blocks` of ``cols`` over this system's layout.

@@ -4,8 +4,8 @@ The fast path (DESIGN.md §15–§16) swaps the live kernel path for a
 cursor over a frozen BurstPlan, under the same scheduler, with a
 bit-identical contract: for every plan-shaped cell it must produce the
 same :class:`~repro.core.telemetry.RunResult` — every float, dict and
-counter — as the live kernel path.  The static rules R11 and R13
-(``repro.lint.equiv``) catch the *structural* ways the two kernel
+counter — as the live kernel path.  The static rule R13
+(``repro.lint.equiv``) catches the *structural* ways the two kernel
 surfaces can drift apart; this module is the dynamic half: with
 ``REPRO_SANITIZE=1`` (or ``flexfetch sweep --sanitize``) every cell that
 engages the fast path is run once more on the live kernel path and the

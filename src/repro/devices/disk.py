@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING
 from repro.devices.dpm import FixedTimeout, SpindownPolicy
 from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
 from repro.devices.specs import HITACHI_DK23DA, DiskSpec
-from repro.sim.clock import seconds_to_transfer
-from repro.units import Bytes, Joules, Seconds, Watts
+from repro.units import Bytes, Joules, Seconds, Watts, transfer_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
@@ -288,7 +287,7 @@ class HardDisk(PowerStateMachine):
         position = self.positioning_time(block)
         first_byte = start + position
         # size >= 0 and the spec validates bandwidth > 0, so the plain
-        # division is exactly seconds_to_transfer without the calls.
+        # division is exactly transfer_seconds without the calls.
         completion = first_byte + size_bytes / spec.bandwidth_bps
         meter.set_power(start, spec.active_power, "disk.active")
         meter.advance(completion)
@@ -394,7 +393,7 @@ class HardDisk(PowerStateMachine):
             t += spec.spinup_time
             e += spec.spinup_energy
         position = 0.0 if sequential else spec.access_time
-        transfer = seconds_to_transfer(size_bytes, spec.bandwidth_bps)
+        transfer = transfer_seconds(size_bytes, spec.bandwidth_bps)
         t += position + transfer
         e += (position + transfer) * spec.active_power
         return t, e

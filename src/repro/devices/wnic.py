@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
 from repro.devices.specs import AIRONET_350, WnicSpec
-from repro.sim.clock import seconds_to_transfer
-from repro.units import Bytes, Joules, Seconds, approx_eq
+from repro.units import Bytes, Joules, Seconds, approx_eq, transfer_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
@@ -164,7 +163,7 @@ class WirelessNic(PowerStateMachine):
             - (start % spec.beacon_interval)
         first_byte = start + beacon_wait + spec.latency
         bandwidth = spec.bandwidth_bps * spec.psm_bandwidth_factor
-        completion = first_byte + seconds_to_transfer(size_bytes, bandwidth)
+        completion = first_byte + transfer_seconds(size_bytes, bandwidth)
         busy_power = (spec.psm_recv_power
                       if direction is Direction.RECV
                       else spec.psm_send_power)
@@ -218,7 +217,7 @@ class WirelessNic(PowerStateMachine):
 
         first_byte = start + spec.latency
         # size >= 0 and the spec validates bandwidth > 0, so the plain
-        # division is exactly seconds_to_transfer without the calls.
+        # division is exactly transfer_seconds without the calls.
         completion = first_byte + size_bytes / spec.bandwidth_bps
         busy_power = (spec.cam_recv_power
                       if direction is Direction.RECV
@@ -271,7 +270,7 @@ class WirelessNic(PowerStateMachine):
             bandwidth = self.spec.bandwidth_bps \
                 * self.spec.psm_bandwidth_factor
             worst = start + self.spec.beacon_interval + self.spec.latency \
-                + seconds_to_transfer(size_bytes, bandwidth)
+                + transfer_seconds(size_bytes, bandwidth)
             effective_bps = faults.network_bandwidth(
                 start, self.spec.bandwidth_bps)
             if (faults.link_available(start)
@@ -302,7 +301,7 @@ class WirelessNic(PowerStateMachine):
         first_byte = start + self.spec.latency
         bandwidth = faults.network_bandwidth(first_byte,
                                              self.spec.bandwidth_bps)
-        transfer = seconds_to_transfer(size_bytes, bandwidth)
+        transfer = transfer_seconds(size_bytes, bandwidth)
         completion = first_byte + transfer
         busy_power = (self.spec.cam_recv_power
                       if direction is Direction.RECV
@@ -349,7 +348,7 @@ class WirelessNic(PowerStateMachine):
                 and state == _PSM):
             # PSM fast path: expected half-beacon wait + derated rate.
             bandwidth = spec.bandwidth_bps * spec.psm_bandwidth_factor
-            transfer = seconds_to_transfer(size_bytes, bandwidth)
+            transfer = transfer_seconds(size_bytes, bandwidth)
             busy_power = (spec.psm_recv_power
                           if direction is Direction.RECV
                           else spec.psm_send_power)
@@ -362,7 +361,7 @@ class WirelessNic(PowerStateMachine):
         if state == _PSM:
             t += spec.psm_to_cam_time
             e += spec.psm_to_cam_energy
-        transfer = seconds_to_transfer(size_bytes, spec.bandwidth_bps)
+        transfer = transfer_seconds(size_bytes, spec.bandwidth_bps)
         busy_power = (spec.cam_recv_power
                       if direction is Direction.RECV
                       else spec.cam_send_power)

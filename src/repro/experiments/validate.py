@@ -39,7 +39,10 @@ def _disk_energy_bounds(result: RunResult,
     ``spinups * spinup_energy + spindowns * spindown_energy`` exactly.
     During *active* residency the draw is exactly ``active_power``; the
     only slack is transition windows, which draw nothing — hence the
-    lower bound subtracts their worst-case share of residency.
+    lower bound subtracts their worst-case share of residency.  Once
+    the disk has slept, a counted spin-up may instead be a wake from
+    sleep (its own impulse and window); the counters do not tell the
+    two apart, so each spin-up's term then spans both.
     """
     res = result.disk_residency
     base = (res.get("active", 0.0) * spec.active_power
@@ -61,7 +64,16 @@ def _disk_energy_bounds(result: RunResult,
                   # zero supplemental draw.
                   + result.disk_spinup_failures * spec.spinup_time
                   * spec.standby_power)
-    return base + impulses - max_window - 1e-6, base + impulses + 1e-6
+    lo = base + impulses - max_window
+    hi = base + impulses
+    if res.get("sleep", 0.0) > 0.0:
+        spinup_net = spec.spinup_energy \
+            - spec.spinup_time * spec.active_power
+        wake_net = spec.wake_energy - spec.wake_time * spec.active_power
+        lo += result.disk_spinups * min(0.0, wake_net - spinup_net)
+        hi += result.disk_spinups * max(
+            0.0, spec.wake_energy - spec.spinup_energy)
+    return lo - 1e-6, hi + 1e-6
 
 
 def validate_run(result: RunResult, *,

@@ -123,21 +123,6 @@ RULES: dict[str, Rule] = {
                       " through the call graph.",
         ),
         Rule(
-            id="R11",
-            name="kernel-pair-drift",
-            summary="the packed replay kernels (_replay_packed /"
-                    " _disk_walk / _wnic_walk) account the same energy"
-                    " buckets, spec constants and DPM transitions as"
-                    " the device models they shadow",
-            rationale="the packed walk re-derives device arithmetic"
-                      " from first principles for speed; a cost term,"
-                      " breakdown bucket, or state transition added to"
-                      " one twin but not the other drifts the two"
-                      " replay paths apart — the exact bug class the"
-                      " _replay_object oracle exists to catch, found"
-                      " here without running anything.",
-        ),
-        Rule(
             id="R13",
             name="plan-staleness",
             summary="memoised plans are immutable and every plan input"

@@ -25,7 +25,6 @@ from repro.sim.clock import (
     Mbps,
     bytes_per_second,
     SimulationError,
-    seconds_to_transfer,
 )
 from repro.sim.metrics import EnergyMeter, StateTimeline, TimeWeightedStat
 from repro.sim.rng import child_seed, make_rng
@@ -38,7 +37,6 @@ __all__ = [
     "USEC",
     "Mbps",
     "bytes_per_second",
-    "seconds_to_transfer",
     "SimulationError",
     "EnergyMeter",
     "StateTimeline",

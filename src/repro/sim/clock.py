@@ -24,7 +24,6 @@ from repro.units import (
     approx_eq,
     megabits_per_second,
     megabytes_per_second,
-    transfer_seconds,
 )
 
 # Data sizes (binary, as the paper's "128KB prefetching window" is 2**17).
@@ -68,17 +67,6 @@ def bytes_per_second(*, megabits: float | None = None,
         return megabits_per_second(megabits)
     assert megabytes is not None
     return megabytes_per_second(megabytes)
-
-
-def seconds_to_transfer(size_bytes: Bytes,
-                        bandwidth_bps: BytesPerSecond) -> Seconds:
-    """Time to move ``size_bytes`` at ``bandwidth_bps`` bytes/second.
-
-    A zero-byte transfer takes zero time regardless of bandwidth; a
-    positive transfer over a non-positive bandwidth is a configuration
-    error and raises.
-    """
-    return transfer_seconds(size_bytes, bandwidth_bps)
 
 
 def almost_equal(a: float, b: float, eps: float = 1e-9) -> bool:

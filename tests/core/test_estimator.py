@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.burst import IOBurst, ProfiledRequest
-from repro.core.costmodel import CostModel, filter_cached, replay_stage
+from repro.core.costmodel import CostModel, replay_stage
 from repro.core.decision import DataSource
 from repro.core.profile import ExecutionProfile
 from repro.devices.disk import DiskState, HardDisk
@@ -112,32 +112,40 @@ class TestMinDuration:
 
 
 class TestCacheFilter:
+    """The §2.3.2 filter, observed through the estimate it feeds."""
+
     class FakeVfs:
         """Residency oracle: everything in inode 1 is cached."""
 
         def resident_bytes(self, inode, offset, size):
             return size if inode == 1 else 0
 
+    @staticmethod
+    def filtered(bursts, vfs):
+        return replay_stage(DataSource.DISK, HardDisk(), bursts,
+                            [0.0] * len(bursts), now=0.0, vfs=vfs)
+
     def test_fully_cached_requests_dropped(self):
-        filtered = filter_cached([burst(1 * MB, inode=1)], self.FakeVfs())
-        assert filtered == [[]]
+        est = self.filtered([burst(1 * MB, inode=1), burst(4096, inode=2)],
+                            self.FakeVfs())
+        assert (est.nbytes, est.requests) == (4096, 1)
 
     def test_uncached_requests_kept(self):
-        filtered = filter_cached([burst(1 * MB, inode=2)], self.FakeVfs())
-        assert filtered[0][0].size == 1 * MB
+        est = self.filtered([burst(1 * MB, inode=2)], self.FakeVfs())
+        assert (est.nbytes, est.requests) == (1 * MB, 1)
 
     def test_partial_residency_shrinks(self):
         class HalfVfs:
             def resident_bytes(self, inode, offset, size):
                 return size // 2
-        filtered = filter_cached([burst(1 * MB)], HalfVfs())
-        assert filtered[0][0].size == MB // 2
+        est = self.filtered([burst(1 * MB)], HalfVfs())
+        assert (est.nbytes, est.requests) == (MB // 2, 1)
 
     def test_writes_never_filtered(self):
         req = ProfiledRequest(inode=1, offset=0, size=100, op=OpType.WRITE)
         b = IOBurst(requests=(req,), start=0.0, end=0.1)
-        filtered = filter_cached([b], self.FakeVfs())
-        assert filtered[0][0].size == 100
+        est = self.filtered([b], self.FakeVfs())
+        assert (est.nbytes, est.requests) == (100, 1)
 
     def test_filter_feeds_estimate(self):
         disk = HardDisk()

@@ -101,6 +101,15 @@ class TestAcrossDeviceVariants:
         issues = validate_run(result, disk_spec=spec)
         assert issues == [], [str(i) for i in issues]
 
+    def test_disk_woken_from_sleep_validates(self):
+        """A wake from sleep is priced as a wake, not a spin-up."""
+        from repro.devices.specs import HITACHI_DK23DA
+        spec = HITACHI_DK23DA.with_sleep(2.0)
+        result = run(mixed_trace(), DiskOnlyPolicy(), disk_spec=spec)
+        assert result.disk_breakdown.get("disk.wake", 0.0) > 0.0
+        issues = validate_run(result, disk_spec=spec)
+        assert issues == [], [str(i) for i in issues]
+
     def test_adaptive_dpm_validates(self):
         from repro.devices.dpm import AdaptiveTimeout
         result = run(mixed_trace(), DiskOnlyPolicy(),

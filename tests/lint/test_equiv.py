@@ -1,6 +1,6 @@
-"""Dual-path equivalence rules R11 and R13 (``repro.lint.equiv``).
+"""Plan-equivalence rule R13 (``repro.lint.equiv``).
 
-Each rule gets a checked-in bad/good ``.pysnippet`` fixture pair
+The rule gets a checked-in bad/good ``.pysnippet`` fixture pair
 (positioned inside the package via ``package_rel`` so the anchors
 resolve) and a current-tree clean assertion.
 """
@@ -14,7 +14,6 @@ from repro.lint import lint_paths, lint_source
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
-COSTMODEL = ("repro", "core", "costmodel.py")
 PLAN = ("repro", "sim", "plan.py")
 
 
@@ -27,36 +26,6 @@ def _lint_fixture(name: str, package_rel: tuple[str, ...],
     return lint_source(_fixture(name), path=f"{name}.py",
                        package_rel=package_rel,
                        select=frozenset({rule}))
-
-
-# ----------------------------------------------------------------------
-# R11 — kernel-pair drift
-# ----------------------------------------------------------------------
-class TestR11:
-    def test_bad_fixture_reports_every_drift_direction(self):
-        findings = _lint_fixture("r11_bad", COSTMODEL, "R11")
-        assert [f.rule for f in findings] == ["R11"] * 6
-        messages = " | ".join(f.message for f in findings)
-        assert "bucket 'disk.recalibrate'" in messages          # missing
-        assert "bucket 'disk.turbo'" in messages                # invented
-        assert "'recalibration_energy'" in messages             # missing
-        assert "'recalibration_time'" in messages               # missing
-        assert "transition standby->active" in messages         # missing
-        assert "transition idle->active" in messages            # invented
-
-    def test_invented_effects_are_anchored_at_their_use_site(self):
-        findings = _lint_fixture("r11_bad", COSTMODEL, "R11")
-        invented = [f for f in findings if "disk.turbo" in f.message]
-        assert len(invented) == 1
-        source = _fixture("r11_bad").splitlines()
-        assert "disk.turbo" in source[invented[0].line - 1]
-
-    def test_good_fixture_is_clean(self):
-        assert _lint_fixture("r11_good", COSTMODEL, "R11") == []
-
-    def test_current_tree_is_clean(self):
-        assert lint_paths([REPO_ROOT / "src"],
-                          select=frozenset({"R11"})) == []
 
 
 # ----------------------------------------------------------------------
@@ -84,13 +53,13 @@ class TestR13:
 class TestSelfCheck:
     def test_lint_package_is_clean_under_equiv_rules(self):
         assert lint_paths([REPO_ROOT / "src" / "repro" / "lint"],
-                          select=frozenset({"R11", "R13"})) == []
+                          select=frozenset({"R13"})) == []
 
     def test_whole_tree_is_clean_under_equiv_rules(self):
         assert lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "tests",
              REPO_ROOT / "benchmarks", REPO_ROOT / "examples"],
-            select=frozenset({"R11", "R13"})) == []
+            select=frozenset({"R13"})) == []
 
     def test_pycache_is_gitignored(self):
         gitignore = (REPO_ROOT / ".gitignore").read_text(
@@ -103,7 +72,7 @@ class TestSelfCheck:
 # ----------------------------------------------------------------------
 class TestOrdering:
     def test_findings_sorted_by_location(self):
-        findings = _lint_fixture("r11_bad", COSTMODEL, "R11")
+        findings = _lint_fixture("r13_bad", PLAN, "R13")
         keys = [(f.path, f.line, f.col, f.rule, f.message)
                 for f in findings]
         assert keys == sorted(keys)

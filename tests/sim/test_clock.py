@@ -46,25 +46,6 @@ class TestBytesPerSecond:
         assert clock.bytes_per_second(megabytes=2) == pytest.approx(2e6)
 
 
-class TestSecondsToTransfer:
-    def test_basic(self):
-        assert clock.seconds_to_transfer(1_375_000, clock.Mbps(11)) == \
-            pytest.approx(1.0)
-
-    def test_zero_bytes_is_free(self):
-        assert clock.seconds_to_transfer(0, 1.0) == 0.0
-        # even with nonsense bandwidth
-        assert clock.seconds_to_transfer(0, -5.0) == 0.0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            clock.seconds_to_transfer(-1, 100.0)
-
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            clock.seconds_to_transfer(10, 0.0)
-
-
 class TestAlmostEqual:
     def test_within_eps(self):
         assert clock.almost_equal(1.0, 1.0 + 5e-10)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import units
-from repro.sim.clock import MBps, Mbps, almost_equal, seconds_to_transfer
+from repro.sim.clock import MBps, Mbps, almost_equal
 
 
 def test_aliases_are_plain_numbers_at_runtime() -> None:
@@ -58,7 +58,10 @@ def test_transfer_seconds_edge_cases() -> None:
         units.transfer_seconds(-1, 1.0)
     with pytest.raises(ValueError):
         units.transfer_seconds(1, 0.0)
-    assert seconds_to_transfer(2_750_000, Mbps(11.0)) == pytest.approx(2.0)
+    assert units.transfer_seconds(2_750_000, Mbps(11.0)) == \
+        pytest.approx(2.0)
+    # a zero-byte transfer is free even over a nonsense bandwidth
+    assert units.transfer_seconds(0, -5.0) == 0.0
 
 
 def test_approx_eq_mixed_tolerance() -> None:
