@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import units
 from repro.sim import clock
 
 
@@ -44,6 +45,27 @@ class TestBytesPerSecond:
 
     def test_megabyte_path(self):
         assert clock.bytes_per_second(megabytes=2) == pytest.approx(2e6)
+
+
+class TestSecondsToTransfer:
+    """Transfer time lives in repro.units; the clock units feed it."""
+
+    def test_basic(self):
+        assert units.transfer_seconds(1_375_000, clock.Mbps(11)) == \
+            pytest.approx(1.0)
+
+    def test_zero_bytes_is_free(self):
+        assert units.transfer_seconds(0, 1.0) == 0.0
+        # even with nonsense bandwidth
+        assert units.transfer_seconds(0, -5.0) == 0.0
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            units.transfer_seconds(-1, 100.0)
+
+    def test_nonpositive_bandwidth_rejected(self):
+        with pytest.raises(ValueError):
+            units.transfer_seconds(10, 0.0)
 
 
 class TestAlmostEqual:
