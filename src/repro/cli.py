@@ -294,14 +294,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--select", args.select]
     if args.list_rules:
         argv.append("--list-rules")
-    if args.sarif:
-        argv += ["--sarif", args.sarif]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.format != "text":
-        argv += ["--format", args.format]
     return lint_main(argv)
 
 
@@ -450,24 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the repo's determinism/units static analyzer")
-    p_lint.add_argument("paths", nargs="*", default=["src", "tests"],
-                        help="files or directories (default: src tests)")
+    p_lint.add_argument("paths", nargs="*", default=["src"],
+                        help="files or directories (default: src)")
     p_lint.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids, e.g. R1,R3")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    p_lint.add_argument("--sarif", metavar="FILE",
-                        help="also write findings as SARIF 2.1.0")
-    p_lint.add_argument("--baseline", metavar="FILE",
-                        help="recorded-baseline file; only new"
-                             " findings fail the run")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline with the current"
-                             " findings")
-    p_lint.add_argument("--format", default="text",
-                        choices=["text", "github"],
-                        help="finding output format; 'github' emits"
-                             " ::error workflow annotations")
 
     p_trace = sub.add_parser(
         "trace", help="synthesise a workload trace and write it to disk")

@@ -4,9 +4,9 @@ The fast path (DESIGN.md §15–§16) swaps the live kernel path for a
 cursor over a frozen BurstPlan, under the same scheduler, with a
 bit-identical contract: for every plan-shaped cell it must produce the
 same :class:`~repro.core.telemetry.RunResult` — every float, dict and
-counter — as the live kernel path.  The static rule R13
-(``repro.lint.equiv``) catches the *structural* ways the two kernel
-surfaces can drift apart; this module is the dynamic half: with
+counter — as the live kernel path.
+``tests/core/test_session_inputs.py`` checks that every session input
+reaches both kernel surfaces; this module is the dynamic half: with
 ``REPRO_SANITIZE=1`` (or ``flexfetch sweep --sanitize``) every cell that
 engages the fast path is run once more on the live kernel path and the
 two runs are diffed at the bit level, stage by stage:
@@ -22,8 +22,8 @@ both energy breakdowns — enough to localise a single wrong constant to
 the record that first exposed it.
 
 The toggle is resolved once at import time: reading the environment
-inside the sweep worker's call cone would be a determinism leak that
-lint rule R6 rightly rejects.
+inside a sweep cell would make the cell depend on more than its job,
+which ``tests/experiments/test_cell_purity.py`` rejects.
 """
 
 from __future__ import annotations

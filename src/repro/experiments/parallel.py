@@ -136,8 +136,19 @@ class UnknownPayloadDigestError(KeyError):
         self.digest = digest
 
 
+#: payload types :func:`stage_payload` refuses: a staged value is shared
+#: copy-on-write by every forked worker under a content digest, so a
+#: mutable one could drift from the digest it is keyed under.
+_MUTABLE_PAYLOADS = (list, dict, set, bytearray)
+
+
 def stage_payload(digest: str, payload: object) -> str:
     """Stage an immutable payload for digest-keyed worker resolution."""
+    if isinstance(payload, _MUTABLE_PAYLOADS):
+        raise TypeError(
+            f"cannot stage a mutable {type(payload).__name__} payload;"
+            " stage an immutable value (tuple, frozenset, frozen"
+            " dataclass)")
     _WORKER_PAYLOADS[digest] = payload
     return digest
 

@@ -2,37 +2,21 @@
 
 An AST-based checker with repo-specific rules that generic linters
 cannot express (see DESIGN.md §10 for the catalogue and rationale).
-The per-file pass:
+Every rule checks one file at a time and applies only inside the
+``repro`` package:
 
-* **R1 determinism** — no wall clocks or unseeded randomness inside the
-  simulator package;
+* **R1 determinism** — no wall clocks or unseeded randomness;
 * **R2 unit-discipline** — physical quantities carry the
   :mod:`repro.units` aliases, and ``+``/``-``/ordering never mixes
   dimensions (seconds vs joules);
 * **R3 float-equality** — no ``==``/``!=`` on measured float
   quantities;
-* **R4 defensive-defaults** — no mutable default arguments or bare
-  ``except``;
 * **R5 layering** — no upward imports across the
   devices → kernel → core → experiments/cli stack (DESIGN.md §12).
 
-The whole-program pass links every linted in-package file into one
-project (AST-only, nothing imported) and runs interprocedural rules
-over its call graph:
-
-* **R6 determinism-taint** — impurity reachable from the sweep worker
-  or the cache-key hash, reported with the call chain;
-* **R7 parallel-safety** — no module-state writes in worker-reachable
-  code, nothing unpicklable into the fork boundary;
-* **R8 cache-key-soundness** — every ``SimulationSession`` input keyed
-  by ``run_key``;
-* **R9 unit-flow** — dimension mismatches that cross call boundaries.
-
-Run as ``python -m repro.lint src/ tests/`` or ``flexfetch lint``;
-suppress a finding with ``# repro-lint: ignore[R1]`` on its line, a
-file's named rules with ``# repro-lint: ignore-file[R6]`` in the
-leading comment block.  ``--sarif`` emits SARIF 2.1.0; ``--baseline``
-gates CI on new findings only.
+Run as ``python -m repro.lint`` or ``flexfetch lint`` (default path:
+``src``); suppress a finding with ``# repro-lint: ignore[R1]`` on its
+line.  ``tests/lint/test_selfcheck.py`` holds ``src`` at zero findings.
 """
 
 from repro.lint.findings import RULES, Finding, Rule

@@ -56,14 +56,6 @@ RULES: dict[str, Rule] = {
                       " repro.units.approx_eq / is_zero or math.isclose.",
         ),
         Rule(
-            id="R4",
-            name="defensive-defaults",
-            summary="no mutable default arguments and no bare except",
-            rationale="mutable defaults alias state across calls (a"
-                      " classic simulator cross-run leak); bare except"
-                      " swallows the invariant errors PR 1 added.",
-        ),
-        Rule(
             id="R5",
             name="layering",
             summary="no upward imports across the"
@@ -74,66 +66,6 @@ RULES: dict[str, Rule] = {
                       " the simulator core) silently re-fuses the"
                       " monolith.  Inject upward dependencies as"
                       " callables/protocols instead.",
-        ),
-        Rule(
-            id="R6",
-            name="determinism-taint",
-            summary="no nondeterminism source reachable from sweep"
-                    " execution or cache-key hashing",
-            rationale="the run cache and the parallel executor both"
-                      " assume a cell is a pure function of its"
-                      " declared inputs; a wall-clock read, env lookup,"
-                      " or unordered-set iteration anywhere in the"
-                      " transitive call graph of _execute_job/run_key"
-                      " silently breaks bit-identical replay, even when"
-                      " the impure call sits in a helper R1 never"
-                      " scopes to.",
-        ),
-        Rule(
-            id="R7",
-            name="parallel-safety",
-            summary="no module-level state writes in worker-reachable"
-                    " code; nothing non-picklable crosses the fork"
-                    " boundary",
-            rationale="sweep workers are forked processes: writes to"
-                      " module globals vanish with the worker, and"
-                      " lambdas/closures/open handles/locks placed in"
-                      " SweepJob fields fail to pickle (or worse,"
-                      " pickle to something stale).",
-        ),
-        Rule(
-            id="R8",
-            name="cache-key-soundness",
-            summary="every result-affecting SimulationSession input"
-                    " appears in run_key's canonical description",
-            rationale="a simulation input omitted from the cache key"
-                      " (the PR 1 fault schedules were one) lets a run"
-                      " that varies it hit a stale cached RunResult —"
-                      " the cache returns confidently wrong numbers.",
-        ),
-        Rule(
-            id="R9",
-            name="unit-flow",
-            summary="unit dimensions stay consistent across call"
-                    " boundaries",
-            rationale="R2 checks arithmetic it can see inside one"
-                      " function; a helper returning joules assigned"
-                      " into a Seconds slot, or added to a latency, is"
-                      " only visible once return dimensions propagate"
-                      " through the call graph.",
-        ),
-        Rule(
-            id="R13",
-            name="plan-staleness",
-            summary="memoised plans are immutable and every plan input"
-                    " is folded into the memo key",
-            rationale="plan_for memoises BurstPlans process-wide and"
-                      " forked workers inherit them copy-on-write;"
-                      " mutating plan-derived state after memoisation,"
-                      " or keying the memo on fewer inputs than"
-                      " build_plan consumes, serves stale plans to"
-                      " every later cell that varies the missing"
-                      " input.",
         ),
         Rule(
             id="E1",

@@ -1,35 +1,33 @@
-"""The rule implementations (R1-R4) for :mod:`repro.lint`.
+"""The rule implementations (R1-R3) for :mod:`repro.lint`.
 
 Each rule is an :class:`ast.NodeVisitor` producing :class:`Finding`
 objects.  Rules never import or execute the code under analysis — pure
 syntax, so the analyzer runs identically on any tree (including broken
 work-in-progress checkouts, as long as they parse).
 
-Scope per rule (see DESIGN.md §10):
+Every rule applies only inside the ``repro`` package (see DESIGN.md
+§10):
 
-* **R1** (determinism) — files inside the ``repro`` package except
+* **R1** (determinism) — every package file except
   ``repro/sim/rng.py``, the sanctioned randomness front door.
-* **R2/R3** (unit discipline, float equality) — files inside the
-  ``repro`` package.  Tests may compare replays for *exact* equality on
-  purpose (bit-reproducibility assertions), so they are exempt.
-* **R4** (defensive defaults) — every linted file.
-* **R5** (layering) — files inside the ranked layers of the ``repro``
-  package (see :mod:`repro.lint.layering`).
+* **R2/R3** (unit discipline, float equality) — every package file.
+  Tests may compare replays for *exact* equality on purpose
+  (bit-reproducibility assertions), so they are exempt.
+* **R5** (layering) — files inside the ranked layers (see
+  :mod:`repro.lint.layering`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.ir import ImportTable
 from repro.lint.layering import LayeringRule, layer_of
 from repro.lint.unitinfer import (
     DIMENSION_ALIASES,
     FLOAT_DIMENSIONS,
     UnitEnv,
-    dimension_of_annotation,
     dimension_of_identifier,
     is_bare_numeric_annotation,
 )
@@ -56,6 +54,39 @@ class FileContext:
 # ----------------------------------------------------------------------
 # R1 — determinism
 # ----------------------------------------------------------------------
+class ImportTable:
+    """Maps local names to the absolute dotted paths they alias."""
+
+    def __init__(self) -> None:
+        self._aliases: dict[str, str] = {}
+
+    def collect(self, tree: ast.AST) -> None:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".", 1)[0]
+                    local = alias.asname or root
+                    self._aliases[local] = alias.name if alias.asname \
+                        else root
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self._aliases[local] = f"{node.module}.{alias.name}"
+
+    def resolve(self, node: ast.expr) -> str | None:
+        """Dotted path of a Name/Attribute chain, through import aliases."""
+        parts: list[str] = []
+        cur = node
+        while isinstance(cur, ast.Attribute):
+            parts.append(cur.attr)
+            cur = cur.value
+        if not isinstance(cur, ast.Name):
+            return None
+        parts.append(self._aliases.get(cur.id, cur.id))
+        return ".".join(reversed(parts))
+
+
 #: calls that read the wall clock or the host environment.
 _WALL_CLOCK = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -90,11 +121,7 @@ _NUMPY_RANDOM_OK = frozenset({
 
 
 def impurity_of_call(dotted: str, node: ast.Call) -> str | None:
-    """Message when a dotted call is a nondeterminism source, else None.
-
-    Shared by R1 (per-file) and R6 (interprocedural taint): both flag
-    the same sources; R6 adds reachability context on top.
-    """
+    """Message when a dotted call is a nondeterminism source, else None."""
     if dotted in _WALL_CLOCK:
         return (f"wall-clock call {dotted}() — simulation"
                 " time comes from the replay scheduler, never the"
@@ -304,94 +331,28 @@ class FloatEqualityRule(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# R4 — defensive defaults
-# ----------------------------------------------------------------------
-_MUTABLE_CALLS = frozenset({"list", "dict", "set"})
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CALLS)
-
-
-class DefensiveDefaultsRule(ast.NodeVisitor):
-    """R4: no mutable default arguments, no bare ``except:``."""
-
-    def __init__(self, ctx: FileContext) -> None:
-        self.ctx = ctx
-        self.findings: list[Finding] = []
-
-    def _flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(Finding(
-            path=self.ctx.path, line=node.lineno, col=node.col_offset,
-            rule="R4", message=message))
-
-    def _visit_function(self,
-                        node: ast.FunctionDef | ast.AsyncFunctionDef
-                        ) -> None:
-        for default in (*node.args.defaults, *node.args.kw_defaults):
-            if default is not None and _is_mutable_default(default):
-                self._flag(default, "mutable default argument — use None"
-                                    " and create the object inside the"
-                                    " function")
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._flag(node, "bare except: — name the exceptions; a"
-                             " blind handler swallows invariant"
-                             " violations")
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
 # orchestration
 # ----------------------------------------------------------------------
-@dataclass(slots=True)
-class _RulePlan:
-    r1: bool = True
-    r2: bool = True
-    r3: bool = True
-    r4: bool = True
-    r5: bool = True
-    findings: list[Finding] = field(default_factory=list)
-
-
 def run_rules(tree: ast.AST, ctx: FileContext,
               select: frozenset[str] | None = None) -> list[Finding]:
     """Run every applicable rule over a parsed module."""
-    in_pkg = ctx.in_package
-    plan = _RulePlan(
-        r1=in_pkg and not ctx.is_rng_module,
-        r2=in_pkg,
-        r3=in_pkg,
-        r4=True,
-        r5=in_pkg and layer_of(ctx.package_rel) is not None,
-    )
+    if not ctx.in_package:
+        return []
+
+    def wanted(rule: str) -> bool:
+        return select is None or rule in select
+
     visitors: list[DeterminismRule | UnitDisciplineRule
-                   | FloatEqualityRule | DefensiveDefaultsRule
-                   | LayeringRule] = []
-    if plan.r1 and (select is None or "R1" in select):
+                   | FloatEqualityRule | LayeringRule] = []
+    if wanted("R1") and not ctx.is_rng_module:
         imports = ImportTable()
         imports.collect(tree)
         visitors.append(DeterminismRule(ctx, imports))
-    if plan.r2 and (select is None or "R2" in select):
+    if wanted("R2"):
         visitors.append(UnitDisciplineRule(ctx))
-    if plan.r3 and (select is None or "R3" in select):
+    if wanted("R3"):
         visitors.append(FloatEqualityRule(ctx))
-    if plan.r4 and (select is None or "R4" in select):
-        visitors.append(DefensiveDefaultsRule(ctx))
-    if plan.r5 and (select is None or "R5" in select):
+    if wanted("R5") and layer_of(ctx.package_rel) is not None:
         visitors.append(LayeringRule(ctx))
     findings: list[Finding] = []
     for visitor in visitors:

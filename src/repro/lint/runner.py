@@ -2,23 +2,16 @@
 
 Invocation forms (all equivalent)::
 
-    python -m repro.lint src/ tests/
-    flexfetch lint src/ tests/
+    python -m repro.lint src/
+    flexfetch lint src/
     from repro.lint import lint_paths; lint_paths(["src"])
 
-Two passes run over every invocation:
+Each file is parsed once and checked in isolation by the rules that
+apply to its place in the package (:func:`repro.lint.rules.run_rules`).
+Findings are ordered by (path, line, col, rule, message), so output is
+deterministic.
 
-* the **per-file** pass (rules R1-R5) checks each file in isolation;
-* the **project** pass (rules R6-R9) parses every in-package file into
-  one :class:`~repro.lint.ir.Project` and runs the interprocedural
-  rules over its call graph.
-
-Where R6's taint analysis flags a call site, the per-file R1 finding on
-the same line is dropped — R6 subsumes it with reachability context.
-Findings are globally ordered by (path, line, col, rule, message), so
-terminal output, SARIF files, and baselines are all deterministic.
-
-Exit status: 0 clean, 1 non-baselined findings, 2 usage error.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,23 +22,9 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
-from repro.lint.equiv import run_equiv_rules
 from repro.lint.findings import RULES, Finding
-from repro.lint.interproc import run_project_rules
-from repro.lint.ir import ModuleIR, build_project, parse_module
 from repro.lint.rules import FileContext, run_rules
-from repro.lint.sarif import write_sarif
-from repro.lint.suppressions import (
-    Suppressions,
-    expand_multiline,
-    parse_suppressions,
-)
+from repro.lint.suppressions import expand_multiline, parse_suppressions
 
 #: directory names never descended into.
 _SKIP_DIRS = frozenset({
@@ -83,78 +62,25 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 f"not a Python file or directory: {path}")
 
 
-def _finalize(findings: list[Finding]) -> list[Finding]:
-    """Global ordering + R6-subsumes-R1 dedup."""
-    r6_sites = {(f.path, f.line) for f in findings if f.rule == "R6"}
-    kept = [f for f in findings
-            if not (f.rule == "R1" and (f.path, f.line) in r6_sites)]
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    return kept
-
-
-def _file_pass(source: str, *, path: str,
-               package_rel: tuple[str, ...] | None,
-               select: frozenset[str] | None
-               ) -> tuple[list[Finding], ModuleIR | None]:
-    """Per-file findings plus the parsed module for the project pass.
-
-    Returns ``(findings, None)`` for files outside the ``repro``
-    package, skip-file'd files, and files that fail to parse.
-    """
-    suppressions = parse_suppressions(source)
-    if suppressions.skip_file:
-        return [], None
-    ctx = FileContext(path=path, package_rel=package_rel)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Finding(path=path, line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, rule="E1",
-                        message=f"syntax error: {exc.msg}")], None
-    suppressions = expand_multiline(suppressions, tree)
-    findings = [f for f in run_rules(tree, ctx, select=select)
-                if suppressions.allows(f)]
-    module = None
-    if package_rel is not None:
-        module = parse_module(source, path=path, package_rel=package_rel)
-    return findings, module
-
-
-def _project_pass(modules: list[ModuleIR],
-                  select: frozenset[str] | None) -> list[Finding]:
-    """Interprocedural findings over the in-package modules."""
-    if not modules:
-        return []
-    project = build_project(modules)
-    expanded: dict[str, Suppressions] = {
-        module.path: expand_multiline(module.suppressions, module.tree)
-        for module in modules
-    }
-    produced = (run_project_rules(project, select=select)
-                + run_equiv_rules(project, select=select))
-    return [
-        finding for finding in produced
-        if finding.path not in expanded
-        or expanded[finding.path].allows(finding)
-    ]
-
-
 def lint_source(source: str, *, path: str = "<string>",
                 package_rel: tuple[str, ...] | None = None,
                 select: frozenset[str] | None = None) -> list[Finding]:
     """Lint source text; the workhorse behind every entry point.
 
     ``package_rel`` positions the snippet for rule scoping; default is
-    *outside* the package (only R4 applies).  Pass e.g.
+    *outside* the package, where no rule applies.  Pass e.g.
     ``("repro", "core", "x.py")`` to lint as if inside the simulator.
-    In-package snippets also get the project pass over a one-module
-    project (interprocedural rules see only local call edges).
     """
-    findings, module = _file_pass(source, path=path,
-                                  package_rel=package_rel, select=select)
-    if module is not None:
-        findings = findings + _project_pass([module], select)
-    return _finalize(findings)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [Finding(path=path, line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1, rule="E1",
+                        message=f"syntax error: {exc.msg}")]
+    suppressions = expand_multiline(parse_suppressions(source), tree)
+    ctx = FileContext(path=path, package_rel=package_rel)
+    return [f for f in run_rules(tree, ctx, select=select)
+            if suppressions.allows(f)]
 
 
 def lint_file(path: str | Path,
@@ -168,24 +94,11 @@ def lint_file(path: str | Path,
 
 def lint_paths(paths: Iterable[str | Path],
                select: frozenset[str] | None = None) -> list[Finding]:
-    """Lint files and directory trees.
-
-    All in-package files form *one* project, so the interprocedural
-    rules see cross-module call edges; findings come back in global
-    (path, line, col, rule) order.
-    """
-    findings: list[Finding] = []
-    modules: list[ModuleIR] = []
-    for path in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        file_findings, module = _file_pass(
-            source, path=str(path), package_rel=package_relative(path),
-            select=select)
-        findings.extend(file_findings)
-        if module is not None:
-            modules.append(module)
-    findings.extend(_project_pass(modules, select))
-    return _finalize(findings)
+    """Lint files and directory trees, in (path, line, col) order."""
+    findings = [finding for path in iter_python_files(paths)
+                for finding in lint_file(path, select)]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
+    return findings
 
 
 def _render_rule_catalogue() -> str:
@@ -200,48 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="FlexFetch repo static analyzer: determinism, unit"
-                    " discipline, float equality, defensive defaults,"
-                    " and whole-program determinism/parallel-safety/"
-                    "cache-key checks."
+                    " discipline, float equality and layering."
                     " Suppress with '# repro-lint: ignore[R1]'.")
-    parser.add_argument("paths", nargs="*", default=["src", "tests"],
-                        help="files or directories (default: src tests)")
+    parser.add_argument("paths", nargs="*", default=["src"],
+                        help="files or directories (default: src)")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run, e.g."
                              " R1,R3 (default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--sarif", metavar="FILE",
-                        help="also write findings as SARIF 2.1.0")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="recorded-baseline file; only findings"
-                             " absent from it fail the run (a missing"
-                             " file is an empty baseline)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline with the current"
-                             " findings and exit 0")
-    parser.add_argument("--format", choices=("text", "github"),
-                        default="text",
-                        help="finding output format: 'text' (default,"
-                             " path:line:col) or 'github' (workflow"
-                             " ::error annotations)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the summary line")
     return parser
-
-
-def _render_github(finding: Finding) -> str:
-    """One ``::error`` workflow command per finding.
-
-    GitHub columns are 1-based; internal columns 0-based, matching
-    ast col_offset.  Newlines cannot occur in messages (findings are
-    single-line), so no %0A escaping is needed.
-    """
-    name = (RULES[finding.rule].name
-            if finding.rule in RULES else "?")
-    return (f"::error file={finding.path},line={finding.line},"
-            f"col={finding.col + 1},title={finding.rule}({name})::"
-            f"{finding.message}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -250,10 +133,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         print(_render_rule_catalogue())
         return 0
-    if args.update_baseline and not args.baseline:
-        print("repro.lint: --update-baseline requires --baseline",
-              file=sys.stderr)
-        return 2
     select: frozenset[str] | None = None
     if args.select:
         select = frozenset(token.strip().upper()
@@ -274,35 +153,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        save_baseline(args.baseline, findings)
-        if args.sarif:
-            write_sarif(args.sarif, findings, new=set())
-        if not args.quiet:
-            print(f"repro.lint: baseline {args.baseline} updated with"
-                  f" {len(findings)} finding(s)", file=sys.stderr)
-        return 0
-
-    baselined: list[Finding] = []
-    new = findings
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-        new, baselined = split_findings(findings, baseline)
-    if args.sarif:
-        write_sarif(args.sarif, findings,
-                    new=set(new) if args.baseline else None)
-    for finding in new:
-        if args.format == "github":
-            print(_render_github(finding))
-        else:
-            print(finding.render())
+    for finding in findings:
+        print(finding.render())
     if not args.quiet:
-        noun = "finding" if len(new) == 1 else "findings"
-        suffix = f" ({len(baselined)} baselined)" if baselined else ""
-        print(f"repro.lint: {len(new)} {noun}{suffix}", file=sys.stderr)
-    return 1 if new else 0
+        noun = "finding" if len(findings) == 1 else "findings"
+        print(f"repro.lint: {len(findings)} {noun}", file=sys.stderr)
+    return 1 if findings else 0

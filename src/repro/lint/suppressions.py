@@ -1,18 +1,10 @@
 """Suppression-comment parsing for :mod:`repro.lint`.
 
-Three pragmas, all ordinary comments:
-
-* ``# repro-lint: ignore[R1]`` / ``ignore[R1,R3]`` / ``ignore`` —
-  suppress the named rules (or all rules) on that physical line; on the
-  last line of a multi-line statement the pragma covers the whole
-  statement (findings anchor to the statement's first line);
-* ``# repro-lint: ignore-file[R6]`` / ``ignore-file[R6,R7]`` — suppress
-  the named rules everywhere in the file.  Only honoured in the *first
-  comment block* (leading comments/blank lines before any code), so a
-  file's opt-outs are visible at the top.  Unknown rule ids are kept
-  verbatim and simply never match a finding;
-* ``# repro-lint: skip-file`` — skip the whole file (used sparingly;
-  test fixtures that *must* contain violations are the intended user).
+One pragma, an ordinary comment: ``# repro-lint: ignore[R1]`` /
+``ignore[R1,R3]`` / ``ignore`` suppresses the named rules (or all
+rules) on that physical line; on the last line of a multi-line
+statement it covers the whole statement (findings anchor to the
+statement's first line).
 """
 
 from __future__ import annotations
@@ -24,68 +16,36 @@ from dataclasses import dataclass, replace
 from repro.lint.findings import Finding
 
 _PRAGMA = re.compile(
-    r"#\s*repro-lint:\s*(?P<verb>ignore-file|ignore|skip-file)"
-    r"(?:\[(?P<rules>[A-Za-z0-9,\s]+)\])?")
+    r"#\s*repro-lint:\s*ignore(?![\w-])(?:\[(?P<rules>[A-Za-z0-9,\s]+)\])?")
 
 
 @dataclass(frozen=True, slots=True)
 class Suppressions:
     """Parsed pragmas of one file."""
 
-    skip_file: bool
     #: line number -> suppressed rule ids; empty set means *all* rules.
     by_line: dict[int, frozenset[str]]
-    #: rule ids suppressed for the whole file (``ignore-file[...]``).
-    file_rules: frozenset[str] = frozenset()
 
     def allows(self, finding: Finding) -> bool:
         """True when the finding survives the file's pragmas."""
-        if self.skip_file:
-            return False
-        if finding.rule in self.file_rules:
-            return False
         rules = self.by_line.get(finding.line)
         if rules is None:
             return True
         return bool(rules) and finding.rule not in rules
 
 
-def _parse_rule_list(spec: str) -> frozenset[str]:
-    return frozenset(token.strip().upper()
-                     for token in spec.split(",") if token.strip())
-
-
 def parse_suppressions(source: str) -> Suppressions:
     """Scan source text for ``repro-lint`` pragmas."""
-    skip_file = False
     by_line: dict[int, frozenset[str]] = {}
-    file_rules: set[str] = set()
-    in_header = True
     for lineno, line in enumerate(source.splitlines(), start=1):
-        stripped = line.strip()
-        if in_header and stripped and not stripped.startswith("#"):
-            in_header = False
         match = _PRAGMA.search(line)
         if match is None:
             continue
-        verb = match.group("verb")
-        if verb == "skip-file":
-            skip_file = True
-            continue
         spec = match.group("rules")
-        if verb == "ignore-file":
-            # Only the leading comment block may opt a file out; a
-            # buried ignore-file is inert (and the named rules need an
-            # explicit list — a blanket file opt-out is skip-file).
-            if in_header and spec is not None:
-                file_rules |= _parse_rule_list(spec)
-            continue
-        if spec is None:
-            by_line[lineno] = frozenset()
-        else:
-            by_line[lineno] = _parse_rule_list(spec)
-    return Suppressions(skip_file=skip_file, by_line=by_line,
-                        file_rules=frozenset(file_rules))
+        by_line[lineno] = frozenset() if spec is None else frozenset(
+            token.strip().upper()
+            for token in spec.split(",") if token.strip())
+    return Suppressions(by_line=by_line)
 
 
 def expand_multiline(suppressions: Suppressions,
@@ -96,7 +56,7 @@ def expand_multiline(suppressions: Suppressions,
     naturally written on the line the offending expression ends on::
 
         total = (compute_energy()
-                 + base_line)  # repro-lint: ignore[R9]
+                 + base_line)  # repro-lint: ignore[R2]
 
     For every statement spanning several lines, any pragma on any of
     its lines is copied onto its first line (rule sets union; an

@@ -386,5 +386,5 @@ def plan_for(trace: CompiledTrace, memory_bytes: Bytes,
     plan = build_plan(trace, memory_bytes, seed)
     # Benign under fork: workers inherit the parent's populated memo
     # copy-on-write and a recomputed entry is value-identical.
-    _PLAN_MEMO[key] = plan  # repro-lint: ignore[R7]
+    _PLAN_MEMO[key] = plan
     return plan

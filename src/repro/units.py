@@ -14,8 +14,8 @@ The aliases are :data:`typing.Annotated` forms, not ``NewType`` wrappers:
   wrapping on the simulator's innermost loops;
 * to the repo's own static analyzer (``python -m repro.lint``) the alias
   *name* is the unit: rule R2 demands these aliases on physical
-  parameters/returns and flags arithmetic that mixes incompatible
-  dimensions (see DESIGN.md §10).
+  parameters/returns and flags arithmetic inside a function that mixes
+  incompatible dimensions (see DESIGN.md §10).
 
 Float equality on measured quantities is rule R3's business: compare
 with :func:`approx_eq` / :func:`is_zero`, never ``==``.

@@ -13,8 +13,11 @@ with a non-default value, and each case must:
 * change the :class:`RunResult` on both surfaces, and
 * give the same :class:`RunResult` on both surfaces, field for field.
 
-A new parameter fails :func:`test_every_input_has_a_case` until it gets
-a case here.
+Every parameter also gets a :func:`run_key` case that must change the
+run cache's key, so a run varying it can never hit a stale cached row.
+
+A new parameter fails :func:`test_every_input_has_a_case` and
+:func:`test_every_input_has_a_key_case` until it gets both cases here.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.core.telemetry import RunResult
 from repro.core.workload import ProgramSpec
 from repro.devices.dpm import FixedTimeout
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA
+from repro.experiments.cache import run_key
+from repro.experiments.config import ExperimentConfig
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.sim.clock import MB
 from tests.conftest import make_trace
@@ -53,6 +58,20 @@ CASES = {
     "spindown_policy": lambda: FixedTimeout(5.0),
     "faults": lambda: FaultSchedule(FaultSpec(spinup_fail_prob=0.9),
                                     seed=1),
+}
+
+#: parameter -> the ``run_key`` arguments carrying a non-default value
+#: of it: specs, memory and seed travel in the ExperimentConfig, the
+#: spin-down policy as its description.
+KEY_CASES = {
+    "disk_spec": lambda: {"config": ExperimentConfig(
+        disk_spec=CASES["disk_spec"]())},
+    "wnic_spec": lambda: {"wnic_spec": CASES["wnic_spec"]()},
+    "memory_bytes": lambda: {"config": ExperimentConfig(
+        memory_bytes=CASES["memory_bytes"]())},
+    "seed": lambda: {"config": ExperimentConfig(seed=CASES["seed"]())},
+    "spindown_policy": lambda: {"spindown": {"timeout": 5.0}},
+    "faults": lambda: {"faults": CASES["faults"]()},
 }
 
 
@@ -105,3 +124,24 @@ def test_input_changes_the_run_on_both_surfaces(name: str) -> None:
     assert _differing_fields(live, _run(True)), \
         f"{name} does not reach the live kernel path"
     assert _differing_fields(plan, live) == []
+
+
+def _key(**overrides: object) -> str:
+    args: dict[str, object] = {
+        "programs": (ProgramSpec(_trace()).prepared(),),
+        "policy_factory": DiskOnlyPolicy,
+        "wnic_spec": AIRONET_350,
+        "config": ExperimentConfig(),
+    }
+    args.update(overrides)
+    return run_key(**args)
+
+
+def test_every_input_has_a_key_case() -> None:
+    assert sorted(KEY_CASES) == sorted(PARAMS)
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_input_changes_the_run_key(name: str) -> None:
+    assert _key(**KEY_CASES[name]()) != _key(), \
+        f"{name} is not part of run_key's description"

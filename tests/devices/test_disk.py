@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices.disk import DiskState, HardDisk
 from repro.devices.specs import HITACHI_DK23DA
+from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.sim.clock import MB
 
 
@@ -85,6 +86,46 @@ class TestService:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             HardDisk().service(0.0, -1)
+
+
+class TestSpinupRetry:
+    """Demand spin-ups under injected failures: each failed attempt
+    runs a full spin-up window, then backs off exponentially.  Expected
+    values are derived from the specs, not pinned."""
+
+    SPEC = FaultSpec(spinup_retries=2, spinup_backoff=0.25)
+
+    def _disk(self, failures):
+        disk = HardDisk()
+        disk.set_fault_schedule(
+            FaultSchedule(self.SPEC, spinup_failures=failures))
+        return disk
+
+    def test_retries_until_the_spinup_succeeds(self):
+        disk = self._disk([True, True])
+        r = disk.service(0.0, 4096)
+        up = HITACHI_DK23DA.spinup_time
+        backoff = self.SPEC.spinup_backoff
+        # fail, back off b, fail, back off 2b, succeed.
+        assert r.start == pytest.approx(3 * up + 3 * backoff)
+        assert not r.failed and r.spun_up
+        assert disk.spinup_failure_count == 2
+        assert disk.spinup_count == 1
+        assert disk.meter.breakdown()["disk.spinup-failed"] == \
+            pytest.approx(2 * HITACHI_DK23DA.spinup_energy)
+
+    def test_gives_up_after_the_retry_budget(self):
+        disk = self._disk([True, True, True])
+        r = disk.service(0.0, 4096)
+        up = HITACHI_DK23DA.spinup_time
+        backoff = self.SPEC.spinup_backoff
+        assert r.failed
+        assert r.completion == pytest.approx(3 * up + 3 * backoff)
+        assert disk.spinup_failure_count == 3
+        assert disk.spinup_count == 0
+        assert r.energy == pytest.approx(
+            3 * HITACHI_DK23DA.spinup_energy
+            + 3 * backoff * HITACHI_DK23DA.standby_power, rel=1e-9)
 
 
 class TestPositioning:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices.specs import AIRONET_350
 from repro.devices.wnic import Direction, WirelessNic, WnicMode
+from repro.faults.schedule import FaultSchedule, FaultSpec, RateWindow
 from repro.sim.clock import KB
 
 
@@ -102,6 +103,57 @@ class TestService:
                            initially_psm=False).service(0.0, 1_375_000)
         assert fast.completion - fast.first_byte == pytest.approx(1.0)
         assert slow.completion - slow.first_byte == pytest.approx(11.0)
+
+
+class TestFaultedService:
+    """CAM transfers under an injected fault schedule: every expected
+    value is derived from the spec, not pinned."""
+
+    SIZE = 64 * KB
+    FALLBACK_BPS = AIRONET_350.bandwidth_bps / 4
+
+    def _faulted_nic(self, **timeline):
+        nic = WirelessNic(initially_psm=False)
+        nic.set_fault_schedule(FaultSchedule(FaultSpec(), **timeline))
+        return nic
+
+    def test_rate_fallback_stretches_the_transfer(self):
+        nic = self._faulted_nic(
+            rate_windows=[RateWindow(0.0, 100.0, self.FALLBACK_BPS)])
+        r = nic.service(0.0, self.SIZE)
+        spec = AIRONET_350
+        transfer = self.SIZE / self.FALLBACK_BPS
+        assert r.first_byte == pytest.approx(spec.latency)
+        assert r.completion == pytest.approx(r.first_byte + transfer)
+        assert not r.failed
+        buckets = nic.meter.breakdown()
+        assert buckets["wnic.cam"] == pytest.approx(
+            spec.cam_idle_power * spec.latency)
+        assert buckets["wnic.recv"] == pytest.approx(
+            spec.cam_recv_power * transfer)
+        assert r.energy == pytest.approx(sum(buckets.values()))
+
+    def test_outage_mid_transfer_aborts_and_burns_the_deadline(self):
+        spec = AIRONET_350
+        transfer = self.SIZE / self.FALLBACK_BPS
+        cut = spec.latency + transfer / 2
+        nic = self._faulted_nic(
+            outages=[(cut, cut + 100.0)],
+            rate_windows=[RateWindow(0.0, 100.0, self.FALLBACK_BPS)])
+        r = nic.service(0.0, self.SIZE)
+        timeout = FaultSpec().network_timeout
+        assert r.failed
+        assert r.completion == pytest.approx(cut + timeout)
+        assert nic.aborted_transfer_count == 1
+        buckets = nic.meter.breakdown()
+        assert buckets["wnic.cam"] == pytest.approx(
+            spec.cam_idle_power * spec.latency)
+        assert buckets["wnic.recv-aborted"] == pytest.approx(
+            spec.cam_recv_power * (cut - spec.latency))
+        assert buckets["wnic.outage"] == pytest.approx(
+            spec.cam_idle_power * timeout)
+        assert "wnic.recv" not in buckets
+        assert r.energy == pytest.approx(sum(buckets.values()))
 
 
 class TestEstimate:

@@ -142,6 +142,16 @@ class TestJobExecution:
         assert _execute_job(job).result == direct["Disk-only"][0].result
 
 
+class TestStagePayload:
+    @pytest.mark.parametrize("payload", [[1], {"a": 1}, {1}, bytearray(b"x")],
+                             ids=["list", "dict", "set", "bytearray"])
+    def test_mutable_payloads_are_refused(self, payload):
+        with pytest.raises(TypeError, match="mutable"):
+            stage_payload("digest-of-a-mutable-payload", payload)
+        with pytest.raises(KeyError):
+            resolve_payload("digest-of-a-mutable-payload")
+
+
 class TestPlanStaging:
     def test_faulted_sweep_stages_the_plan(self, config, programs,
                                            monkeypatch):

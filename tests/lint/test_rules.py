@@ -1,6 +1,6 @@
 """Rule-level tests for :mod:`repro.lint`.
 
-Every rule R1-R4 has a failing fixture (must trigger that rule and only
+Every rule R1-R3 and R5 has a failing fixture (must trigger that rule and only
 that rule) and a passing fixture (must be silent).  Fixtures use the
 ``.pysnippet`` extension so CLI runs over ``tests/`` never walk into
 deliberately-broken code.
@@ -28,14 +28,14 @@ def lint_fixture(name: str,
     return lint_source(source, path=name, package_rel=package_rel)
 
 
-@pytest.mark.parametrize("rule", ["R1", "R2", "R3", "R4", "R5"])
+@pytest.mark.parametrize("rule", ["R1", "R2", "R3", "R5"])
 def test_bad_fixture_triggers_only_its_rule(rule: str) -> None:
     findings = lint_fixture(f"{rule.lower()}_bad.pysnippet")
     assert findings, f"{rule} fixture produced no findings"
     assert {f.rule for f in findings} == {rule}
 
 
-@pytest.mark.parametrize("rule", ["R1", "R2", "R3", "R4", "R5"])
+@pytest.mark.parametrize("rule", ["R1", "R2", "R3", "R5"])
 def test_good_fixture_is_clean(rule: str) -> None:
     assert lint_fixture(f"{rule.lower()}_good.pysnippet") == []
 
@@ -65,19 +65,11 @@ def test_r3_both_equality_directions() -> None:
         "energy" if "energy" in f.message else "time" for f in findings}
 
 
-def test_r4_reports_default_and_bare_except() -> None:
-    findings = lint_fixture("r4_bad.pysnippet")
-    assert len(findings) == 2
-    messages = " ".join(f.message for f in findings)
-    assert "mutable default" in messages
-    assert "bare except" in messages
-
-
 # ----------------------------------------------------------------------
 # rule scoping
 # ----------------------------------------------------------------------
 def test_package_rules_do_not_apply_outside_the_package() -> None:
-    # Outside repro/ only R4 applies: the R1 fixture is legal there.
+    # No rule applies outside repro/: the R1 fixture is legal there.
     assert lint_fixture("r1_bad.pysnippet", package_rel=None) == []
 
 
@@ -108,13 +100,6 @@ def test_pragma_for_a_different_rule_does_not_suppress() -> None:
 def test_bare_ignore_suppresses_everything_on_the_line() -> None:
     source = ("import time\n"
               "t = time.time()  # repro-lint: ignore\n")
-    assert lint_source(source, path="x.py", package_rel=IN_PACKAGE) == []
-
-
-def test_skip_file_pragma() -> None:
-    source = ("# repro-lint: skip-file\n"
-              "import time\n"
-              "t = time.time()\n")
     assert lint_source(source, path="x.py", package_rel=IN_PACKAGE) == []
 
 
@@ -156,10 +141,10 @@ def test_same_dimension_arithmetic_is_silent() -> None:
 
 
 def test_finding_render_is_editor_clickable() -> None:
-    findings = lint_source("x = []\ndef f(a=[]):\n    return a\n",
-                           path="mod.py")
+    findings = lint_source("import time\nx = time.time()\n",
+                           path="mod.py", package_rel=IN_PACKAGE)
     assert findings and findings[0].render().startswith("mod.py:2:")
-    assert "R4(defensive-defaults)" in findings[0].render()
+    assert "R1(determinism)" in findings[0].render()
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,6 @@ def test_shipped_src_tree_is_clean() -> None:
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_shipped_test_and_example_trees_are_clean() -> None:
-    roots = [REPO_ROOT / d for d in ("tests", "benchmarks", "examples")
-             if (REPO_ROOT / d).is_dir()]
-    findings = lint_paths(roots)
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
 def test_package_relative_recognises_both_layouts() -> None:
     assert package_relative(
         Path("src/repro/core/session.py")) == \
@@ -29,3 +22,9 @@ def test_package_relative_recognises_both_layouts() -> None:
         Path("/site-packages/repro/sim/rng.py")) == \
         ("repro", "sim", "rng.py")
     assert package_relative(Path("tests/core/test_x.py")) is None
+
+
+def test_pycache_is_gitignored() -> None:
+    gitignore = (REPO_ROOT / ".gitignore").read_text(
+        encoding="utf-8").splitlines()
+    assert "__pycache__/" in gitignore

@@ -1,80 +1,15 @@
-"""Suppression pragmas: file-level opt-outs and multi-line statements.
+"""Suppression pragmas on multi-line statements.
 
-The line-pragma basics (``ignore[R1]``, ``skip-file``) are covered in
-``test_rules.py`` via the ``suppressed.pysnippet`` fixture; this module
-covers the file-level ``ignore-file[...]`` form and the expansion of
-trailing pragmas on multi-line statements.
+The line-pragma basics (``ignore[R1]``, bare ``ignore``) are covered in
+``test_rules.py``; this module covers the expansion of trailing
+pragmas on multi-line statements.
 """
 
 from __future__ import annotations
 
-from repro.lint import lint_source, parse_suppressions
+from repro.lint import lint_source
 
 CORE = ("repro", "core", "x.py")
-
-R4_BAD = "def f(a=[]):\n    return a\n"
-
-
-class TestIgnoreFile:
-    def test_header_pragma_suppresses_everywhere(self):
-        source = ("# repro-lint: ignore-file[R4]\n\n" + R4_BAD +
-                  "\n\ndef g(b={}):\n    return b\n")
-        assert lint_source(source) == []
-
-    def test_only_the_named_rules_are_suppressed(self):
-        source = ("# repro-lint: ignore-file[R1]\n"
-                  "import time\n\n\n"
-                  "def now():\n"
-                  "    return time.time()\n\n\n" + R4_BAD)
-        findings = lint_source(source, path="x.py", package_rel=CORE)
-        assert {f.rule for f in findings} == {"R4"}
-
-    def test_multiple_rules_in_one_pragma(self):
-        source = ("# repro-lint: ignore-file[R1, R4]\n"
-                  "import time\n\n\n"
-                  "def now():\n"
-                  "    return time.time()\n\n\n" + R4_BAD)
-        assert lint_source(source, path="x.py", package_rel=CORE) == []
-
-    def test_buried_ignore_file_is_inert(self):
-        source = ("X = 1\n"
-                  "# repro-lint: ignore-file[R4]\n" + R4_BAD)
-        findings = lint_source(source)
-        assert [f.rule for f in findings] == ["R4"]
-
-    def test_bare_ignore_file_suppresses_nothing(self):
-        # a blanket file opt-out is spelled skip-file; ignore-file
-        # requires an explicit rule list.
-        source = "# repro-lint: ignore-file\n" + R4_BAD
-        assert [f.rule for f in lint_source(source)] == ["R4"]
-
-    def test_unknown_rule_ids_are_harmless(self):
-        source = "# repro-lint: ignore-file[R99]\n" + R4_BAD
-        assert [f.rule for f in lint_source(source)] == ["R4"]
-
-    def test_docstring_does_not_end_the_header(self):
-        # comment block, then module docstring: the pragma still leads.
-        source = ('# repro-lint: ignore-file[R4]\n'
-                  '"""Docstring."""\n' + R4_BAD)
-        assert lint_source(source) == []
-
-    def test_combines_with_line_pragmas(self):
-        source = ("# repro-lint: ignore-file[R1]\n"
-                  "import time\n\n\n"
-                  "def now():\n"
-                  "    return time.time()\n\n\n"
-                  "def f(a=[]):  # repro-lint: ignore[R4]\n"
-                  "    return a\n\n\n" + R4_BAD.replace("f(a", "g(b"))
-        findings = lint_source(source, path="x.py", package_rel=CORE)
-        assert len(findings) == 1
-        assert findings[0].rule == "R4"
-        assert findings[0].line == 13
-
-    def test_parse_exposes_file_rules(self):
-        parsed = parse_suppressions(
-            "# repro-lint: ignore-file[R6,R7]\nX = 1\n")
-        assert parsed.file_rules == frozenset({"R6", "R7"})
-        assert not parsed.skip_file
 
 
 class TestMultilineStatements:
@@ -106,7 +41,7 @@ class TestMultilineStatements:
                   "\n"
                   "def f():\n"
                   "    t = (time.time()\n"
-                  "         + 0.0)  # repro-lint: ignore[R4]\n"
+                  "         + 0.0)  # repro-lint: ignore[R3]\n"
                   "    return t\n")
         findings = lint_source(source, path="x.py", package_rel=CORE)
         assert [f.rule for f in findings] == ["R1"]
