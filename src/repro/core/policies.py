@@ -5,6 +5,11 @@ network?  The replay simulator asks via :meth:`Policy.choose` and feeds
 back what actually happened via the observation hooks, which is all the
 adaptive policies (BlueFS, FlexFetch) need to do their accounting.
 
+The per-record and per-extent hooks (``on_tick``, ``on_syscall``,
+``on_serviced``, ``on_external_disk_request``) are resolved once per
+run, from the policy's class, by :func:`resolve_hook`: a hook the
+class leaves as :class:`Policy`'s no-op is never called.
+
 The two fixed baselines — **Disk-only** and **WNIC-only** — are what the
 paper plots alongside FlexFetch and BlueFS in every figure.
 """
@@ -12,6 +17,7 @@ paper plots alongside FlexFetch and BlueFS in every figure.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.core.decision import DataSource
@@ -78,9 +84,15 @@ class Policy(ABC):
         return source
 
     # -- observation hooks -------------------------------------------------
+    # Override these on the class, not on an instance: the replay reads
+    # them from the class once per run (resolve_hook).
     def on_serviced(self, ctx: RequestContext, source: DataSource,
                     result: Any) -> None:
-        """A request finished; ``result`` is the device service record."""
+        """A request finished; ``result`` is the device service record.
+
+        Called once per routed extent, after the transfer.  Resolved
+        once per run from the class; the base no-op is never called.
+        """
 
     def on_syscall(self, ctx: RequestContext, start: float,
                    end: float) -> None:
@@ -91,14 +103,24 @@ class Policy(ABC):
         fully absorbed by the page cache, with the byte count the
         application asked for (not what devices moved).  FlexFetch
         builds its current-run profile and tracks its position in the
-        old profile from this stream.
+        old profile from this stream.  Resolved once per run from the
+        class; the base no-op is never called, and the record's
+        context is built only when a class overrides it.
         """
 
     def on_tick(self, now: Seconds) -> None:
-        """Called before each syscall is processed (time advances)."""
+        """Called before each syscall is processed (time advances).
+
+        Resolved once per run from the class; the base no-op is never
+        called.
+        """
 
     def on_external_disk_request(self, now: Seconds) -> None:
-        """A non-profiled program touched the disk (§2.3.3 free-rider)."""
+        """A non-profiled program touched the disk (§2.3.3 free-rider).
+
+        Resolved once per run from the class; the base no-op is never
+        called.
+        """
 
     # -- fault-injection hooks ---------------------------------------------
     def on_fault(self, now: Seconds, intended: DataSource,
@@ -116,6 +138,19 @@ class Policy(ABC):
                     fallback: DataSource) -> None:
         """The simulator abandoned ``source`` mid-request for
         ``fallback`` (retry budget exhausted)."""
+
+
+def resolve_hook(policy: Policy, name: str) -> Callable[..., None] | None:
+    """``policy``'s bound ``name`` hook, or None when its class keeps
+    the :class:`Policy` no-op.
+
+    Read from the class, so calling the result is exactly calling the
+    hook, and skipping a None is exactly skipping a no-op.
+    """
+    if getattr(type(policy), name) is getattr(Policy, name):
+        return None
+    hook: Callable[..., None] = getattr(policy, name)
+    return hook
 
 
 class DiskOnlyPolicy(Policy):

@@ -16,7 +16,7 @@ so the policies' audits can learn from failures.
 from __future__ import annotations
 
 from repro.core.decision import DataSource
-from repro.core.policies import Policy, RequestContext
+from repro.core.policies import Policy, RequestContext, resolve_hook
 from repro.core.system import MobileSystem
 from repro.core.workload import ProgramDriver
 from repro.devices.layout import BLOCK_SIZE
@@ -28,6 +28,13 @@ from repro.kernel.page import Extent
 from repro.sim.clock import SimulationError
 from repro.traces.record import OpType
 from repro.units import Seconds
+
+# Module aliases for the per-extent path: an enum member looked up on
+# its class costs several times a global load.
+_DISK = DataSource.DISK
+_READ = OpType.READ
+_RECV = Direction.RECV
+_SEND = Direction.SEND
 
 
 class RequestRouter:
@@ -45,6 +52,12 @@ class RequestRouter:
         self.faults = faults
         self._disk_service = env.service_for(DataSource.DISK)
         self._wnic_service = env.service_for(DataSource.NETWORK)
+        self._complete_fetch = env.kernel.complete_fetch
+        #: the policy's per-extent hooks, resolved once from its class;
+        #: None where the class keeps the base no-op.
+        self._on_serviced = resolve_hook(policy, "on_serviced")
+        self._on_external_disk_request = resolve_hook(
+            policy, "on_external_disk_request")
         self._avoid_until = {DataSource.DISK: float("-inf"),
                              DataSource.NETWORK: float("-inf")}
         self.fault_retries: dict[str, int] = {}
@@ -57,7 +70,7 @@ class RequestRouter:
     def _service_extent(self, extent: Extent, source: DataSource,
                         when: Seconds, op: OpType) -> ServiceOutcome:
         """Move one extent on the chosen device, returning its result."""
-        direction = Direction.RECV if op is OpType.READ else Direction.SEND
+        direction = _RECV if op is _READ else _SEND
         return self.env.service_for(source).transfer(
             when, extent.nbytes, inode=extent.inode,
             offset=extent.start * BLOCK_SIZE, npages=extent.npages,
@@ -67,31 +80,34 @@ class RequestRouter:
                 when: Seconds, op: OpType
                 ) -> tuple[DataSource, ServiceOutcome]:
         """Policy-route one extent; returns (actual source, result)."""
-        spec = prog.spec
-        policy = self.policy
         offset = extent.start * BLOCK_SIZE
-        ctx = RequestContext(
-            now=when, program=prog.name, profiled=spec.profiled,
-            disk_pinned=spec.disk_pinned, inode=extent.inode,
-            offset=offset, nbytes=extent.nbytes, op=op)
-        source = policy.route(ctx)
+        # Positional, in field order (now, program, profiled,
+        # disk_pinned, inode, offset, nbytes, op): keywords cost twice
+        # as much to build, once per extent.
+        ctx = RequestContext(when, prog.name, prog.profiled,
+                             prog.disk_pinned, extent.inode, offset,
+                             extent.nbytes, op)
+        source = self.policy.route(ctx)
         if self.faults is None:
             # Inlined _service_extent: this is the per-extent hot path.
-            svc = (self._disk_service if source is DataSource.DISK
+            svc = (self._disk_service if source is _DISK
                    else self._wnic_service)
             result = svc.transfer(
                 when, extent.nbytes, inode=extent.inode, offset=offset,
                 npages=extent.npages,
-                direction=(Direction.RECV if op is OpType.READ
-                           else Direction.SEND))
+                direction=_RECV if op is _READ else _SEND)
         else:
             source, result = self._service_with_recovery(
                 prog, extent, source, when, op, ctx)
-        if op is OpType.READ:
-            self.env.kernel.complete_fetch(extent, result.completion)
-        if not spec.profiled and source is DataSource.DISK:
-            policy.on_external_disk_request(when)
-        policy.on_serviced(ctx, source, result)
+        if op is _READ:
+            self._complete_fetch(extent, result.completion)
+        on_external = self._on_external_disk_request
+        if (on_external is not None and not prog.profiled
+                and source is _DISK):
+            on_external(when)
+        on_serviced = self._on_serviced
+        if on_serviced is not None:
+            on_serviced(ctx, source, result)
         # Every run audits every extent: causal times, non-negative
         # energy.  Inline compares; check_service only builds the error.
         if not (result.arrival - TOLERANCE <= result.start

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heapreplace
 
-from repro.core.policies import Policy, RequestContext
+from repro.core.policies import Policy, RequestContext, resolve_hook
 from repro.core.routing import RequestRouter
 from repro.core.system import MobileSystem
 from repro.core.telemetry import (
@@ -71,6 +71,11 @@ from repro.sim.plan import BurstPlan, plan_for
 from repro.traces.compile import OPS_BY_CODE
 from repro.traces.record import OpType
 from repro.units import Bytes, Seconds
+
+# Module aliases for the per-record path (an enum member looked up on
+# its class costs several times a global load).
+_READ = OpType.READ
+_WRITE = OpType.WRITE
 
 
 class SimulationSession:
@@ -232,6 +237,15 @@ class SimulationSession:
             self.env.wnic.set_fault_schedule(self.faults)
         self.router = RequestRouter(self.env, self.policy,
                                     faults=self.faults)
+        # Resolved once per session rather than per record: the layer
+        # handles _service_record calls, and the policy's per-record
+        # hooks (None where its class keeps the base no-op).
+        self._kernel = self.env.kernel
+        self._route = self.router.service
+        self._advance_disk = self.env.disk.advance_to
+        self._advance_wnic = self.env.wnic.advance_to
+        self._on_tick = resolve_hook(self.policy, "on_tick")
+        self._on_syscall = resolve_hook(self.policy, "on_syscall")
         self._materialised = True
 
     # ------------------------------------------------------------------
@@ -254,22 +268,21 @@ class SimulationSession:
         size = prog.sizes[i]
         op = OPS_BY_CODE[prog.ops[i]]
         self._request_count += 1
-        env = self.env
-        kernel = env.kernel
-        policy = self.policy
-        service = self.router.service
+        kernel = self._kernel
+        service = self._route
         sinks = self._sinks_hot
         # Inlined env.advance(now): one frame per record adds up.
-        env.disk.advance_to(now)
-        env.wnic.advance_to(now)
-        policy.on_tick(now)
+        self._advance_disk(now)
+        self._advance_wnic(now)
+        on_tick = self._on_tick
+        if on_tick is not None:
+            on_tick(now)
 
-        if op is OpType.READ:
+        if op is _READ:
             extents = kernel.read(pid, inode, offset, size, now)
             completion = now
             for extent in extents:
-                _source, result = service(
-                    prog, extent, completion, OpType.READ)
+                _source, result = service(prog, extent, completion, _READ)
                 completion = result.completion
                 if sinks is not None:
                     sinks.on_service(prog.name, _source.value,
@@ -281,7 +294,7 @@ class SimulationSession:
             for extent in forced:
                 # Forced evictions must hit a device immediately; they
                 # run asynchronously and do not delay the program.
-                source, result = service(prog, extent, now, OpType.WRITE)
+                source, result = service(prog, extent, now, _WRITE)
                 if sinks is not None:
                     sinks.on_service(prog.name, source.value,
                                      extent.nbytes, result.energy,
@@ -289,23 +302,24 @@ class SimulationSession:
 
         # Laptop-mode opportunistic flush.
         flush = kernel.plan_writeback(
-            completion, disk_active=env.disk_active)
+            completion, disk_active=self.env.disk_active)
         for extent in flush:
-            source, result = service(prog, extent, completion,
-                                     OpType.WRITE)
+            source, result = service(prog, extent, completion, _WRITE)
             if sinks is not None:
                 sinks.on_service(prog.name, source.value,
                                  extent.nbytes, result.energy,
                                  result.completion)
 
-        if prog.spec.profiled and size > 0:
+        if prog.profiled and size > 0:
             # Demand-level observation (§2.1): every data-moving call,
             # cached or not, with the application's byte count.
-            policy.on_syscall(RequestContext(
-                now=now, program=prog.name, profiled=True,
-                disk_pinned=prog.spec.disk_pinned, inode=inode,
-                offset=offset, nbytes=size, op=op),
-                now, completion)
+            on_syscall = self._on_syscall
+            if on_syscall is not None:
+                # Positional, in field order, as the router builds it.
+                on_syscall(RequestContext(now, prog.name, True,
+                                          prog.disk_pinned, inode,
+                                          offset, size, op),
+                           now, completion)
             if sinks is not None:
                 sinks.on_syscall(prog.name, op.value, size, now)
 

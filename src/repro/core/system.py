@@ -93,11 +93,11 @@ class MobileSystem:
             inodes, sizes = trace.files_view()
             for inode, size in zip(inodes, sizes, strict=True):
                 self.vfs.register_file(inode, size)
-                self.layout.add_file(inode, max(size, 1))
+                self.layout.add_file(inode, size)
             return
         for info in sorted(trace.files.values(), key=lambda f: f.inode):
             self.vfs.register_file(info.inode, info.size_bytes)
-            self.layout.add_file(info.inode, max(info.size_bytes, 1))
+            self.layout.add_file(info.inode, info.size_bytes)
 
     @property
     def disk_active(self) -> bool:

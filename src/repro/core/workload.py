@@ -69,6 +69,11 @@ class ProgramDriver:
         compiled = self.spec.trace
         assert isinstance(compiled, CompiledTrace)
         self.compiled = compiled
+        #: plain attributes, not properties: the router and the session
+        #: read them for every record and extent.
+        self.name = compiled.name
+        self.profiled = self.spec.profiled
+        self.disk_pinned = self.spec.disk_pinned
         #: raw compiled columns; the replay loop indexes them directly
         #: instead of materialising an object per record.
         self.ops = compiled.ops
@@ -81,10 +86,6 @@ class ProgramDriver:
         self.index = 0
         self.last_completion = 0.0
         self.done = compiled.record_count == 0
-
-    @property
-    def name(self) -> str:
-        return self.compiled.name
 
     @property
     def record_count(self) -> int:

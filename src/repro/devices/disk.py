@@ -249,11 +249,14 @@ class HardDisk(PowerStateMachine):
         self.advance_to(time)
         meter = self.meter
         spec = self.spec
-        # sum(energy.values()) inlines meter.total(): with no `upto` the
-        # tail term is zero and the sums are bit-identical.
-        e0 = sum(meter._energy.values())
         busy = self._busy_until
         waited = busy > time and self._state == _STANDBY
+        # A request that waited on a spin-down is charged from arrival
+        # (e0), any other one from its start (e_pre), so e0 is only
+        # summed when it is used.  sum(energy.values()) inlines
+        # meter.total(): with no `upto` the tail term is zero and the
+        # sums are bit-identical.
+        e0 = sum(meter._energy.values()) if waited else 0.0
         start = time if time >= busy else busy
         meter.advance(start)
         e_pre = sum(meter._energy.values())
@@ -271,7 +274,7 @@ class HardDisk(PowerStateMachine):
                 start, gave_up = self._attempt_spinup(start)
                 if gave_up:
                     e1 = meter.total()
-                    energy = e1 - e_pre if not waited else e1 - e0
+                    energy = e1 - e0 if waited else e1 - e_pre
                     return DiskServiceResult(
                         arrival=time, start=start, first_byte=start,
                         completion=start, energy=energy, spun_up=False,
@@ -298,8 +301,7 @@ class HardDisk(PowerStateMachine):
         if block is not None:
             self._head_position = block + (block_count or 0)
         e1 = sum(meter._energy.values())
-        # Idle-wait before start belongs to the gap, not the request.
-        energy = e1 - e_pre if not waited else e1 - e0
+        energy = e1 - e0 if waited else e1 - e_pre
         return DiskServiceResult(
             arrival=time, start=start, first_byte=first_byte,
             completion=completion, energy=energy, spun_up=spun_up,

@@ -13,6 +13,7 @@ block counts.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,14 @@ class DiskLayout:
 
     def add_file(self, inode: int, size_bytes: Bytes) -> FileExtentMap:
         """Place a file; re-registering the same inode must match size."""
+        # Every file takes at least one block, empty ones included.
+        nblocks = max(1, bytes_to_blocks(size_bytes))
         if inode in self._files:
             existing = self._files[inode]
-            if existing.nblocks != bytes_to_blocks(size_bytes):
+            if existing.nblocks != nblocks:
                 raise ValueError(
                     f"inode {inode} re-registered with different size")
             return existing
-        nblocks = max(1, bytes_to_blocks(size_bytes))
         gap = int(self._rng.integers(0, self._max_gap + 1)) \
             if self._files else 0
         start = self._next_block + gap
@@ -93,6 +95,11 @@ class DiskLayout:
         self._files[inode] = extent
         self._next_block = start + nblocks
         return extent
+
+    @property
+    def files(self) -> Mapping[int, FileExtentMap]:
+        """Live read-only view: inode -> placement, in placement order."""
+        return self._files
 
     def get(self, inode: int) -> FileExtentMap:
         """Extent map for ``inode`` (KeyError if unknown)."""

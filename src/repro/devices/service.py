@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.devices.disk import DiskServiceResult, HardDisk
-from repro.devices.layout import DiskLayout
+from repro.devices.layout import BLOCK_SIZE, DiskLayout
 from repro.devices.wnic import Direction, WirelessNic, WnicServiceResult
 from repro.units import Bytes, Seconds
 
@@ -48,12 +48,24 @@ class DiskService:
     def __init__(self, disk: HardDisk, layout: DiskLayout) -> None:
         self.disk = disk
         self.layout = layout
+        #: the layout's live inode -> placement map (add_file extends
+        #: it in place).
+        self._placed = layout.files
 
     def transfer(self, when: Seconds, nbytes: Bytes, *, inode: int,
                  offset: int, npages: int,
                  direction: Direction) -> DiskServiceResult:
-        block = self.layout.block_of(inode, offset)
-        return self.disk.service(when, nbytes, block=block,
+        # Inlined layout.block_of(inode, offset), same KeyError and
+        # bounds checks: this is the per-extent hot path.
+        placed = self._placed[inode]
+        if offset < 0:
+            raise ValueError("negative offset")
+        rel = offset // BLOCK_SIZE
+        if rel >= placed.nblocks:
+            raise ValueError(
+                f"offset {offset} beyond file of {placed.nblocks} blocks")
+        return self.disk.service(when, nbytes,
+                                 block=placed.start_block + rel,
                                  block_count=npages)
 
 

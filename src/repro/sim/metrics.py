@@ -51,11 +51,24 @@ class StateTimeline:
                 break
 
     def residency(self, end_time: Seconds) -> dict[str, float]:
-        """Seconds spent in each state from start to ``end_time``."""
-        out: dict[str, float] = defaultdict(float)
-        for start, end, state in self.segments(end_time):
-            out[state] += end - start
-        return dict(out)
+        """Seconds spent in each state from start to ``end_time``.
+
+        The sum over :meth:`segments`, in the same order, written as a
+        plain loop: a run's timeline has thousands of segments.
+        """
+        times = self._times
+        states = self._states
+        last = len(times) - 1
+        out: dict[str, float] = {}
+        for i, t in enumerate(times):
+            t_next = times[i + 1] if i < last else end_time
+            if t_next > t:
+                state = states[i]
+                end = end_time if end_time < t_next else t_next
+                out[state] = out.get(state, 0.0) + (end - t)
+            if t_next >= end_time:
+                break
+        return out
 
     def __len__(self) -> int:
         return len(self._states)

@@ -123,7 +123,7 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     inodes_table, sizes_table = trace.files_view()
     for inode, size in zip(inodes_table, sizes_table, strict=True):
         vfs.register_file(inode, size)
-        layout.add_file(inode, max(size, 1))
+        layout.add_file(inode, size)
     cache = vfs.cache
     resident = cache._resident
     evicted: list[tuple[int, PageId]] = []

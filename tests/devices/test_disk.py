@@ -128,6 +128,78 @@ class TestSpinupRetry:
             + 3 * backoff * HITACHI_DK23DA.standby_power, rel=1e-9)
 
 
+class TestSpindownWaitCharge:
+    """Which joules a request is charged: one that arrives during an
+    in-flight spin-down (``waited_for_spindown``) is charged from its
+    arrival, any other one from its start.  The spin-down's switching
+    window draws nothing (its datasheet impulse was charged when it
+    began), so the waited request pays spin-up plus transfer and not
+    the spin-down; expected joules come from the spec."""
+
+    SIZE = 65536
+
+    def _transfer_joules(self):
+        spec = HITACHI_DK23DA
+        return spec.active_power * (spec.access_time
+                                    + self.SIZE / spec.bandwidth_bps)
+
+    def _spinning_down_at(self, arrival):
+        spec = HITACHI_DK23DA
+        disk = HardDisk(initially_standby=False)
+        disk.advance_to(arrival)
+        # The spin-down began at the timeout and is still in flight.
+        done = spec.spindown_timeout + spec.spindown_time
+        assert spec.spindown_timeout < arrival < done
+        assert disk.state == DiskState.STANDBY.value
+        assert disk.busy_until == pytest.approx(done)
+        return disk, done
+
+    def test_waited_request_is_charged_from_arrival(self):
+        spec = HITACHI_DK23DA
+        disk, done = self._spinning_down_at(21.0)
+        at_arrival = disk.energy()
+        r = disk.service(21.0, self.SIZE)
+        assert r.waited_for_spindown and r.spun_up and not r.failed
+        assert r.arrival == 21.0
+        assert r.start == pytest.approx(done + spec.spinup_time)
+        assert r.energy == disk.energy() - at_arrival
+        assert r.energy == pytest.approx(
+            spec.spinup_energy + self._transfer_joules(), rel=1e-12)
+
+    def test_waited_request_that_gives_up_is_charged_from_arrival(self):
+        spec = HITACHI_DK23DA
+        faults = FaultSpec(spinup_retries=1, spinup_backoff=0.25)
+        disk, done = self._spinning_down_at(21.0)
+        disk.set_fault_schedule(
+            FaultSchedule(faults, spinup_failures=[True, True]))
+        at_arrival = disk.energy()
+        r = disk.service(21.0, self.SIZE)
+        assert r.waited_for_spindown and r.failed
+        assert r.completion == pytest.approx(
+            done + 2 * spec.spinup_time + faults.spinup_backoff)
+        assert r.energy == disk.energy() - at_arrival
+        assert r.energy == pytest.approx(
+            2 * spec.spinup_energy
+            + faults.spinup_backoff * spec.standby_power, rel=1e-12)
+
+    def test_request_that_did_not_wait_is_charged_from_start(self):
+        disk = HardDisk(initially_standby=False)
+        first = disk.service(0.0, self.SIZE)
+        # A queued request starts after the first completes; an idle gap
+        # before the next one belongs to the gap, not to the request.
+        queued = disk.service(0.0, self.SIZE)
+        disk.advance_to(10.0)
+        at_arrival = disk.energy()
+        later = disk.service(10.0, self.SIZE)
+        for r in (queued, later):
+            assert not r.waited_for_spindown and not r.spun_up
+        assert queued.start == first.completion
+        for r in (queued, later):
+            assert r.energy == pytest.approx(self._transfer_joules(),
+                                             rel=1e-12)
+        assert disk.energy() - at_arrival == later.energy
+
+
 class TestPositioning:
     def test_unknown_position_costs_average(self):
         disk = HardDisk()

@@ -50,6 +50,23 @@ class TestPlacement:
         assert a == b
         assert len(layout) == 1
 
+    def test_zero_byte_reregistration_is_idempotent(self):
+        layout = DiskLayout(seed=1)
+        a = layout.add_file(1, 0)
+        assert layout.add_file(1, 0) == a
+        assert layout.add_file(1, 1) == a     # one block either way
+        assert len(layout) == 1
+        with pytest.raises(ValueError):
+            layout.add_file(1, BLOCK_SIZE + 1)
+
+    def test_zero_byte_file_is_placed_like_a_one_byte_file(self):
+        sizes = [0, 3 * BLOCK_SIZE, 0, 1, 0, BLOCK_SIZE]
+        a, b = DiskLayout(seed=4), DiskLayout(seed=4)
+        for inode, size in enumerate(sizes):
+            a.add_file(inode, size)
+            b.add_file(inode, max(size, 1))
+        assert dict(a.files) == dict(b.files)
+
     def test_reregistration_different_size_rejected(self):
         layout = DiskLayout(seed=1)
         layout.add_file(1, 5 * BLOCK_SIZE)

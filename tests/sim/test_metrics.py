@@ -1,7 +1,9 @@
 """Unit and property tests for energy/state accounting."""
 
+from collections import defaultdict
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.metrics import EnergyMeter, StateTimeline, TimeWeightedStat
 
@@ -102,6 +104,59 @@ class TestStateTimeline:
             tl.record(float(i + 1), s)
         end = float(len(states) + 3)
         assert sum(tl.residency(end).values()) == pytest.approx(end)
+
+
+def _reference_residency(tl, end_time):
+    """The sum over ``segments()`` that ``residency`` must reproduce."""
+    out = defaultdict(float)
+    for start, end, state in tl.segments(end_time):
+        out[state] += end - start
+    return dict(out)
+
+
+class TestResidencyMatchesSegments:
+    """``residency`` is a plain loop over the timeline; it must add the
+    same segments in the same order as the sum over ``segments()``, so
+    its floats are equal, not close."""
+
+    def test_end_before_the_last_change(self):
+        tl = StateTimeline("a", 1.0)
+        for t, s in ((2.5, "b"), (4.0, "c"), (7.0, "a")):
+            tl.record(t, s)
+        for end in (0.5, 1.0, 2.5, 3.0, 5.0, 7.0):
+            assert tl.residency(end) == _reference_residency(tl, end)
+        assert tl.residency(3.0) == {"a": 1.5, "b": 0.5}
+        assert tl.residency(1.0) == {"a": 0.0}
+
+    def test_coalesced_duplicate_states(self):
+        tl = StateTimeline("a", 0.0)
+        for t, s in ((1.0, "a"), (2.0, "b"), (2.0, "b"), (3.0, "b"),
+                     (3.0, "a")):
+            tl.record(t, s)
+        assert len(tl) == 3
+        assert tl.residency(10.0) == _reference_residency(tl, 10.0) \
+            == {"a": 9.0, "b": 1.0}
+
+    @given(start=st.floats(-50.0, 50.0, allow_nan=False),
+           steps=st.lists(
+               st.tuples(st.one_of(st.just(0.0),
+                                   st.floats(0.0, 30.0, allow_nan=False)),
+                         st.sampled_from(["active", "idle", "standby"])),
+               max_size=40),
+           end_offset=st.floats(-10.0, 1500.0, allow_nan=False))
+    @example(start=0.0, steps=[(1.0, "idle"), (1.0, "active")],
+             end_offset=1.5)
+    def test_equals_the_sum_over_segments(self, start, steps, end_offset):
+        tl = StateTimeline("active", start)
+        t = start
+        for dt, state in steps:
+            t += dt
+            tl.record(t, state)
+        end = start + end_offset
+        got = tl.residency(end)
+        want = _reference_residency(tl, end)
+        assert got == want
+        assert list(got) == list(want)     # same first-seen order
 
 
 class TestTimeWeightedStat:
