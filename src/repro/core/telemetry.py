@@ -50,6 +50,9 @@ class RunResult:
     wnic_breakdown: dict[str, float] = field(default_factory=dict)
     disk_residency: dict[str, float] = field(default_factory=dict)
     wnic_residency: dict[str, float] = field(default_factory=dict)
+    #: the spin-ups that were wakes from sleep, and the CAM->PSM dozes.
+    disk_wakes: int = 0
+    wnic_dozes: int = 0
     #: fault-injection accounting (all zero without a fault schedule).
     disk_spinup_failures: int = 0
     fault_retries: dict[str, int] = field(default_factory=dict)
@@ -346,6 +349,8 @@ def build_run_result(env: MobileSystem, *, policy_name: str,
         disk_spinups=env.disk.spinup_count,
         disk_spindowns=env.disk.spindown_count,
         wnic_wakeups=env.wnic.wakeup_count,
+        disk_wakes=env.disk.wake_count,
+        wnic_dozes=env.wnic.doze_count,
         disk_breakdown=env.disk.meter.breakdown(),
         wnic_breakdown=env.wnic.meter.breakdown(),
         disk_residency=env.disk.residency(end_time),

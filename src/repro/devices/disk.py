@@ -51,6 +51,13 @@ _IDLE = DiskState.IDLE.value
 _STANDBY = DiskState.STANDBY.value
 _SLEEP = DiskState.SLEEP.value
 
+#: Every energy bucket a disk's meter may charge: one per power state,
+#: the transition impulses, and the fault path's failed spin-ups.
+DISK_BUCKETS = frozenset({
+    "disk.active", "disk.idle", "disk.standby", "disk.sleep",
+    "disk.spindown", "disk.spinup", "disk.wake", "disk.to-sleep",
+    "disk.idle->active", "disk.active->idle", "disk.spinup-failed"})
+
 
 @dataclass(frozen=True, slots=True)
 class DiskServiceResult:
@@ -130,8 +137,10 @@ class HardDisk(PowerStateMachine):
             or FixedTimeout(spec.spindown_timeout)
         #: ending block address of the last transfer, for sequentiality.
         self._head_position: int | None = None
-        #: count of demand spin-ups / timeout spin-downs (diagnostics).
+        #: count of demand spin-ups (wakes from sleep included), of the
+        #: wakes alone, and of timeout spin-downs.
         self.spinup_count = 0
+        self.wake_count = 0
         self.spindown_count = 0
         self.sleep_count = 0
         #: completion time of the last spin-down (quiet-period feedback).
@@ -267,6 +276,7 @@ class HardDisk(PowerStateMachine):
             self._note_quiet_period_end(start)
             start = self.transition(start, _ACTIVE, bucket="disk.wake")
             self.spinup_count += 1
+            self.wake_count += 1
             spun_up = True
         elif state == _STANDBY:
             self._note_quiet_period_end(start)
@@ -364,11 +374,12 @@ class HardDisk(PowerStateMachine):
         # energy meter.
         start = max(time, self.busy_until)
         self._note_quiet_period_end(start)
-        bucket = ("disk.wake" if self.state == DiskState.SLEEP.value
-                  else "disk.spinup")
+        waking = self.state == DiskState.SLEEP.value
         ready = self.transition(start, DiskState.ACTIVE.value,
-                                bucket=bucket)
+                                bucket="disk.wake" if waking
+                                else "disk.spinup")
         self.spinup_count += 1
+        self.wake_count += waking
         self.transition(ready, DiskState.IDLE.value)
         self.note_activity(ready)
         return ready

@@ -52,6 +52,14 @@ _DIR_BUCKET = {Direction.RECV: "wnic.recv", Direction.SEND: "wnic.send"}
 _PSM_DIR_BUCKET = {Direction.RECV: "wnic.psm-recv",
                    Direction.SEND: "wnic.psm-send"}
 
+#: Every energy bucket a WNIC's meter may charge: one per mode, the
+#: transfer draws, the mode-switch impulses, and the fault paths'
+#: outage waits and aborted transfers.
+WNIC_BUCKETS = frozenset({
+    "wnic.cam", "wnic.psm", "wnic.recv", "wnic.send", "wnic.psm-recv",
+    "wnic.psm-send", "wnic.doze", "wnic.wakeup", "wnic.outage",
+    "wnic.recv-aborted", "wnic.send-aborted"})
+
 
 @dataclass(frozen=True, slots=True)
 class WnicServiceResult:

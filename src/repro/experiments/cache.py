@@ -51,8 +51,9 @@ from repro.traces.trace import Trace
 #: key on their compiled content digest instead of a full record walk,
 #: and parameterised policy factories key payloads such as execution
 #: profiles by digest too; every v2 row misses once and is
-#: re-simulated to an identical result.)
-CODE_VERSION_SALT = "flexfetch-sim-v3"
+#: re-simulated to an identical result.  v4: RunResult gained the
+#: disk_wakes and wnic_dozes transition counts.)
+CODE_VERSION_SALT = "flexfetch-sim-v4"
 
 
 #: Per-process sequence distinguishing concurrent tmp files.  Combined

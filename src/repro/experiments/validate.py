@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.telemetry import RunResult
+from repro.devices.disk import DISK_BUCKETS
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
+from repro.devices.wnic import WNIC_BUCKETS
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,28 +37,29 @@ def _disk_energy_bounds(result: RunResult,
                         spec: DiskSpec) -> tuple[float, float]:
     """(lower, upper) bound on disk energy from residency + counters.
 
-    Residency x state power gives the baseline; transition impulses add
-    ``spinups * spinup_energy + spindowns * spindown_energy`` exactly.
-    During *active* residency the draw is exactly ``active_power``; the
-    only slack is transition windows, which draw nothing — hence the
-    lower bound subtracts their worst-case share of residency.  Once
-    the disk has slept, a counted spin-up may instead be a wake from
-    sleep (its own impulse and window); the counters do not tell the
-    two apart, so each spin-up's term then spans both.
+    Residency x state power gives the baseline; the transition impulses
+    add exactly ``count x datasheet energy`` per edge (spin-ups, wakes
+    from sleep, spin-downs, failed spin-ups).  During *active*
+    residency the draw is exactly ``active_power``; the only slack is
+    transition windows, which draw nothing -- hence the lower bound
+    subtracts their worst-case share of residency.
     """
     res = result.disk_residency
     base = (res.get("active", 0.0) * spec.active_power
             + res.get("idle", 0.0) * spec.idle_power
             + res.get("standby", 0.0) * spec.standby_power
             + res.get("sleep", 0.0) * spec.sleep_power)
-    impulses = (result.disk_spinups * spec.spinup_energy
+    spinups = result.disk_spinups - result.disk_wakes
+    impulses = (spinups * spec.spinup_energy
+                + result.disk_wakes * spec.wake_energy
                 + result.disk_spindowns * spec.spindown_energy
                 # Injected spin-up failures burn the datasheet impulse
                 # but never leave standby.
                 + result.disk_spinup_failures * spec.spinup_energy)
     # Transition windows are recorded under their destination state's
     # residency but draw zero watts.
-    max_window = (result.disk_spinups * spec.spinup_time
+    max_window = ((spinups * spec.spinup_time
+                   + result.disk_wakes * spec.wake_time)
                   * spec.active_power
                   + result.disk_spindowns * spec.spindown_time
                   * spec.standby_power
@@ -66,14 +69,31 @@ def _disk_energy_bounds(result: RunResult,
                   * spec.standby_power)
     lo = base + impulses - max_window
     hi = base + impulses
-    if res.get("sleep", 0.0) > 0.0:
-        spinup_net = spec.spinup_energy \
-            - spec.spinup_time * spec.active_power
-        wake_net = spec.wake_energy - spec.wake_time * spec.active_power
-        lo += result.disk_spinups * min(0.0, wake_net - spinup_net)
-        hi += result.disk_spinups * max(
-            0.0, spec.wake_energy - spec.spinup_energy)
     return lo - 1e-6, hi + 1e-6
+
+
+def _impulse_books(result: RunResult, disk_spec: DiskSpec,
+                   wnic_spec: WnicSpec) -> list[tuple[str, float, float]]:
+    """(bucket, charged joules, count x datasheet joules) per impulse
+    bucket: each transition edge charges exactly its datasheet energy
+    once per counted transition."""
+    disk = result.disk_breakdown
+    wnic = result.wnic_breakdown
+    spinups = result.disk_spinups - result.disk_wakes
+    return [
+        ("disk.spinup", disk.get("disk.spinup", 0.0),
+         spinups * disk_spec.spinup_energy),
+        ("disk.wake", disk.get("disk.wake", 0.0),
+         result.disk_wakes * disk_spec.wake_energy),
+        ("disk.spindown", disk.get("disk.spindown", 0.0),
+         result.disk_spindowns * disk_spec.spindown_energy),
+        ("disk.spinup-failed", disk.get("disk.spinup-failed", 0.0),
+         result.disk_spinup_failures * disk_spec.spinup_energy),
+        ("wnic.wakeup", wnic.get("wnic.wakeup", 0.0),
+         result.wnic_wakeups * wnic_spec.psm_to_cam_energy),
+        ("wnic.doze", wnic.get("wnic.doze", 0.0),
+         result.wnic_dozes * wnic_spec.cam_to_psm_energy),
+    ]
 
 
 def validate_run(result: RunResult, *,
@@ -118,6 +138,24 @@ def validate_run(result: RunResult, *,
                 "residency", f"{name} residency covers {covered:.6f} s"
                 f" of a {result.end_time:.6f} s run"))
 
+    # -- every bucket is declared by its device --------------------------
+    for name, breakdown, declared in (
+            ("disk", result.disk_breakdown, DISK_BUCKETS),
+            ("wnic", result.wnic_breakdown, WNIC_BUCKETS)):
+        for bucket in breakdown:
+            if bucket not in declared:
+                issues.append(Issue(
+                    "breakdown", f"{name} charged undeclared bucket"
+                    f" {bucket!r}"))
+
+    # -- impulse buckets: count x datasheet energy, exactly -----------------
+    for bucket, charged, books in _impulse_books(result, disk_spec,
+                                                 wnic_spec):
+        if abs(charged - books) > 1e-9 * max(abs(books), 1.0):
+            issues.append(Issue(
+                "impulses", f"{bucket} charged {charged:.9f} J, its"
+                f" transition count prices {books:.9f} J"))
+
     # -- energy re-derivable from residency -------------------------------
     if result.disk_residency:
         lo, hi = _disk_energy_bounds(result, disk_spec)
@@ -135,9 +173,7 @@ def validate_run(result: RunResult, *,
         switch_window = (result.wnic_wakeups
                          * wnic_spec.psm_to_cam_time
                          * wnic_spec.cam_idle_power
-                         # doze count is not in RunResult; bound by
-                         # wakeups + 1 completed CAM visits.
-                         + (result.wnic_wakeups + 1)
+                         + result.wnic_dozes
                          * wnic_spec.cam_to_psm_time
                          * wnic_spec.cam_idle_power)
         if result.wnic_energy < floor - switch_window - 1e-6:

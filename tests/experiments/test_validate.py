@@ -93,6 +93,63 @@ class TestDetectsCorruption:
                    for i in validate_run(result))
 
 
+class TestExactImpulseBooks:
+    """Every impulse bucket is its transition count times the datasheet
+    energy, and every bucket is one its device declares."""
+
+    def _clean_result(self, policy):
+        return run(mixed_trace(), policy)
+
+    def _charge(self, result, device, bucket, joules):
+        breakdown = getattr(result, f"{device}_breakdown")
+        breakdown[bucket] = breakdown.get(bucket, 0.0) + joules
+        setattr(result, f"{device}_energy",
+                getattr(result, f"{device}_energy") + joules)
+
+    def test_clean_runs_balance_every_impulse(self):
+        for policy in (DiskOnlyPolicy(), WnicOnlyPolicy()):
+            result = self._clean_result(policy)
+            assert result.disk_spindowns > 0 or result.wnic_dozes > 0
+            assert validate_run(result) == []
+
+    def test_detects_a_doze_charged_twice(self):
+        from repro.devices.specs import AIRONET_350
+        result = self._clean_result(WnicOnlyPolicy())
+        assert result.wnic_breakdown.get("wnic.doze", 0.0) > 0.0
+        self._charge(result, "wnic", "wnic.doze",
+                     AIRONET_350.cam_to_psm_energy)
+        assert any(i.check == "impulses" for i in validate_run(result))
+
+    def test_detects_an_undeclared_bucket(self):
+        result = self._clean_result(WnicOnlyPolicy())
+        self._charge(result, "wnic", "wnic.turbo", 0.5)
+        assert any(i.check == "breakdown" and "wnic.turbo" in i.detail
+                   for i in validate_run(result))
+
+    @pytest.mark.parametrize("device,bucket,energy", [
+        ("disk", "disk.spinup", "spinup_energy"),
+        ("disk", "disk.spindown", "spindown_energy"),
+        ("disk", "disk.wake", "wake_energy"),
+        ("wnic", "wnic.wakeup", "psm_to_cam_energy"),
+    ])
+    def test_detects_one_extra_impulse(self, device, bucket, energy):
+        from repro.devices.specs import AIRONET_350, HITACHI_DK23DA
+        spec = HITACHI_DK23DA if device == "disk" else AIRONET_350
+        result = self._clean_result(
+            DiskOnlyPolicy() if device == "disk" else WnicOnlyPolicy())
+        self._charge(result, device, bucket, getattr(spec, energy))
+        assert any(i.check == "impulses" for i in validate_run(result))
+
+    def test_wakes_are_counted_apart_from_spinups(self):
+        from repro.devices.specs import HITACHI_DK23DA
+        spec = HITACHI_DK23DA.with_sleep(2.0)
+        result = run(mixed_trace(), DiskOnlyPolicy(), disk_spec=spec)
+        assert 0 < result.disk_wakes <= result.disk_spinups
+        result.disk_wakes -= 1
+        assert any(i.check == "impulses"
+                   for i in validate_run(result, disk_spec=spec))
+
+
 class TestAcrossDeviceVariants:
     def test_sleep_enabled_disk_validates(self):
         from repro.devices.specs import HITACHI_DK23DA
