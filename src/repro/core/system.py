@@ -102,7 +102,7 @@ class MobileSystem:
     @property
     def disk_active(self) -> bool:
         """Disk spinning (idle or active)?"""
-        return self.disk._state != _STANDBY
+        return self.disk.state != _STANDBY
 
     def advance(self, now: Seconds) -> None:
         """Advance both devices (DPM timers fire as needed)."""

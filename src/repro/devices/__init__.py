@@ -1,9 +1,12 @@
 """Device power and performance models.
 
+Each device's fault-free model is one step function that the live
+device and the cost model both run.
+
 * :mod:`repro.devices.specs` — parameter records for the Hitachi DK23DA
   disk (paper Table 1) and Cisco Aironet 350 WNIC (paper Table 2).
-* :mod:`repro.devices.power` — a generic timed power-state machine with
-  energy integration.
+* :mod:`repro.devices.power` — a generic timed power-state machine
+  whose operating point and energy meter live in one slots record.
 * :mod:`repro.devices.disk` — the hard-disk model (seek + rotation +
   transfer, timeout spin-down dynamic power management).
 * :mod:`repro.devices.wnic` — the 802.11b wireless NIC model (CAM/PSM,

@@ -16,23 +16,26 @@ Hitachi DK23DA parameters (Table 1):
   for transfers sequential with the previous one) + transfer at peak
   bandwidth.
 
-The model is shared by the *real* replay simulator and by FlexFetch's
-online what-if estimators (via :meth:`~PowerStateMachine.clone`).
+All of that fault-free arithmetic is :func:`disk_step`, which both
+:class:`HardDisk` and the cost model's §2.2 on-line simulator run (see
+:mod:`repro.devices.power`); injected spin-up failures live in
+:class:`HardDisk` alone, as what-if copies are blind to faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
-
 from repro.devices.dpm import FixedTimeout, SpindownPolicy
-from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
+from repro.devices.power import (
+    PowerCore,
+    PowerStateMachine,
+    StateSpec,
+    TransitionSpec,
+)
 from repro.devices.specs import HITACHI_DK23DA, DiskSpec
-from repro.units import Bytes, Joules, Seconds, Watts, transfer_seconds
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.schedule import FaultSchedule
+from repro.units import ABS_TOLERANCE, Bytes, Joules, Seconds, Watts, \
+    transfer_seconds
 
 
 class DiskState(str, Enum):
@@ -43,6 +46,8 @@ class DiskState(str, Enum):
     STANDBY = "standby"
     SLEEP = "sleep"
 
+
+_TOL = ABS_TOLERANCE
 
 # Plain-string aliases for the hot paths: enum member + ``.value``
 # access is a descriptor call apiece, measurable at request rates.
@@ -80,6 +85,178 @@ class DiskServiceResult:
     failed: bool = False
 
 
+#: hops of at most this many 4 KB blocks count as short seeks.
+NEAR_SEEK_BLOCKS = 64
+
+
+class DiskCore(PowerCore):
+    """The disk's operating point (see :class:`PowerCore`) plus its
+    spin-down policy and cached timeout, head position and quiet-period
+    start.
+
+    ``seek`` holds the spec's seek constants (see
+    :func:`_positioning_time`).
+    """
+
+    __slots__ = ("spec", "seek", "policy", "timeout", "head", "quiet_since")
+
+    def attach(self, spec: DiskSpec, policy: SpindownPolicy) -> None:
+        """Bind the spec and spin-down policy; no transitions yet."""
+        self.spec = spec
+        self.seek = (spec.access_time, spec.track_to_track_time,
+                     (spec.avg_seek_time - spec.track_to_track_time) * 1.5,
+                     spec.avg_rotation_time,
+                     max(1, spec.capacity_bytes // 4096))
+        self.policy = policy
+        self.timeout = policy.timeout()
+        #: ending block address of the last transfer, for sequentiality.
+        self.head: int | None = None
+        #: completion time of the last spin-down (quiet-period feedback).
+        self.quiet_since: float | None = None
+
+    def what_if(self) -> DiskCore:
+        new = super().what_if()
+        # Stateful DPM policies must not share mutable state with
+        # what-if copies.
+        new.policy = self.policy.clone()
+        new.timeout = new.policy.timeout()
+        return new
+
+
+def _positioning_time(seek: tuple[float, float, float, float, int],
+                      head: int | None, block: int | None) -> Seconds:
+    """Head-positioning cost to reach ``block`` from ``head``.
+
+    Distance-dependent, the standard concave seek model:
+
+    * contiguous with the previous transfer -> free (the §2.1
+      sequential-burst assumption);
+    * within :data:`NEAR_SEEK_BLOCKS` -> track-to-track time only
+      (streaming continues within the cylinder group, no rotational
+      re-sync) — this is what lets a near-sequential scan over many
+      small files finish "in a few seconds" (§3.3.1);
+    * otherwise ``t2t + k*sqrt(d/D) + rotation`` with ``k`` chosen
+      so a uniformly random hop averages the datasheet seek time
+      (E[sqrt(U)] = 2/3).
+
+    ``None`` (unknown location) charges the full average.  ``seek`` is
+    (average access time, t2t, k, average rotation, capacity in blocks).
+    """
+    if block is None or head is None:
+        return seek[0]
+    distance = block - head
+    if distance < 0:
+        distance = -distance
+    if distance == 0:
+        return 0.0
+    if distance <= NEAR_SEEK_BLOCKS:
+        return seek[1]
+    frac = distance / seek[4]
+    if frac > 1.0:
+        frac = 1.0
+    return seek[1] + seek[2] * frac ** 0.5 + seek[3]
+
+
+def _end_quiet_period(core: DiskCore, time: float) -> None:
+    """Feed the quiet period ending at ``time`` back to the policy."""
+    if core.quiet_since is not None:
+        core.policy.observe_quiet_period(
+            max(0.0, time - core.quiet_since), core.spec.breakeven_time)
+        core.quiet_since = None
+        core.timeout = core.policy.timeout()
+
+
+def _spin_up(core: DiskCore, time: float) -> float:
+    """End the quiet period and spin up from standby (or wake from
+    sleep) at ``time``; returns when the disk is active."""
+    _end_quiet_period(core, time)
+    return core.transition(
+        time, _ACTIVE, "disk.wake" if core.state == _SLEEP else "disk.spinup")
+
+
+def disk_step(core: DiskCore, time: float, size: Bytes = -1,
+              recv: bool = True, block: int | None = None,
+              nblocks: int = 0) -> tuple[float, float, float]:
+    """Advance ``core`` to ``time``; with ``size >= 0``, serve a request.
+
+    The advance fires the DPM timeouts due by ``time`` — idle ->
+    standby once the spin-down policy's timeout has passed since the
+    last activity, then (with a sleep tier) standby -> sleep — and
+    integrates the draw up to ``time``.  A request then starts at
+    ``max(time, busy_until)``: a disk in standby or asleep feeds its
+    quiet period back to the policy and spins up (or wakes), an idle
+    one switches to active for free; the head positions over
+    ``block`` (``None``: unknown, an average seek), ``size`` bytes
+    transfer at peak bandwidth, and the disk returns to idle with the
+    head ``nblocks`` past ``block``.  ``recv`` is the direction, which
+    a disk ignores.  Returns as every step does (see
+    :mod:`repro.devices.power`).
+    """
+    if time > core._last_time:
+        # Conditional expressions and the inlined meter.advance(time):
+        # this runs on every advance of both the live disk and a copy.
+        busy, last = core.busy_until, core.last_activity
+        if core.state == _IDLE:
+            deadline = (last if last >= busy else busy) + core.timeout
+            if time >= deadline:
+                core.quiet_since = busy = core.transition(
+                    deadline, _STANDBY, "disk.spindown")
+        sleep_timeout = core.spec.sleep_timeout
+        if sleep_timeout is not None and core.state == _STANDBY:
+            deadline = (busy if busy >= last else last) + sleep_timeout
+            if time >= deadline:
+                core.transition(deadline, _SLEEP, "disk.to-sleep")
+        clock = core._last_time
+        if time > clock:
+            if core._power > _TOL:
+                core._energy[core._bucket] += core._power * (time - clock)
+            core._last_time = time
+    if size < 0:
+        return time, time, time
+
+    energy = core._energy
+    busy = core.busy_until
+    start = time if time >= busy else busy
+    clock = core._last_time
+    if start > clock:
+        core.advance(start)
+        clock = start
+    state = core.state
+    if state == _IDLE:
+        # Spinning already: a free, instantaneous switch to active (its
+        # zero impulse still opens the bucket).
+        energy["disk.idle->active"] += 0.0
+        if core.timeline is not None:
+            core.timeline.record(start, _ACTIVE)
+    elif state != _ACTIVE:
+        start = _spin_up(core, start)
+        clock = core._last_time
+    spec = core.spec
+    first_byte = start + _positioning_time(core.seek, core.head, block)
+    # size >= 0 and the spec validates bandwidth > 0, so the plain
+    # division is exactly transfer_seconds without the calls.
+    completion = first_byte + size / spec.bandwidth_bps
+    if completion > clock:
+        active_power = spec.active_power
+        if active_power > _TOL:
+            energy["disk.active"] += active_power * (completion - clock)
+        core._last_time = completion
+    # Request done: platters keep spinning (idle) until the DPM timer.
+    energy["disk.active->idle"] += 0.0
+    core._power = spec.idle_power
+    core._bucket = "disk.idle"
+    core.state = _IDLE
+    if core.timeline is not None:
+        core.timeline.record(completion, _IDLE)
+    if completion > core.busy_until:
+        core.busy_until = completion
+    if completion > core.last_activity:
+        core.last_activity = completion
+    if block is not None:
+        core.head = block + nblocks
+    return start, first_byte, completion
+
+
 class HardDisk(PowerStateMachine):
     """Timeout-DPM laptop hard disk.
 
@@ -99,6 +276,9 @@ class HardDisk(PowerStateMachine):
         :class:`~repro.devices.dpm.AdaptiveTimeout` to study FlexFetch
         over an adapting DPM.
     """
+
+    _core_type = DiskCore
+    core: DiskCore
 
     def __init__(self, spec: DiskSpec = HITACHI_DK23DA,
                  start_time: Seconds = 0.0, *,
@@ -120,6 +300,7 @@ class HardDisk(PowerStateMachine):
                 TransitionSpec(DiskState.STANDBY.value,
                                DiskState.ACTIVE.value,
                                spec.spinup_time, spec.spinup_energy),
+                # disk_step charges these two as free and instantaneous.
                 TransitionSpec(DiskState.ACTIVE.value, DiskState.IDLE.value,
                                0.0, 0.0),
                 TransitionSpec(DiskState.IDLE.value, DiskState.ACTIVE.value,
@@ -133,115 +314,50 @@ class HardDisk(PowerStateMachine):
             initial_state=initial.value,
             start_time=start_time,
         )
-        self._spindown_policy = spindown_policy \
-            or FixedTimeout(spec.spindown_timeout)
-        #: ending block address of the last transfer, for sequentiality.
-        self._head_position: int | None = None
-        #: count of demand spin-ups (wakes from sleep included), of the
-        #: wakes alone, and of timeout spin-downs.
-        self.spinup_count = 0
-        self.wake_count = 0
-        self.spindown_count = 0
-        self.sleep_count = 0
-        #: completion time of the last spin-down (quiet-period feedback).
-        self._quiet_since: float | None = None
-        #: injected-fault timeline (None = spin-ups always succeed).
-        self._faults: FaultSchedule | None = None
+        self.core.attach(spec, spindown_policy
+                         or FixedTimeout(spec.spindown_timeout))
         #: failed spin-up attempts (diagnostics + energy-bound audits).
         self.spinup_failure_count = 0
 
-    def set_fault_schedule(self, faults: FaultSchedule | None) -> None:
-        """Attach an injected-fault timeline to this disk."""
-        self._faults = faults
-
-    def clone(self) -> HardDisk:
-        new = super().clone()
-        # Stateful DPM policies must not share mutable state with
-        # what-if clones.
-        new._spindown_policy = self._spindown_policy.clone()
-        # What-if clones are blind to the fault schedule: estimation
-        # must neither consume fault state nor foresee failures.
-        new._faults = None
-        return new
-
     @property
     def spindown_policy(self) -> SpindownPolicy:
-        return self._spindown_policy
+        return self.core.policy
 
-    # ------------------------------------------------------------------
-    # DPM policy
-    # ------------------------------------------------------------------
-    def _apply_dpm(self, time: float) -> None:
-        """Fire timeout transitions occurring within (last, time]:
-        idle -> standby, and (when enabled) standby -> sleep."""
-        if self._state == _IDLE:
-            deadline = max(self._last_activity, self._busy_until) \
-                + self._spindown_policy.timeout()
-            if time >= deadline:
-                self.meter.advance(deadline)
-                done = self.transition(deadline, _STANDBY,
-                                       bucket="disk.spindown")
-                self.spindown_count += 1
-                self._quiet_since = done
-        if self._state == _STANDBY \
-                and self.spec.sleep_timeout is not None:
-            entered = max(self.busy_until, self.last_activity)
-            deadline = entered + self.spec.sleep_timeout
-            if time >= deadline:
-                self.meter.advance(deadline)
-                self.transition(deadline, _SLEEP, bucket="disk.to-sleep")
-                self.sleep_count += 1
+    @property
+    def spinup_count(self) -> int:
+        """Demand spin-ups, wakes from sleep included."""
+        return self.core.counts["disk.spinup"] + self.wake_count
 
-    def _note_quiet_period_end(self, spinup_time: Seconds) -> None:
-        """Feed the quiet-period length back to the spin-down policy."""
-        if self._quiet_since is not None:
-            quiet = max(0.0, spinup_time - self._quiet_since)
-            self._spindown_policy.observe_quiet_period(
-                quiet, self.spec.breakeven_time)
-            self._quiet_since = None
+    @property
+    def wake_count(self) -> int:
+        """The spin-ups that were wakes from sleep."""
+        return self.core.counts["disk.wake"]
+
+    @property
+    def spindown_count(self) -> int:
+        return self.core.counts["disk.spindown"]
+
+    @property
+    def sleep_count(self) -> int:
+        return self.core.counts["disk.to-sleep"]
+
+    def advance_to(self, time: float) -> None:
+        """Advance to ``time``, firing the DPM timeouts due by then."""
+        disk_step(self.core, time)
 
     def spindown_deadline(self) -> float | None:
         """Absolute time the DPM will spin down, or None if not idle."""
-        if self.state != DiskState.IDLE.value:
+        core = self.core
+        if core.state != _IDLE:
             return None
-        return max(self.last_activity, self.busy_until) \
-            + self._spindown_policy.timeout()
+        return max(core.last_activity, core.busy_until) + core.timeout
 
     # ------------------------------------------------------------------
     # request service
     # ------------------------------------------------------------------
-    #: hops of at most this many 4 KB blocks count as short seeks.
-    NEAR_SEEK_BLOCKS = 64
-
     def positioning_time(self, block: int | None) -> Seconds:
-        """Head-positioning cost to reach ``block`` from the current head.
-
-        Distance-dependent, the standard concave seek model:
-
-        * contiguous with the previous transfer -> free (the §2.1
-          sequential-burst assumption);
-        * within :data:`NEAR_SEEK_BLOCKS` -> track-to-track time only
-          (streaming continues within the cylinder group, no rotational
-          re-sync) — this is what lets a near-sequential scan over many
-          small files finish "in a few seconds" (§3.3.1);
-        * otherwise ``t2t + k*sqrt(d/D) + rotation`` with ``k`` chosen
-          so a uniformly random hop averages the datasheet seek time
-          (E[sqrt(U)] = 2/3).
-
-        ``None`` (unknown location) charges the full average.
-        """
-        if block is None or self._head_position is None:
-            return self.spec.access_time
-        distance = abs(block - self._head_position)
-        if distance == 0:
-            return 0.0
-        if distance <= self.NEAR_SEEK_BLOCKS:
-            return self.spec.track_to_track_time
-        total_blocks = max(1, self.spec.capacity_bytes // 4096)
-        frac = min(1.0, distance / total_blocks)
-        k = (self.spec.avg_seek_time - self.spec.track_to_track_time) * 1.5
-        seek = self.spec.track_to_track_time + k * frac ** 0.5
-        return seek + self.spec.avg_rotation_time
+        """:func:`_positioning_time` from the current head."""
+        return _positioning_time(self.core.seek, self.core.head, block)
 
     def service(self, time: float, size_bytes: Bytes, *,
                 block: int | None = None,
@@ -255,67 +371,39 @@ class HardDisk(PowerStateMachine):
         """
         if size_bytes < 0:
             raise ValueError("negative request size")
-        self.advance_to(time)
-        meter = self.meter
-        spec = self.spec
-        busy = self._busy_until
-        waited = busy > time and self._state == _STANDBY
+        core = self.core
+        disk_step(core, time)
+        energy = core._energy
+        busy = core.busy_until
+        state = core.state
+        waited = busy > time and state == _STANDBY
         # A request that waited on a spin-down is charged from arrival
         # (e0), any other one from its start (e_pre), so e0 is only
         # summed when it is used.  sum(energy.values()) inlines
         # meter.total(): with no `upto` the tail term is zero and the
         # sums are bit-identical.
-        e0 = sum(meter._energy.values()) if waited else 0.0
+        e0 = sum(energy.values()) if waited else 0.0
         start = time if time >= busy else busy
-        meter.advance(start)
-        e_pre = sum(meter._energy.values())
-
-        spun_up = False
-        state = self._state
-        if state == _SLEEP:
-            self._note_quiet_period_end(start)
-            start = self.transition(start, _ACTIVE, bucket="disk.wake")
-            self.spinup_count += 1
-            self.wake_count += 1
-            spun_up = True
-        elif state == _STANDBY:
-            self._note_quiet_period_end(start)
-            if self._faults is not None and self._faults.affects_disk:
-                start, gave_up = self._attempt_spinup(start)
-                if gave_up:
-                    e1 = meter.total()
-                    energy = e1 - e0 if waited else e1 - e_pre
-                    return DiskServiceResult(
-                        arrival=time, start=start, first_byte=start,
-                        completion=start, energy=energy, spun_up=False,
-                        waited_for_spindown=waited, failed=True)
-            else:
-                start = self.transition(start, _ACTIVE,
-                                        bucket="disk.spinup")
-                self.spinup_count += 1
-            spun_up = True
-        elif state == _IDLE:
-            self.transition(start, _ACTIVE)
-
-        position = self.positioning_time(block)
-        first_byte = start + position
-        # size >= 0 and the spec validates bandwidth > 0, so the plain
-        # division is exactly transfer_seconds without the calls.
-        completion = first_byte + size_bytes / spec.bandwidth_bps
-        meter.set_power(start, spec.active_power, "disk.active")
-        meter.advance(completion)
-        # Request done: platters keep spinning (idle) until the DPM timer.
-        self.transition(completion, _IDLE)
-        self.note_activity(completion)
-        self.mark_busy_until(completion)
-        if block is not None:
-            self._head_position = block + (block_count or 0)
-        e1 = sum(meter._energy.values())
-        energy = e1 - e0 if waited else e1 - e_pre
+        core.advance(start)
+        e_pre = sum(energy.values())
+        failed = False
+        if (state == _STANDBY and self._faults is not None
+                and self._faults.affects_disk):
+            # The quiet period ends at the first attempt.
+            _end_quiet_period(core, start)
+            start, failed = self._attempt_spinup(start)
+        if failed:
+            first_byte = completion = start
+        else:
+            start, first_byte, completion = disk_step(
+                core, start, size_bytes, True, block, block_count or 0)
+        e1 = sum(energy.values())
         return DiskServiceResult(
             arrival=time, start=start, first_byte=first_byte,
-            completion=completion, energy=energy, spun_up=spun_up,
-            waited_for_spindown=waited)
+            completion=completion,
+            energy=e1 - e0 if waited else e1 - e_pre,
+            spun_up=not failed and (state == _STANDBY or state == _SLEEP),
+            waited_for_spindown=waited, failed=failed)
 
     def _attempt_spinup(self, t: float) -> tuple[float, bool]:
         """Demand spin-up under an injected failure schedule.
@@ -330,23 +418,20 @@ class HardDisk(PowerStateMachine):
         """
         assert self._faults is not None
         spec = self._faults.spec
+        core = self.core
         attempts = 0
         while True:
             if not self._faults.next_spinup_fails():
-                done = self.transition(t, DiskState.ACTIVE.value,
-                                       bucket="disk.spinup")
-                self.spinup_count += 1
-                return done, False
+                return _spin_up(core, t), False
             # The motor ran the whole spin-up window and never reached
             # speed: the datasheet energy is burned as an impulse, no
             # supplemental draw during the window (as for a successful
             # transition), and the state stays standby.
-            self.meter.advance(t)
-            self.meter.add_impulse(self.spec.spinup_energy,
-                                   "disk.spinup-failed")
-            self.meter.set_power(t, 0.0, "disk.spinup-failed")
+            core.advance(t)
+            core.add_impulse(self.spec.spinup_energy, "disk.spinup-failed")
+            core.set_power(t, 0.0, "disk.spinup-failed")
             failed_at = t + self.spec.spinup_time
-            self.meter.advance(failed_at)
+            core.advance(failed_at)
             self.set_state_power(failed_at)
             self.note_activity(failed_at)
             self.mark_busy_until(failed_at)
@@ -355,7 +440,7 @@ class HardDisk(PowerStateMachine):
             if attempts > spec.spinup_retries:
                 return failed_at, True
             t = failed_at + spec.spinup_backoff * (2 ** (attempts - 1))
-            self.meter.advance(t)
+            core.advance(t)
 
     def force_spinup(self, time: float) -> float:
         """Spin the disk up without a transfer (BlueFS ghost hint).
@@ -363,24 +448,17 @@ class HardDisk(PowerStateMachine):
         Returns the time the disk reaches the idle (spinning) state; a
         no-op if the disk is already spinning.
         """
-        self.advance_to(time)
-        if self.state not in (DiskState.STANDBY.value,
-                              DiskState.SLEEP.value):
+        core = self.core
+        disk_step(core, time)
+        if core.state not in (_STANDBY, _SLEEP):
             return time
         # Clamp to the busy horizon exactly as service() does: a hint can
         # arrive timestamped before an in-flight transition (e.g. a failed
         # demand spin-up) has finished, and starting the transition inside
         # that window would let the timeline disagree with the (clamping)
         # energy meter.
-        start = max(time, self.busy_until)
-        self._note_quiet_period_end(start)
-        waking = self.state == DiskState.SLEEP.value
-        ready = self.transition(start, DiskState.ACTIVE.value,
-                                bucket="disk.wake" if waking
-                                else "disk.spinup")
-        self.spinup_count += 1
-        self.wake_count += waking
-        self.transition(ready, DiskState.IDLE.value)
+        ready = _spin_up(core, max(time, core.busy_until))
+        core.transition(ready, _IDLE)
         self.note_activity(ready)
         return ready
 
@@ -395,7 +473,7 @@ class HardDisk(PowerStateMachine):
         Does not mutate the machine.  ``from_state`` defaults to the
         current state; sequential requests skip the positioning charge.
         """
-        state = from_state or self._state
+        state = from_state or self.core.state
         spec = self.spec
         t = 0.0
         e = 0.0

@@ -2,27 +2,56 @@
 
 Both device models share the same skeleton: a set of named states each
 drawing constant power, and transitions that take wall time and burn a
-lump of energy.  :class:`PowerStateMachine` owns that skeleton plus the
-energy meter and state timeline; :class:`~repro.devices.disk.HardDisk` and
-:class:`~repro.devices.wnic.WirelessNic` layer their DPM policies and
-service-time models on top.
+lump of energy.  :class:`PowerCore` holds a machine's whole operating
+point in one slots record: the energy meter it extends (clock, draw,
+joules per bucket), the power state, the DPM timers and the state
+timeline.  :class:`PowerStateMachine` wraps a core with the state and
+transition tables.
+
+Each device adds one plain *step* function over its core
+(:func:`~repro.devices.disk.disk_step`,
+:func:`~repro.devices.wnic.wnic_step`) that owns its DPM timeouts and
+fault-free request service.  ``step(core, time)`` fires the timeouts
+due by ``time`` and integrates the draw up to it;
+``step(core, time, size, recv, block, nblocks)`` then serves one
+request from ``time`` and returns its ``(start, first_byte,
+completion)`` (a pure advance returns ``time`` thrice).  The buckets
+are charged in event order, so the float sums agree on every core.
+The live device calls the step on its own core; FlexFetch's on-line
+estimator (§2.2) calls the same step on a :meth:`PowerCore.what_if`
+copy, so the estimate starts from the device's *actual* operating
+point and can never drift from it.
 
 The machine is *pull-based*: callers advance it to an absolute time with
-:meth:`advance_to` (during which the owner's ``_apply_dpm`` hook may fire
-timeout transitions), then query or mutate state.  This matches how the
-replay simulator uses devices — they only need to be accurate at request
-boundaries — and it is also what lets FlexFetch clone a device cheaply for
-its online what-if estimation (§2.2).
+:meth:`PowerStateMachine.advance_to`, then query or mutate state.  This
+matches how the replay simulator uses devices — they only need to be
+accurate at request boundaries.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.sim.metrics import EnergyMeter, StateTimeline
-from repro.units import ABS_TOLERANCE, Joules, Seconds, Watts
+from repro.units import Joules, Seconds, Watts
 
-_TOL = ABS_TOLERANCE
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.schedule import FaultSchedule
+
+#: (src, dst) -> (time, energy, default bucket, dst power, dst bucket)
+TransitionTable = dict[tuple[str, str], tuple[float, float, str, float, str]]
+
+_C = TypeVar("_C", bound="PowerCore")
+_M = TypeVar("_M", bound="PowerStateMachine")
+
+
+@cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    return tuple(name for klass in cls.__mro__
+                 for name in getattr(klass, "__slots__", ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,90 +81,163 @@ class TransitionSpec:
                 f"transition {self.src}->{self.dst} has negative cost")
 
 
+class PowerCore(EnergyMeter):
+    """A machine's operating point: its meter plus state and DPM timers.
+
+    ``counts`` tallies the transitions made through :meth:`transition`
+    by bucket.  ``timeline`` is the machine's, and ``None`` on a
+    what-if copy: estimation only reads energy deltas.  ``transitions``
+    is the machine's immutable table, shared by reference.
+    """
+
+    __slots__ = ("name", "state", "last_activity", "busy_until",
+                 "counts", "timeline", "transitions")
+
+    def __init__(self, name: str, transitions: TransitionTable,
+                 state: str, power: Watts, start_time: Seconds) -> None:
+        super().__init__(start_time)
+        self.name = name
+        self.transitions = transitions
+        self.state = state
+        self.last_activity = start_time
+        #: time until which the device is committed (transition/transfer).
+        self.busy_until = start_time
+        self.counts: defaultdict[str, int] = defaultdict(int)
+        self.timeline: StateTimeline | None = None
+        self.set_power(start_time, power, f"{name}.{state}")
+
+    def what_if(self: _C) -> _C:
+        """A copy at this operating point for what-if simulation.
+
+        The copy's meter starts fresh at this clock and draw (its bucket
+        is the state's own), and it keeps no timeline.
+        """
+        new = object.__new__(type(self))
+        for name in _slot_names(type(self)):
+            setattr(new, name, getattr(self, name))
+        new._bucket = f"{self.name}.{self.state}"
+        new._energy = defaultdict(float)
+        new.counts = defaultdict(int)
+        new.timeline = None
+        return new
+
+    def transition(self, time: float, dst: str,
+                   bucket: str | None = None) -> float:
+        """Perform the ``state -> dst`` transition starting at ``time``.
+
+        Energy cost is added as an impulse; the machine is busy (and in
+        the destination state's power draw) until ``time +
+        transition.time``.  Returns the completion time.
+        """
+        info = self.transitions.get((self.state, dst))
+        if info is None:
+            raise ValueError(
+                f"{self.name}: illegal transition {self.state!r}->{dst!r}")
+        tr_time, tr_energy, default_bucket, dst_power, dst_bucket = info
+        bucket = bucket or default_bucket
+        # The datasheet impulse covers the whole switching window, so no
+        # supplemental draw is charged during [time, done); the
+        # destination state's power applies from completion.
+        self.advance(time)
+        self._energy[bucket] += tr_energy
+        self.counts[bucket] += 1
+        done = time + tr_time
+        if done > self._last_time:
+            self._last_time = done
+        self._power = dst_power
+        self._bucket = dst_bucket
+        self.state = dst
+        if self.timeline is not None:
+            self.timeline.record(time, dst)
+        if done > self.busy_until:
+            self.busy_until = done
+        return done
+
+
 class PowerStateMachine:
     """Power/energy bookkeeping shared by the device models.
 
-    Subclass responsibilities:
-
-    * override :meth:`_apply_dpm` to fire timeout-driven transitions while
-      time advances (e.g. idle -> standby after 20 s);
-    * call :meth:`transition` for demand transitions (e.g. spin-up on a
-      request), and :meth:`set_busy_power` / :meth:`set_state_power` around
-      data transfers.
+    Subclasses pick their core class (``_core_type``), override
+    :meth:`advance_to` with their step's DPM timeouts, and call
+    :meth:`transition` / :meth:`set_state_power` from their fault paths.
     """
+
+    _core_type: type[PowerCore] = PowerCore
 
     def __init__(self, name: str, states: list[StateSpec],
                  transitions: list[TransitionSpec], initial_state: str,
                  start_time: Seconds = 0.0) -> None:
         self.name = name
-        self._states = {s.name: s for s in states}
-        if len(self._states) != len(states):
+        by_name = {s.name: s for s in states}
+        if len(by_name) != len(states):
             raise ValueError("duplicate state names")
-        if initial_state not in self._states:
+        if initial_state not in by_name:
             raise ValueError(f"unknown initial state {initial_state!r}")
-        self._transitions = {(t.src, t.dst): t for t in transitions}
         for t in transitions:
-            if t.src not in self._states or t.dst not in self._states:
+            if t.src not in by_name or t.dst not in by_name:
                 raise ValueError(
                     f"transition {t.src}->{t.dst} references unknown state")
-        self._state = initial_state
-        self._last_activity = start_time
-        # Hot-path lookup tables, immutable after construction (clones
-        # share them by reference): per-transition
-        # (time, energy, default label, destination power and bucket),
-        # and per-state nominal power / meter bucket.
         self._state_powers = {s.name: s.power for s in states}
         self._state_buckets = {s.name: f"{name}.{s.name}" for s in states}
-        self._transition_info = {
+        table: TransitionTable = {
             (t.src, t.dst): (t.time, t.energy, f"{name}.{t.src}->{t.dst}",
                              self._state_powers[t.dst],
                              self._state_buckets[t.dst])
             for t in transitions}
-        self.meter = EnergyMeter(start_time)
-        self.meter.set_power(start_time, self._states[initial_state].power,
-                             f"{name}.{initial_state}")
-        self.timeline = StateTimeline(initial_state, start_time)
-        #: time until which the device is committed (transition/transfer).
-        self._busy_until = start_time
+        self.core = self._core_type(name, table, initial_state,
+                                    by_name[initial_state].power,
+                                    start_time)
+        self.timeline = self.core.timeline = StateTimeline(initial_state,
+                                                           start_time)
+        #: injected-fault timeline (None = the paper's fault-free devices).
+        self._faults: FaultSchedule | None = None
+
+    def set_fault_schedule(self, faults: FaultSchedule | None) -> None:
+        """Attach an injected-fault timeline to this device."""
+        self._faults = faults
 
     # -- cloning for what-if estimation ---------------------------------
-    def clone(self) -> PowerStateMachine:
+    def clone(self: _M) -> _M:
         """Cheap copy for offline what-if simulation (FlexFetch §2.2).
 
         The clone carries the machine's *current* operating point
         (state, power draw, DPM timers, head position) but a fresh
         meter and timeline — estimation only ever reads energy deltas,
-        and copying the full history made cloning O(run length).
+        and copying the full history made cloning O(run length).  It
+        is blind to the fault schedule: estimation must neither consume
+        fault state nor foresee failures.
         """
         new = object.__new__(type(self))
-        for key, value in self.__dict__.items():
-            if key not in ("meter", "timeline"):
-                new.__dict__[key] = value
-        t = self.meter.last_time
-        new.meter = EnergyMeter(t)
-        new.meter.set_power(t, self.meter.power,
-                            f"{self.name}.{self._state}")
-        new.timeline = StateTimeline(self._state, t)
+        new.__dict__.update(self.__dict__)
+        new.core = core = self.core.what_if()
+        new.timeline = core.timeline = StateTimeline(core.state,
+                                                     core.last_time)
+        new._faults = None
         return new
 
     # -- state accessors -------------------------------------------------
     @property
+    def meter(self) -> PowerCore:
+        """The core, read as the machine's energy meter."""
+        return self.core
+
+    @property
     def state(self) -> str:
-        return self._state
+        return self.core.state
 
     @property
     def busy_until(self) -> Seconds:
         """Absolute time at which the current commitment ends."""
-        return self._busy_until
+        return self.core.busy_until
 
     @property
     def last_activity(self) -> float:
         """Time of the most recent demand activity (for DPM timeouts)."""
-        return self._last_activity
+        return self.core.last_activity
 
     def energy(self, upto: float | None = None) -> Joules:
         """Total joules consumed, optionally extended to time ``upto``."""
-        return self.meter.total(upto)
+        return self.core.total(upto)
 
     def residency(self, end_time: Seconds) -> dict[str, float]:
         """Seconds per state from start to ``end_time``."""
@@ -143,99 +245,38 @@ class PowerStateMachine:
 
     # -- time advancement -------------------------------------------------
     def advance_to(self, time: float) -> None:
-        """Advance the machine to absolute ``time``, applying DPM timeouts.
+        """Advance the machine to absolute ``time``.
 
         Times earlier than the machine's committed horizon are legal —
         a device can be busy past the simulation clock when requests
         queue behind a transfer or a mode transition — and are clamped
-        (the machine never rewinds).
+        (the machine never rewinds).  Devices override this with their
+        DPM timeouts.
         """
-        meter = self.meter
-        if time <= meter._last_time:
-            return
-        self._apply_dpm(time)
-        # Inlined meter.advance(time): a DPM transition above may have
-        # moved the meter, so re-read last_time before integrating.
-        last = meter._last_time
-        if time > last:
-            power = meter._power
-            if power > _TOL:
-                meter._energy[meter._bucket] += power * (time - last)
-            meter._last_time = time
-
-    def _apply_dpm(self, time: float) -> None:
-        """Hook: fire timeout transitions occurring in (last, time]."""
+        self.core.advance(time)
 
     # -- transitions -------------------------------------------------------
     def transition(self, time: float, dst: str, *,
                    bucket: str | None = None) -> float:
-        """Perform the ``state -> dst`` transition starting at ``time``.
+        """:meth:`PowerCore.transition` on this machine's core."""
+        return self.core.transition(time, dst, bucket)
 
-        Energy cost is added as an impulse; the machine is busy (and in the
-        destination state's power draw) until ``time + transition.time``.
-        Returns the completion time.
-        """
-        info = self._transition_info.get((self._state, dst))
-        if info is None:
-            raise ValueError(
-                f"{self.name}: illegal transition {self._state!r}->{dst!r}")
-        tr_time, tr_energy, default_label, dst_power, dst_bucket = info
-        # Inlined meter sequence (advance / add_impulse / zero-power
-        # switching window / destination power).  The datasheet impulse
-        # covers the whole switching window, so no supplemental draw is
-        # charged during [time, done); the destination state's power
-        # applies from completion.  Bit-identical to the method calls:
-        # the zero-draw window integrates nothing either way.
-        meter = self.meter
-        last = meter._last_time
-        if time > last:
-            power = meter._power
-            if power > _TOL:
-                meter._energy[meter._bucket] += power * (time - last)
-            last = meter._last_time = time
-        meter._energy[bucket or default_label] += tr_energy
-        done = time + tr_time
-        if done > last:
-            meter._last_time = done
-        meter._power = dst_power
-        meter._bucket = dst_bucket
-        self._state = dst
-        # Inlined timeline.record(time, dst) — same monotonicity check,
-        # coalescing, and clamp, minus the call overhead.
-        tl = self.timeline
-        times = tl._times
-        last_t = times[-1]
-        if time < last_t - 1e-9:
-            raise ValueError(
-                f"timeline must be monotonic: {time} < {last_t}")
-        states = tl._states
-        if dst != states[-1]:
-            times.append(time if time > last_t else last_t)
-            states.append(dst)
-        if done > self._busy_until:
-            self._busy_until = done
-        return done
-
-    def set_state_power(self, time: float, *, bucket: str | None = None) -> None:
+    def set_state_power(self, time: float) -> None:
         """Re-assert the current state's nominal power draw at ``time``."""
-        state = self._state
-        self.meter.set_power(time, self._state_powers[state],
-                             bucket or self._state_buckets[state])
-
-    def set_busy_power(self, time: float, watts: Watts, bucket: str) -> None:
-        """Draw ``watts`` from ``time`` on (e.g. transfer power)."""
-        self.meter.set_power(time, watts, bucket)
+        state = self.core.state
+        self.core.set_power(time, self._state_powers[state],
+                            self._state_buckets[state])
 
     def note_activity(self, time: float) -> None:
         """Record demand activity (resets DPM idle timers)."""
-        if time > self._last_activity:
-            self._last_activity = time
+        if time > self.core.last_activity:
+            self.core.last_activity = time
 
     def mark_busy_until(self, time: float) -> None:
         """Extend the busy horizon (queueing of back-to-back requests)."""
-        if time > self._busy_until:
-            self._busy_until = time
+        if time > self.core.busy_until:
+            self.core.busy_until = time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<{type(self).__name__} {self.name} state={self._state}"
+        return (f"<{type(self).__name__} {self.name} state={self.state}"
                 f" E={self.energy():.2f}J>")

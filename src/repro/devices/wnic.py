@@ -13,6 +13,11 @@ Implements the adaptive dynamic power management described in §3.1:
 
 The *link* bandwidth and latency live on the spec and are what the
 paper's figures sweep; the mode machinery is independent of them.
+
+All of that fault-free arithmetic is :func:`wnic_step`, which both
+:class:`WirelessNic` and the cost model's §2.2 on-line simulator run;
+link outages, rate fallback and aborted transfers live in
+:class:`WirelessNic` alone, as what-if copies are blind to faults.
 """
 
 from __future__ import annotations
@@ -21,9 +26,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
+from repro.devices.power import (
+    PowerCore,
+    PowerStateMachine,
+    StateSpec,
+    TransitionSpec,
+)
 from repro.devices.specs import AIRONET_350, WnicSpec
-from repro.units import Bytes, Joules, Seconds, approx_eq, transfer_seconds
+from repro.units import (
+    ABS_TOLERANCE,
+    Bytes,
+    Joules,
+    Seconds,
+    approx_eq,
+    transfer_seconds,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
@@ -43,14 +60,12 @@ class Direction(str, Enum):
     SEND = "send"   # write back to remote storage
 
 
-# Plain-string aliases and per-direction meter buckets for the hot
-# paths: enum ``.value`` access is a descriptor call apiece, and the
-# f-string bucket labels allocated per transfer at request rates.
+_TOL = ABS_TOLERANCE
+
+# Plain-string aliases for the hot paths: enum ``.value`` access is a
+# descriptor call apiece.
 _CAM = WnicMode.CAM.value
 _PSM = WnicMode.PSM.value
-_DIR_BUCKET = {Direction.RECV: "wnic.recv", Direction.SEND: "wnic.send"}
-_PSM_DIR_BUCKET = {Direction.RECV: "wnic.psm-recv",
-                   Direction.SEND: "wnic.psm-send"}
 
 #: Every energy bucket a WNIC's meter may charge: one per mode, the
 #: transfer draws, the mode-switch impulses, and the fault paths'
@@ -79,6 +94,101 @@ class WnicServiceResult:
     failed: bool = False
 
 
+class WnicCore(PowerCore):
+    """The WNIC's operating point (see :class:`PowerCore`) and spec."""
+
+    __slots__ = ("spec",)
+    spec: WnicSpec
+
+
+def wnic_step(core: WnicCore, time: float, size: Bytes = -1,
+              recv: bool = True, block: int | None = None,
+              nblocks: int = 0) -> tuple[float, float, float]:
+    """Advance ``core`` to ``time``; with ``size >= 0``, serve a request.
+
+    The advance fires the CAM -> PSM doze once the card has idled
+    ``cam_timeout`` in CAM, and integrates the draw up to ``time``.  A
+    request then starts at ``max(time, busy_until)``.  With PSM bulk
+    transfers enabled, a small request that finds the card in PSM stays
+    there: its first byte waits for the next beacon plus the link
+    latency and it moves at the derated rate.  Otherwise a card in PSM
+    wakes to CAM, waits the latency at CAM idle and transfers at the
+    direction's power (``recv``: a read from the server).  ``block`` and
+    ``nblocks`` place a disk transfer, which the WNIC ignores.  Returns
+    as every step does (see :mod:`repro.devices.power`).
+    """
+    spec = core.spec
+    if time > core._last_time:
+        # As in disk_step: no max() call, meter.advance(time) inlined.
+        if core.state == _CAM:
+            busy, last = core.busy_until, core.last_activity
+            deadline = (last if last >= busy else busy) + spec.cam_timeout
+            if time >= deadline:
+                core.transition(deadline, _PSM, "wnic.doze")
+        clock = core._last_time
+        if time > clock:
+            if core._power > _TOL:
+                core._energy[core._bucket] += core._power * (time - clock)
+            core._last_time = time
+    if size < 0:
+        return time, time, time
+
+    energy = core._energy
+    busy = core.busy_until
+    start = time if time >= busy else busy
+    clock = core._last_time
+    if start > clock:
+        core.advance(start)
+        clock = start
+    state = core.state
+    if (state == _PSM and spec.psm_transfer_enabled
+            and size <= spec.psm_transfer_max_bytes):
+        # Small-transfer fast path (§1.1 characteristic 1): the card
+        # exchanges data at its beacon wake-ups and stays in PSM.
+        beacon = spec.beacon_interval
+        first_byte = start + (beacon - start % beacon) + spec.latency
+        completion = first_byte + size / (
+            spec.bandwidth_bps * spec.psm_bandwidth_factor)
+        wait_power, wait_bucket = core._power, core._bucket
+        if recv:
+            busy_power, busy_bucket = spec.psm_recv_power, "wnic.psm-recv"
+        else:
+            busy_power, busy_bucket = spec.psm_send_power, "wnic.psm-send"
+        idle_power, idle_bucket = spec.psm_idle_power, "wnic.psm"
+    else:
+        if state == _PSM:
+            start = core.transition(start, _CAM, "wnic.wakeup")
+            clock = core._last_time
+        # The latency is spent waiting at CAM idle, the transfer at the
+        # direction-dependent power.
+        first_byte = start + spec.latency
+        # size >= 0 and the spec validates bandwidth > 0, so the plain
+        # division is exactly transfer_seconds without the calls.
+        completion = first_byte + size / spec.bandwidth_bps
+        if recv:
+            busy_power, busy_bucket = spec.cam_recv_power, "wnic.recv"
+        else:
+            busy_power, busy_bucket = spec.cam_send_power, "wnic.send"
+        wait_power = idle_power = spec.cam_idle_power
+        wait_bucket = idle_bucket = "wnic.cam"
+    if first_byte > clock:
+        if wait_power > _TOL:
+            energy[wait_bucket] += wait_power * (first_byte - clock)
+        clock = first_byte
+    if completion > clock:
+        if busy_power > _TOL:
+            energy[busy_bucket] += busy_power * (completion - clock)
+        clock = completion
+    core._last_time = clock
+    core._power = idle_power
+    core._bucket = idle_bucket
+    if completion > core.busy_until:
+        core.busy_until = completion
+    if completion > core.last_activity:
+        core.last_activity = completion
+    return start, first_byte, completion
+
+
 class WirelessNic(PowerStateMachine):
     """Adaptive-DPM 802.11b NIC.
 
@@ -90,6 +200,9 @@ class WirelessNic(PowerStateMachine):
     initially_psm:
         Whether the card starts in power-saving mode (the experiments do).
     """
+
+    _core_type = WnicCore
+    core: WnicCore
 
     def __init__(self, spec: WnicSpec = AIRONET_350,
                  start_time: Seconds = 0.0, *,
@@ -111,83 +224,25 @@ class WirelessNic(PowerStateMachine):
             initial_state=initial.value,
             start_time=start_time,
         )
-        self.wakeup_count = 0
-        self.doze_count = 0
-        #: injected-fault timeline (None = the paper's perfect link).
-        self._faults: FaultSchedule | None = None
-        #: failed attempts and aborted transfers (diagnostics).
-        self.outage_timeout_count = 0
+        self.core.spec = spec
+        #: transfers an outage cut short (diagnostics).
         self.aborted_transfer_count = 0
 
-    def set_fault_schedule(self, faults: FaultSchedule | None) -> None:
-        """Attach an injected-fault timeline to this card."""
-        self._faults = faults
+    @property
+    def wakeup_count(self) -> int:
+        return self.core.counts["wnic.wakeup"]
 
-    def clone(self) -> WirelessNic:
-        new = super().clone()
-        # What-if clones (FlexFetch's §2.2 online simulators) are blind
-        # to the fault schedule: estimation must neither consume fault
-        # state nor foresee outages.
-        new._faults = None
-        return new
+    @property
+    def doze_count(self) -> int:
+        return self.core.counts["wnic.doze"]
 
-    # ------------------------------------------------------------------
-    # DPM policy
-    # ------------------------------------------------------------------
-    def _apply_dpm(self, time: float) -> None:
-        """Drop to PSM if CAM-idle past the 800 ms timeout."""
-        if self._state != _CAM:
-            return
-        deadline = max(self._last_activity, self._busy_until) \
-            + self.spec.cam_timeout
-        if time >= deadline:
-            self.meter.advance(deadline)
-            self.transition(deadline, _PSM, bucket="wnic.doze")
-            self.doze_count += 1
+    def advance_to(self, time: float) -> None:
+        """Advance to ``time``, dozing to PSM if CAM-idle long enough."""
+        wnic_step(self.core, time)
 
     # ------------------------------------------------------------------
     # request service
     # ------------------------------------------------------------------
-    def _psm_eligible(self, size_bytes: Bytes) -> bool:
-        """Whether a request can be serviced without leaving PSM."""
-        return (self.spec.psm_transfer_enabled
-                and size_bytes <= self.spec.psm_transfer_max_bytes
-                and self.state == WnicMode.PSM.value)
-
-    def _service_in_psm(self, time: float, size_bytes: Bytes,
-                        direction: Direction,
-                        e_pre: float) -> WnicServiceResult:
-        """Small-transfer fast path: stay in PSM (§1.1 characteristic 1).
-
-        The card exchanges data at its beacon wake-ups: first byte waits
-        for the next beacon (up to one ``beacon_interval``) plus the
-        link latency, and throughput is derated by
-        ``psm_bandwidth_factor``.
-        """
-        spec = self.spec
-        meter = self.meter
-        start = max(time, self._busy_until)
-        beacon_wait = spec.beacon_interval \
-            - (start % spec.beacon_interval)
-        first_byte = start + beacon_wait + spec.latency
-        bandwidth = spec.bandwidth_bps * spec.psm_bandwidth_factor
-        completion = first_byte + transfer_seconds(size_bytes, bandwidth)
-        busy_power = (spec.psm_recv_power
-                      if direction is Direction.RECV
-                      else spec.psm_send_power)
-        meter.advance(first_byte)
-        meter.set_power(first_byte, busy_power,
-                        _PSM_DIR_BUCKET[direction])
-        meter.advance(completion)
-        self.set_state_power(completion)
-        self.note_activity(completion)
-        self.mark_busy_until(completion)
-        return WnicServiceResult(
-            arrival=time, start=start, first_byte=first_byte,
-            completion=completion,
-            energy=sum(meter._energy.values()) - e_pre,
-            woke_up=False)
-
     def service(self, time: float, size_bytes: Bytes, *,
                 direction: Direction = Direction.RECV) -> WnicServiceResult:
         """Transfer ``size_bytes`` over the link, arriving at ``time``.
@@ -198,148 +253,112 @@ class WirelessNic(PowerStateMachine):
         """
         if size_bytes < 0:
             raise ValueError("negative request size")
-        self.advance_to(time)
-        meter = self.meter
-        busy = self._busy_until
+        core = self.core
+        wnic_step(core, time)
+        busy = core.busy_until
         start = time if time >= busy else busy
-        meter.advance(start)
+        core.advance(start)
         # sum(energy.values()) inlines meter.total(): with no `upto` the
         # tail term is zero and the sums are bit-identical.
-        e_pre = sum(meter._energy.values())
-
-        if self._faults is not None and self._faults.affects_network:
-            return self._service_with_faults(time, start, size_bytes,
-                                             direction, e_pre)
-
-        spec = self.spec
-        if (spec.psm_transfer_enabled
-                and size_bytes <= spec.psm_transfer_max_bytes
-                and self._state == _PSM):
-            return self._service_in_psm(time, size_bytes, direction, e_pre)
-
-        woke = False
-        if self._state == _PSM:
-            start = self.transition(start, _CAM, bucket="wnic.wakeup")
-            self.wakeup_count += 1
-            woke = True
-
-        first_byte = start + spec.latency
-        # size >= 0 and the spec validates bandwidth > 0, so the plain
-        # division is exactly transfer_seconds without the calls.
-        completion = first_byte + size_bytes / spec.bandwidth_bps
-        busy_power = (spec.cam_recv_power
-                      if direction is Direction.RECV
-                      else spec.cam_send_power)
-        # Latency portion is spent waiting in CAM idle; transfer at the
-        # direction-dependent power.
-        meter.set_power(start, spec.cam_idle_power, "wnic.cam")
-        meter.advance(first_byte)
-        meter.set_power(first_byte, busy_power, _DIR_BUCKET[direction])
-        meter.advance(completion)
-        self.set_state_power(completion)
-        self.note_activity(completion)
-        self.mark_busy_until(completion)
-        e1 = sum(meter._energy.values())
+        e_pre = sum(core._energy.values())
+        faults = self._faults
+        if (faults is not None and faults.affects_network
+                and not self._psm_safe(faults, start, size_bytes)):
+            return self._service_with_faults(faults, time, start,
+                                             size_bytes, direction, e_pre)
+        in_psm = core.state == _PSM
+        start, first_byte, completion = wnic_step(
+            core, start, size_bytes, direction is Direction.RECV)
         return WnicServiceResult(
             arrival=time, start=start, first_byte=first_byte,
-            completion=completion, energy=e1 - e_pre, woke_up=woke)
+            completion=completion,
+            energy=sum(core._energy.values()) - e_pre,
+            woke_up=in_psm and core.state == _CAM)
 
     # ------------------------------------------------------------------
     # fault-injected service
     # ------------------------------------------------------------------
-    def _fail_after_timeout(self, arrival: float, t: float, woke: bool,
+    def _psm_safe(self, faults: FaultSchedule, start: float,
+                  size_bytes: Bytes) -> bool:
+        """Whether a request takes the PSM fast path under faults: only
+        when no fault can touch its conservative worst-case window."""
+        spec = self.spec
+        if not (spec.psm_transfer_enabled
+                and size_bytes <= spec.psm_transfer_max_bytes
+                and self.state == _PSM):
+            return False
+        bandwidth = spec.bandwidth_bps * spec.psm_bandwidth_factor
+        worst = start + spec.beacon_interval + spec.latency \
+            + transfer_seconds(size_bytes, bandwidth)
+        effective_bps = faults.network_bandwidth(start, spec.bandwidth_bps)
+        return (faults.link_available(start)
+                and faults.outage_start_within(start, worst) is None
+                and approx_eq(effective_bps, spec.bandwidth_bps))
+
+    def _fail_after_timeout(self, faults: FaultSchedule, arrival: float,
+                            t: float, woke: bool,
                             e_pre: float) -> WnicServiceResult:
         """The link is down and will not return within the deadline: the
         radio scans in CAM for ``network_timeout`` seconds, burns the
         idle draw, and gives up."""
-        assert self._faults is not None
-        deadline = t + self._faults.spec.network_timeout
-        self.meter.set_power(t, self.spec.cam_idle_power, "wnic.outage")
-        self.meter.advance(deadline)
+        deadline = t + faults.spec.network_timeout
+        self.core.set_power(t, self.spec.cam_idle_power, "wnic.outage")
+        self.core.advance(deadline)
         self.set_state_power(deadline)
         self.note_activity(deadline)
         self.mark_busy_until(deadline)
-        self.outage_timeout_count += 1
         return WnicServiceResult(
             arrival=arrival, start=t, first_byte=deadline,
-            completion=deadline, energy=self.meter.total() - e_pre,
+            completion=deadline, energy=self.core.total() - e_pre,
             woke_up=woke, failed=True)
 
-    def _service_with_faults(self, time: float, start: float,
-                             size_bytes: Bytes, direction: Direction,
+    def _service_with_faults(self, faults: FaultSchedule, time: float,
+                             start: float, size_bytes: Bytes,
+                             direction: Direction,
                              e_pre: float) -> WnicServiceResult:
         """CAM-path transfer under link outages and rate fallback."""
-        faults = self._faults
-        assert faults is not None
-
-        if self._psm_eligible(size_bytes):
-            # Take the PSM fast path only when no fault can touch the
-            # conservative worst-case transfer window.
-            bandwidth = self.spec.bandwidth_bps \
-                * self.spec.psm_bandwidth_factor
-            worst = start + self.spec.beacon_interval + self.spec.latency \
-                + transfer_seconds(size_bytes, bandwidth)
-            effective_bps = faults.network_bandwidth(
-                start, self.spec.bandwidth_bps)
-            if (faults.link_available(start)
-                    and faults.outage_start_within(start, worst) is None
-                    and approx_eq(effective_bps,
-                                  self.spec.bandwidth_bps)):
-                return self._service_in_psm(time, size_bytes, direction,
-                                            e_pre)
-
-        woke = False
-        if self.state == WnicMode.PSM.value:
-            start = self.transition(start, WnicMode.CAM.value,
-                                    bucket="wnic.wakeup")
-            self.wakeup_count += 1
-            woke = True
+        spec = self.spec
+        core = self.core
+        woke = core.state == _PSM
+        if woke:
+            start = core.transition(start, _CAM, "wnic.wakeup")
 
         if not faults.link_available(start):
             resume = faults.outage_end(start)
-            if resume - start > self._faults.spec.network_timeout:
-                return self._fail_after_timeout(time, start, woke, e_pre)
+            if resume - start > faults.spec.network_timeout:
+                return self._fail_after_timeout(faults, time, start, woke,
+                                                e_pre)
             # The link returns inside the deadline: wait it out in CAM
             # (the radio keeps scanning for the access point).
-            self.meter.set_power(start, self.spec.cam_idle_power,
-                                 "wnic.outage")
-            self.meter.advance(resume)
+            core.set_power(start, spec.cam_idle_power, "wnic.outage")
+            core.advance(resume)
             start = resume
 
-        first_byte = start + self.spec.latency
-        bandwidth = faults.network_bandwidth(first_byte,
-                                             self.spec.bandwidth_bps)
-        transfer = transfer_seconds(size_bytes, bandwidth)
-        completion = first_byte + transfer
-        busy_power = (self.spec.cam_recv_power
-                      if direction is Direction.RECV
-                      else self.spec.cam_send_power)
-
+        first_byte = start + spec.latency
+        bandwidth = faults.network_bandwidth(first_byte, spec.bandwidth_bps)
+        completion = first_byte + transfer_seconds(size_bytes, bandwidth)
+        busy_power = (spec.cam_recv_power if direction is Direction.RECV
+                      else spec.cam_send_power)
+        # The link may drop mid-request: bytes moved so far are lost,
+        # the card burns its wait deadline, and the attempt fails.
         cut = faults.outage_start_within(start, completion)
+        end = completion if cut is None else cut
+        core.set_power(start, spec.cam_idle_power, "wnic.cam")
+        if end > first_byte:
+            core.advance(first_byte)
+            core.set_power(first_byte, busy_power,
+                           f"wnic.{direction.value}" if cut is None
+                           else f"wnic.{direction.value}-aborted")
+        core.advance(end)
         if cut is not None:
-            # The link drops mid-request: bytes moved so far are lost,
-            # the card burns its wait deadline, and the attempt fails.
-            self.meter.set_power(start, self.spec.cam_idle_power,
-                                 "wnic.cam")
-            if cut > first_byte:
-                self.meter.advance(first_byte)
-                self.meter.set_power(first_byte, busy_power,
-                                     f"wnic.{direction.value}-aborted")
-            self.meter.advance(cut)
             self.aborted_transfer_count += 1
-            return self._fail_after_timeout(time, cut, woke, e_pre)
-
-        self.meter.set_power(start, self.spec.cam_idle_power, "wnic.cam")
-        self.meter.advance(first_byte)
-        self.meter.set_power(first_byte, busy_power,
-                             f"wnic.{direction.value}")
-        self.meter.advance(completion)
+            return self._fail_after_timeout(faults, time, cut, woke, e_pre)
         self.set_state_power(completion)
         self.note_activity(completion)
         self.mark_busy_until(completion)
         return WnicServiceResult(
             arrival=time, start=start, first_byte=first_byte,
-            completion=completion, energy=self.meter.total() - e_pre,
+            completion=completion, energy=core.total() - e_pre,
             woke_up=woke)
 
     # ------------------------------------------------------------------
@@ -349,7 +368,7 @@ class WirelessNic(PowerStateMachine):
                          direction: Direction = Direction.RECV,
                          from_state: str | None = None) -> tuple[float, float]:
         """Pure estimate ``(time, energy)`` of a transfer; no mutation."""
-        state = from_state or self._state
+        state = from_state or self.core.state
         spec = self.spec
         if (spec.psm_transfer_enabled
                 and size_bytes <= spec.psm_transfer_max_bytes

@@ -37,10 +37,6 @@ class StateTimeline:
         self._times.append(max(time, self._times[-1]))
         self._states.append(state)
 
-    @property
-    def current_state(self) -> str:
-        return self._states[-1]
-
     def segments(self, end_time: Seconds) -> Iterator[tuple[float, float, str]]:
         """Yield ``(start, end, state)`` segments up to ``end_time``."""
         for i, (t, s) in enumerate(zip(self._times, self._states, strict=True)):
@@ -112,6 +108,8 @@ class EnergyMeter:
     e.g. ``disk.active`` vs ``disk.spinup``.
     """
 
+    __slots__ = ("_last_time", "_power", "_bucket", "_energy")
+
     def __init__(self, start_time: Seconds = 0.0) -> None:
         self._last_time = float(start_time)
         self._power = 0.0
@@ -158,11 +156,6 @@ class EnergyMeter:
     @property
     def last_time(self) -> Seconds:
         return self._last_time
-
-    @property
-    def power(self) -> Watts:
-        """Current draw in watts."""
-        return self._power
 
     def total(self, upto: float | None = None) -> float:
         """Total joules, optionally integrating the tail up to ``upto``."""
