@@ -224,8 +224,8 @@ class SimulationSession:
         if plan is None:
             # The live kernel path learns the files; a plan's walk
             # already placed them.
-            for spec in self._program_specs:
-                self.env.register_trace(spec.trace)
+            self.env.register_trace(
+                *(spec.trace for spec in self._program_specs))
         self.policy = self._policy
         self.programs = [ProgramDriver(s) for s in self._program_specs]
         # A schedule with nothing scheduled must be a strict no-op: the

@@ -81,23 +81,33 @@ class MobileSystem:
         """The device service a request routed to ``source`` runs on."""
         return self._services[source]
 
-    def register_trace(self, trace: Trace | CompiledTrace) -> None:
-        """Make a trace's files known to the VFS and the disk layout.
+    def register_trace(self, *traces: Trace | CompiledTrace) -> None:
+        """Make the traces' files known to the VFS and the disk layout.
 
-        Registration order is ascending inode either way: the compiled
-        file table is stored inode-sorted at compile time, matching the
-        sort the record-level path performs here — layout placement
-        (and therefore every seek time) depends on that order.
+        The union of the file tables is placed once, in order of first
+        appearance, each inode at the largest size any trace declares
+        for it (programs may share a file; strace-derived traces size
+        it by its furthest touched byte).  Within a trace the order is
+        ascending inode either way: the compiled file table is stored
+        inode-sorted at compile time, matching the sort the
+        record-level path performs here — layout placement (and
+        therefore every seek time) depends on that order.
         """
-        if isinstance(trace, CompiledTrace):
-            inodes, sizes = trace.files_view()
-            for inode, size in zip(inodes, sizes, strict=True):
-                self.vfs.register_file(inode, size)
-                self.layout.add_file(inode, size)
-            return
-        for info in sorted(trace.files.values(), key=lambda f: f.inode):
-            self.vfs.register_file(info.inode, info.size_bytes)
-            self.layout.add_file(info.inode, info.size_bytes)
+        table: dict[int, Bytes] = {}
+        for trace in traces:
+            if isinstance(trace, CompiledTrace):
+                inodes, sizes = trace.files_view()
+                pairs = zip(inodes, sizes, strict=True)
+            else:
+                pairs = ((info.inode, info.size_bytes) for info in sorted(
+                    trace.files.values(), key=lambda f: f.inode))
+            for inode, size in pairs:
+                if table.get(inode, -1) < size:
+                    table[inode] = size
+        register = self.vfs.register_file
+        for inode, size in table.items():
+            register(inode, size)
+        self.layout.add_files(table.keys(), table.values())
 
     @property
     def disk_active(self) -> bool:

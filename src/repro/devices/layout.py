@@ -13,7 +13,7 @@ block counts.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,24 +77,46 @@ class DiskLayout:
 
     def add_file(self, inode: int, size_bytes: Bytes) -> FileExtentMap:
         """Place a file; re-registering the same inode must match size."""
-        # Every file takes at least one block, empty ones included.
-        nblocks = max(1, bytes_to_blocks(size_bytes))
-        if inode in self._files:
-            existing = self._files[inode]
-            if existing.nblocks != nblocks:
+        self.add_files((inode,), (size_bytes,))
+        return self._files[inode]
+
+    def add_files(self, inodes: Iterable[int],
+                  sizes: Iterable[Bytes]) -> None:
+        """Place a file table in order, as :meth:`add_file` would one
+        file at a time.
+
+        Each new file but the layout's very first is preceded by a gap
+        uniform in ``[0, max_gap_blocks]``.  The gaps come from one
+        vectorised draw, which yields the same numbers as one scalar
+        draw per file.  A re-registered inode (already placed, or
+        earlier in the table) draws nothing and must match its size.
+        Every file takes at least one block, empty ones included.
+        Nothing is placed if any check fails.
+        """
+        files = self._files
+        new: dict[int, int] = {}
+        for inode, size_bytes in zip(inodes, sizes, strict=True):
+            nblocks = max(1, bytes_to_blocks(size_bytes))
+            placed = files.get(inode)
+            known = new.setdefault(inode, nblocks) if placed is None \
+                else placed.nblocks
+            if known != nblocks:
                 raise ValueError(
                     f"inode {inode} re-registered with different size")
-            return existing
-        gap = int(self._rng.integers(0, self._max_gap + 1)) \
-            if self._files else 0
-        start = self._next_block + gap
-        if self._capacity is not None and start + nblocks > self._capacity:
+        gaps: list[int] = self._rng.integers(
+            0, self._max_gap + 1, size=max(len(new) - (not files), 0)
+        ).tolist()
+        if new and not files:
+            gaps.insert(0, 0)
+        start = self._next_block
+        if (self._capacity is not None
+                and start + sum(gaps) + sum(new.values()) > self._capacity):
             raise ValueError("disk layout capacity exceeded")
-        extent = FileExtentMap(inode=inode, start_block=start,
-                               nblocks=nblocks)
-        self._files[inode] = extent
-        self._next_block = start + nblocks
-        return extent
+        for (inode, nblocks), gap in zip(new.items(), gaps, strict=True):
+            start += gap
+            files[inode] = FileExtentMap(inode, start, nblocks)
+            start += nblocks
+        self._next_block = start
 
     @property
     def files(self) -> Mapping[int, FileExtentMap]:

@@ -12,14 +12,19 @@ plus laptop mode (§3.1).  Each of those policies is one module here:
 * :mod:`repro.kernel.scheduler` — C-SCAN ordering of disk extents,
 * :mod:`repro.kernel.writeback` — async write-back + laptop mode,
 * :mod:`repro.kernel.vfs` — the read/write system-call service path that
-  composes them and emits device-agnostic fetch extents.
+  composes them and emits device-agnostic fetch extents,
+* :mod:`repro.kernel.path` — :class:`~repro.kernel.path.KernelPath`, the
+  syscall entry points.  The live session and
+  :func:`~repro.sim.plan.build_plan` both read through
+  ``KernelPath.read``: one walk over ints per read, C-SCAN-ordering the
+  fetches it returns.
 """
 
 from repro.kernel.cache import CacheStats, TwoQCache
 from repro.kernel.page import PAGE_SIZE, Extent, PageId, pages_of_range
 from repro.kernel.readahead import ReadaheadState, TwoWindowReadahead
 from repro.kernel.scheduler import CScanScheduler, DiskExtent
-from repro.kernel.vfs import FetchPlan, VirtualFileSystem
+from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
 
 __all__ = [
@@ -33,7 +38,6 @@ __all__ = [
     "TwoWindowReadahead",
     "CScanScheduler",
     "DiskExtent",
-    "FetchPlan",
     "VirtualFileSystem",
     "LaptopModeWriteback",
     "WritebackConfig",

@@ -2,7 +2,7 @@
 
 The kernel path works in 4 KB pages.  A :class:`PageId` names one page of
 one file; an :class:`Extent` is a contiguous page run within a file.  The
-helpers here convert byte ranges to page runs and merge/split runs — the
+helpers here convert byte ranges to page runs and merge runs — the
 primitive operations the cache, readahead, and write-back modules share.
 """
 
@@ -117,22 +117,4 @@ def runs_from_pages(pages: Iterable[PageId]) -> list[Extent]:
             out[-1] = Extent(inode, out[-1].start, out[-1].npages + 1)
         else:
             out.append(Extent(inode, index, 1))
-    return out
-
-
-def split_max_pages(extent: Extent, max_pages: int) -> list[Extent]:
-    """Split an extent into chunks of at most ``max_pages`` pages.
-
-    Used to cap device requests at the 128 KB prefetch window (§2.1).
-    """
-    if max_pages <= 0:
-        raise ValueError("max_pages must be positive")
-    out: list[Extent] = []
-    start = extent.start
-    remaining = extent.npages
-    while remaining > 0:
-        chunk = min(remaining, max_pages)
-        out.append(Extent(extent.inode, start, chunk))
-        start += chunk
-        remaining -= chunk
     return out

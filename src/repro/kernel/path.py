@@ -37,9 +37,13 @@ class KernelPath:
     def read(self, pid: int, inode: int, offset: int, size: Bytes,
              now: Seconds) -> list[Extent]:
         """Cache/readahead a read; returns its miss extents in C-SCAN
-        order (only these reach a device)."""
-        plan = self.vfs.read(pid, inode, offset, size, now)
-        return self.order_for_disk(list(plan.fetch_extents))
+        order by their disk placement (only these reach a device)."""
+        fetches = self.vfs.read(pid, inode, offset, size, now)
+        if len(fetches) <= 1:
+            return fetches
+        requests = [DiskExtent(extent=e, start_block=self._locate(e))
+                    for e in fetches]
+        return [r.extent for r in self.scheduler.order(requests)]
 
     def write(self, pid: int, inode: int, offset: int, size: Bytes,
               now: Seconds) -> list[Extent]:
@@ -55,12 +59,3 @@ class KernelPath:
     def complete_fetch(self, extent: Extent, now: Seconds) -> list[Extent]:
         """A device finished fetching ``extent``; populate the cache."""
         return self.vfs.complete_fetch(extent, now)
-
-    # -- device-queue ordering -----------------------------------------
-    def order_for_disk(self, extents: list[Extent]) -> list[Extent]:
-        """C-SCAN-order a batch of extents by their disk placement."""
-        if len(extents) <= 1:
-            return extents
-        requests = [DiskExtent(extent=e, start_block=self._locate(e))
-                    for e in extents]
-        return [r.extent for r in self.scheduler.order(requests)]

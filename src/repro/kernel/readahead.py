@@ -13,12 +13,12 @@ to 128 KB".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.kernel.page import MAX_READAHEAD_PAGES, Extent
+from repro.kernel.page import MAX_READAHEAD_PAGES
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadaheadState:
     """Per-(process, file) stream state.
 
@@ -34,11 +34,11 @@ class ReadaheadState:
     next_size: int = 0
     last_page: int = -2  # sentinel: nothing read yet
     sequential_count: int = 0
-    random_count: int = field(default=0)
+    random_count: int = 0
 
 
 class TwoWindowReadahead:
-    """Computes prefetch extents for a read stream.
+    """Computes the readahead window of a read stream.
 
     Parameters
     ----------
@@ -69,50 +69,53 @@ class TwoWindowReadahead:
         self._streams.pop((pid, inode), None)
 
     # ------------------------------------------------------------------
-    def plan(self, pid: int, inode: int, extent: Extent,
-             file_pages: int) -> Extent:
-        """Expand a demand read into the extent the kernel would fetch.
+    def window_end(self, pid: int, inode: int, start: int, end: int,
+                   file_pages: int) -> int:
+        """Expand the demand pages ``[start, end)`` by readahead.
 
-        Returns the union of the demand pages and any readahead pages,
-        clamped to the file size.  The caller intersects the result with
-        the cache to find what actually hits the device.
+        Returns one past the last page the kernel would fetch: the
+        demand pages plus any ahead window, which stops at the file's
+        last page (``file_pages``) and never cuts the demand.  The fetch
+        always starts at ``start``; the caller intersects
+        ``[start, window_end)`` with the cache to find what actually
+        hits the device.
         """
-        st = self.state(pid, inode)
-        # Sequential = the read starts exactly where the previous one
-        # ended (next page), or continues within the last touched page
-        # (sub-page sequential reads).  A re-read of an earlier position
-        # is a random probe and collapses the window.
-        sequential = extent.start in (st.last_page, st.last_page + 1)
-        if st.last_page < -1:
+        st = self._streams.get((pid, inode))
+        if st is None:
+            st = self._streams[(pid, inode)] = ReadaheadState()
+        last_page = st.last_page
+        if last_page < -1:
             # First access to the stream: offset-0 reads are treated as
             # sequential starts (open-then-read), others as random probes.
-            sequential = extent.start == 0
+            sequential = start == 0
+        else:
+            # Sequential = the read starts exactly where the previous one
+            # ended (next page), or continues within the last touched
+            # page (sub-page sequential reads).  A re-read of an earlier
+            # position is a random probe and collapses the window.
+            sequential = start == last_page or start == last_page + 1
 
+        fetch_end = end
         if sequential:
             st.sequential_count += 1
-            if st.next_size == 0:
-                st.next_size = self.min_pages
-            else:
-                st.next_size = min(st.next_size * 2, self.max_pages)
+            ahead = st.next_size * 2
+            if ahead == 0:
+                ahead = self.min_pages
+            elif ahead > self.max_pages:
+                ahead = self.max_pages
+            st.next_size = ahead
+            # Build/extend the ahead window past the demand pages.
+            if file_pages > end:
+                fetch_end = end + ahead
+                if fetch_end > file_pages:
+                    fetch_end = file_pages
         else:
             st.random_count += 1
             st.next_size = 0
-            st.ahead_pages = 0
 
-        demand_end = extent.end
-        fetch_start = extent.start
-        fetch_end = demand_end
-        if sequential:
-            # Build/extend the ahead window past the demand pages.
-            ahead = st.next_size
-            fetch_end = min(demand_end + ahead, file_pages)
-        fetch_end = max(fetch_end, demand_end)
-        fetch_end = min(max(fetch_end, fetch_start + 1),
-                        max(file_pages, fetch_start + 1))
-
-        st.window_start = extent.start
-        st.window_pages = extent.npages
-        st.ahead_start = demand_end
-        st.ahead_pages = max(0, fetch_end - demand_end)
-        st.last_page = extent.end - 1
-        return Extent(inode, fetch_start, fetch_end - fetch_start)
+        st.window_start = start
+        st.window_pages = end - start
+        st.ahead_start = end
+        st.ahead_pages = fetch_end - end
+        st.last_page = end - 1
+        return fetch_end

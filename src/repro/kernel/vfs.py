@@ -4,16 +4,19 @@
 write-back modules into the path a traced ``read()``/``write()`` takes in
 the simulator:
 
-1. the demand byte range becomes a page extent;
+1. the demand byte range becomes a page range;
 2. readahead may widen it (two-window policy, <= 32 pages);
 3. resident pages are subtracted — "applications' requests for data that
    are resident in system buffer cache should not incur accesses to
    storage devices" (§2.1);
 4. the remaining miss runs are split at the 128 KB window and returned as
-   a :class:`FetchPlan` of device-agnostic extents — routing them to the
-   disk or the WNIC is the *policy's* job, which is the whole point of
-   the paper;
+   a list of device-agnostic extents — routing them to the disk or the
+   WNIC is the *policy's* job, which is the whole point of the paper;
 5. writes dirty pages and return the write-back layer's verdict.
+
+Steps 1-4 are one pass over plain ints: one readahead call, one
+:meth:`~repro.kernel.cache.TwoQCache.scan_window`, and an
+:class:`~repro.kernel.page.Extent` only for each fetch.
 
 The VFS never touches a device itself; keeping it device-free is what
 lets FlexFetch's estimator replay the same logic offline.
@@ -29,38 +32,11 @@ from repro.kernel.page import (
     Extent,
     pages_of_range,
     runs_from_pages,
-    split_max_pages,
 )
 from repro.kernel.readahead import TwoWindowReadahead
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
 from repro.sim.clock import MB
 from repro.units import Bytes, Seconds
-
-
-@dataclass(frozen=True, slots=True)
-class FetchPlan:
-    """What one syscall needs from a storage device.
-
-    ``demand_extent`` is the pages the application actually asked for
-    (None for zero-byte calls); ``fetch_extents`` are the device requests
-    after readahead and cache subtraction (each <= 32 pages);
-    ``hit_pages``/``miss_pages`` count the demand pages only.
-    """
-
-    demand_extent: Extent | None
-    fetch_extents: tuple[Extent, ...]
-    hit_pages: int
-    miss_pages: int
-
-    @property
-    def fully_cached(self) -> bool:
-        """True when the syscall needs no device access at all."""
-        return not self.fetch_extents
-
-    @property
-    def fetch_bytes(self) -> Bytes:
-        """Total bytes the device(s) must move for this call."""
-        return sum(e.nbytes for e in self.fetch_extents)
 
 
 @dataclass
@@ -69,10 +45,6 @@ class FileMeta:
 
     inode: int
     size_bytes: Bytes
-
-    @property
-    def pages(self) -> int:
-        return -(-self.size_bytes // 4096) if self.size_bytes else 0
 
 
 class VirtualFileSystem:
@@ -122,33 +94,39 @@ class VirtualFileSystem:
     # read path
     # ------------------------------------------------------------------
     def read(self, pid: int, inode: int, offset: int, size: int,
-             now: Seconds) -> FetchPlan:
-        """Service a ``read()`` syscall; returns the device fetch plan.
+             now: Seconds) -> list[Extent]:
+        """Service a ``read()`` syscall; returns its device fetches.
 
-        The caller must follow up with :meth:`complete_fetch` for each
-        extent it actually fetched, which installs the pages.
+        The fetches are the non-resident pages of the demand pages plus
+        their readahead window, as ascending extents of at most
+        ``readahead_max_pages`` pages.  The demand pages count as cache
+        hits or misses in ``cache.stats``.  The caller must follow up
+        with :meth:`complete_fetch` for each extent it actually fetched,
+        which installs the pages.
         """
         meta = self._files.get(inode)
         if meta is None:
             raise KeyError(f"read from unregistered inode {inode}")
-        demand = pages_of_range(inode, offset, size)
-        if demand is None:
-            return FetchPlan(None, (), 0, 0)
-        file_pages = max(meta.pages, demand.end)
-        widened = self.readahead.plan(pid, inode, demand, file_pages)
-
-        miss_demand, runs = self.cache.scan_window(
-            inode, widened.start, widened.end, demand.start, demand.end)
+        # Inline of pages_of_range (same validation, no Extent built).
+        if offset < 0 or size < 0:
+            raise ValueError("negative offset or size")
+        if size == 0:
+            return []
+        start = offset // 4096
+        end = (offset + size - 1) // 4096 + 1
+        readahead = self.readahead
+        window_end = readahead.window_end(pid, inode, start, end,
+                                          -(-meta.size_bytes // 4096))
+        runs = self.cache.scan_window(inode, start, window_end,
+                                      start, end)[1]
         fetches: list[Extent] = []
-        max_pages = self.readahead.max_pages
+        max_pages = readahead.max_pages
         for run_start, run_end in runs:
-            run = Extent(inode, run_start, run_end - run_start)
-            if run.npages <= max_pages:
-                fetches.append(run)
-            else:
-                fetches.extend(split_max_pages(run, max_pages))
-        return FetchPlan(demand, tuple(fetches),
-                         demand.npages - miss_demand, miss_demand)
+            while run_end - run_start > max_pages:
+                fetches.append(Extent(inode, run_start, max_pages))
+                run_start += max_pages
+            fetches.append(Extent(inode, run_start, run_end - run_start))
+        return fetches
 
     def complete_fetch(self, extent: Extent, now: Seconds) -> list[Extent]:
         """Install fetched pages; returns dirty extents evicted en route."""

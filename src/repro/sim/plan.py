@@ -123,7 +123,7 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     inodes_table, sizes_table = trace.files_view()
     for inode, size in zip(inodes_table, sizes_table, strict=True):
         vfs.register_file(inode, size)
-        layout.add_file(inode, size)
+    layout.add_files(inodes_table, sizes_table)
     cache = vfs.cache
     resident = cache._resident
     evicted: list[tuple[int, PageId]] = []
@@ -139,14 +139,11 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     added, removed, victims = array("q"), array("q"), array("q")
     added_bounds, removed_bounds, victim_bounds = (
         array("q", [0]), array("q", [0]), array("q", [0]))
-    order_for_disk = kernel.order_for_disk
+    read = kernel.read
     for i in range(trace.record_count):
         inode, offset, size = inodes[i], offsets[i], sizes[i]
         if ops[i] == _READ_OP:
-            ordered = vfs.read(pids[i], inode, offset, size,
-                               0.0).fetch_extents
-            if len(ordered) > 1:
-                ordered = tuple(order_for_disk(list(ordered)))
+            ordered = tuple(read(pids[i], inode, offset, size, 0.0))
             # The session completes each fetch in service order;
             # residency is time-independent, so installing here
             # reproduces the cache state the replay observes after the

@@ -81,9 +81,13 @@ class Trace:
             if info is None:
                 raise ValueError(f"record {i} references unknown inode"
                                  f" {rec.inode}")
-            if rec.op is OpType.READ and rec.end_offset > info.size_bytes:
+            if rec.op.moves_data and rec.end_offset > info.size_bytes:
+                # The disk layout places each file at its declared size,
+                # so a write past it would reach a block with no address.
+                past = ("reads past EOF" if rec.op is OpType.READ
+                        else "writes past the declared size")
                 raise ValueError(
-                    f"record {i} reads past EOF of {info.path}:"
+                    f"record {i} {past} of {info.path}:"
                     f" {rec.end_offset} > {info.size_bytes}")
 
     # ------------------------------------------------------------------

@@ -163,6 +163,47 @@ class TestMobileSystem:
         assert 1 in env.layout
         assert env.vfs.file_size(1) >= 3 * 4096
 
+    def test_programs_sharing_an_inode_place_it_once(self):
+        """Two programs size a shared file differently (strace sizes it
+        by its furthest touched byte): the union of their tables is
+        placed once, in first-appearance order, at the largest size."""
+        a = make_trace([(1, 0, 8192, "read", 0.0),
+                        (2, 0, 4096, "read", 1.0)], pid=100)
+        b = make_trace([(3, 0, 4096, "read", 0.5),
+                        (1, 0, 65536, "read", 2.0)], pid=200)
+        env = MobileSystem()
+        env.register_trace(a, b)
+        assert list(env.layout.files) == [1, 2, 3]
+        assert env.layout.get(1).nblocks == 16
+        assert env.vfs.file_size(1) == 65536
+        result = SimulationSession([ProgramSpec(a), ProgramSpec(b)],
+                                   DiskOnlyPolicy(), seed=1).run()
+        assert result.end_time > 2.0
+
+    def test_disjoint_tables_place_as_one_trace_at_a_time(self):
+        a = make_trace([(inode, 0, inode * 4096, "read", float(inode))
+                        for inode in (1, 4, 9)], pid=100)
+        b = make_trace([(inode, 0, 3 * 4096, "read", float(inode))
+                        for inode in (2, 3, 7)], pid=200)
+        together, apart = MobileSystem(seed=7), MobileSystem(seed=7)
+        together.register_trace(a, b)
+        apart.register_trace(a)
+        apart.register_trace(b)
+        assert dict(together.layout.files) == dict(apart.layout.files)
+        assert list(together.layout.files) == [1, 4, 9, 2, 3, 7]
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_appends_within_the_declared_size_flush(self, fast_path):
+        """40 one-second 4 KB appends to a file sized to hold them: the
+        laptop-mode flushes reach the disk on both kernel surfaces."""
+        trace = make_trace([(1, i * 4096, 4096, "write", float(i))
+                            for i in range(40)])
+        session = SimulationSession([ProgramSpec(trace)],
+                                    DiskOnlyPolicy(), seed=1)
+        result = session.with_fast_path(fast_path).run()
+        assert session.used_fast_path is fast_path
+        assert result.device_bytes["disk"] == 40 * 4096
+
     def test_disk_active_flag(self):
         env = MobileSystem()
         assert not env.disk_active

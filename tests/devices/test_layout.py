@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.devices.layout import BLOCK_SIZE, DiskLayout, bytes_to_blocks
+from repro.sim.rng import make_rng
 
 
 class TestBytesToBlocks:
@@ -86,6 +87,93 @@ class TestPlacement:
                     for i in range(1, 30)]
         assert build(5) == build(5)
         assert build(5) != build(6)
+
+
+def scalar_placement(seed, table, max_gap=16):
+    """Reference placement: one scalar gap draw per new file (none for
+    the very first), as files were placed one at a time."""
+    rng = make_rng(seed, "disk-layout")
+    placed, next_block = {}, 0
+    for inode, size in table:
+        nblocks = max(1, bytes_to_blocks(size))
+        if inode in placed:
+            assert placed[inode][1] == nblocks
+            continue
+        gap = int(rng.integers(0, max_gap + 1)) if placed else 0
+        placed[inode] = (next_block + gap, nblocks)
+        next_block += gap + nblocks
+    return placed
+
+
+def placement(layout):
+    return {inode: (f.start_block, f.nblocks)
+            for inode, f in layout.files.items()}
+
+
+class TestAddFiles:
+    """One vectorised gap draw places a table exactly as one scalar
+    draw per file does."""
+
+    TABLE = [(inode, (inode * 7919) % 40_000) for inode in range(1, 400)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_scalar_draws(self, seed):
+        layout = DiskLayout(seed=seed)
+        inodes, sizes = zip(*self.TABLE, strict=True)
+        layout.add_files(inodes, sizes)
+        assert placement(layout) == scalar_placement(seed, self.TABLE)
+        assert list(layout.files) == list(inodes)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_add_file_loop(self, seed):
+        bulk, loop = DiskLayout(seed=seed), DiskLayout(seed=seed)
+        inodes, sizes = zip(*self.TABLE, strict=True)
+        bulk.add_files(inodes, sizes)
+        for inode, size in self.TABLE:
+            loop.add_file(inode, size)
+        assert placement(bulk) == placement(loop)
+        assert bulk.used_blocks == loop.used_blocks
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_onto_a_non_empty_layout(self, seed):
+        head, tail = self.TABLE[:50], self.TABLE[50:]
+        layout = DiskLayout(seed=seed)
+        for inode, size in head:
+            layout.add_file(inode, size)
+        inodes, sizes = zip(*tail, strict=True)
+        layout.add_files(inodes, sizes)
+        assert placement(layout) == scalar_placement(seed, self.TABLE)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_reregistered_inodes_draw_nothing(self, seed):
+        layout = DiskLayout(seed=seed)
+        layout.add_files([1, 2, 3], [BLOCK_SIZE, 0, 5 * BLOCK_SIZE])
+        # 2 and 3 again (same blocks), 2 twice within the table.
+        table = [(2, 1), (4, 9 * BLOCK_SIZE), (3, 5 * BLOCK_SIZE - 7),
+                 (5, 0), (2, BLOCK_SIZE), (6, 3 * BLOCK_SIZE)]
+        inodes, sizes = zip(*table, strict=True)
+        layout.add_files(inodes, sizes)
+        want = scalar_placement(
+            seed, [(1, BLOCK_SIZE), (2, 0), (3, 5 * BLOCK_SIZE)] + table)
+        assert placement(layout) == want
+
+    def test_size_mismatch_places_nothing(self):
+        layout = DiskLayout(seed=1)
+        layout.add_file(1, 5 * BLOCK_SIZE)
+        before = placement(layout)
+        with pytest.raises(ValueError, match="re-registered"):
+            layout.add_files([2, 1], [BLOCK_SIZE, 50 * BLOCK_SIZE])
+        with pytest.raises(ValueError, match="re-registered"):
+            layout.add_files([2, 2], [BLOCK_SIZE, 9 * BLOCK_SIZE])
+        assert placement(layout) == before
+
+    def test_empty_table_draws_nothing(self):
+        layout = DiskLayout(seed=7)
+        layout.add_files([], [])
+        assert len(layout) == 0 and layout.used_blocks == 0
+        layout.add_files([1, 2], [BLOCK_SIZE, BLOCK_SIZE])
+        assert placement(layout) == scalar_placement(
+            7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])
 
 
 class TestBlockOf:

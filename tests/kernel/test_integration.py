@@ -7,11 +7,12 @@ from repro.kernel.page import PAGE_SIZE
 from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import WritebackConfig
 from repro.sim.clock import MB
+from tests.kernel.test_vfs import counted_read
 
 
-def fetch_all(vfs, plan, now=0.0):
+def fetch_all(vfs, fetches, now=0.0):
     total = 0
-    for extent in plan.fetch_extents:
+    for extent in fetches:
         vfs.complete_fetch(extent, now)
         total += extent.nbytes
     return total
@@ -26,8 +27,8 @@ class TestSequentialScan:
         device_bytes = 0
         offset = 0
         while offset < 8 * MB:
-            plan = vfs.read(1, 1, offset, 64 * 1024, now=offset / 1e6)
-            device_bytes += fetch_all(vfs, plan)
+            fetches = vfs.read(1, 1, offset, 64 * 1024, now=offset / 1e6)
+            device_bytes += fetch_all(vfs, fetches)
             offset += 64 * 1024
         assert 8 * MB <= device_bytes <= 8 * MB * 1.05
 
@@ -39,11 +40,11 @@ class TestSequentialScan:
         total = 0
         offset = 0
         while offset < 8 * MB:
-            plan = vfs.read(1, 1, offset, 64 * 1024, now=0.0)
-            fetch_all(vfs, plan)
-            if plan.demand_extent is not None:
-                hits += plan.hit_pages
-                total += plan.demand_extent.npages
+            fetches, demand_hits, demand_misses = counted_read(
+                vfs, 1, 1, offset, 64 * 1024, now=0.0)
+            fetch_all(vfs, fetches)
+            hits += demand_hits
+            total += demand_hits + demand_misses
             offset += 64 * 1024
         assert hits / total > 0.4
 
@@ -57,15 +58,15 @@ class TestWorkingSetResidency:
         vfs.register_file(hot, 512 * 1024)
         # Touch the header set several times to promote it.
         for round_ in range(3):
-            plan = vfs.read(100 + round_, hot, 0, 512 * 1024, now=0.0)
-            fetch_all(vfs, plan)
+            fetch_all(vfs, vfs.read(100 + round_, hot, 0, 512 * 1024,
+                                    now=0.0))
         # A 64 MB scan through the 16 MB cache.
         scan = 2
         vfs.register_file(scan, 64 * MB)
         offset = 0
         while offset < 64 * MB:
-            plan = vfs.read(200, scan, offset, 128 * 1024, now=1.0)
-            fetch_all(vfs, plan, now=1.0)
+            fetch_all(vfs, vfs.read(200, scan, offset, 128 * 1024,
+                                    now=1.0), now=1.0)
             offset += 128 * 1024
         assert vfs.resident_bytes(hot, 0, 512 * 1024) > 256 * 1024
 
@@ -74,8 +75,7 @@ class TestWorkingSetResidency:
         vfs.register_file(1, 64 * MB)
         offset = 0
         while offset < 64 * MB:
-            plan = vfs.read(1, 1, offset, 128 * 1024, now=0.0)
-            fetch_all(vfs, plan)
+            fetch_all(vfs, vfs.read(1, 1, offset, 128 * 1024, now=0.0))
             offset += 128 * 1024
         assert len(vfs.cache) <= vfs.cache.capacity
 
@@ -84,8 +84,7 @@ class TestWritePathIntegration:
     def test_write_then_read_hits_cache(self):
         vfs = VirtualFileSystem(16 * MB)
         vfs.write(1, 5, 0, 256 * 1024, now=0.0)
-        plan = vfs.read(1, 5, 0, 256 * 1024, now=1.0)
-        assert plan.fully_cached
+        assert vfs.read(1, 5, 0, 256 * 1024, now=1.0) == []
 
     def test_dirty_data_flushes_once(self):
         vfs = VirtualFileSystem(16 * MB)
@@ -132,10 +131,10 @@ class TestInterleavedStreams:
         for step in range(32):
             for inode in (1, 2):
                 offset = step * 128 * 1024
-                plan = vfs.read(inode, inode, offset, 128 * 1024,
-                                now=float(step))
-                fetch_all(vfs, plan)
-                hits[inode] += plan.hit_pages
-                total[inode] += plan.demand_extent.npages
+                fetches, demand_hits, demand_misses = counted_read(
+                    vfs, inode, inode, offset, 128 * 1024, now=float(step))
+                fetch_all(vfs, fetches)
+                hits[inode] += demand_hits
+                total[inode] += demand_hits + demand_misses
         for inode in (1, 2):
             assert hits[inode] / total[inode] > 0.3, inode

@@ -11,8 +11,19 @@ from repro.kernel.page import (
     coalesce,
     pages_of_range,
     runs_from_pages,
-    split_max_pages,
 )
+from repro.kernel.readahead import TwoWindowReadahead
+from repro.kernel.vfs import VirtualFileSystem
+
+
+def cold_fetches(npages, max_pages=MAX_READAHEAD_PAGES):
+    """Fetches of a cold ``npages`` read at page 1 of a fresh VFS: a
+    first access away from offset 0 opens no readahead window, so the
+    fetches are the demand pages split at ``max_pages``."""
+    vfs = VirtualFileSystem()
+    vfs.readahead = TwoWindowReadahead(min_pages=1, max_pages=max_pages)
+    vfs.register_file(1, (npages + 1) * PAGE_SIZE)
+    return vfs.read(1, 1, PAGE_SIZE, npages * PAGE_SIZE, now=0.0)
 
 
 class TestExtent:
@@ -119,27 +130,28 @@ class TestRunsFromPages:
 
 
 class TestSplitMaxPages:
+    """The VFS read splits each miss run at the readahead cap."""
+
     def test_within_limit_unchanged(self):
-        assert split_max_pages(Extent(1, 0, 10), 32) == [Extent(1, 0, 10)]
+        assert cold_fetches(10) == [Extent(1, 1, 10)]
 
     def test_splits_at_limit(self):
-        out = split_max_pages(Extent(1, 0, 70), 32)
-        assert out == [Extent(1, 0, 32), Extent(1, 32, 32),
-                       Extent(1, 64, 6)]
+        out = cold_fetches(70)
+        assert out == [Extent(1, 1, 32), Extent(1, 33, 32),
+                       Extent(1, 65, 6)]
 
     def test_max_readahead_is_128kb(self):
         assert MAX_READAHEAD_PAGES * PAGE_SIZE == 128 * 1024
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
-            split_max_pages(Extent(1, 0, 5), 0)
+            VirtualFileSystem(readahead_max_pages=0)
 
     @given(st.integers(1, 200), st.integers(1, 64))
     def test_split_preserves_coverage(self, npages, limit):
-        ext = Extent(1, 0, npages)
-        parts = split_max_pages(ext, limit)
+        parts = cold_fetches(npages, limit)
         assert all(p.npages <= limit for p in parts)
         assert sum(p.npages for p in parts) == npages
-        assert parts[0].start == 0
+        assert parts[0].start == 1
         for a, b in zip(parts, parts[1:], strict=False):
             assert a.end == b.start

@@ -1,8 +1,12 @@
 """Unit tests for the VFS read/write service path."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.kernel.page import PAGE_SIZE
+from repro.devices.layout import DiskLayout
+from repro.kernel.page import PAGE_SIZE, Extent, PageId
+from repro.kernel.path import KernelPath
+from repro.kernel.scheduler import CScanScheduler
 from repro.kernel.vfs import VirtualFileSystem
 from repro.sim.clock import MB
 
@@ -13,43 +17,50 @@ def vfs_with_file(inode=1, size=10 * MB, memory=4 * MB):
     return v
 
 
+def counted_read(v, *args, **kwargs):
+    """``v.read`` plus the demand hits and misses it added to the cache
+    counters: ``(fetches, hits, misses)``."""
+    stats = v.cache.stats
+    hits, misses = stats.hits, stats.misses
+    fetches = v.read(*args, **kwargs)
+    return fetches, stats.hits - hits, stats.misses - misses
+
+
 class TestReadPath:
     def test_cold_read_produces_fetch(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 64 * 1024, now=0.0)
-        assert not plan.fully_cached
-        assert plan.miss_pages == 16
-        assert plan.hit_pages == 0
-        assert plan.fetch_bytes >= 64 * 1024
+        fetches, hits, misses = counted_read(v, 1, 1, 0, 64 * 1024, now=0.0)
+        assert fetches
+        assert misses == 16
+        assert hits == 0
+        assert sum(e.nbytes for e in fetches) >= 64 * 1024
 
     def test_fetch_extents_capped_at_readahead_window(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 1 * MB, now=0.0)
-        assert all(e.npages <= 32 for e in plan.fetch_extents)
+        fetches = v.read(1, 1, 0, 1 * MB, now=0.0)
+        assert all(e.npages <= 32 for e in fetches)
 
     def test_completed_fetch_makes_reread_cached(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 64 * 1024, now=0.0)
-        for e in plan.fetch_extents:
+        for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
             v.complete_fetch(e, now=0.0)
-        plan2 = v.read(1, 1, 0, 64 * 1024, now=1.0)
-        assert plan2.fully_cached
-        assert plan2.hit_pages == 16
+        fetches, hits, _ = counted_read(v, 1, 1, 0, 64 * 1024, now=1.0)
+        assert fetches == []
+        assert hits == 16
 
     def test_readahead_prefetches_beyond_demand(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 16 * 1024, now=0.0)    # 4 demand pages
-        for e in plan.fetch_extents:
+        for e in v.read(1, 1, 0, 16 * 1024, now=0.0):    # 4 demand pages
             v.complete_fetch(e, now=0.0)
         # The next sequential pages are already resident.
-        plan2 = v.read(1, 1, 16 * 1024, 16 * 1024, now=0.1)
-        assert plan2.hit_pages > 0
+        _, hits, _ = counted_read(v, 1, 1, 16 * 1024, 16 * 1024, now=0.1)
+        assert hits > 0
 
     def test_zero_byte_read(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 0, now=0.0)
-        assert plan.fully_cached
-        assert plan.demand_extent is None
+        fetches, hits, misses = counted_read(v, 1, 1, 0, 0, now=0.0)
+        assert fetches == []
+        assert hits == misses == 0   # no demand pages
 
     def test_unregistered_inode_rejected(self):
         v = VirtualFileSystem()
@@ -58,14 +69,13 @@ class TestReadPath:
 
     def test_partial_hit_fetches_only_missing(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, 8 * PAGE_SIZE, now=0.0)
-        for e in plan.fetch_extents:
+        for e in v.read(1, 1, 0, 8 * PAGE_SIZE, now=0.0):
             v.complete_fetch(e, now=0.0)
         # Random read overlapping cached head and uncached tail.
-        plan2 = v.read(1, 1, 4 * PAGE_SIZE, 500 * PAGE_SIZE, now=1.0)
-        fetched = {p for e in plan2.fetch_extents for p in e.pages()}
+        fetches, cached_demand, _ = counted_read(
+            v, 1, 1, 4 * PAGE_SIZE, 500 * PAGE_SIZE, now=1.0)
+        fetched = {p for e in fetches for p in e.pages()}
         # Already-resident demand pages are not fetched again.
-        cached_demand = plan2.hit_pages
         assert cached_demand > 0
         assert all(p.index >= 4 for p in fetched)
 
@@ -102,11 +112,9 @@ class TestWritePath:
 
     def test_overwrite_of_cached_page_dirties_it(self):
         v = vfs_with_file()
-        plan = v.read(1, 1, 0, PAGE_SIZE, now=0.0)
-        for e in plan.fetch_extents:
+        for e in v.read(1, 1, 0, PAGE_SIZE, now=0.0):
             v.complete_fetch(e, now=0.0)
         v.write(1, 1, 0, 100, now=1.0)
-        from repro.kernel.page import PageId
         assert v.cache.is_dirty(PageId(1, 0))
 
 
@@ -114,8 +122,7 @@ class TestResidency:
     def test_resident_bytes(self):
         v = vfs_with_file()
         assert v.resident_bytes(1, 0, 64 * 1024) == 0
-        plan = v.read(1, 1, 0, 64 * 1024, now=0.0)
-        for e in plan.fetch_extents:
+        for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
             v.complete_fetch(e, now=0.0)
         assert v.resident_bytes(1, 0, 64 * 1024) == 64 * 1024
 
@@ -144,3 +151,118 @@ class TestNamespace:
     def test_bad_memory_size_rejected(self):
         with pytest.raises(ValueError):
             VirtualFileSystem(0)
+
+
+class _ReadModel:
+    """Page-at-a-time reference for one kernel read: the two-window
+    readahead rules per stream, residency probed one page at a time,
+    runs split at the cap and C-SCAN order over the layout."""
+
+    def __init__(self, locate, max_pages=32, min_pages=4):
+        self.locate = locate
+        self.max_pages, self.min_pages = max_pages, min_pages
+        self.streams = {}      # (pid, inode) -> [last_page, next_size]
+        self.head = 0
+
+    def read(self, cache, pid, inode, offset, size, file_pages):
+        start = offset // PAGE_SIZE
+        end = (offset + size - 1) // PAGE_SIZE + 1
+        stream = self.streams.setdefault((pid, inode), [None, 0])
+        last, size_now = stream
+        sequential = (start == 0 if last is None
+                      else start in (last, last + 1))
+        if sequential:
+            size_now = (self.min_pages if size_now == 0
+                        else min(2 * size_now, self.max_pages))
+            window_end = max(end, min(end + size_now, file_pages))
+        else:
+            size_now = 0
+            window_end = end
+        stream[:] = [end - 1, size_now]
+        missing = [index for index in range(start, window_end)
+                   if PageId(inode, index) not in cache]
+        hits = sum(PageId(inode, index) in cache
+                   for index in range(start, end))
+        runs = []
+        for index in missing:
+            if runs and runs[-1][1] == index and \
+                    runs[-1][1] - runs[-1][0] < self.max_pages:
+                runs[-1][1] = index + 1
+            else:
+                runs.append([index, index + 1])
+        fetches = [Extent(inode, a, b - a) for a, b in runs]
+        if len(fetches) > 1:
+            ahead = sorted((e for e in fetches
+                            if self.locate(e) >= self.head),
+                           key=self.locate)
+            behind = sorted((e for e in fetches
+                             if self.locate(e) < self.head),
+                            key=self.locate)
+            fetches = ahead + behind
+            self.head = self.locate(fetches[-1])
+        return fetches, hits, size_now
+
+
+#: one read: (pid, inode, where, start page, byte skew, pages, fetch it)
+_reads = st.lists(st.tuples(
+    st.integers(1, 2), st.integers(1, 3),
+    st.sampled_from(["next", "next", "next", "same", "random"]),
+    st.integers(0, 150), st.integers(0, PAGE_SIZE - 1),
+    st.integers(1, 80), st.booleans()), min_size=1, max_size=40)
+
+
+class TestOnePassRead:
+    """``KernelPath.read`` against :class:`_ReadModel`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(16, 200), _reads)
+    def test_matches_page_at_a_time_model(self, capacity, reads):
+        vfs = VirtualFileSystem(capacity * PAGE_SIZE)
+        layout = DiskLayout(seed=3)
+        sizes = {1: 150 * PAGE_SIZE, 2: 40 * PAGE_SIZE + 17,
+                 3: 200 * PAGE_SIZE}
+        for inode, size in sizes.items():
+            vfs.register_file(inode, size)
+        layout.add_files(sizes, sizes.values())
+
+        def locate(extent):
+            return layout.block_of(extent.inode, extent.start * PAGE_SIZE)
+
+        kernel = KernelPath(vfs, CScanScheduler(), locate)
+        model = _ReadModel(locate)
+        ends = {}
+        for pid, inode, where, page, skew, npages, fetch in reads:
+            file_bytes = sizes[inode]
+            if where == "next":
+                offset = ends.get((pid, inode), 0)
+            elif where == "same":
+                offset = max(ends.get((pid, inode), 1) - 1, 0)
+            else:
+                offset = page * PAGE_SIZE + skew
+            offset = min(offset, file_bytes - 1)
+            size = min(npages * PAGE_SIZE - skew, file_bytes - offset)
+            ends[(pid, inode)] = offset + size
+            file_pages = -(-file_bytes // PAGE_SIZE)
+            want, want_hits, want_window = model.read(
+                vfs.cache, pid, inode, offset, size, file_pages)
+            stats = vfs.cache.stats
+            hits, accesses = stats.hits, stats.accesses
+            got = kernel.read(pid, inode, offset, size, now=0.0)
+            assert got == want
+            demand = (offset + size - 1) // PAGE_SIZE - offset // PAGE_SIZE
+            assert stats.accesses - accesses == demand + 1
+            assert stats.hits - hits == want_hits
+            assert vfs.readahead.state(pid, inode).next_size == want_window
+            if fetch:
+                for extent in got:
+                    kernel.complete_fetch(extent, now=0.0)
+
+    def test_window_doubles_to_the_cap_and_resets(self):
+        vfs = vfs_with_file()
+        windows = []
+        for offset in range(0, 6 * 16 * 1024, 16 * 1024):
+            vfs.read(1, 1, offset, 16 * 1024, now=0.0)
+            windows.append(vfs.readahead.state(1, 1).next_size)
+        vfs.read(1, 1, 5 * MB, 16 * 1024, now=0.0)       # random
+        windows.append(vfs.readahead.state(1, 1).next_size)
+        assert windows == [4, 8, 16, 32, 32, 32, 0]

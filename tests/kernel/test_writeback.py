@@ -183,9 +183,9 @@ class TestDirtyIndexModel:
                         assert page in forced_pages
             elif op[0] == "read":
                 _, inode, start, npages = op
-                plan = vfs.read(1, inode, start * PAGE_SIZE,
-                                npages * PAGE_SIZE, now)
-                for fetched in plan.fetch_extents:
+                fetches = vfs.read(1, inode, start * PAGE_SIZE,
+                                   npages * PAGE_SIZE, now)
+                for fetched in fetches:
                     for extent in vfs.complete_fetch(fetched, now):
                         for page in extent.pages():
                             del ref[page]

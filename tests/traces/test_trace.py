@@ -25,6 +25,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="past EOF"):
             Trace("t", [rec], files)
 
+    def test_write_past_declared_size_rejected(self):
+        """40 one-second 4 KB appends to a file declared as 4 KB: the
+        disk layout has no block past the declared size, so the trace
+        is refused at the first write past it (a replay used to crash
+        at its first laptop-mode flush)."""
+        files = {1: FileInfo(inode=1, path="log", size_bytes=4096)}
+        records = [SyscallRecord(pid=1, fd=3, inode=1, offset=i * 4096,
+                                 size=4096, op=OpType.WRITE,
+                                 timestamp=float(i))
+                   for i in range(40)]
+        with pytest.raises(ValueError,
+                           match="record 1 writes past the declared size"):
+            Trace("appends", records, files)
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             Trace("", [], {})
