@@ -140,7 +140,7 @@ class FlexFetchPolicy(Policy):
         if first == stop:
             # Nothing known ahead: keep the current source.
             return self.current_source
-        vfs = self.env.vfs if self.config.feature("cache_filter") else None
+        vfs = self.env.kernel if self.config.feature("cache_filter") else None
         if self.config.adaptive:
             # Live device states: the §2.2 on-line simulators start from
             # where the real devices are right now.

@@ -88,7 +88,7 @@ class ClairvoyantStagePolicy(Policy):
         if first == stop:
             return
         d, n = self.env.cost_model.stage_pair(self.profile, first, stop,
-                                              now=now, vfs=self.env.vfs)
+                                              now=now, vfs=self.env.kernel)
         source = decide(
             DecisionInputs(t_disk=d.time, e_disk=d.energy,
                            t_network=n.time, e_network=n.energy),

@@ -382,7 +382,7 @@ class SimulationSession:
     def _check_dirty_conservation(self) -> None:
         """Every page that entered the cache's dirty index left it
         exactly once (flush, dirty eviction or drop) or is still there."""
-        writeback = self.env.vfs.writeback
+        writeback = self.env.kernel.writeback
         stats = writeback.cache.stats
         left = (writeback.flushed_pages + stats.dirty_evictions
                 + stats.dirty_drops + writeback.dirty_count)

@@ -345,7 +345,7 @@ def build_run_result(env: MobileSystem, *, policy_name: str,
         requests=requests,
         device_requests=dict(routed_requests),
         device_bytes=dict(routed_bytes),
-        cache_hit_ratio=env.vfs.cache.stats.hit_ratio,
+        cache_hit_ratio=env.kernel.cache.stats.hit_ratio,
         disk_spinups=env.disk.spinup_count,
         disk_spindowns=env.disk.spindown_count,
         wnic_wakeups=env.wnic.wakeup_count,

@@ -364,7 +364,7 @@ class HardDisk(PowerStateMachine):
                 block_count: int | None = None) -> DiskServiceResult:
         """Service a ``size_bytes`` request arriving at ``time``.
 
-        ``block``/``block_count`` locate the transfer on the platter (in
+        ``block``/``block_count`` place the transfer on the platter (in
         512-byte sectors or any consistent unit) purely for sequentiality
         accounting; they do not scale the transfer time, which is
         ``size_bytes / bandwidth``.

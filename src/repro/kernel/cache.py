@@ -174,7 +174,7 @@ class TwoQCache(DirtyIndex):
 
         A miss does *not* insert the page — the caller fetches it from a
         device and then calls :meth:`insert`.  This split is what lets
-        the VFS batch misses into readahead-sized device extents.
+        the kernel path batch misses into readahead-sized device extents.
         """
         inode, index = page
         return not self.scan_window(inode, index, index + 1,

@@ -14,9 +14,9 @@ leaf utilities everything may use or tooling that must see everything,
 so they neither emit nor attract findings.
 
 The check is purely syntactic (import statements only), so dependency
-injection remains the sanctioned escape hatch: ``kernel.path`` takes a
-``locate`` callable instead of importing the disk layout, and stays
-clean here by construction.
+injection remains the sanctioned escape hatch for a need that does
+point up.  ``kernel.path`` importing the disk layout is not one: the
+kernel (2) sits above the devices (1).
 """
 
 from __future__ import annotations

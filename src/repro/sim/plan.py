@@ -36,8 +36,6 @@ from repro.devices.layout import BLOCK_SIZE, DiskLayout
 from repro.kernel.cache import CacheStats, DirtyIndex
 from repro.kernel.page import Extent, PageId, runs_from_pages
 from repro.kernel.path import KernelPath
-from repro.kernel.scheduler import CScanScheduler
-from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import LaptopModeWriteback
 from repro.traces.compile import CompiledTrace
 from repro.units import Bytes, Seconds
@@ -111,20 +109,13 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     victims are fixed by the record sequence, and only whether a victim
     is still dirty waits for the replay's clock.
     """
-    # A private kernel path wired exactly as MobileSystem wires the real
-    # one — same cache capacity, same seeded layout, same elevator —
-    # with the cache reporting every eviction.
-    vfs = VirtualFileSystem(memory_bytes)
+    # A private kernel path built exactly as MobileSystem builds the
+    # real one — same cache capacity, same seeded layout — with the
+    # cache reporting every eviction.
     layout = DiskLayout(seed)
-    kernel = KernelPath(
-        vfs, CScanScheduler(),
-        lambda extent: layout.block_of(extent.inode,
-                                       extent.start * BLOCK_SIZE))
-    inodes_table, sizes_table = trace.files_view()
-    for inode, size in zip(inodes_table, sizes_table, strict=True):
-        vfs.register_file(inode, size)
-    layout.add_files(inodes_table, sizes_table)
-    cache = vfs.cache
+    layout.add_files(*trace.files_view())
+    kernel = KernelPath(memory_bytes, layout)
+    cache = kernel.cache
     resident = cache._resident
     evicted: list[tuple[int, PageId]] = []
     cache.victims = evicted
@@ -147,8 +138,7 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
             # The session completes each fetch in service order;
             # residency is time-independent, so installing here
             # reproduces the cache state the replay observes after the
-            # record.  (VirtualFileSystem.complete_fetch is insert_run
-            # plus the dirty victims, which no replay of the plan needs.)
+            # record.  (KernelPath.complete_fetch is this insert_run.)
             for extent in ordered:
                 cache.insert_run(extent.inode, extent.start, extent.end)
             extents.append(ordered)
@@ -170,11 +160,14 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
             # outside them was resident before it too.
             before: dict[PageId, bool] = {}
             if size > 0:
-                for index in range(offset // BLOCK_SIZE,
-                                   (offset + size - 1) // BLOCK_SIZE + 1):
+                first = offset // BLOCK_SIZE
+                end = (offset + size - 1) // BLOCK_SIZE + 1
+                for index in range(first, end):
                     page = (inode, index)
                     before[page] = page in resident
-            vfs.write(pids[i], inode, offset, size, 0.0)
+                # KernelPath.write's page run, without the flush extents
+                # no replay of the plan needs.
+                cache.write_run(inode, first, end, 0.0)
             for index, page in evicted:
                 victims.extend((index, page[0], page[1]))
                 before.setdefault(page, True)
@@ -207,8 +200,9 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
 class PlanCursor:
     """Kernel-path surrogate that replays a :class:`BurstPlan`.
 
-    Stands in for *both* ``env.kernel`` and ``env.vfs`` during a
-    fast-path replay: ``read`` hands back record ``i``'s precomputed
+    Stands in for the :class:`~repro.kernel.path.KernelPath` as
+    ``env.kernel`` during a fast-path replay, with the same calls:
+    ``read`` hands back record ``i``'s precomputed
     extents instead of re-walking cache/readahead/elevator, and
     ``resident_bytes`` answers policy cache-filter queries from the
     plan's residency deltas.  The resident set is materialised lazily —
@@ -304,7 +298,7 @@ class PlanCursor:
         return runs_from_pages(flushed) if flushed else []
 
     def complete_fetch(self, extent: Extent,
-                       now: Seconds) -> list[Extent]:
+                       now: Seconds) -> list[PageId]:
         # The plan already holds the fetch's residency change, and
         # ``read`` already evicted its dirty victims; the live kernel's
         # return value here is discarded by the router either way.
@@ -316,7 +310,7 @@ class PlanCursor:
             return []  # a read-only stretch: nothing can be due
         return self.writeback.plan_flush(now, disk_active=disk_active)
 
-    # -- vfs surface ----------------------------------------------------
+    # -- profile support -----------------------------------------------
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes:
         # Inline of pages_of_range (same validation, no Extent built):
         # this is the cache filter's per-request query, the busiest

@@ -36,7 +36,7 @@ class StraceParseError(ValueError):
     """A line did not match the collector format.
 
     When raised from a multi-line parse, ``lineno`` (1-based) and
-    ``snippet`` locate the offending line; both also appear in the
+    ``snippet`` point at the offending line; both also appear in the
     message.
     """
 

@@ -22,7 +22,6 @@ def ctx(now=0.0, nbytes=4096, op=OpType.READ):
 def attached_policy(config=None):
     policy = BlueFSPolicy(config)
     env = MobileSystem()
-    env.vfs.register_file(1, 100 * MB)
     env.layout.add_file(1, 100 * MB)
     policy.attach(env)
     policy.begin_run(0.0)

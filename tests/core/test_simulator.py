@@ -161,7 +161,8 @@ class TestMobileSystem:
         env = MobileSystem()
         env.register_trace(tiny_trace)
         assert 1 in env.layout
-        assert env.vfs.file_size(1) >= 3 * 4096
+        # The layout is the kernel path's file table.
+        assert env.kernel.layout.get(1).nblocks >= 3
 
     def test_programs_sharing_an_inode_place_it_once(self):
         """Two programs size a shared file differently (strace sizes it
@@ -175,7 +176,7 @@ class TestMobileSystem:
         env.register_trace(a, b)
         assert list(env.layout.files) == [1, 2, 3]
         assert env.layout.get(1).nblocks == 16
-        assert env.vfs.file_size(1) == 65536
+        assert env.kernel.layout is env.layout
         result = SimulationSession([ProgramSpec(a), ProgramSpec(b)],
                                    DiskOnlyPolicy(), seed=1).run()
         assert result.end_time > 2.0

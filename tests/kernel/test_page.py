@@ -13,17 +13,16 @@ from repro.kernel.page import (
     runs_from_pages,
 )
 from repro.kernel.readahead import TwoWindowReadahead
-from repro.kernel.vfs import VirtualFileSystem
+from tests.kernel.test_vfs import kernel_with_file
 
 
 def cold_fetches(npages, max_pages=MAX_READAHEAD_PAGES):
-    """Fetches of a cold ``npages`` read at page 1 of a fresh VFS: a
-    first access away from offset 0 opens no readahead window, so the
-    fetches are the demand pages split at ``max_pages``."""
-    vfs = VirtualFileSystem()
-    vfs.readahead = TwoWindowReadahead(min_pages=1, max_pages=max_pages)
-    vfs.register_file(1, (npages + 1) * PAGE_SIZE)
-    return vfs.read(1, 1, PAGE_SIZE, npages * PAGE_SIZE, now=0.0)
+    """Fetches of a cold ``npages`` read at page 1 of a fresh kernel
+    path: a first access away from offset 0 opens no readahead window,
+    so the fetches are the demand pages split at ``max_pages``."""
+    kernel = kernel_with_file(size=(npages + 1) * PAGE_SIZE)
+    kernel.readahead = TwoWindowReadahead(min_pages=1, max_pages=max_pages)
+    return kernel.read(1, 1, PAGE_SIZE, npages * PAGE_SIZE, now=0.0)
 
 
 class TestExtent:
@@ -130,7 +129,8 @@ class TestRunsFromPages:
 
 
 class TestSplitMaxPages:
-    """The VFS read splits each miss run at the readahead cap."""
+    """The kernel path's read splits each miss run at the readahead
+    cap."""
 
     def test_within_limit_unchanged(self):
         assert cold_fetches(10) == [Extent(1, 1, 10)]
@@ -145,7 +145,7 @@ class TestSplitMaxPages:
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
-            VirtualFileSystem(readahead_max_pages=0)
+            TwoWindowReadahead(min_pages=1, max_pages=0)
 
     @given(st.integers(1, 200), st.integers(1, 64))
     def test_split_preserves_coverage(self, npages, limit):

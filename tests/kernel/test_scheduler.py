@@ -1,84 +1,81 @@
-"""Unit tests for the C-SCAN elevator."""
+"""C-SCAN ordering of a read's fetches, through ``KernelPath.read``.
 
-import pytest
+A read's fetches all belong to one file and ascend on the platter.  Each
+case lays one file out from block 0 (so a page's index is its block)
+and leaves pages missing only at the blocks it names: every missing run
+is one fetch, starting at its block.
+"""
+
 from hypothesis import given, strategies as st
 
-from repro.kernel.page import Extent
-from repro.kernel.scheduler import CScanScheduler, DiskExtent
+from repro.kernel.page import PAGE_SIZE
+from tests.kernel.test_vfs import kernel_with_file
 
 
-def req(block, npages=1, inode=1, start=0):
-    return DiskExtent(extent=Extent(inode, start, npages),
-                      start_block=block)
+def cscan_read(blocks, head=0, npages=1):
+    """Read the whole file with the elevator at ``head`` and every page
+    resident but ``npages`` at each of ``blocks``; returns the fetches
+    in dispatch order and the kernel path."""
+    missing = sorted({b + k for b in blocks for k in range(npages)})
+    file_pages = missing[-1] + 2
+    kernel = kernel_with_file(size=file_pages * PAGE_SIZE,
+                              memory=file_pages * PAGE_SIZE)
+    assert kernel.layout.get(1).start_block == 0
+    resident_from = 0
+    for index in [*missing, file_pages]:
+        if index > resident_from:
+            kernel.cache.insert_run(1, resident_from, index)
+        resident_from = index + 1
+    kernel.head = head
+    return kernel.read(1, 1, 0, file_pages * PAGE_SIZE, now=0.0), kernel
+
+
+def starts(fetches):
+    return [e.start for e in fetches]
 
 
 class TestOrdering:
     def test_ascending_from_head(self):
-        s = CScanScheduler(head_block=50)
-        s.add_all([req(10), req(60), req(55), req(90)])
-        order = [r.start_block for r in s.drain()]
-        assert order == [55, 60, 90, 10]      # sweep up, then wrap
+        fetches, _ = cscan_read([10, 60, 55, 90], head=50)
+        assert starts(fetches) == [55, 60, 90, 10]   # sweep up, then wrap
 
     def test_pure_ascending_when_all_ahead(self):
-        s = CScanScheduler(head_block=0)
-        s.add_all([req(30), req(10), req(20)])
-        assert [r.start_block for r in s.drain()] == [10, 20, 30]
+        fetches, _ = cscan_read([30, 10, 20], head=0)
+        assert starts(fetches) == [10, 20, 30]
 
     def test_wrap_to_lowest(self):
-        s = CScanScheduler(head_block=100)
-        s.add_all([req(10), req(5), req(40)])
-        assert [r.start_block for r in s.drain()] == [5, 10, 40]
+        fetches, _ = cscan_read([10, 5, 40], head=100)
+        assert starts(fetches) == [5, 10, 40]
 
     def test_head_tracks_request_start(self):
-        s = CScanScheduler(head_block=0)
-        s.add(req(10, npages=5))
-        list(s.drain())
-        assert s.head_block == 10
+        _, kernel = cscan_read([3, 10], head=0, npages=5)
+        assert kernel.head == 10
 
     def test_equal_blocks_dispatch_back_to_back(self):
-        s = CScanScheduler(head_block=1)
-        s.add_all([req(0), req(0), req(1), req(1)])
-        assert [r.start_block for r in s.drain()] == [1, 1, 0, 0]
+        """Two fetches of one read never share a block; the tie rule
+        left is that a fetch at the head's own block is still ahead of
+        it, so it goes in the current sweep."""
+        fetches, _ = cscan_read([5, 10], head=10)
+        assert starts(fetches) == [10, 5]
 
     def test_order_convenience(self):
-        s = CScanScheduler()
-        batch = [req(30), req(10)]
-        ordered = s.order(batch)
-        assert [r.start_block for r in ordered] == [10, 30]
-        assert len(s) == 0
-
-
-class TestValidation:
-    def test_negative_head_rejected(self):
-        with pytest.raises(ValueError):
-            CScanScheduler(head_block=-1)
-
-    def test_negative_block_rejected(self):
-        with pytest.raises(ValueError):
-            req(-5)
-
-    def test_len(self):
-        s = CScanScheduler()
-        s.add(req(1))
-        s.add(req(2))
-        assert len(s) == 2
+        fetches, kernel = cscan_read([30, 10])
+        assert starts(fetches) == [10, 30]
+        assert kernel.head == 30
 
 
 class TestProperties:
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
            st.integers(0, 10_000))
     def test_drain_yields_everything_once(self, blocks, head):
-        s = CScanScheduler(head_block=head)
-        s.add_all(req(b) for b in blocks)
-        out = [r.start_block for r in s.drain()]
-        assert sorted(out) == sorted(blocks)
+        fetches, _ = cscan_read(blocks, head=head)
+        pages = [index for e in fetches for index in range(e.start, e.end)]
+        assert sorted(pages) == sorted(set(blocks))
 
     @given(st.lists(st.integers(0, 10_000), min_size=2, max_size=60),
            st.integers(0, 10_000))
     def test_single_direction_change_at_most(self, blocks, head):
         """A C-SCAN sweep goes up, wraps at most once, goes up again."""
-        s = CScanScheduler(head_block=head)
-        s.add_all(req(b) for b in blocks)
-        out = [r.start_block for r in s.drain()]
+        out = starts(cscan_read(blocks, head=head)[0])
         wraps = sum(1 for a, b in zip(out, out[1:], strict=False) if b < a)
         assert wraps <= 1

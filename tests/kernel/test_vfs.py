@@ -1,4 +1,4 @@
-"""Unit tests for the VFS read/write service path."""
+"""Unit tests for the kernel path's read/write service path."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 from repro.devices.layout import DiskLayout
 from repro.kernel.page import PAGE_SIZE, Extent, PageId
 from repro.kernel.path import KernelPath
-from repro.kernel.scheduler import CScanScheduler
-from repro.kernel.vfs import VirtualFileSystem
 from repro.sim.clock import MB
 
 
-def vfs_with_file(inode=1, size=10 * MB, memory=4 * MB):
-    v = VirtualFileSystem(memory)
-    v.register_file(inode, size)
-    return v
+def kernel_with_files(files, memory=4 * MB, seed=0):
+    """A kernel path whose layout places ``files`` (inode -> bytes)."""
+    layout = DiskLayout(seed)
+    layout.add_files(files, files.values())
+    return KernelPath(memory, layout)
+
+
+def kernel_with_file(inode=1, size=10 * MB, memory=4 * MB):
+    return kernel_with_files({inode: size}, memory)
 
 
 def counted_read(v, *args, **kwargs):
@@ -28,7 +31,7 @@ def counted_read(v, *args, **kwargs):
 
 class TestReadPath:
     def test_cold_read_produces_fetch(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         fetches, hits, misses = counted_read(v, 1, 1, 0, 64 * 1024, now=0.0)
         assert fetches
         assert misses == 16
@@ -36,12 +39,12 @@ class TestReadPath:
         assert sum(e.nbytes for e in fetches) >= 64 * 1024
 
     def test_fetch_extents_capped_at_readahead_window(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         fetches = v.read(1, 1, 0, 1 * MB, now=0.0)
         assert all(e.npages <= 32 for e in fetches)
 
     def test_completed_fetch_makes_reread_cached(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
             v.complete_fetch(e, now=0.0)
         fetches, hits, _ = counted_read(v, 1, 1, 0, 64 * 1024, now=1.0)
@@ -49,7 +52,7 @@ class TestReadPath:
         assert hits == 16
 
     def test_readahead_prefetches_beyond_demand(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         for e in v.read(1, 1, 0, 16 * 1024, now=0.0):    # 4 demand pages
             v.complete_fetch(e, now=0.0)
         # The next sequential pages are already resident.
@@ -57,18 +60,18 @@ class TestReadPath:
         assert hits > 0
 
     def test_zero_byte_read(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         fetches, hits, misses = counted_read(v, 1, 1, 0, 0, now=0.0)
         assert fetches == []
         assert hits == misses == 0   # no demand pages
 
     def test_unregistered_inode_rejected(self):
-        v = VirtualFileSystem()
+        v = KernelPath(64 * MB, DiskLayout())
         with pytest.raises(KeyError):
             v.read(1, 99, 0, 4096, now=0.0)
 
     def test_partial_hit_fetches_only_missing(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         for e in v.read(1, 1, 0, 8 * PAGE_SIZE, now=0.0):
             v.complete_fetch(e, now=0.0)
         # Random read overlapping cached head and uncached tail.
@@ -82,36 +85,25 @@ class TestReadPath:
 
 class TestWritePath:
     def test_write_dirties_without_device_io(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         forced = v.write(1, 1, 0, 64 * 1024, now=0.0)
         assert forced == []
         assert v.writeback.dirty_count == 16
 
-    def test_write_extends_file(self):
-        v = VirtualFileSystem()
-        v.register_file(1, 0)
-        v.write(1, 1, 0, 4096, now=0.0)
-        assert v.file_size(1) == 4096
-
-    def test_write_to_unknown_inode_registers_it(self):
-        v = VirtualFileSystem()
-        v.write(1, 55, 0, 8192, now=0.0)
-        assert v.file_size(55) == 8192
-
     def test_writeback_plan_flushes_on_active_disk(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         v.write(1, 1, 0, 64 * 1024, now=0.0)
         extents = v.plan_writeback(1.0, disk_active=True)
         assert sum(e.npages for e in extents) == 16
         assert v.writeback.dirty_count == 0
 
     def test_writeback_defers_on_standby_disk(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         v.write(1, 1, 0, 64 * 1024, now=0.0)
         assert v.plan_writeback(1.0, disk_active=False) == []
 
     def test_overwrite_of_cached_page_dirties_it(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         for e in v.read(1, 1, 0, PAGE_SIZE, now=0.0):
             v.complete_fetch(e, now=0.0)
         v.write(1, 1, 0, 100, now=1.0)
@@ -120,37 +112,26 @@ class TestWritePath:
 
 class TestResidency:
     def test_resident_bytes(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         assert v.resident_bytes(1, 0, 64 * 1024) == 0
         for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
             v.complete_fetch(e, now=0.0)
         assert v.resident_bytes(1, 0, 64 * 1024) == 64 * 1024
 
     def test_resident_bytes_zero_size(self):
-        v = vfs_with_file()
+        v = kernel_with_file()
         assert v.resident_bytes(1, 0, 0) == 0
 
 
 class TestNamespace:
-    def test_register_grows_only(self):
-        v = VirtualFileSystem()
-        v.register_file(1, 100)
-        v.register_file(1, 50)
-        assert v.file_size(1) == 100
-
     def test_negative_size_rejected(self):
+        # The layout is the kernel's file table.
         with pytest.raises(ValueError):
-            VirtualFileSystem().register_file(1, -1)
-
-    def test_known_files(self):
-        v = VirtualFileSystem()
-        v.register_file(3, 10)
-        v.register_file(1, 10)
-        assert sorted(v.known_files()) == [1, 3]
+            DiskLayout().add_file(1, -1)
 
     def test_bad_memory_size_rejected(self):
         with pytest.raises(ValueError):
-            VirtualFileSystem(0)
+            KernelPath(0, DiskLayout())
 
 
 class _ReadModel:
@@ -217,18 +198,14 @@ class TestOnePassRead:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(16, 200), _reads)
     def test_matches_page_at_a_time_model(self, capacity, reads):
-        vfs = VirtualFileSystem(capacity * PAGE_SIZE)
-        layout = DiskLayout(seed=3)
         sizes = {1: 150 * PAGE_SIZE, 2: 40 * PAGE_SIZE + 17,
                  3: 200 * PAGE_SIZE}
-        for inode, size in sizes.items():
-            vfs.register_file(inode, size)
-        layout.add_files(sizes, sizes.values())
+        kernel = kernel_with_files(sizes, capacity * PAGE_SIZE, seed=3)
+        layout = kernel.layout
 
         def locate(extent):
             return layout.block_of(extent.inode, extent.start * PAGE_SIZE)
 
-        kernel = KernelPath(vfs, CScanScheduler(), locate)
         model = _ReadModel(locate)
         ends = {}
         for pid, inode, where, page, skew, npages, fetch in reads:
@@ -244,25 +221,25 @@ class TestOnePassRead:
             ends[(pid, inode)] = offset + size
             file_pages = -(-file_bytes // PAGE_SIZE)
             want, want_hits, want_window = model.read(
-                vfs.cache, pid, inode, offset, size, file_pages)
-            stats = vfs.cache.stats
+                kernel.cache, pid, inode, offset, size, file_pages)
+            stats = kernel.cache.stats
             hits, accesses = stats.hits, stats.accesses
             got = kernel.read(pid, inode, offset, size, now=0.0)
             assert got == want
             demand = (offset + size - 1) // PAGE_SIZE - offset // PAGE_SIZE
             assert stats.accesses - accesses == demand + 1
             assert stats.hits - hits == want_hits
-            assert vfs.readahead.state(pid, inode).next_size == want_window
+            assert kernel.readahead.state(pid, inode).next_size == want_window
             if fetch:
                 for extent in got:
                     kernel.complete_fetch(extent, now=0.0)
 
     def test_window_doubles_to_the_cap_and_resets(self):
-        vfs = vfs_with_file()
+        kernel = kernel_with_file()
         windows = []
         for offset in range(0, 6 * 16 * 1024, 16 * 1024):
-            vfs.read(1, 1, offset, 16 * 1024, now=0.0)
-            windows.append(vfs.readahead.state(1, 1).next_size)
-        vfs.read(1, 1, 5 * MB, 16 * 1024, now=0.0)       # random
-        windows.append(vfs.readahead.state(1, 1).next_size)
+            kernel.read(1, 1, offset, 16 * 1024, now=0.0)
+            windows.append(kernel.readahead.state(1, 1).next_size)
+        kernel.read(1, 1, 5 * MB, 16 * 1024, now=0.0)       # random
+        windows.append(kernel.readahead.state(1, 1).next_size)
         assert windows == [4, 8, 16, 32, 32, 32, 0]

@@ -8,10 +8,10 @@ from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.kernel.cache import TwoQCache
 from repro.kernel.page import PAGE_SIZE, PageId
-from repro.kernel.vfs import VirtualFileSystem
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
 from repro.sim.clock import SimulationError
 from tests.conftest import make_trace
+from tests.kernel.test_vfs import kernel_with_files
 
 
 def setup(capacity=64, **cfg):
@@ -119,18 +119,18 @@ class TestBookkeeping:
         assert wb.flushed_pages == 1
 
 
-def _conserved(vfs):
-    stats = vfs.cache.stats
-    return stats.dirtied == (vfs.writeback.flushed_pages
+def _conserved(kernel):
+    stats = kernel.cache.stats
+    return stats.dirtied == (kernel.writeback.flushed_pages
                              + stats.dirty_evictions + stats.dirty_drops
-                             + vfs.writeback.dirty_count)
+                             + kernel.writeback.dirty_count)
 
 
 class TestDirtyIndexModel:
     """The cache's dirty index against a reference built from what the
-    VFS returns: written pages, minus forced-eviction extents, minus
-    flushed extents (residency places a page written and evicted by the
-    same write)."""
+    kernel path returns: written pages, minus forced-eviction extents,
+    minus the pages fetches evicted dirty, minus flushed extents
+    (residency places a page written and evicted by the same write)."""
 
     MAX_AGE = 10.0
     DIRTY_LIMIT = 6
@@ -151,19 +151,18 @@ class TestDirtyIndexModel:
     @settings(max_examples=150, deadline=None)
     @given(_ops, _gaps)
     def test_index_matches_reference(self, ops, gaps):
-        vfs = VirtualFileSystem(16 * PAGE_SIZE,
-                                writeback_config=WritebackConfig(
-                                    max_age=self.MAX_AGE,
-                                    dirty_limit_pages=self.DIRTY_LIMIT))
-        for inode in (1, 2):
-            vfs.register_file(inode, self.FILE_PAGES * PAGE_SIZE)
+        kernel = kernel_with_files({inode: self.FILE_PAGES * PAGE_SIZE
+                                 for inode in (1, 2)}, 16 * PAGE_SIZE)
+        kernel.writeback = LaptopModeWriteback(
+            kernel.cache, WritebackConfig(max_age=self.MAX_AGE,
+                                       dirty_limit_pages=self.DIRTY_LIMIT))
         ref: dict[PageId, float] = {}
         now = 0.0
         for op, gap in zip(ops, gaps):
             now += gap
             if op[0] == "write":
                 _, inode, start, npages = op
-                forced = vfs.write(1, inode, start * PAGE_SIZE,
+                forced = kernel.write(1, inode, start * PAGE_SIZE,
                                    npages * PAGE_SIZE, now)
                 written = {PageId(inode, index)
                            for index in range(start, start + npages)}
@@ -177,34 +176,33 @@ class TestDirtyIndexModel:
                 # dirtied anew; one evicted after its turn (it sat at the
                 # A1in tail) stays out.  Residency tells the two apart.
                 for page in written:
-                    if page in vfs.cache:
+                    if page in kernel.cache:
                         ref.setdefault(page, now)
                     else:
                         assert page in forced_pages
             elif op[0] == "read":
                 _, inode, start, npages = op
-                fetches = vfs.read(1, inode, start * PAGE_SIZE,
+                fetches = kernel.read(1, inode, start * PAGE_SIZE,
                                    npages * PAGE_SIZE, now)
                 for fetched in fetches:
-                    for extent in vfs.complete_fetch(fetched, now):
-                        for page in extent.pages():
-                            del ref[page]
+                    for page in kernel.complete_fetch(fetched, now):
+                        del ref[page]
             else:
                 disk_active = op[1]
                 due = bool(ref) and (
                     disk_active
                     or now - min(ref.values()) >= self.MAX_AGE
                     or len(ref) >= self.DIRTY_LIMIT)
-                flushed = {p for e in vfs.plan_writeback(
+                flushed = {p for e in kernel.plan_writeback(
                     now, disk_active=disk_active) for p in e.pages()}
                 # Laptop mode flushes everything once anything is due.
                 assert flushed == (set(ref) if due else set())
                 for page in flushed:
                     del ref[page]
-            assert set(vfs.cache.dirty_pages()) == set(ref)
+            assert set(kernel.cache.dirty_pages()) == set(ref)
             expected = min(ref.values()) + self.MAX_AGE if ref else None
-            assert vfs.writeback.next_forced_flush() == expected
-            assert _conserved(vfs)
+            assert kernel.writeback.next_forced_flush() == expected
+            assert _conserved(kernel)
 
 
 def _write_trace():
@@ -225,10 +223,10 @@ class TestSessionConservation:
                                     memory_bytes=32 * PAGE_SIZE)
         session.with_fast_path(fast_path).run()
         assert session.used_fast_path is fast_path
-        vfs = session.env.vfs
-        assert vfs.cache.stats.dirtied > 0
-        assert vfs.cache.stats.dirty_evictions > 0
-        assert _conserved(vfs)
+        kernel = session.env.kernel
+        assert kernel.cache.stats.dirtied > 0
+        assert kernel.cache.stats.dirty_evictions > 0
+        assert _conserved(kernel)
 
     def test_event_loop_run_conserves_dirty_pages(self):
         self._run(fast_path=False)

@@ -160,7 +160,7 @@ def test_r5_counts_every_upward_import() -> None:
 
 
 def test_r5_devices_may_not_import_kernel_or_core() -> None:
-    source = ("from repro.kernel.vfs import VirtualFileSystem\n"
+    source = ("from repro.kernel.path import KernelPath\n"
               "from repro.core.session import SimulationSession\n")
     findings = lint_source(source, path="disk.py",
                            package_rel=("repro", "devices", "disk.py"))

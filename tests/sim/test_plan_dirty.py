@@ -46,7 +46,7 @@ def test_cursor_dirty_index_tracks_the_cache():
     live = MobileSystem(memory_bytes=MEMORY, seed=0)
     live.register_trace(compiled)
     cursor = PlanCursor(build_plan(compiled, MEMORY, 0))
-    cache = live.vfs.cache
+    cache = live.kernel.cache
 
     saw_read_eviction = False
     for i, (inode, first, pages, op, now, flush) in enumerate(SCRIPT):
@@ -80,7 +80,7 @@ def test_cursor_dirty_index_tracks_the_cache():
                 == cache.stats.dirty_evictions)
         for probe in (1, 2, 3):
             assert (cursor.resident_bytes(probe, 0, 16 * PAGE_SIZE)
-                    == live.vfs.resident_bytes(probe, 0, 16 * PAGE_SIZE))
+                    == live.kernel.resident_bytes(probe, 0, 16 * PAGE_SIZE))
     assert saw_read_eviction
 
 
@@ -105,10 +105,10 @@ def test_read_fetch_drops_its_dirty_victims_on_both_surfaces():
         ).with_fast_path(fast_path)
         results.append(session.run())
         assert session.used_fast_path is fast_path
-        stats = session.env.vfs.cache.stats
+        stats = session.env.kernel.cache.stats
         assert stats.dirtied == 2
         assert stats.dirty_evictions == 2
-        assert session.env.vfs.writeback.flushed_pages == 0
+        assert session.env.kernel.writeback.flushed_pages == 0
         # Only the read's fetch reached a device.
         assert sum(nbytes for _, _, nbytes, _, _ in sink.services) \
             == 8 * PAGE_SIZE

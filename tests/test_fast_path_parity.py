@@ -105,8 +105,8 @@ def test_fast_path_matches_event_loop(fig_id, config, figure_setups):
 
 def _dirty_books(session):
     """The dirty-page counters a run leaves on its kernel surface."""
-    stats = session.env.vfs.cache.stats
-    writeback = session.env.vfs.writeback
+    stats = session.env.kernel.cache.stats
+    writeback = session.env.kernel.writeback
     return (stats.dirtied, stats.dirty_evictions, writeback.flush_count,
             writeback.flushed_pages, writeback.dirty_count)
 

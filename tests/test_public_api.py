@@ -49,8 +49,8 @@ class TestSubpackageImports:
         "repro.devices.layout", "repro.devices.power",
         "repro.devices.specs", "repro.devices.wnic",
         "repro.kernel", "repro.kernel.cache", "repro.kernel.page",
-        "repro.kernel.readahead", "repro.kernel.scheduler",
-        "repro.kernel.vfs", "repro.kernel.writeback",
+        "repro.kernel.path", "repro.kernel.readahead",
+        "repro.kernel.writeback",
         "repro.traces", "repro.traces.io", "repro.traces.record",
         "repro.traces.strace", "repro.traces.trace",
         "repro.traces.synth", "repro.traces.synth.scenarios",
