@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.system import MobileSystem
 from repro.devices.layout import DiskLayout
 from repro.kernel.page import PAGE_SIZE, Extent, PageId
 from repro.kernel.path import KernelPath
 from repro.sim.clock import MB
+from tests.conftest import make_trace
 
 
 def kernel_with_files(files, memory=4 * MB, seed=0):
@@ -124,6 +126,17 @@ class TestResidency:
 
 
 class TestNamespace:
+    def test_register_grows_only(self):
+        # A later, smaller declaration of a shared inode never shrinks
+        # the file in the kernel path's file table.
+        big = make_trace([(1, 0, 25 * PAGE_SIZE, "read", 0.0)], pid=100)
+        small = make_trace([(1, 0, 2 * PAGE_SIZE, "read", 1.0)], pid=200)
+        env = MobileSystem()
+        env.register_trace(big, small)
+        assert env.kernel.layout.get(1).nblocks == 25
+        with pytest.raises(ValueError):
+            env.register_trace(small)
+
     def test_negative_size_rejected(self):
         # The layout is the kernel's file table.
         with pytest.raises(ValueError):
