@@ -24,7 +24,7 @@ from repro.devices.service import ServiceOutcome
 from repro.devices.wnic import Direction
 from repro.faults.invariants import TOLERANCE, check_service
 from repro.faults.schedule import FaultSchedule
-from repro.kernel.page import Extent
+from repro.kernel.page import PAGE_SIZE, Extent
 from repro.sim.clock import SimulationError
 from repro.traces.record import OpType
 from repro.units import Seconds
@@ -69,33 +69,38 @@ class RequestRouter:
     # ------------------------------------------------------------------
     def _service_extent(self, extent: Extent, source: DataSource,
                         when: Seconds, op: OpType) -> ServiceOutcome:
-        """Move one extent on the chosen device, returning its result."""
-        direction = _RECV if op is _READ else _SEND
-        return self.env.service_for(source).transfer(
-            when, extent.nbytes, inode=extent.inode,
-            offset=extent.start * BLOCK_SIZE, npages=extent.npages,
-            direction=direction)
+        """Move one extent on the chosen device, returning its result.
+
+        The fault path's one attempt: the same bound services, called
+        by position, as the fault-free branch of :meth:`service`.
+        """
+        svc = self._disk_service if source is _DISK else self._wnic_service
+        npages = extent.npages
+        return svc.transfer(when, npages * PAGE_SIZE, extent.inode,
+                            extent.start * BLOCK_SIZE, npages,
+                            _RECV if op is _READ else _SEND)
 
     def service(self, prog: ProgramDriver, extent: Extent,
                 when: Seconds, op: OpType
                 ) -> tuple[DataSource, ServiceOutcome]:
         """Policy-route one extent; returns (actual source, result)."""
+        inode = extent.inode
+        npages = extent.npages
         offset = extent.start * BLOCK_SIZE
+        # Extent.nbytes, computed once: the property is a frame a read.
+        nbytes = npages * PAGE_SIZE
         # Positional, in field order (now, program, profiled,
         # disk_pinned, inode, offset, nbytes, op): keywords cost twice
         # as much to build, once per extent.
         ctx = RequestContext(when, prog.name, prog.profiled,
-                             prog.disk_pinned, extent.inode, offset,
-                             extent.nbytes, op)
+                             prog.disk_pinned, inode, offset, nbytes, op)
         source = self.policy.route(ctx)
         if self.faults is None:
             # Inlined _service_extent: this is the per-extent hot path.
             svc = (self._disk_service if source is _DISK
                    else self._wnic_service)
-            result = svc.transfer(
-                when, extent.nbytes, inode=extent.inode, offset=offset,
-                npages=extent.npages,
-                direction=_RECV if op is _READ else _SEND)
+            result = svc.transfer(when, nbytes, inode, offset, npages,
+                                  _RECV if op is _READ else _SEND)
         else:
             source, result = self._service_with_recovery(
                 prog, extent, source, when, op, ctx)
@@ -157,7 +162,7 @@ class RequestRouter:
             result = self._service_extent(extent, current, t, op)
             if current is not intended:
                 cross_energy += result.energy
-            if not getattr(result, "failed", False):
+            if not result.failed:
                 break
             total_attempts += 1
             attempts_on[current] += 1

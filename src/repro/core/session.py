@@ -62,6 +62,7 @@ from repro.core.telemetry import (
     build_run_result,
 )
 from repro.core.workload import ProgramDriver, ProgramSpec
+from repro.devices.disk import DiskState
 from repro.devices.dpm import SpindownPolicy
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.faults.invariants import check_coverage, check_result
@@ -76,6 +77,7 @@ from repro.units import Bytes, Seconds
 # its class costs several times a global load).
 _READ = OpType.READ
 _WRITE = OpType.WRITE
+_STANDBY = DiskState.STANDBY.value
 
 
 class SimulationSession:
@@ -238,12 +240,15 @@ class SimulationSession:
         self.router = RequestRouter(self.env, self.policy,
                                     faults=self.faults)
         # Resolved once per session rather than per record: the layer
-        # handles _service_record calls, and the policy's per-record
-        # hooks (None where its class keeps the base no-op).
+        # handles _service_record calls, the disk's core (whose state
+        # env.disk_active reads through two properties), and the
+        # policy's per-record hooks (None where its class keeps the
+        # base no-op).
         self._kernel = self.env.kernel
         self._route = self.router.service
         self._advance_disk = self.env.disk.advance_to
         self._advance_wnic = self.env.wnic.advance_to
+        self._disk_core = self.env.disk.core
         self._on_tick = resolve_hook(self.policy, "on_tick")
         self._on_syscall = resolve_hook(self.policy, "on_syscall")
         self._materialised = True
@@ -300,9 +305,9 @@ class SimulationSession:
                                      extent.nbytes, result.energy,
                                      result.completion)
 
-        # Laptop-mode opportunistic flush.
+        # Laptop-mode opportunistic flush; env.disk_active inlined.
         flush = kernel.plan_writeback(
-            completion, disk_active=self.env.disk_active)
+            completion, disk_active=self._disk_core.state != _STANDBY)
         for extent in flush:
             source, result = service(prog, extent, completion, _WRITE)
             if sinks is not None:

@@ -24,8 +24,9 @@ All of that fault-free arithmetic is :func:`disk_step`, which both
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
 from repro.devices.dpm import FixedTimeout, SpindownPolicy
 from repro.devices.power import (
     PowerCore,
@@ -64,13 +65,17 @@ DISK_BUCKETS = frozenset({
     "disk.idle->active", "disk.active->idle", "disk.spinup-failed"})
 
 
-@dataclass(frozen=True, slots=True)
-class DiskServiceResult:
+class DiskServiceResult(NamedTuple):
     """Outcome of one disk request.
 
     ``energy`` is the marginal joules attributable to this request —
     positioning + transfer + any demand spin-up — *excluding* idle energy
     accrued before arrival (that belongs to the inter-request gap).
+
+    A NamedTuple rather than a frozen dataclass, for the reason
+    :class:`~repro.core.policies.RequestContext` gives: still immutable,
+    but one is built per serviced extent, and a positional tuple build
+    costs a quarter to a third of a keyword dataclass build.
     """
 
     arrival: float
@@ -359,7 +364,7 @@ class HardDisk(PowerStateMachine):
         """:func:`_positioning_time` from the current head."""
         return _positioning_time(self.core.seek, self.core.head, block)
 
-    def service(self, time: float, size_bytes: Bytes, *,
+    def service(self, time: float, size_bytes: Bytes,
                 block: int | None = None,
                 block_count: int | None = None) -> DiskServiceResult:
         """Service a ``size_bytes`` request arriving at ``time``.
@@ -367,7 +372,8 @@ class HardDisk(PowerStateMachine):
         ``block``/``block_count`` place the transfer on the platter (in
         512-byte sectors or any consistent unit) purely for sequentiality
         accounting; they do not scale the transfer time, which is
-        ``size_bytes / bandwidth``.
+        ``size_bytes / bandwidth``.  Positional or keyword: the disk
+        service passes all four by position.
         """
         if size_bytes < 0:
             raise ValueError("negative request size")
@@ -384,7 +390,10 @@ class HardDisk(PowerStateMachine):
         # sums are bit-identical.
         e0 = sum(energy.values()) if waited else 0.0
         start = time if time >= busy else busy
-        core.advance(start)
+        if start > core._last_time:
+            # The guard disk_step inlines: advance() is a no-op
+            # otherwise, and this runs once per disk extent.
+            core.advance(start)
         e_pre = sum(energy.values())
         failed = False
         if (state == _STANDBY and self._faults is not None
@@ -398,12 +407,13 @@ class HardDisk(PowerStateMachine):
             start, first_byte, completion = disk_step(
                 core, start, size_bytes, True, block, block_count or 0)
         e1 = sum(energy.values())
+        # Positional, in field order (arrival, start, first_byte,
+        # completion, energy, spun_up, waited_for_spindown, failed).
         return DiskServiceResult(
-            arrival=time, start=start, first_byte=first_byte,
-            completion=completion,
-            energy=e1 - e0 if waited else e1 - e_pre,
-            spun_up=not failed and (state == _STANDBY or state == _SLEEP),
-            waited_for_spindown=waited, failed=failed)
+            time, start, first_byte, completion,
+            e1 - e0 if waited else e1 - e_pre,
+            not failed and (state == _STANDBY or state == _SLEEP),
+            waited, failed)
 
     def _attempt_spinup(self, t: float) -> tuple[float, bool]:
         """Demand spin-up under an injected failure schedule.

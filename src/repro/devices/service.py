@@ -11,6 +11,13 @@ fault paths; the services add no arithmetic of their own.
 Keeping the protocol at the byte/offset level (no kernel types) is what
 lets this module sit at the bottom of the layer order: ``devices`` never
 imports ``kernel`` or ``core``.
+
+``transfer`` is the replay's innermost call, once per device-bound
+extent, so the chain below it is positional: the router passes the six
+arguments by position, the services pass theirs to the device's
+``service`` by position, and the device hands back a NamedTuple built
+by position.  The frames themselves stay: the end-to-end benchmark's
+tracer times ``DiskService.transfer`` and ``WnicService.transfer``.
 """
 
 from __future__ import annotations
@@ -27,9 +34,14 @@ ServiceOutcome = DiskServiceResult | WnicServiceResult
 
 
 class DeviceService(Protocol):
-    """One storage backend the router can move an extent on."""
+    """One storage backend the router can move an extent on.
 
-    def transfer(self, when: Seconds, nbytes: Bytes, *, inode: int,
+    Every implementation keeps exactly this parameter list, names and
+    order, with no keyword-only marker: the router calls ``transfer``
+    by position.
+    """
+
+    def transfer(self, when: Seconds, nbytes: Bytes, inode: int,
                  offset: int, npages: int,
                  direction: Direction) -> ServiceOutcome:
         """Move ``nbytes`` of ``inode`` starting at byte ``offset``.
@@ -52,7 +64,7 @@ class DiskService:
         #: it in place).
         self._placed = layout.files
 
-    def transfer(self, when: Seconds, nbytes: Bytes, *, inode: int,
+    def transfer(self, when: Seconds, nbytes: Bytes, inode: int,
                  offset: int, npages: int,
                  direction: Direction) -> DiskServiceResult:
         # Inlined layout.block_of(inode, offset), same KeyError and
@@ -64,9 +76,8 @@ class DiskService:
         if rel >= placed.nblocks:
             raise ValueError(
                 f"offset {offset} beyond file of {placed.nblocks} blocks")
-        return self.disk.service(when, nbytes,
-                                 block=placed.start_block + rel,
-                                 block_count=npages)
+        return self.disk.service(when, nbytes, placed.start_block + rel,
+                                 npages)
 
 
 class WnicService:
@@ -75,7 +86,7 @@ class WnicService:
     def __init__(self, wnic: WirelessNic) -> None:
         self.wnic = wnic
 
-    def transfer(self, when: Seconds, nbytes: Bytes, *, inode: int,
+    def transfer(self, when: Seconds, nbytes: Bytes, inode: int,
                  offset: int, npages: int,
                  direction: Direction) -> WnicServiceResult:
-        return self.wnic.service(when, nbytes, direction=direction)
+        return self.wnic.service(when, nbytes, direction)

@@ -22,9 +22,8 @@ link outages, rate fallback and aborted transfers live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.devices.power import (
     PowerCore,
@@ -76,13 +75,13 @@ WNIC_BUCKETS = frozenset({
     "wnic.recv-aborted", "wnic.send-aborted"})
 
 
-@dataclass(frozen=True, slots=True)
-class WnicServiceResult:
+class WnicServiceResult(NamedTuple):
     """Outcome of one network request (see :class:`DiskServiceResult`).
 
     ``failed`` marks a fault-injected attempt that timed out waiting for
     the link: no bytes moved, ``energy`` is the wasted wait/abort cost,
-    and the caller owns retry or failover.
+    and the caller owns retry or failover.  A NamedTuple built by
+    position, as the disk's record is.
     """
 
     arrival: float
@@ -243,13 +242,15 @@ class WirelessNic(PowerStateMachine):
     # ------------------------------------------------------------------
     # request service
     # ------------------------------------------------------------------
-    def service(self, time: float, size_bytes: Bytes, *,
+    def service(self, time: float, size_bytes: Bytes,
                 direction: Direction = Direction.RECV) -> WnicServiceResult:
         """Transfer ``size_bytes`` over the link, arriving at ``time``.
 
         With a fault schedule attached, the transfer is subject to link
         outages (the card waits up to ``network_timeout`` for the AP,
         then reports a failed attempt) and 802.11b rate fallback.
+        Positional or keyword: the WNIC service passes ``direction`` by
+        position.
         """
         if size_bytes < 0:
             raise ValueError("negative request size")
@@ -257,7 +258,9 @@ class WirelessNic(PowerStateMachine):
         wnic_step(core, time)
         busy = core.busy_until
         start = time if time >= busy else busy
-        core.advance(start)
+        if start > core._last_time:
+            # As in HardDisk.service: advance() is a no-op otherwise.
+            core.advance(start)
         # sum(energy.values()) inlines meter.total(): with no `upto` the
         # tail term is zero and the sums are bit-identical.
         e_pre = sum(core._energy.values())
@@ -269,11 +272,12 @@ class WirelessNic(PowerStateMachine):
         in_psm = core.state == _PSM
         start, first_byte, completion = wnic_step(
             core, start, size_bytes, direction is Direction.RECV)
+        # Positional, in field order (arrival, start, first_byte,
+        # completion, energy, woke_up, failed).
         return WnicServiceResult(
-            arrival=time, start=start, first_byte=first_byte,
-            completion=completion,
-            energy=sum(core._energy.values()) - e_pre,
-            woke_up=in_psm and core.state == _CAM)
+            time, start, first_byte, completion,
+            sum(core._energy.values()) - e_pre,
+            in_psm and core.state == _CAM)
 
     # ------------------------------------------------------------------
     # fault-injected service
@@ -307,10 +311,8 @@ class WirelessNic(PowerStateMachine):
         self.set_state_power(deadline)
         self.note_activity(deadline)
         self.mark_busy_until(deadline)
-        return WnicServiceResult(
-            arrival=arrival, start=t, first_byte=deadline,
-            completion=deadline, energy=self.core.total() - e_pre,
-            woke_up=woke, failed=True)
+        return WnicServiceResult(arrival, t, deadline, deadline,
+                                 self.core.total() - e_pre, woke, True)
 
     def _service_with_faults(self, faults: FaultSchedule, time: float,
                              start: float, size_bytes: Bytes,
@@ -356,10 +358,8 @@ class WirelessNic(PowerStateMachine):
         self.set_state_power(completion)
         self.note_activity(completion)
         self.mark_busy_until(completion)
-        return WnicServiceResult(
-            arrival=time, start=start, first_byte=first_byte,
-            completion=completion, energy=core.total() - e_pre,
-            woke_up=woke)
+        return WnicServiceResult(time, start, first_byte, completion,
+                                 core.total() - e_pre, woke)
 
     # ------------------------------------------------------------------
     # what-if estimation helpers

@@ -1,16 +1,15 @@
 """Unit tests for the invariant audit every replay runs."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import session as session_module
-from repro.core.policies import DiskOnlyPolicy
+from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.core.workload import ProgramDriver
-from repro.devices.service import DiskService
+from repro.devices.service import DiskService, WnicService
 from repro.faults.invariants import (
     SimulationInvariantError,
     check_coverage,
@@ -33,10 +32,10 @@ def _run_tiny():
                              seed=1).run()
 
 
-def _run_plain():
+def _run_plain(policy=DiskOnlyPolicy):
     """A default session: no flags, nothing switched on."""
     return SimulationSession([ProgramSpec(_tiny_trace())],
-                             DiskOnlyPolicy(), seed=1).run()
+                             policy(), seed=1).run()
 
 
 class TestErrorShape:
@@ -144,25 +143,38 @@ class TestPlainRunAudit:
             _run_plain()
         assert err.value.check == "exactly-once"
 
-    def _doctor_disk_results(self, monkeypatch, **fields):
-        transfer = DiskService.transfer
+    def _doctor_results(self, monkeypatch, service, **fields):
+        transfer = service.transfer
 
         def doctored(self, *args, **kwargs):
-            return replace(transfer(self, *args, **kwargs), **fields)
+            return transfer(self, *args, **kwargs)._replace(**fields)
 
-        monkeypatch.setattr(DiskService, "transfer", doctored)
+        monkeypatch.setattr(service, "transfer", doctored)
 
     def test_service_before_arrival_raises_service_order(self,
                                                          monkeypatch):
-        self._doctor_disk_results(monkeypatch, start=-1.0)
+        self._doctor_results(monkeypatch, DiskService, start=-1.0)
         with pytest.raises(SimulationInvariantError) as err:
             _run_plain()
         assert err.value.check == "service-order"
 
     def test_negative_service_energy_raises_energy(self, monkeypatch):
-        self._doctor_disk_results(monkeypatch, energy=-1.0)
+        self._doctor_results(monkeypatch, DiskService, energy=-1.0)
         with pytest.raises(SimulationInvariantError) as err:
             _run_plain()
+        assert err.value.check == "energy"
+
+    def test_wnic_service_before_arrival_raises_service_order(
+            self, monkeypatch):
+        self._doctor_results(monkeypatch, WnicService, start=-1.0)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain(WnicOnlyPolicy)
+        assert err.value.check == "service-order"
+
+    def test_negative_wnic_service_energy_raises_energy(self, monkeypatch):
+        self._doctor_results(monkeypatch, WnicService, energy=-1.0)
+        with pytest.raises(SimulationInvariantError) as err:
+            _run_plain(WnicOnlyPolicy)
         assert err.value.check == "energy"
 
     def test_meter_corrupted_after_replay_raises_conservation(
