@@ -10,7 +10,7 @@
                                      # default link settings
     flexfetch run grep+make --faults outage-rate=0.01
     flexfetch faults grep+make       # energy vs wireless outage rate
-    flexfetch lint                   # determinism/units static analysis
+    flexfetch lint                   # units/float-equality static analysis
     flexfetch sweep fig3 --journal s.jsonl --retries 3 --timeout 120
     flexfetch sweep fig3 --resume s.jsonl   # skip completed cells
     flexfetch sweep fig3 --partial          # placeholders, exit 3
@@ -289,12 +289,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import main as lint_main
-    argv: list[str] = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
+    return lint_main(list(args.paths))
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -441,13 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("workload", choices=sorted(SCENARIOS))
 
     p_lint = sub.add_parser(
-        "lint", help="run the repo's determinism/units static analyzer")
+        "lint", help="run the repo's units/float-equality static analyzer")
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")
-    p_lint.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule ids, e.g. R1,R3")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
 
     p_trace = sub.add_parser(
         "trace", help="synthesise a workload trace and write it to disk")

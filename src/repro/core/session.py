@@ -241,7 +241,7 @@ class SimulationSession:
                                     faults=self.faults)
         # Resolved once per session rather than per record: the layer
         # handles _service_record calls, the disk's core (whose state
-        # env.disk_active reads through two properties), and the
+        # says whether the disk spins, read once per record), and the
         # policy's per-record hooks (None where its class keeps the
         # base no-op).
         self._kernel = self.env.kernel
@@ -305,7 +305,7 @@ class SimulationSession:
                                      extent.nbytes, result.energy,
                                      result.completion)
 
-        # Laptop-mode opportunistic flush; env.disk_active inlined.
+        # Laptop-mode opportunistic flush; eager while the disk spins.
         flush = kernel.plan_writeback(
             completion, disk_active=self._disk_core.state != _STANDBY)
         for extent in flush:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.costmodel import CostModel
 from repro.core.decision import DataSource
-from repro.devices.disk import DiskState, HardDisk
+from repro.devices.disk import HardDisk
 from repro.devices.dpm import SpindownPolicy
 from repro.devices.layout import DiskLayout
 from repro.devices.service import (
@@ -28,8 +28,6 @@ from repro.sim.plan import BurstPlan, PlanCursor
 from repro.traces.compile import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 from repro.units import Bytes, Seconds
-
-_STANDBY = DiskState.STANDBY.value
 
 
 class MobileSystem:
@@ -88,11 +86,6 @@ class MobileSystem:
                 if table.get(inode, -1) < size:
                     table[inode] = size
         self.layout.add_files(table.keys(), table.values())
-
-    @property
-    def disk_active(self) -> bool:
-        """Disk spinning (idle or active)?"""
-        return self.disk.state != _STANDBY
 
     def advance(self, now: Seconds) -> None:
         """Advance both devices (DPM timers fire as needed)."""

@@ -249,16 +249,19 @@ def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
     Returns ``{policy name: [SweepPoint, ...]}`` with points in sweep
     order.  ``progress`` (if given) receives a line per completed point.
 
-    ``workers > 1`` fans the cells out across processes and ``cache``
-    reuses previously simulated cells; both delegate to
-    :class:`~repro.experiments.parallel.ParallelSweepExecutor` and are
-    bit-identical to the default serial path.  With parallel workers the
+    Every sweep runs on a
+    :class:`~repro.experiments.parallel.ParallelSweepExecutor`; with the
+    default ``workers=1`` it runs the cells in-process.  ``workers > 1``
+    fans the cells out across processes and ``cache`` reuses previously
+    simulated cells, bit-identically.  With parallel workers the
     *results* stay in sweep order but progress lines arrive in
-    completion order.  ``faults`` (a picklable spec, not a schedule)
-    applies the same fault processes to every cell and participates in
-    the cache key.  A pre-built ``executor`` overrides ``workers`` and
-    ``cache`` — the seam through which supervision, journaling, and
-    partial-mode sweeps (``flexfetch sweep``) plug in.
+    completion order.  A cell that raises surfaces, after the other
+    cells ran, as :class:`~repro.experiments.parallel.SweepCellError`
+    with the cell's exception chained.  ``faults`` (a picklable spec,
+    not a schedule) applies the same fault processes to every cell and
+    participates in the cache key.  A pre-built ``executor`` overrides
+    ``workers`` and ``cache`` — the seam through which supervision,
+    journaling, and partial-mode sweeps (``flexfetch sweep``) plug in.
 
     ``stream=True`` returns a :class:`SweepAggregate` instead: every
     point is folded into per-curve streaming statistics the moment it
@@ -267,36 +270,11 @@ def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
     """
     aggregate = SweepAggregate(policy_factories) if stream else None
     consumer = aggregate.observe if aggregate is not None else None
-    if executor is None and (workers != 1 or cache is not None):
-        # Local import: the runner must stay importable without pulling
-        # in multiprocessing machinery for plain serial sweeps.
+    if executor is None:
+        # Local import: the executor's module imports this one.
         from repro.experiments.parallel import ParallelSweepExecutor
         executor = ParallelSweepExecutor(workers, cache=cache)
-    if executor is not None:
-        curves = executor.run_sweep(programs_factory, policy_factories,
-                                    wnic_specs, config,
-                                    progress=progress, faults=faults,
-                                    consumer=consumer)
-        return aggregate if aggregate is not None else curves
-    if aggregate is not None:
-        index = 0
-        for spec in wnic_specs:
-            for name, factory in policy_factories.items():
-                point = run_point(
-                    programs_factory, factory, spec, config,
-                    faults=build_fault_schedule(faults, config.seed))
-                aggregate.observe(index, name, point)
-                index += 1
-                if progress is not None:
-                    progress(progress_line(point))
-        return aggregate
-    curves = {name: [] for name in policy_factories}
-    for spec in wnic_specs:
-        for name, factory in policy_factories.items():
-            point = run_point(
-                programs_factory, factory, spec, config,
-                faults=build_fault_schedule(faults, config.seed))
-            curves[name].append(point)
-            if progress is not None:
-                progress(progress_line(point))
-    return curves
+    curves = executor.run_sweep(programs_factory, policy_factories,
+                                wnic_specs, config, progress=progress,
+                                faults=faults, consumer=consumer)
+    return aggregate if aggregate is not None else curves

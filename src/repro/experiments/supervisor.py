@@ -298,7 +298,7 @@ class SupervisedPool:
             self._spawn() for _ in range(min(self.workers, len(pending)))]
         try:
             while outstanding:
-                now = time.monotonic()  # repro-lint: ignore[R1]
+                now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     _, index, attempt = heapq.heappop(delayed)
                     pending.append((index, attempt))
@@ -316,7 +316,7 @@ class SupervisedPool:
                     break  # unreachable safety valve
                 ready = wait_ready([w.conn for w in busy],
                                    timeout=self._wait_budget(busy, delayed))
-                now = time.monotonic()  # repro-lint: ignore[R1]
+                now = time.monotonic()
                 by_conn = {w.conn: w for w in busy}
                 for conn in ready:
                     self._on_ready(by_conn[conn], pool, results,
@@ -370,7 +370,7 @@ class SupervisedPool:
             worker = replacement
         worker.task = (index, attempt)
         worker.deadline = None if self.timeout is None else \
-            time.monotonic() + self.timeout  # repro-lint: ignore[R1]
+            time.monotonic() + self.timeout
 
     def _wait_budget(self, busy: list[_Worker],
                      delayed: list[tuple[float, int, int]]) -> float | None:
@@ -385,7 +385,7 @@ class SupervisedPool:
                 else min(horizon, delayed[0][0])
         if horizon is None:
             return None
-        return max(horizon - time.monotonic(), 0.0)  # repro-lint: ignore[R1]
+        return max(horizon - time.monotonic(), 0.0)
 
     # ------------------------------------------------------------------
     def _on_ready(self, worker: _Worker, pool: list[_Worker],

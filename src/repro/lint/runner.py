@@ -6,8 +6,8 @@ Invocation forms (all equivalent)::
     flexfetch lint src/
     from repro.lint import lint_paths; lint_paths(["src"])
 
-Each file is parsed once and checked in isolation by the rules that
-apply to its place in the package (:func:`repro.lint.rules.run_rules`).
+Each file is parsed once and checked in isolation by R2 and R3 when it
+lies inside the ``repro`` package (:func:`repro.lint.rules.run_rules`).
 Findings are ordered by (path, line, col, rule, message), so output is
 deterministic.
 
@@ -22,9 +22,9 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-from repro.lint.findings import RULES, Finding
+from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, run_rules
-from repro.lint.suppressions import expand_multiline, parse_suppressions
+from repro.lint.suppressions import parse_suppressions
 
 #: directory names never descended into.
 _SKIP_DIRS = frozenset({
@@ -63,8 +63,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def lint_source(source: str, *, path: str = "<string>",
-                package_rel: tuple[str, ...] | None = None,
-                select: frozenset[str] | None = None) -> list[Finding]:
+                package_rel: tuple[str, ...] | None = None
+                ) -> list[Finding]:
     """Lint source text; the workhorse behind every entry point.
 
     ``package_rel`` positions the snippet for rule scoping; default is
@@ -77,51 +77,35 @@ def lint_source(source: str, *, path: str = "<string>",
         return [Finding(path=path, line=exc.lineno or 1,
                         col=(exc.offset or 1) - 1, rule="E1",
                         message=f"syntax error: {exc.msg}")]
-    suppressions = expand_multiline(parse_suppressions(source), tree)
+    suppressions = parse_suppressions(source)
     ctx = FileContext(path=path, package_rel=package_rel)
-    return [f for f in run_rules(tree, ctx, select=select)
-            if suppressions.allows(f)]
+    return [f for f in run_rules(tree, ctx) if suppressions.allows(f)]
 
 
-def lint_file(path: str | Path,
-              select: frozenset[str] | None = None) -> list[Finding]:
+def lint_file(path: str | Path) -> list[Finding]:
     """Lint one file from disk."""
     p = Path(path)
     source = p.read_text(encoding="utf-8")
     return lint_source(source, path=str(p),
-                       package_rel=package_relative(p), select=select)
+                       package_rel=package_relative(p))
 
 
-def lint_paths(paths: Iterable[str | Path],
-               select: frozenset[str] | None = None) -> list[Finding]:
+def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
     """Lint files and directory trees, in (path, line, col) order."""
     findings = [finding for path in iter_python_files(paths)
-                for finding in lint_file(path, select)]
+                for finding in lint_file(path)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     return findings
-
-
-def _render_rule_catalogue() -> str:
-    lines = []
-    for rule in RULES.values():
-        lines.append(f"{rule.id} ({rule.name}): {rule.summary}")
-        lines.append(f"    {rule.rationale}")
-    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="FlexFetch repo static analyzer: determinism, unit"
-                    " discipline, float equality and layering."
-                    " Suppress with '# repro-lint: ignore[R1]'.")
+        description="FlexFetch repo static analyzer: unit discipline"
+                    " and float equality."
+                    " Suppress with '# repro-lint: ignore[R2]'.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")
-    parser.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule ids to run, e.g."
-                             " R1,R3 (default: all)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the summary line")
     return parser
@@ -130,26 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point (``python -m repro.lint``)."""
     args = build_parser().parse_args(argv)
-    if args.list_rules:
-        print(_render_rule_catalogue())
-        return 0
-    select: frozenset[str] | None = None
-    if args.select:
-        select = frozenset(token.strip().upper()
-                           for token in args.select.split(",")
-                           if token.strip())
-        unknown = select - RULES.keys()
-        if unknown:
-            print(f"repro.lint: unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
     paths = [p for p in args.paths if Path(p).exists()]
     if not paths:
         print("repro.lint: no such paths:"
               f" {', '.join(map(str, args.paths))}", file=sys.stderr)
         return 2
     try:
-        findings = lint_paths(paths, select=select)
+        findings = lint_paths(paths)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2

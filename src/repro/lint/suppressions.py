@@ -1,17 +1,15 @@
 """Suppression-comment parsing for :mod:`repro.lint`.
 
-One pragma, an ordinary comment: ``# repro-lint: ignore[R1]`` /
-``ignore[R1,R3]`` / ``ignore`` suppresses the named rules (or all
-rules) on that physical line; on the last line of a multi-line
-statement it covers the whole statement (findings anchor to the
-statement's first line).
+One pragma, an ordinary comment: ``# repro-lint: ignore[R2]`` /
+``ignore[R2,R3]`` / ``ignore`` suppresses the named rules (or all
+rules) on that physical line.  Findings anchor to a statement's first
+line, so that is where the pragma goes.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.lint.findings import Finding
 
@@ -46,51 +44,3 @@ def parse_suppressions(source: str) -> Suppressions:
             token.strip().upper()
             for token in spec.split(",") if token.strip())
     return Suppressions(by_line=by_line)
-
-
-def expand_multiline(suppressions: Suppressions,
-                     tree: ast.AST) -> Suppressions:
-    """Make trailing pragmas on multi-line statements effective.
-
-    Findings anchor to a statement's *first* line, but a pragma is
-    naturally written on the line the offending expression ends on::
-
-        total = (compute_energy()
-                 + base_line)  # repro-lint: ignore[R2]
-
-    For every statement spanning several lines, any pragma on any of
-    its lines is copied onto its first line (rule sets union; an
-    ignore-all on one line wins).
-    """
-    if not suppressions.by_line:
-        return suppressions
-    by_line = dict(suppressions.by_line)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
-        if hasattr(node, "body"):
-            # Compound statements (if/for/def/...) span their whole
-            # suite; inheriting pragmas from nested lines would
-            # suppress far more than the author wrote.
-            continue
-        end = getattr(node, "end_lineno", None)
-        if end is None or end <= node.lineno:
-            continue
-        merged: frozenset[str] | None = by_line.get(node.lineno)
-        hit = False
-        for lineno in range(node.lineno + 1, end + 1):
-            rules = suppressions.by_line.get(lineno)
-            if rules is None:
-                continue
-            hit = True
-            if merged is None:
-                merged = rules
-            elif not merged or not rules:
-                merged = frozenset()  # ignore-all dominates
-            else:
-                merged = merged | rules
-        if hit and merged is not None:
-            by_line[node.lineno] = merged
-    if by_line == suppressions.by_line:
-        return suppressions
-    return replace(suppressions, by_line=by_line)

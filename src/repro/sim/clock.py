@@ -21,7 +21,6 @@ from repro.units import (
     Bytes,
     BytesPerSecond,
     Seconds,
-    approx_eq,
     megabits_per_second,
     megabytes_per_second,
 )
@@ -67,8 +66,3 @@ def bytes_per_second(*, megabits: float | None = None,
         return megabits_per_second(megabits)
     assert megabytes is not None
     return megabytes_per_second(megabytes)
-
-
-def almost_equal(a: float, b: float, eps: float = 1e-9) -> bool:
-    """Absolute-tolerance float comparison for simulation timestamps."""
-    return approx_eq(a, b, rel_tol=0.0, abs_tol=eps)

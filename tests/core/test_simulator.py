@@ -6,6 +6,7 @@ from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.session import SimulationSession
 from repro.core.system import MobileSystem
 from repro.core.workload import ProgramSpec
+from repro.devices.disk import DiskState
 from repro.devices.specs import AIRONET_350
 from repro.sim.clock import MB
 from tests.conftest import make_trace
@@ -207,6 +208,6 @@ class TestMobileSystem:
 
     def test_disk_active_flag(self):
         env = MobileSystem()
-        assert not env.disk_active
+        assert env.disk.state == DiskState.STANDBY.value
         env.disk.force_spinup(0.0)
-        assert env.disk_active
+        assert env.disk.state != DiskState.STANDBY.value

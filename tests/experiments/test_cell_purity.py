@@ -4,12 +4,17 @@ The run cache and the parallel executor both assume that the key
 :func:`run_key` computes for a cell, and the :class:`RunResult`
 :func:`_execute_job` returns for it, depend on the job alone.  One
 faulted FlexFetch cell is built, keyed and executed in-process under
-three checks:
+four checks:
 
 * ``os.environ`` is swapped for a mapping that records every access,
   and no access may happen;
 * no module-level list, dict or set of any ``repro`` module may change,
   except the declared memos;
+* the wall clock (``time``, ``datetime``), the global ``random``
+  functions, numpy's legacy global RNG and seedless ``default_rng``
+  are patched to raise, and none may be called — by that cell or by a
+  two-program cell on the live kernel path.  Simulation time comes from
+  the replay scheduler and randomness from :mod:`repro.sim.rng`;
 * subprocesses under two ``PYTHONHASHSEED`` values must print a
   bit-identical key and ``RunResult``.
 """
@@ -18,15 +23,19 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import datetime
 import importlib
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
-from collections.abc import Iterator, MutableMapping
+import time
+from collections.abc import Callable, Iterator, MutableMapping
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -74,25 +83,43 @@ def _trace():
     return make_trace(calls, name="purity")
 
 
-def _cell() -> tuple[str, RunResult]:
-    """Build, key and execute one cell, as a sweep worker would."""
-    trace = _trace()
-    spec = ProgramSpec(trace).prepared()
+def _run(specs: tuple[ProgramSpec, ...],
+         faults: FaultSpec | None) -> tuple[str, RunResult]:
+    """Build, key and execute one FlexFetch cell, as a sweep worker
+    would; the first program is the profiled one."""
     config = ExperimentConfig(seed=3)
-    ref = ProgramRef.of(spec)
-    stage_payload(ref.digest, spec.trace)
-    factory = FlexFetchFactory(profile=profile_from_trace(trace),
+    refs = tuple(ProgramRef.of(spec) for spec in specs)
+    for spec, ref in zip(specs, refs, strict=True):
+        stage_payload(ref.digest, spec.trace)
+    factory = FlexFetchFactory(profile=profile_from_trace(_trace()),
                                loss_rate=config.loss_rate,
                                stage_length=config.stage_length)
-    job = SweepJob(index=0, curve="FlexFetch", programs=(ref,),
+    job = SweepJob(index=0, curve="FlexFetch", programs=refs,
                    policy_factory=factory.prepare_for_dispatch(
                        stage_payload),
                    wnic_spec=config.wnic_spec, config=config,
-                   faults=FaultSpec(outage_rate=0.02, rate_flap_rate=0.02,
-                                    spinup_fail_prob=0.3))
-    key = run_key((spec,), job.policy_factory, job.wnic_spec, job.config,
+                   faults=faults)
+    key = run_key(specs, job.policy_factory, job.wnic_spec, job.config,
                   faults=job.faults)
     return key, _execute_job(job).result
+
+
+def _cell() -> tuple[str, RunResult]:
+    """The faulted single-program cell."""
+    return _run((ProgramSpec(_trace()).prepared(),),
+                FaultSpec(outage_rate=0.02, rate_flap_rate=0.02,
+                          spinup_fail_prob=0.3))
+
+
+def _two_program_cell() -> tuple[str, RunResult]:
+    """Figure 4 in miniature: a disk-pinned, unprofiled background
+    program shares the cache, so the cell replays on the live kernel."""
+    calls = [(10 + i % 2, (i // 2) * 32768, 32768, "read", i * 3.0)
+             for i in range(24)]
+    background = make_trace(calls, name="purity-bg", pid=200)
+    return _run((ProgramSpec(_trace()).prepared(),
+                 ProgramSpec(background, profiled=False,
+                             disk_pinned=True).prepared()), None)
 
 
 def print_cell() -> None:
@@ -169,6 +196,49 @@ def test_cell_leaves_module_state_unchanged() -> None:
         if after.get((module, attr)) is not value
         or value != snapshot[(module, attr)])
     assert changed == []
+
+
+def test_cells_read_no_clock_and_no_global_rng(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    calls: list[str] = []
+
+    def forbidden(name: str) -> Callable[..., object]:
+        def call(*args: object, **kwargs: object) -> object:
+            calls.append(name)
+            raise AssertionError(f"{name}() called")
+        return call
+
+    class ClocklessDatetime(datetime.datetime):
+        now = classmethod(forbidden("datetime.datetime.now"))
+        today = classmethod(forbidden("datetime.datetime.today"))
+        utcnow = classmethod(forbidden("datetime.datetime.utcnow"))
+
+    for name in ("time", "time_ns", "monotonic", "perf_counter"):
+        monkeypatch.setattr(time, name, forbidden(f"time.{name}"))
+    monkeypatch.setattr(datetime, "datetime", ClocklessDatetime)
+    # The module-level functions of ``random`` are methods of one
+    # hidden, shared ``Random`` instance.
+    for name, value in list(vars(random).items()):
+        if isinstance(getattr(value, "__self__", None), random.Random):
+            monkeypatch.setattr(random, name, forbidden(f"random.{name}"))
+    for name in np.random.__all__:
+        value = getattr(np.random, name)
+        if not isinstance(value, type) and name != "default_rng":
+            monkeypatch.setattr(np.random, name,
+                                forbidden(f"numpy.random.{name}"))
+    default_rng = np.random.default_rng
+
+    def seeded_rng(seed: object = None) -> np.random.Generator:
+        if seed is None:
+            forbidden("numpy.random.default_rng")()
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", seeded_rng)
+
+    faulted_key, _ = _cell()
+    live_key, _ = _two_program_cell()
+    assert faulted_key and live_key and faulted_key != live_key
+    assert calls == []
 
 
 def test_cell_is_independent_of_hash_seed() -> None:

@@ -27,11 +27,6 @@ def _tiny_trace():
     ])
 
 
-def _run_tiny():
-    return SimulationSession([ProgramSpec(_tiny_trace())], DiskOnlyPolicy(),
-                             seed=1).run()
-
-
 def _run_plain(policy=DiskOnlyPolicy):
     """A default session: no flags, nothing switched on."""
     return SimulationSession([ProgramSpec(_tiny_trace())],
@@ -84,17 +79,17 @@ class TestChecker:
 
 class TestCheckResult:
     def test_clean_run_passes(self):
-        check_result(_run_tiny())
+        check_result(_run_plain())
 
     def test_corrupted_device_meter_caught(self):
         """A tampered meter total must trip the conservation audit."""
-        result = _run_tiny()
+        result = _run_plain()
         result.disk_energy += 100.0
         with pytest.raises(SimulationInvariantError):
             check_result(result)
 
     def test_corrupted_breakdown_caught(self):
-        result = _run_tiny()
+        result = _run_plain()
         result.disk_breakdown["disk.active"] = \
             result.disk_breakdown.get("disk.active", 0.0) + 50.0
         with pytest.raises(SimulationInvariantError, match="breakdown"):

@@ -1,8 +1,9 @@
 """Within-file ordering of :func:`repro.lint.lint_source`.
 
-The rules run one after another, but their findings for one file come
-back sorted by location, so a later line never precedes an earlier one
-whichever rule reported it.
+One visitor reports R2 and R3 as it walks, and the walk does not visit
+a module in source order: a function's parameters are checked before
+its decorators are visited.  The findings for one file still come back
+sorted by location, whichever rule reported them.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from repro.lint import lint_source
 
 IN_PACKAGE = ("repro", "core", "fixture.py")
 
-SOURCE = ("import time\n"
-          "from repro.cli import main\n"
+SOURCE = ("import functools\n"
+          "\n"
+          "LIMIT_TIME = 1.0\n"
           "\n\n"
+          "@functools.lru_cache(maxsize=int(LIMIT_TIME == 1.0))\n"
           "def f(end_time: float, total_energy: float) -> bool:\n"
-          "    t = time.time()\n"
-          "    return end_time + 1.0 < total_energy or end_time == t\n"
-          "\n\n"
-          "T = time.time()\n")
+          "    return end_time + 1.0 < total_energy or end_time == 0.5\n")
 
 
 class TestOrdering:
@@ -27,6 +27,7 @@ class TestOrdering:
         keys = [(f.path, f.line, f.col, f.rule, f.message)
                 for f in findings]
         assert keys == sorted(keys)
-        # Rules R1, R2, R3 and R5 each report here, so the sort is not
-        # just the order in which the rules ran.
-        assert {f.rule for f in findings} == {"R1", "R2", "R3", "R5"}
+        # Both rules report here, and the decorator's R3 finding is
+        # found last but sorts first.
+        assert {f.rule for f in findings} == {"R2", "R3"}
+        assert (findings[0].line, findings[0].rule) == (6, "R3")

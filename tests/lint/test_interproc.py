@@ -18,13 +18,18 @@ class TestOrdering:
         pkg = tmp_path / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "b.py").write_text(
-            "import time\n\n\ndef f(end_time: float):\n"
-            "    return end_time == time.time()\n", encoding="utf-8")
+            "from repro.units import Joules, Seconds\n\n\n"
+            "def f(end_time: float, start_time: Seconds,\n"
+            "      total_energy: Joules) -> bool:\n"
+            "    return end_time == start_time < total_energy\n",
+            encoding="utf-8")
         (pkg / "a.py").write_text(
-            "import time\nT = time.time()\n", encoding="utf-8")
+            "def done(end_time, total_energy):\n"
+            "    return end_time == total_energy\n", encoding="utf-8")
         first = lint_paths([tmp_path])
         assert first == lint_paths([tmp_path])
         keys = [(f.path, f.line, f.col, f.rule, f.message) for f in first]
         assert keys == sorted(keys)
-        # a.py: R1; b.py: R2 (bare float), R3 and R1 on one line.
-        assert [f.rule for f in first] == ["R1", "R2", "R3", "R1"]
+        # a.py: R3; b.py: R2 (bare float), then R2 and R3 on one
+        # comparison chain, ordered by rule.
+        assert [f.rule for f in first] == ["R3", "R2", "R2", "R3"]

@@ -66,11 +66,3 @@ class TestSecondsToTransfer:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             units.transfer_seconds(10, 0.0)
-
-
-class TestAlmostEqual:
-    def test_within_eps(self):
-        assert clock.almost_equal(1.0, 1.0 + 5e-10)
-
-    def test_outside_eps(self):
-        assert not clock.almost_equal(1.0, 1.001)

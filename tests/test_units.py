@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import units
-from repro.sim.clock import MBps, Mbps, almost_equal
+from repro.sim.clock import MBps, Mbps
 
 
 def test_aliases_are_plain_numbers_at_runtime() -> None:
@@ -77,8 +77,3 @@ def test_is_zero() -> None:
     assert units.is_zero(-1e-12)
     assert not units.is_zero(1e-3)
     assert units.is_zero(0.5, abs_tol=1.0)
-
-
-def test_almost_equal_is_absolute_only() -> None:
-    assert almost_equal(1e9, 1e9 + 1e-10)
-    assert not almost_equal(1e9, 1e9 + 0.5)  # no relative slack here
