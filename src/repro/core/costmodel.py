@@ -15,41 +15,49 @@ policies themselves never touch device arithmetic; they consult the
 over its live devices.
 
 The on-line simulator here is the device model itself: each estimate
-runs the device's own step function (:func:`~repro.devices.disk.disk_step`,
-:func:`~repro.devices.wnic.wnic_step`) on a what-if copy of its core,
-so it starts from the device's *actual* current power state and charges
-every bucket exactly as the live device would.  It replays the stage's
-bursts closed-loop: requests within a burst go back-to-back, inter-burst
-think times advance the copy's clock and let its DPM policy fire —
-which is precisely what charges Disk-only for idle watts between sparse
-bursts and the WNIC for CAM/PSM cycling.
+runs the device's own model on a what-if copy of its core, so it starts
+from the device's *actual* current power state and charges every
+bucket exactly as the live device would.  It replays the stage's bursts
+closed-loop: requests within a burst go back-to-back, inter-burst think
+times advance the copy's clock and let its DPM policy fire — which is
+precisely what charges Disk-only for idle watts between sparse bursts
+and the WNIC for CAM/PSM cycling.  A whole stage is one call of the
+device's run (:func:`~repro.devices.disk.disk_run`,
+:func:`~repro.devices.wnic.wnic_run`), bit for bit its step
+(:func:`~repro.devices.disk.disk_step`,
+:func:`~repro.devices.wnic.wnic_step`) called request by request: the
+step serves thinks and state changes, the run the steady rest of each
+burst.
 
 The §2.3.2 buffer-cache filter is applied before estimation: profiled
 requests whose data is resident in the page cache are shrunk or dropped.
 
-There is one evaluation path (DESIGN.md §16).  A stage — a range of a
-profile's precompiled :class:`~repro.core.profile.ProfileColumns`, or
-request lists lowered to the same columns — is packed into flat
-per-request columns (cache-filtered sizes, direction, disk placement),
-then walked through the step.  This module holds no device arithmetic
+There is one evaluation path (DESIGN.md §16).  A profile is packed once
+per disk layout into the columns residency does not change (placement,
+block counts, the read mask, each burst's read inodes); a stage is a
+range of its bursts, and a decision copies only the bursts the cache
+filter changes.  Request lists (the stage audit, ad-hoc estimates) are
+lowered to the same columns.  This module holds no device arithmetic
 of its own; the test suite still holds the walk to a literal
 clone-and-replay oracle with Hypothesis, which checks the plumbing
-around the step (packing, cache filter, placement, thinks, baselines).
+around the devices (packing, cache filter, placement, thinks,
+baselines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
-from itertools import islice
 from typing import Protocol
+from weakref import WeakKeyDictionary
 
 from repro.core.burst import IOBurst
 from repro.core.decision import DataSource
 from repro.core.profile import ExecutionProfile, ProfileColumns
-from repro.devices.disk import HardDisk, disk_step
+from repro.devices.disk import HardDisk, disk_run, disk_step
 from repro.devices.layout import DiskLayout
-from repro.devices.wnic import Direction, WirelessNic, wnic_step
+from repro.devices.power import PackedBurst
+from repro.devices.wnic import Direction, WirelessNic, wnic_run, wnic_step
 from repro.traces.record import OpType
 from repro.units import Bytes, Joules, Seconds
 
@@ -74,7 +82,13 @@ class MarginalCost:
 
 
 class ResidencyOracle(Protocol):
-    """Anything that can answer 'how much of this range is cached?'."""
+    """Anything that can answer 'how much of this range is cached?'.
+
+    Both kernel surfaces also answer ``resident_inodes()``: a set of
+    inodes (``isdisjoint``, ``in``) outside which ``resident_bytes`` is
+    0, so the cache filter queries no other inode.  An oracle without
+    it has every read queried.
+    """
 
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes: ...
 
@@ -110,91 +124,141 @@ def replay_stage(source: DataSource,
     """
     if len(bursts) != len(thinks):
         raise ValueError("bursts and thinks must align")
-    cols = ProfileColumns(b.requests for b in bursts)
-    placed = _placed_blocks(
-        cols, layout if isinstance(device, HardDisk) else None)
-    pack = _PackedStage(cols, 0, len(bursts), placed, vfs)
+    base = _ProfilePack(ProfileColumns(b.requests for b in bursts),
+                        layout if isinstance(device, HardDisk) else None)
+    pack = _pack(base, 0, len(bursts), vfs)
     return _replay_packed(source, device, pack, thinks, now=now,
                           other_device=other_device,
                           min_duration=min_duration)
 
 
-def _placed_blocks(cols: ProfileColumns,
-                   layout: DiskLayout | None) -> list[int | None]:
-    """Disk block of each request's first page, ``None`` when unplaced.
+class _ProfilePack:
+    """The residency-independent columns of a profile, packed once per
+    disk layout (holding ``nfiles`` files).
 
-    Profiled offsets come from a *prior* run and may exceed the current
-    file (different data set): an inode the layout does not know, or a
-    profiled offset past the current file, falls back to an average
-    seek.
+    ``bursts[b]`` is burst ``b`` as a :data:`PackedBurst` over the whole
+    profile's columns: its sizes and read mask are the profile's own
+    (see :class:`~repro.core.profile.ProfileColumns`), its blocks the
+    disk block of each request's first page, ``None`` when unplaced —
+    profiled offsets come from a *prior* run and may exceed the current
+    file (different data set), so an inode the layout does not know, or
+    an offset past the current file, falls back to an average seek.
+    ``read_inodes[b]`` holds the inodes burst ``b`` reads.
     """
-    placed: list[int | None] = []
-    for inode, offset in zip(cols.inodes, cols.offsets, strict=True):
-        block = None
-        if layout is not None and inode in layout:
-            ext = layout.get(inode)
-            rel = offset // 4096
-            if rel < ext.nblocks:
-                block = ext.start_block + rel
-        placed.append(block)
-    return placed
+
+    __slots__ = ("nfiles", "inodes", "offsets", "sizes", "reads", "bounds",
+                 "blocks", "nblocks", "bursts", "read_inodes")
+
+    def __init__(self, cols: ProfileColumns,
+                 layout: DiskLayout | None) -> None:
+        inodes = cols.inodes
+        sizes = cols.sizes
+        reads = cols.reads
+        blocks: list[int | None] = []
+        nblocks: list[int] = []
+        for inode, offset, size in zip(inodes, cols.offsets, sizes,
+                                       strict=True):
+            block = None
+            if layout is not None and inode in layout:
+                ext = layout.get(inode)
+                rel = offset // 4096
+                if rel < ext.nblocks:
+                    block = ext.start_block + rel
+            blocks.append(block)
+            nblocks.append(0 if block is None else -(-size // 4096))
+        bounds = cols.bounds
+        self.nfiles = len(layout) if layout is not None else 0
+        self.inodes = inodes
+        self.offsets = cols.offsets
+        self.sizes = sizes
+        self.reads = reads
+        self.bounds = bounds
+        self.blocks = blocks
+        self.nblocks = nblocks
+        self.bursts: list[PackedBurst] = [
+            (sizes, reads, blocks, nblocks, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])]
+        self.read_inodes = [
+            tuple({inodes[i]: None for i in range(lo, hi) if reads[i]})
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 class _PackedStage:
-    """Device-independent flat columns for one cache-filtered stage.
+    """One cache-filtered stage: a :data:`PackedBurst` per burst.
 
-    One instance serves both sides of a :meth:`CostModel.stage_pair`:
-    the §2.3.2 cache filter runs once over the column range, and each
-    device's step reads the columns it needs.
+    A burst the §2.3.2 filter left alone is the profile's own; only a
+    filtered one has fresh lists.  One instance serves both sides of a
+    :meth:`CostModel.stage_pair`.
     """
 
-    __slots__ = ("counts", "sizes", "blocks", "nblocks", "recv",
-                 "total_bytes", "total_requests")
+    __slots__ = ("bursts", "total_bytes", "total_requests")
 
-    def __init__(self, cols: ProfileColumns, first: int, stop: int,
-                 placed: Sequence[int | None],
-                 vfs: ResidencyOracle | None) -> None:
-        """Pack bursts ``first:stop`` of ``cols``.
+    def __init__(self, bursts: list[PackedBurst], total_bytes: Bytes,
+                 total_requests: int) -> None:
+        self.bursts = bursts
+        self.total_bytes = total_bytes
+        self.total_requests = total_requests
 
-        ``placed`` is :func:`_placed_blocks` of ``cols``; with ``vfs``
-        the §2.3.2 cache filter drops fully resident reads and shrinks
-        partially resident ones by their resident bytes (an
-        approximation that preserves totals).  Writes always dirty
-        pages regardless of residency, so they pass unfiltered.
-        """
-        inodes = cols.inodes
-        offsets = cols.offsets
-        col_sizes = cols.sizes
-        reads = cols.reads
-        bounds = cols.bounds
-        resident_bytes = vfs.resident_bytes if vfs is not None else None
-        counts: list[int] = []
-        sizes: list[int] = []
-        kept: list[int] = []
-        for b in range(first, stop):
-            before = len(kept)
-            for i in range(bounds[b], bounds[b + 1]):
+
+def _pack(base: _ProfilePack, first: int, stop: int,
+          vfs: ResidencyOracle | None) -> _PackedStage:
+    """Bursts ``first:stop`` of ``base`` through the §2.3.2 cache filter.
+
+    With ``vfs`` the filter drops fully resident reads and shrinks
+    partially resident ones by their resident bytes (an approximation
+    that preserves totals).  Writes always dirty pages regardless of
+    residency, so they pass unfiltered.  When ``vfs`` names the inodes
+    that may hold a resident page (``resident_inodes``, see
+    :class:`ResidencyOracle`), a burst reading none of them passes
+    whole and only reads of those inodes are queried.
+    """
+    bounds = base.bounds
+    start, end = bounds[first], bounds[stop]
+    bursts = base.bursts[first:stop]
+    col_sizes = base.sizes
+    total_bytes = sum(col_sizes[start:end])
+    total_requests = end - start
+    if vfs is None:
+        return _PackedStage(bursts, total_bytes, total_requests)
+    holders = getattr(vfs, "resident_inodes", None)
+    held = holders() if holders is not None else None
+    resident_bytes = vfs.resident_bytes
+    inodes, offsets, reads = base.inodes, base.offsets, base.reads
+    read_inodes = base.read_inodes
+    for b in range(first, stop):
+        touched = read_inodes[b]
+        if not touched or (held is not None and held.isdisjoint(touched)):
+            continue
+        lo, hi = bounds[b], bounds[b + 1]
+        # Residency of each read of a possibly cached inode: the
+        # request's new size, 0 when wholly resident.
+        shrunk: dict[int, int] = {}
+        for i in range(lo, hi):
+            if reads[i] and (held is None or inodes[i] in held):
                 size = col_sizes[i]
-                if reads[i] and resident_bytes is not None:
-                    resident = resident_bytes(inodes[i], offsets[i], size)
-                    if resident > 0:
-                        size -= resident
-                        if size <= 0:
-                            continue
-                kept.append(i)
-                sizes.append(size)
-            counts.append(len(kept) - before)
-        blocks = [placed[i] for i in kept]
-        recv = [reads[i] for i in kept]
-        nblocks = [0 if block is None else -(-size // 4096)
-                   for block, size in zip(blocks, sizes, strict=True)]
-        self.counts = counts
-        self.sizes = sizes
-        self.blocks = blocks
-        self.nblocks = nblocks
-        self.recv = recv
-        self.total_bytes = sum(sizes)
-        self.total_requests = len(sizes)
+                resident = resident_bytes(inodes[i], offsets[i], size)
+                if resident > 0:
+                    shrunk[i] = size - resident if resident < size else 0
+        if not shrunk:
+            continue
+        sizes = col_sizes[lo:hi]
+        recv = reads[lo:hi]
+        blocks = base.blocks[lo:hi]
+        nblocks = base.nblocks[lo:hi]
+        for i in reversed(shrunk):
+            k = i - lo
+            size = shrunk[i]
+            if size:
+                total_bytes -= sizes[k] - size
+                sizes[k] = size
+                if blocks[k] is not None:
+                    nblocks[k] = -(-size // 4096)
+            else:
+                total_bytes -= sizes[k]
+                total_requests -= 1
+                del sizes[k], recv[k], blocks[k], nblocks[k]
+        bursts[b - first] = (sizes, recv, blocks, nblocks, 0, len(sizes))
+    return _PackedStage(bursts, total_bytes, total_requests)
 
 
 def _replay_packed(source: DataSource,
@@ -221,28 +285,26 @@ def _walk(device: HardDisk | WirelessNic, pack: _PackedStage | None,
     """Replay packed requests through ``device``'s own step, on a
     what-if copy of its core starting at ``now``.
 
-    Requests within a burst go back to back; each think advances the
-    copy, so its DPM timeouts fire in between.  Without a ``pack`` the
-    copy only idles up to ``end_floor`` (the other device's baseline).
-    The copy's spin-down policy is a clone: the live one is never fed
-    back to.  Returns ``(end_time, max(0.0, energy_delta))``.
+    The whole stage is one call of the device's run
+    (:func:`~repro.devices.disk.disk_run`,
+    :func:`~repro.devices.wnic.wnic_run`), bit for bit the step served
+    request by request: requests within a burst go back to back, and
+    each think advances the copy, so its DPM timeouts fire in between.
+    Without a ``pack`` the copy only idles up to ``end_floor`` (the
+    other device's baseline).  The copy's spin-down policy is a clone:
+    the live one is never fed back to.  Returns ``(end_time, max(0.0,
+    energy_delta))``.
     """
-    step: Callable[..., tuple[float, float, float]] = (
-        disk_step if isinstance(device, HardDisk) else wnic_step)
+    step: Callable[..., tuple[float, float, float]]
+    run: Callable[..., float]
+    if isinstance(device, HardDisk):
+        step, run = disk_step, disk_run
+    else:
+        step, run = wnic_step, wnic_run
     core = device.core.what_if()
     step(core, now)
     e0 = core.total()
-    t = now
-    if pack is not None:
-        requests = zip(pack.sizes, pack.recv, pack.blocks, pack.nblocks,
-                       strict=True)
-        last = len(pack.counts) - 1
-        for b, count in enumerate(pack.counts):
-            for size, recv, block, nblocks in islice(requests, count):
-                t = step(core, t, size, recv, block, nblocks)[2]
-            if b != last:
-                t += thinks[b]
-                step(core, t)
+    t = now if pack is None else run(core, now, pack.bursts, thinks)
     if end_floor is not None and end_floor > t:
         t = end_floor
     step(core, t)
@@ -276,10 +338,6 @@ class CostModel:
                                                - spec.idle_power)
         self._disk_transition_investment: Joules = (spec.spinup_energy
                                                     + spec.spindown_energy)
-        #: (columns, layout file count, placed blocks) of the last
-        #: profile :meth:`stage_pair` packed.
-        self._placed_cache: tuple[ProfileColumns, int,
-                                  list[int | None]] | None = None
 
     # -- stage-granular estimates --------------------------------------
     def stage_estimate(self, source: DataSource,
@@ -319,17 +377,17 @@ class CostModel:
         """Both scenarios' estimates for bursts ``first:stop`` of
         ``profile``, cross-baselines included.
 
-        The pair is the hot call of FlexFetch's stage loop.  The §2.3.2
-        cache filter runs once over the profile's precompiled columns
-        and the one :class:`_PackedStage` feeds both walks; disk
-        placement comes from :meth:`_placed`, looked up once per
-        profile and layout.
+        The pair is the hot call of FlexFetch's stage loop.  Everything
+        residency does not change — placement, block counts, the read
+        mask, each burst's read inodes — comes from :meth:`_packed`,
+        once per profile and layout.  The §2.3.2 cache filter then runs
+        once over the range and the one :class:`_PackedStage` feeds
+        both walks.
         """
         d_dev = disk if disk is not None else self.disk
         w_dev = wnic if wnic is not None else self.wnic
         thinks = profile.thinks[first:stop]
-        cols = profile.columns
-        pack = _PackedStage(cols, first, stop, self._placed(cols), vfs)
+        pack = _pack(self._packed(profile.columns), first, stop, vfs)
         return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
                                now=now, other_device=w_dev,
                                min_duration=None),
@@ -337,20 +395,25 @@ class CostModel:
                                now=now, other_device=d_dev,
                                min_duration=None))
 
-    def _placed(self, cols: ProfileColumns) -> list[int | None]:
-        """:func:`_placed_blocks` of ``cols`` over this system's layout.
+    def _packed(self, cols: ProfileColumns) -> _ProfilePack:
+        """:class:`_ProfilePack` of ``cols`` over this system's layout.
 
-        Computed on the first decision, once every file is registered,
-        and kept while the layout holds the same files: ``add_file``
-        never moves a placed file, so only a grown layout invalidates.
+        Kept on the columns for as long as the layout lives, so every
+        cost model over one layout — each cell of a plan sweep — shares
+        it; packed on the first decision, once every file is
+        registered.  ``add_file`` never moves a placed file, so only a
+        grown layout invalidates.
         """
         layout = self.layout
-        nfiles = len(layout) if layout is not None else 0
-        cached = self._placed_cache
-        if cached is None or cached[0] is not cols or cached[1] != nfiles:
-            cached = (cols, nfiles, _placed_blocks(cols, layout))
-            self._placed_cache = cached
-        return cached[2]
+        if layout is None:
+            return _ProfilePack(cols, None)
+        packs = cols.packed
+        if packs is None:
+            packs = cols.packed = WeakKeyDictionary()
+        pack = packs.get(layout)
+        if not isinstance(pack, _ProfilePack) or pack.nfiles != len(layout):
+            pack = packs[layout] = _ProfilePack(cols, layout)
+        return pack
 
     # -- per-request marginal costs (BlueFS's myopic view) -------------
     def marginal_pair(self, now: Seconds, nbytes: Bytes,

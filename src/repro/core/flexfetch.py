@@ -39,9 +39,6 @@ from repro.units import Joules, Seconds
 
 __all__ = ["FlexFetchConfig", "FlexFetchPolicy"]
 
-#: old private name, kept importable for introspection-heavy callers.
-_StageAccounting = StageAccounting
-
 
 class FlexFetchPolicy(Policy):
     """History-aware, environment-adaptive data-source selection.
@@ -259,8 +256,7 @@ class FlexFetchPolicy(Policy):
         if self._stage is not None:
             self._stage.observe(
                 ctx.inode, ctx.offset, max(1, ctx.nbytes), ctx.op,
-                float(getattr(result, "arrival", ctx.now)),
-                float(getattr(result, "completion", ctx.now)))
+                result.arrival, result.completion)
 
     def on_syscall(self, ctx: RequestContext, start: float,
                    end: float) -> None:

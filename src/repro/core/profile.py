@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.core.burst import (
     BURST_THRESHOLD_DEFAULT,
@@ -68,10 +69,13 @@ class ProfileColumns:
     request in burst order; burst ``b`` owns requests
     ``bounds[b]:bounds[b + 1]``.  This is the one input form of the
     cost model's packed walk: profiles lower to it once, request lists
-    (the stage audit, ad-hoc estimates) on every call.
+    (the stage audit, ad-hoc estimates) on every call.  ``packed`` is
+    the cost model's memo of what it derives from them, per disk layout
+    and for as long as that layout lives (see
+    :meth:`~repro.core.costmodel.CostModel.stage_pair`).
     """
 
-    __slots__ = ("inodes", "offsets", "sizes", "reads", "bounds")
+    __slots__ = ("inodes", "offsets", "sizes", "reads", "bounds", "packed")
 
     def __init__(self,
                  request_lists: Iterable[Iterable[ProfiledRequest]]
@@ -94,6 +98,7 @@ class ProfileColumns:
         self.sizes = sizes
         self.reads = reads
         self.bounds = bounds
+        self.packed: WeakKeyDictionary[object, object] | None = None
 
 
 class ExecutionProfile:

@@ -24,11 +24,13 @@ All of that fault-free arithmetic is :func:`disk_step`, which both
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
 from repro.devices.dpm import FixedTimeout, SpindownPolicy
 from repro.devices.power import (
+    PackedBurst,
     PowerCore,
     PowerStateMachine,
     StateSpec,
@@ -260,6 +262,97 @@ def disk_step(core: DiskCore, time: float, size: Bytes = -1,
     if block is not None:
         core.head = block + nblocks
     return start, first_byte, completion
+
+
+def disk_run(core: DiskCore, time: float, bursts: Sequence[PackedBurst],
+             thinks: Sequence[float]) -> float:
+    """Serve a stage of packed bursts from ``time``; return when its
+    last request completes.
+
+    Bit for bit the loop of :func:`disk_step` calls it stands for: each
+    burst's requests back to back, each arriving at the previous one's
+    completion, and after every burst but the last its think,
+    ``time += thinks[b]`` and an advance through the step.  The step
+    serves each think and each request until the disk is in its steady
+    state: idle with no advance due, no timeline to record, and every
+    bucket a request charges already open, so
+    :meth:`~repro.sim.metrics.EnergyMeter.total` sums the buckets in
+    the same order.  No state can change from there to the burst's
+    end, and the rest of the burst is served here with the step's float
+    operations in the step's order, into local accumulators.  The two
+    zero impulses are skipped: adding ``0.0`` to an open bucket leaves
+    it unchanged.
+    """
+    energy = core._energy
+    spec = core.spec
+    access, t2t, k, rotation, capacity = core.seek
+    bandwidth = spec.bandwidth_bps
+    active_power = spec.active_power
+    charge = active_power > _TOL
+    opened = False
+    last_burst = len(bursts) - 1
+    for b, (sizes, recv, blocks, nblocks, lo, hi) in enumerate(bursts):
+        while lo < hi:
+            if not opened:
+                opened = (core.timeline is None
+                          and "disk.idle->active" in energy
+                          and "disk.active->idle" in energy
+                          and (not charge or "disk.active" in energy))
+            if (opened and core.state == _IDLE
+                    and core.busy_until <= time <= core._last_time):
+                break
+            time = disk_step(core, time, sizes[lo], recv[lo], blocks[lo],
+                             nblocks[lo])[2]
+            lo += 1
+        if lo < hi:
+            head = core.head
+            clock = core._last_time
+            busy = core.busy_until
+            last = core.last_activity
+            active = energy["disk.active"] if charge else 0.0
+            for size, block, count in zip(sizes[lo:hi], blocks[lo:hi],
+                                          nblocks[lo:hi]):
+                # start = time: the previous completion set busy_until.
+                if block is None or head is None:
+                    first_byte = time + access
+                else:
+                    distance = block - head
+                    if distance < 0:
+                        distance = -distance
+                    if distance == 0:
+                        first_byte = time + 0.0
+                    elif distance <= NEAR_SEEK_BLOCKS:
+                        first_byte = time + t2t
+                    else:
+                        frac = distance / capacity
+                        if frac > 1.0:
+                            frac = 1.0
+                        first_byte = time + (t2t + k * frac ** 0.5
+                                             + rotation)
+                completion = first_byte + size / bandwidth
+                if completion > clock:
+                    if charge:
+                        active += active_power * (completion - clock)
+                    clock = completion
+                if completion > busy:
+                    busy = completion
+                if completion > last:
+                    last = completion
+                if block is not None:
+                    head = block + count
+                time = completion
+            if charge:
+                energy["disk.active"] = active
+            core._last_time = clock
+            core._power = spec.idle_power
+            core._bucket = "disk.idle"
+            core.busy_until = busy
+            core.last_activity = last
+            core.head = head
+        if b != last_burst:
+            time += thinks[b]
+            disk_step(core, time)
+    return time
 
 
 class HardDisk(PowerStateMachine):

@@ -31,6 +31,7 @@ accurate at request boundaries.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, TypeVar
@@ -43,6 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: (src, dst) -> (time, energy, default bucket, dst power, dst bucket)
 TransitionTable = dict[tuple[str, str], tuple[float, float, str, float, str]]
+
+#: One burst of packed requests for a device's run
+#: (:func:`~repro.devices.disk.disk_run`,
+#: :func:`~repro.devices.wnic.wnic_run`): requests ``lo:hi`` of the
+#: (sizes, read mask, disk blocks, block counts) columns.
+PackedBurst = tuple[Sequence[int], Sequence[bool], Sequence[int | None],
+                    Sequence[int], int, int]
 
 _C = TypeVar("_C", bound="PowerCore")
 _M = TypeVar("_M", bound="PowerStateMachine")

@@ -22,10 +22,12 @@ link outages, rate fallback and aborted transfers live in
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.devices.power import (
+    PackedBurst,
     PowerCore,
     PowerStateMachine,
     StateSpec,
@@ -186,6 +188,96 @@ def wnic_step(core: WnicCore, time: float, size: Bytes = -1,
     if completion > core.last_activity:
         core.last_activity = completion
     return start, first_byte, completion
+
+
+def wnic_run(core: WnicCore, time: float, bursts: Sequence[PackedBurst],
+             thinks: Sequence[float]) -> float:
+    """Serve a stage of packed bursts from ``time``, as
+    :func:`~repro.devices.disk.disk_run` does for a disk.
+
+    Bit for bit the loop of :func:`wnic_step` calls it stands for.  The
+    step serves each think and each request until the card is in its
+    steady state, CAM with no advance due, and serves any request whose
+    direction's bucket is not yet open (the first write after reads
+    opens ``wnic.send``).  The rest of the burst is served here with the
+    step's float operations in the step's order, into local
+    accumulators.
+    """
+    energy = core._energy
+    spec = core.spec
+    latency = spec.latency
+    bandwidth = spec.bandwidth_bps
+    idle_power = spec.cam_idle_power
+    recv_power = spec.cam_recv_power
+    send_power = spec.cam_send_power
+    charge_idle = idle_power > _TOL
+    charge_recv = recv_power > _TOL
+    charge_send = send_power > _TOL
+    idle_open = recv_open = send_open = False
+    last_burst = len(bursts) - 1
+    for b, (sizes, recv, blocks, nblocks, lo, hi) in enumerate(bursts):
+        while lo < hi:
+            if not idle_open:
+                idle_open = not charge_idle or "wnic.cam" in energy
+            if not recv_open:
+                recv_open = not charge_recv or "wnic.recv" in energy
+            if not send_open:
+                send_open = not charge_send or "wnic.send" in energy
+            if (idle_open and core.state == _CAM
+                    and core.busy_until <= time <= core._last_time
+                    and (recv_open if recv[lo] else send_open)):
+                clock = core._last_time
+                busy = core.busy_until
+                last = core.last_activity
+                cam = energy["wnic.cam"] if charge_idle else 0.0
+                received = energy["wnic.recv"] if charge_recv \
+                    and recv_open else 0.0
+                sent = energy["wnic.send"] if charge_send \
+                    and send_open else 0.0
+                for reading, size in zip(recv[lo:hi], sizes[lo:hi]):
+                    if not (recv_open if reading else send_open):
+                        break
+                    # start = time: the previous completion set
+                    # busy_until.
+                    first_byte = time + latency
+                    completion = first_byte + size / bandwidth
+                    if first_byte > clock:
+                        if charge_idle:
+                            cam += idle_power * (first_byte - clock)
+                        clock = first_byte
+                    if completion > clock:
+                        if reading:
+                            if charge_recv:
+                                received += recv_power * (completion
+                                                          - clock)
+                        elif charge_send:
+                            sent += send_power * (completion - clock)
+                        clock = completion
+                    if completion > busy:
+                        busy = completion
+                    if completion > last:
+                        last = completion
+                    time = completion
+                    lo += 1
+                if charge_idle:
+                    energy["wnic.cam"] = cam
+                if charge_recv and recv_open:
+                    energy["wnic.recv"] = received
+                if charge_send and send_open:
+                    energy["wnic.send"] = sent
+                core._last_time = clock
+                core._power = idle_power
+                core._bucket = "wnic.cam"
+                core.busy_until = busy
+                core.last_activity = last
+                continue
+            time = wnic_step(core, time, sizes[lo], recv[lo], blocks[lo],
+                             nblocks[lo])[2]
+            lo += 1
+        if b != last_burst:
+            time += thinks[b]
+            wnic_step(core, time)
+    return time
 
 
 class WirelessNic(PowerStateMachine):

@@ -128,6 +128,9 @@ class TwoQCache(DirtyIndex):
         #: checks (the cost model's hottest query) are one set lookup
         #: instead of two ordered-dict probes.
         self._resident: set[PageId] = set()
+        #: Every inode a run has installed pages of: a superset of the
+        #: inodes holding a resident page, kept per run, not per page.
+        self.installed: set[int] = set()
         super().__init__(CacheStats())
         #: When a list, every eviction appends ``(index, victim)``: the
         #: page index whose insertion reclaimed ``victim``.  The plan
@@ -280,6 +283,7 @@ class TwoQCache(DirtyIndex):
         its own earlier pages.  Clean evictions vanish silently; dirty
         ones are returned so the write-back layer can flush them.
         """
+        self.installed.add(inode)
         resident = self._resident
         a1in, a1out, am, dirty = self._a1in, self._a1out, self._am, self._dirty
         kin, kout = self.kin, self.kout

@@ -26,6 +26,8 @@ layer below and never touches a device itself.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
+
 from repro.devices.layout import DiskLayout
 from repro.kernel.cache import TwoQCache
 from repro.kernel.page import Extent, PageId, pages_of_range, runs_from_pages
@@ -142,3 +144,8 @@ class KernelPath:
             return 0
         return self.cache.resident_count(
             inode, offset // 4096, (offset + size - 1) // 4096 + 1) * 4096
+
+    def resident_inodes(self) -> AbstractSet[int]:
+        """Inodes outside which :meth:`resident_bytes` is 0: every inode
+        the cache ever installed pages of."""
+        return self.cache.installed

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 
 from repro.devices.layout import BLOCK_SIZE, DiskLayout
@@ -326,6 +327,13 @@ class PlanCursor:
             return 0
         return pages.count(1, offset // 4096,
                            (offset + size - 1) // 4096 + 1) * 4096
+
+    def resident_inodes(self) -> AbstractSet[int]:
+        """Inodes outside which :meth:`resident_bytes` is 0: every inode
+        with a residency row."""
+        if not self._tracking:
+            self._materialise_residency()
+        return self._resident.keys()
 
     def _apply_delta(self, i: int) -> None:
         """Apply record ``i``'s net residency delta."""

@@ -1,9 +1,12 @@
 """Unit tests for PSM-mode data transfers (§1.1 characteristic 1)."""
 
+import math
+
 import pytest
 
 from repro.devices.specs import AIRONET_350
 from repro.devices.wnic import Direction, WirelessNic, WnicMode
+from repro.faults.schedule import FaultSchedule, RateWindow
 
 PSM_SPEC = AIRONET_350.with_psm_transfers()
 
@@ -31,6 +34,25 @@ class TestEligibility:
         nic = WirelessNic(PSM_SPEC, initially_psm=False)
         r = nic.service(0.0, 4096)
         assert r.first_byte == pytest.approx(0.0 + 1e-3)   # no beacon
+
+
+class TestPsmUnderFaults:
+    def test_rate_cap_a_rounding_error_below_nominal_keeps_psm(self):
+        """A rate window that caps the link a rounding error below the
+        spec's bandwidth leaves the link at its rate: a PSM-sized
+        request still takes the PSM path instead of the fault path's
+        wake-up."""
+        capped = math.nextafter(PSM_SPEC.bandwidth_bps, 0.0)
+        nic = WirelessNic(PSM_SPEC)
+        nic.set_fault_schedule(FaultSchedule(
+            outages=(), rate_windows=[RateWindow(0.0, 100.0, capped)],
+            spinup_failures=()))
+        r = nic.service(0.05, 4096)
+        assert not r.woke_up
+        breakdown = nic.meter.breakdown()
+        assert "wnic.wakeup" not in breakdown
+        assert breakdown["wnic.psm-recv"] > 0.0
+        assert nic.state == WnicMode.PSM.value
 
 
 class TestPsmTransferModel:

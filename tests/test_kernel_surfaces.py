@@ -19,9 +19,10 @@ from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
 
 #: session: read, write, plan_writeback; router: complete_fetch; the
-#: cost model (FlexFetch's cache filter, the oracle): resident_bytes.
+#: cost model (FlexFetch's cache filter, the oracle): resident_bytes
+#: and resident_inodes.
 CALLS = ["read", "write", "complete_fetch", "plan_writeback",
-         "resident_bytes"]
+         "resident_bytes", "resident_inodes"]
 
 
 def _parameters(cls, name):
@@ -57,3 +58,5 @@ def test_both_surfaces_keep_the_books_the_session_reads():
         assert kernel.plan_writeback(2.0, disk_active=True)
         assert (writeback.flush_count, writeback.flushed_pages) == (1, 1)
         assert kernel.resident_bytes(1, 0, 8192) == 8192
+        assert 1 in kernel.resident_inodes()
+        assert kernel.resident_inodes().isdisjoint({2, 3})
