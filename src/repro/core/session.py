@@ -68,7 +68,7 @@ from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.faults.invariants import check_coverage, check_result
 from repro.faults.schedule import FaultSchedule
 from repro.sim.clock import MB, SimulationError
-from repro.sim.plan import BurstPlan, plan_for
+from repro.sim.plan import BurstPlan, layout_for, plan_for
 from repro.traces.compile import OPS_BY_CODE
 from repro.traces.record import OpType
 from repro.units import Bytes, Seconds
@@ -219,15 +219,15 @@ class SimulationSession:
                                for spec in self._program_specs]
         plan = self._burst_plan() if self._fast_path else None
         self.used_fast_path = plan is not None
+        # The live kernel path reads the program set's shared layout,
+        # placed once per process; a plan carries the same one.
+        layout = None if plan is not None else layout_for(
+            [spec.compiled for spec in self._program_specs], self._seed)
         self.env = MobileSystem(
             disk_spec=self._disk_spec, wnic_spec=self._wnic_spec,
             memory_bytes=self._memory_bytes, seed=self._seed,
-            spindown_policy=self._spindown_policy, plan=plan)
-        if plan is None:
-            # The live kernel path learns the files; a plan's walk
-            # already placed them.
-            self.env.register_trace(
-                *(spec.trace for spec in self._program_specs))
+            spindown_policy=self._spindown_policy, plan=plan,
+            layout=layout)
         self.policy = self._policy
         self.programs = [ProgramDriver(s) for s in self._program_specs]
         # A schedule with nothing scheduled must be a strict no-op: the

@@ -24,7 +24,7 @@ from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.devices.wnic import WirelessNic
 from repro.kernel.path import KernelPath
 from repro.sim.clock import MB
-from repro.sim.plan import BurstPlan, PlanCursor
+from repro.sim.plan import BurstPlan, PlanCursor, file_table
 from repro.traces.compile import CompiledTrace, compile_trace
 from repro.traces.trace import Trace
 from repro.units import Bytes, Seconds
@@ -35,7 +35,10 @@ class MobileSystem:
 
     Given a :class:`~repro.sim.plan.BurstPlan`, the kernel surface is a
     :class:`~repro.sim.plan.PlanCursor` over it and the layout is the
-    plan's; no trace is registered then.
+    plan's.  Given a placed ``layout`` (the session passes the shared
+    one from :func:`~repro.sim.plan.layout_for`), the live kernel path
+    reads it.  Either way no trace is registered; without either, the
+    layout starts empty and :meth:`register_trace` places the files.
     """
 
     def __init__(self, *, disk_spec: DiskSpec = HITACHI_DK23DA,
@@ -43,12 +46,14 @@ class MobileSystem:
                  memory_bytes: Bytes = 64 * MB,
                  seed: int = 0,
                  spindown_policy: SpindownPolicy | None = None,
-                 plan: BurstPlan | None = None) -> None:
+                 plan: BurstPlan | None = None,
+                 layout: DiskLayout | None = None) -> None:
         self.disk = HardDisk(disk_spec, spindown_policy=spindown_policy)
         self.wnic = WirelessNic(wnic_spec)
         self.kernel: KernelPath | PlanCursor
         if plan is None:
-            self.layout = DiskLayout(seed)
+            self.layout = layout if layout is not None \
+                else DiskLayout(seed)
             self.kernel = KernelPath(memory_bytes, self.layout)
         else:
             # A plan was walked at this memory size and seed: it already
@@ -71,20 +76,11 @@ class MobileSystem:
         """Place the traces' files on the disk layout, the kernel
         path's file table.
 
-        The union of the file tables is placed once, in order of first
-        appearance, each inode at the largest size any trace declares
-        for it (programs may share a file; strace-derived traces size
-        it by its furthest touched byte).  Within a trace the order is
-        ascending inode: the compiled file table (memoised per trace)
-        is stored inode-sorted — layout placement (and therefore every
-        seek time) depends on that order.
+        The union of the file tables (:func:`~repro.sim.plan.file_table`)
+        is placed in one call, as :func:`~repro.sim.plan.layout_for`
+        places it for a session.  A sealed (shared) layout refuses it.
         """
-        table: dict[int, Bytes] = {}
-        for trace in traces:
-            inodes, sizes = compile_trace(trace).files_view()
-            for inode, size in zip(inodes, sizes, strict=True):
-                if table.get(inode, -1) < size:
-                    table[inode] = size
+        table = file_table(compile_trace(trace) for trace in traces)
         self.layout.add_files(table.keys(), table.values())
 
     def advance(self, now: Seconds) -> None:

@@ -62,7 +62,8 @@ class DiskLayout:
     Files are laid out in the order they are registered (which the trace
     generators do in creation order), matching how a freshly hoarded data
     set lands on a laptop disk.  The gap between consecutive files is
-    uniform in ``[0, max_gap_blocks]``.
+    uniform in ``[0, max_gap_blocks]``.  A layout after :meth:`seal` is
+    shared between replays and refuses further placement.
     """
 
     def __init__(self, seed: int = 0, *, max_gap_blocks: int = 16,
@@ -74,6 +75,11 @@ class DiskLayout:
         self._capacity = capacity_blocks
         self._next_block = 0
         self._files: dict[int, FileExtentMap] = {}
+        self._sealed = False
+
+    def seal(self) -> None:
+        """Refuse any further placement: the layout is shared now."""
+        self._sealed = True
 
     def add_file(self, inode: int, size_bytes: Bytes) -> FileExtentMap:
         """Place a file; re-registering the same inode must match size."""
@@ -91,8 +97,13 @@ class DiskLayout:
         draw per file.  A re-registered inode (already placed, or
         earlier in the table) draws nothing and must match its size.
         Every file takes at least one block, empty ones included.
-        Nothing is placed if any check fails.
+        Nothing is placed if any check fails, or if the layout is
+        sealed.
         """
+        if self._sealed:
+            raise RuntimeError(
+                "disk layout is sealed (shared between replays);"
+                " place files on a fresh DiskLayout")
         files = self._files
         new: dict[int, int] = {}
         for inode, size_bytes in zip(inodes, sizes, strict=True):

@@ -52,7 +52,8 @@ import os
 import pstats
 import time
 import traceback
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -159,6 +160,23 @@ def resolve_payload(digest: str) -> object:
         return _WORKER_PAYLOADS[digest]
     except KeyError:
         raise UnknownPayloadDigestError(digest) from None
+
+
+@contextmanager
+def _sweep_staging() -> Iterator[None]:
+    """Release, when a sweep ends, every payload it staged that was not
+    staged before it.
+
+    A sweep's workers fork while it runs and inherit the registry
+    then, so nothing resolves its payloads after it: keeping them
+    would hold every trace, profile and plan a process ever swept.
+    """
+    before = set(_WORKER_PAYLOADS)
+    try:
+        yield
+    finally:
+        for digest in _WORKER_PAYLOADS.keys() - before:
+            del _WORKER_PAYLOADS[digest]
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,88 +500,92 @@ class ParallelSweepExecutor:
         sweep order, and dropped immediately after — the return value is
         then an empty-curves dict, and peak point retention is bounded
         by the out-of-order completion window rather than the grid size.
+
+        The payloads the sweep stages for its workers are released when
+        it ends (see :func:`_sweep_staging`).
         """
-        specs = tuple(spec.prepared() for spec in programs_factory())
-        refs = tuple(ProgramRef.of(spec) for spec in specs)
-        for spec, ref in zip(specs, refs, strict=True):
-            stage_payload(ref.digest, spec.trace)
-        if len(specs) == 1:
-            # Build the burst plan once, parent-side: plan_for memoises
-            # it process-wide, so forked workers (and every serial cell)
-            # inherit the finished plan copy-on-write instead of each
-            # re-walking the kernel path.  Staging it in the payload
-            # registry alongside the trace makes the sharing observable.
-            plan = plan_for(specs[0].compiled, config.memory_bytes,
-                            config.seed)
-            stage_payload(plan_key(plan.digest, config.memory_bytes,
-                                   config.seed), plan)
-        factories = {name: _prepare_factory(factory)
-                     for name, factory in policy_factories.items()}
-        self._ensure_cache_chaos(config.seed)
-        jobs: list[SweepJob] = []
-        for spec in wnic_specs:
-            for name, factory in factories.items():
-                jobs.append(SweepJob(index=len(jobs), curve=name,
-                                     programs=refs,
-                                     policy_factory=factory,
-                                     wnic_spec=spec, config=config,
-                                     faults=faults,
-                                     sanitize=self.sanitize))
+        with _sweep_staging():
+            specs = tuple(spec.prepared() for spec in programs_factory())
+            refs = tuple(ProgramRef.of(spec) for spec in specs)
+            for spec, ref in zip(specs, refs, strict=True):
+                stage_payload(ref.digest, spec.trace)
+            if len(specs) == 1:
+                # Build the burst plan once, parent-side: plan_for memoises
+                # it process-wide, so forked workers (and every serial cell)
+                # inherit the finished plan copy-on-write instead of each
+                # re-walking the kernel path.  Staging it in the payload
+                # registry alongside the trace makes the sharing observable.
+                plan = plan_for(specs[0].compiled, config.memory_bytes,
+                                config.seed)
+                stage_payload(plan_key(plan.digest, config.memory_bytes,
+                                       config.seed), plan)
+            factories = {name: _prepare_factory(factory)
+                         for name, factory in policy_factories.items()}
+            self._ensure_cache_chaos(config.seed)
+            jobs: list[SweepJob] = []
+            for spec in wnic_specs:
+                for name, factory in factories.items():
+                    jobs.append(SweepJob(index=len(jobs), curve=name,
+                                         programs=refs,
+                                         policy_factory=factory,
+                                         wnic_spec=spec, config=config,
+                                         faults=faults,
+                                         sanitize=self.sanitize))
 
-        keys = self._keys_for(jobs, specs)
-        if self.journal is not None:
-            assert keys is not None
-            self.journal.begin_sweep(
-                [keys[job.index] for job in jobs],
-                salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
+            keys = self._keys_for(jobs, specs)
+            if self.journal is not None:
+                assert keys is not None
+                self.journal.begin_sweep(
+                    [keys[job.index] for job in jobs],
+                    salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
 
-        points = _PointStore(consumer)
-        failures: list[CellFailure] = []
-        corrupt_before = self.cache.corrupt_rows if self.cache else 0
-        pending = self._drain_journal(jobs, points, progress, keys)
-        pending = self._drain_cache(pending, points, progress, keys)
-        if pending:
-            # Worker-count footgun guard: a pool wider than the pending
-            # cell count only spawns idle processes, and a 1-cell pool
-            # pays fork/pickle overhead for no concurrency — clamp, and
-            # fall back to in-process execution for tiny remainders.
-            pool_workers = min(self.workers, len(pending))
-            if pool_workers <= 1:
-                if self.workers > 1 and progress is not None:
-                    progress(f"[workers] {len(pending)} pending"
-                             f" cell(s); running serially instead of"
-                             f" spawning {self.workers} workers")
-                self._run_serial(pending, points, failures, progress,
-                                 keys)
-            else:
-                if pool_workers < self.workers and progress is not None:
-                    progress(f"[workers] clamped {self.workers} ->"
-                             f" {pool_workers} for {len(pending)}"
-                             " pending cell(s)")
-                self._run_pool(pending, points, failures, progress,
-                               keys, config.seed, pool_workers)
+            points = _PointStore(consumer)
+            failures: list[CellFailure] = []
+            corrupt_before = self.cache.corrupt_rows if self.cache else 0
+            pending = self._drain_journal(jobs, points, progress, keys)
+            pending = self._drain_cache(pending, points, progress, keys)
+            if pending:
+                # Worker-count footgun guard: a pool wider than the pending
+                # cell count only spawns idle processes, and a 1-cell pool
+                # pays fork/pickle overhead for no concurrency — clamp, and
+                # fall back to in-process execution for tiny remainders.
+                pool_workers = min(self.workers, len(pending))
+                if pool_workers <= 1:
+                    if self.workers > 1 and progress is not None:
+                        progress(f"[workers] {len(pending)} pending"
+                                 f" cell(s); running serially instead of"
+                                 f" spawning {self.workers} workers")
+                    self._run_serial(pending, points, failures, progress,
+                                     keys)
+                else:
+                    if pool_workers < self.workers and progress is not None:
+                        progress(f"[workers] clamped {self.workers} ->"
+                                 f" {pool_workers} for {len(pending)}"
+                                 " pending cell(s)")
+                    self._run_pool(pending, points, failures, progress,
+                                   keys, config.seed, pool_workers)
 
-        if self.cache is not None and progress is not None:
-            corrupt = self.cache.corrupt_rows - corrupt_before
-            if corrupt:
-                progress(f"[cache] {corrupt} corrupt row(s) fell back"
-                         " to live simulation")
+            if self.cache is not None and progress is not None:
+                corrupt = self.cache.corrupt_rows - corrupt_before
+                if corrupt:
+                    progress(f"[cache] {corrupt} corrupt row(s) fell back"
+                             " to live simulation")
 
-        failures.sort(key=lambda f: f.index)
-        if failures:
-            self._finalise_failures(jobs, failures, points, progress,
-                                    keys)
-        if self.journal is not None:
-            self.journal.end_sweep(
-                completed=points.added - len(failures),
-                failed=len(failures))
+            failures.sort(key=lambda f: f.index)
+            if failures:
+                self._finalise_failures(jobs, failures, points, progress,
+                                        keys)
+            if self.journal is not None:
+                self.journal.end_sweep(
+                    completed=points.added - len(failures),
+                    failed=len(failures))
 
-        curves: dict[str, list[SweepPoint]] = {name: []
-                                               for name in policy_factories}
-        if consumer is None:
-            for job in jobs:
-                curves[job.curve].append(points.get(job.index))
-        return curves
+            curves: dict[str, list[SweepPoint]] = {
+                name: [] for name in policy_factories}
+            if consumer is None:
+                for job in jobs:
+                    curves[job.curve].append(points.get(job.index))
+            return curves
 
     # ------------------------------------------------------------------
     def _keys_for(self, jobs: list[SweepJob],

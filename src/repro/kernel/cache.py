@@ -24,15 +24,18 @@ One :meth:`TwoQCache.scan_window` pass serves a read and one install
 loop serves fetches and writes, but reclaim still runs after every
 insertion: a run can evict its own earlier pages from A1in, and trim a
 ghost from A1out that a later page of the same run would have hit, so
-evicting once per run would break the 2Q rules.  Keys are plain
+evicting once per run would break the 2Q rules.  Queue keys are plain
 ``(inode, index)`` tuples, equal in hash and value to :class:`PageId`.
+Residency itself is kept in :class:`ResidentRows`, one byte per page
+in a row per inode, so a probe indexes a ``bytearray`` instead of
+hashing a tuple; a BurstPlan cursor keeps its residency the same way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import KeysView
 from dataclasses import dataclass
-from itertools import repeat
 
 from repro.kernel.page import Extent, PageId
 from repro.units import Seconds
@@ -94,6 +97,73 @@ class DirtyIndex:
         return dirty
 
 
+class ResidentRows:
+    """Page residency as one ``bytearray`` row per inode, 1 where the
+    page is resident.
+
+    A run is one slice assignment, a range counts in C, and the inodes
+    with a row are the only ones that can hold a resident page.  Rows
+    grow on demand and are never dropped.  Both kernel surfaces keep
+    residency here: :class:`TwoQCache` (whose hot loops index
+    :attr:`rows` directly) and the BurstPlan cursor.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: dict[int, bytearray] = {}
+
+    def row(self, inode: int, end: int) -> bytearray:
+        """``inode``'s row, grown to cover pages ``[0, end)``."""
+        row = self.rows.get(inode)
+        if row is None:
+            row = self.rows[inode] = bytearray(end)
+        elif len(row) < end:
+            row.extend(bytes(end - len(row)))
+        return row
+
+    def fill(self, inode: int, start: int, end: int) -> None:
+        """Mark pages ``[start, end)`` of ``inode`` resident."""
+        self.row(inode, end)[start:end] = b"\x01" * (end - start)
+
+    def clear(self, inode: int, start: int, end: int) -> None:
+        """Mark pages ``[start, end)`` of ``inode`` absent."""
+        self.row(inode, end)[start:end] = bytes(end - start)
+
+    def count(self, inode: int, start: int, end: int) -> int:
+        """Resident pages of ``inode`` in ``[start, end)``."""
+        row = self.rows.get(inode)
+        return 0 if row is None else row.count(1, start, end)
+
+    def inodes(self) -> KeysView[int]:
+        """Inodes with a row: outside them no page is resident."""
+        return self.rows.keys()
+
+    def pages(self) -> set[PageId]:
+        """Every resident page as an ``(inode, index)`` tuple (cold)."""
+        return {(inode, index) for inode, row in self.rows.items()
+                for index, flag in enumerate(row) if flag}
+
+    # -- one page at a time (cold paths and reference models) ----------
+    def __contains__(self, page: PageId) -> bool:
+        inode, index = page
+        row = self.rows.get(inode)
+        return row is not None and 0 <= index < len(row) and row[index] == 1
+
+    def __len__(self) -> int:
+        return sum(row.count(1) for row in self.rows.values())
+
+    def add(self, page: PageId) -> None:
+        inode, index = page
+        self.row(inode, index + 1)[index] = 1
+
+    def discard(self, page: PageId) -> None:
+        inode, index = page
+        row = self.rows.get(inode)
+        if row is not None and 0 <= index < len(row):
+            row[index] = 0
+
+
 class TwoQCache(DirtyIndex):
     """Simplified 2Q replacement over :class:`PageId` keys.
 
@@ -124,13 +194,11 @@ class TwoQCache(DirtyIndex):
         self._a1in: OrderedDict[PageId, bool] = OrderedDict()
         self._a1out: OrderedDict[PageId, None] = OrderedDict()
         self._am: OrderedDict[PageId, None] = OrderedDict()
-        #: Union of A1in and Am keys, kept in lockstep so residency
-        #: checks (the cost model's hottest query) are one set lookup
-        #: instead of two ordered-dict probes.
-        self._resident: set[PageId] = set()
-        #: Every inode a run has installed pages of: a superset of the
-        #: inodes holding a resident page, kept per run, not per page.
-        self.installed: set[int] = set()
+        #: The union of A1in and Am keys, kept in lockstep as byte rows
+        #: so residency checks (the cost model's hottest query, every
+        #: probe of a read's window) index bytes.  Every inode a run
+        #: has installed pages of has a row.
+        self._resident = ResidentRows()
         super().__init__(CacheStats())
         #: When a list, every eviction appends ``(index, victim)``: the
         #: page index whose insertion reclaimed ``victim``.  The plan
@@ -144,16 +212,16 @@ class TwoQCache(DirtyIndex):
         return page in self._resident
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return len(self._a1in) + len(self._am)
 
     def resident_count(self, inode: int, start: int, end: int) -> int:
-        """Resident pages of ``inode`` in ``[start, end)`` (O(1) each)."""
-        resident = self._resident
-        count = 0
-        for index in range(start, end):
-            if (inode, index) in resident:
-                count += 1
-        return count
+        """Resident pages of ``inode`` in ``[start, end)``."""
+        return self._resident.count(inode, start, end)
+
+    def resident_inodes(self) -> KeysView[int]:
+        """Every inode a run has installed pages of: a superset of the
+        inodes holding a resident page."""
+        return self._resident.inodes()
 
     def resident_fraction(self, extent: Extent) -> float:
         """Fraction of an extent's pages currently resident."""
@@ -194,34 +262,34 @@ class TwoQCache(DirtyIndex):
         miss count and the non-resident pages as ascending
         ``(run_start, run_end)`` runs.  Nothing is inserted.
         """
-        resident = self._resident
-        if resident.isdisjoint(zip(repeat(inode), range(start, end))):
+        row = self._resident.rows.get(inode)
+        if row is None or row.find(1, start, end) < 0:
             # Nothing resident (a cold read): one C-level probe, and
             # every demand page is a miss.
             misses = demand_end - demand_start
             self.stats.misses += misses
             return misses, [(start, end)] if start < end else []
+        if len(row) < end:
+            row.extend(bytes(end - len(row)))
         a1in, am = self._a1in, self._am
         missing = [index for index in range(start, demand_start)
-                   if (inode, index) not in resident]
+                   if not row[index]]
         hits = 0
         for index in range(demand_start, demand_end):
-            page = (inode, index)
-            if page in am:
-                am.move_to_end(page)
-                hits += 1
-                continue
-            referenced = a1in.get(page)
-            if referenced is None:
+            if not row[index]:
                 missing.append(index)
                 continue
-            # Linux's two-touch promotion: the first A1in reference
-            # sets PG_referenced, the second moves the page to the
-            # active set.  (Classic 2Q never promotes from A1in, which
-            # lets a scan flush a hot set that was re-read before ever
-            # being evicted; one-touch promotion would instead let
-            # every prefetched-then-read scan page flood Am.)
-            if referenced:
+            page = (inode, index)
+            # A resident page is in Am or A1in.  Linux's two-touch
+            # promotion: the first A1in reference sets PG_referenced,
+            # the second moves the page to the active set.  (Classic 2Q
+            # never promotes from A1in, which lets a scan flush a hot
+            # set that was re-read before ever being evicted; one-touch
+            # promotion would instead let every prefetched-then-read
+            # scan page flood Am.)
+            if page in am:
+                am.move_to_end(page)
+            elif a1in[page]:
                 del a1in[page]
                 am[page] = None
             else:
@@ -231,7 +299,7 @@ class TwoQCache(DirtyIndex):
         self.stats.hits += hits
         self.stats.misses += misses
         missing += [index for index in range(demand_end, end)
-                    if (inode, index) not in resident]
+                    if not row[index]]
         runs: list[tuple[int, int]] = []
         if missing:
             run_start = run_end = missing[0]
@@ -283,33 +351,34 @@ class TwoQCache(DirtyIndex):
         its own earlier pages.  Clean evictions vanish silently; dirty
         ones are returned so the write-back layer can flush them.
         """
-        self.installed.add(inode)
-        resident = self._resident
+        rows = self._resident.rows
+        row = self._resident.row(inode, end)
         a1in, a1out, am, dirty = self._a1in, self._a1out, self._am, self._dirty
         kin, kout = self.kin, self.kout
         # Only the rare branches count; the rest follows from sizes.
-        resident_before, dirty_before = len(resident), len(dirty)
+        resident_before, dirty_before = len(a1in) + len(am), len(dirty)
         room = self.capacity - resident_before
         flushed: list[PageId] = []
         victims = self.victims
         skipped = promoted = 0
         for index in range(start, end):
-            page = (inode, index)
-            if page in resident:
+            if row[index]:
                 skipped += 1
+                page = (inode, index)
                 if dirty_at is None:
                     if page in am:
                         am.move_to_end(page)
                 elif page not in dirty:
                     dirty[page] = dirty_at
                 continue
+            page = (inode, index)
             if page in a1out:
                 del a1out[page]
                 am[page] = None
                 promoted += 1
             else:
                 a1in[page] = False
-            resident.add(page)
+            row[index] = 1
             if dirty_at is not None:
                 dirty[page] = dirty_at
             if room > 0:
@@ -325,7 +394,7 @@ class TwoQCache(DirtyIndex):
                     a1out.popitem(last=False)
             else:
                 victim, _ = am.popitem(last=False)
-            resident.discard(victim)
+            rows[victim[0]][victim[1]] = 0
             if victims is not None:
                 victims.append((index, victim))
             if dirty.pop(victim, None) is not None:
@@ -334,7 +403,8 @@ class TwoQCache(DirtyIndex):
         stats = self.stats
         stats.insertions += inserted
         stats.ghost_promotions += promoted
-        stats.evictions += inserted - (len(resident) - resident_before)
+        stats.evictions += inserted - (len(a1in) + len(am)
+                                       - resident_before)
         stats.dirty_evictions += len(flushed)
         stats.dirtied += len(dirty) - dirty_before + len(flushed)
         return flushed

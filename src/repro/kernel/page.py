@@ -108,13 +108,30 @@ def coalesce(extents: Iterable[Extent]) -> list[Extent]:
     return out
 
 
+def page_runs(pages: Iterable[PageId]) -> list[tuple[int, int, int]]:
+    """Group individual pages into maximal contiguous ``(inode, start,
+    end)`` runs, in ``(inode, start)`` order; a repeated page counts
+    once."""
+    runs: list[tuple[int, int, int]] = []
+    run_inode: int | None = None
+    run_start = run_end = 0
+    for inode, index in sorted(pages):
+        if inode == run_inode:
+            if index == run_end:
+                run_end += 1
+                continue
+            if index < run_end:
+                continue
+        if run_inode is not None:
+            runs.append((run_inode, run_start, run_end))
+        run_inode, run_start, run_end = inode, index, index + 1
+    if run_inode is not None:
+        runs.append((run_inode, run_start, run_end))
+    return runs
+
+
 def runs_from_pages(pages: Iterable[PageId]) -> list[Extent]:
-    """Group individual pages into maximal contiguous extents."""
-    ordered = sorted(set(pages))
-    out: list[Extent] = []
-    for inode, index in ordered:
-        if out and out[-1].inode == inode and out[-1].end == index:
-            out[-1] = Extent(inode, out[-1].start, out[-1].npages + 1)
-        else:
-            out.append(Extent(inode, index, 1))
-    return out
+    """Group individual pages into maximal contiguous extents, one
+    :class:`Extent` per run."""
+    return [Extent(inode, start, end - start)
+            for inode, start, end in page_runs(pages)]

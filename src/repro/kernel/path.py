@@ -148,4 +148,4 @@ class KernelPath:
     def resident_inodes(self) -> AbstractSet[int]:
         """Inodes outside which :meth:`resident_bytes` is 0: every inode
         the cache ever installed pages of."""
-        return self.cache.installed
+        return self.cache.resident_inodes()

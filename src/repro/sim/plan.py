@@ -24,18 +24,24 @@ uses.  Plans are memoised by trace content digest via
 :func:`plan_for`, so one plan per trace per process is shared
 copy-on-write across all sweep cells and forked workers — the same
 lifecycle as the compile-once trace registry.
+
+The placed disk layout has the same lifecycle one level up:
+:func:`layout_for` places the files of an ordered program set once per
+seed, and both the plan walk and every live-kernel replay of that set
+(several programs, or the fast path turned off) share the one sealed
+:class:`~repro.devices.layout.DiskLayout`.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 
 from repro.devices.layout import BLOCK_SIZE, DiskLayout
-from repro.kernel.cache import CacheStats, DirtyIndex
-from repro.kernel.page import Extent, PageId, runs_from_pages
+from repro.kernel.cache import CacheStats, DirtyIndex, ResidentRows
+from repro.kernel.page import Extent, PageId, page_runs, runs_from_pages
 from repro.kernel.path import KernelPath
 from repro.kernel.writeback import LaptopModeWriteback
 from repro.traces.compile import CompiledTrace
@@ -90,16 +96,50 @@ class BurstPlan:
 def _pack_runs(out: array[int], pages: Iterable[PageId]) -> None:
     """Append ``pages`` to ``out`` as maximal ``(inode, start, end)``
     runs."""
-    run_inode = run_start = run_end = -1
-    for inode, index in sorted(pages):
-        if inode == run_inode and index == run_end:
-            run_end += 1
-            continue
-        if run_inode >= 0:
-            out.extend((run_inode, run_start, run_end))
-        run_inode, run_start, run_end = inode, index, index + 1
-    if run_inode >= 0:
-        out.extend((run_inode, run_start, run_end))
+    for run in page_runs(pages):
+        out.extend(run)
+
+
+def file_table(traces: Iterable[CompiledTrace]) -> dict[int, Bytes]:
+    """The union of the traces' file tables, ``inode -> size``.
+
+    In order of first appearance, each inode at the largest size any
+    trace declares for it (programs may share a file; strace-derived
+    traces size it by its furthest touched byte).  Within a trace the
+    order is ascending inode: the compiled file table is stored
+    inode-sorted, and layout placement (and therefore every seek time)
+    depends on that order.
+    """
+    table: dict[int, Bytes] = {}
+    for trace in traces:
+        inodes, sizes = trace.files_view()
+        for inode, size in zip(inodes, sizes, strict=True):
+            if table.get(inode, -1) < size:
+                table[inode] = size
+    return table
+
+
+#: Place-once memo: one sealed layout per ordered program set and seed,
+#: keyed by the traces' content digests (which cover their file
+#: tables).  Same lifecycle as :data:`_PLAN_MEMO`.
+_LAYOUT_MEMO: dict[tuple[tuple[str, ...], int], DiskLayout] = {}
+
+
+def layout_for(traces: Sequence[CompiledTrace], seed: int) -> DiskLayout:
+    """The placed disk layout of ``traces`` (in program order) at
+    ``seed``, built once per process and sealed, since every replay of
+    the set shares it."""
+    key = (tuple(trace.digest for trace in traces), int(seed))
+    try:
+        return _LAYOUT_MEMO[key]
+    except KeyError:
+        pass
+    layout = DiskLayout(seed)
+    table = file_table(traces)
+    layout.add_files(table.keys(), table.values())
+    layout.seal()
+    _LAYOUT_MEMO[key] = layout
+    return layout
 
 
 def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
@@ -111,13 +151,13 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     is still dirty waits for the replay's clock.
     """
     # A private kernel path built exactly as MobileSystem builds the
-    # real one — same cache capacity, same seeded layout — with the
+    # real one — same cache capacity, the same shared layout — with the
     # cache reporting every eviction.
-    layout = DiskLayout(seed)
-    layout.add_files(*trace.files_view())
+    layout = layout_for((trace,), seed)
     kernel = KernelPath(memory_bytes, layout)
     cache = kernel.cache
     resident = cache._resident
+    rows = resident.rows
     evicted: list[tuple[int, PageId]] = []
     cache.victims = evicted
 
@@ -159,23 +199,25 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
             extents.append(())
             # Residency of the written pages before the write; a victim
             # outside them was resident before it too.
-            before: dict[PageId, bool] = {}
+            before: dict[PageId, int] = {}
             if size > 0:
                 first = offset // BLOCK_SIZE
                 end = (offset + size - 1) // BLOCK_SIZE + 1
+                row = resident.row(inode, end)
                 for index in range(first, end):
-                    page = (inode, index)
-                    before[page] = page in resident
+                    before[(inode, index)] = row[index]
                 # KernelPath.write's page run, without the flush extents
                 # no replay of the plan needs.
                 cache.write_run(inode, first, end, 0.0)
             for index, page in evicted:
                 victims.extend((index, page[0], page[1]))
-                before.setdefault(page, True)
+                before.setdefault(page, 1)
+            # Every page here has a row now: the write installed its
+            # own pages, and a victim was resident.
             _pack_runs(added, [page for page, was in before.items()
-                               if not was and page in resident])
+                               if not was and rows[page[0]][page[1]]])
             _pack_runs(removed, [page for page, was in before.items()
-                                 if was and page not in resident])
+                                 if was and not rows[page[0]][page[1]]])
         evicted.clear()
         added_bounds.append(len(added))
         removed_bounds.append(len(removed))
@@ -235,9 +277,9 @@ class PlanCursor:
         self.cache = DirtyIndex(plan.stats_copy())
         self.writeback = LaptopModeWriteback(self.cache)
         self._index = 0
-        #: inode -> one byte per page, 1 where resident; a run applies
-        #: as one slice assignment and a range counts in C.
-        self._resident: dict[int, bytearray] = {}
+        #: the live cache's residency form: a run applies as one slice
+        #: assignment and a range counts in C.
+        self._resident = ResidentRows()
         self._tracking = False
 
     # -- kernel surface ------------------------------------------------
@@ -322,18 +364,15 @@ class PlanCursor:
             return 0
         if not self._tracking:
             self._materialise_residency()
-        pages = self._resident.get(inode)
-        if pages is None:
-            return 0
-        return pages.count(1, offset // 4096,
-                           (offset + size - 1) // 4096 + 1) * 4096
+        return self._resident.count(
+            inode, offset // 4096, (offset + size - 1) // 4096 + 1) * 4096
 
     def resident_inodes(self) -> AbstractSet[int]:
         """Inodes outside which :meth:`resident_bytes` is 0: every inode
         with a residency row."""
         if not self._tracking:
             self._materialise_residency()
-        return self._resident.keys()
+        return self._resident.inodes()
 
     def _apply_delta(self, i: int) -> None:
         """Apply record ``i``'s net residency delta."""
@@ -341,20 +380,11 @@ class PlanCursor:
         resident = self._resident
         added = plan.added
         for k in range(plan.added_bounds[i], plan.added_bounds[i + 1], 3):
-            inode, start, end = added[k], added[k + 1], added[k + 2]
-            pages = resident.get(inode)
-            if pages is None:
-                pages = resident[inode] = bytearray(end)
-            elif len(pages) < end:
-                pages.extend(bytes(end - len(pages)))
-            pages[start:end] = b"\x01" * (end - start)
+            resident.fill(added[k], added[k + 1], added[k + 2])
         removed = plan.removed
         for k in range(plan.removed_bounds[i],
                        plan.removed_bounds[i + 1], 3):
-            start, end = removed[k + 1], removed[k + 2]
-            # Only resident pages are removed, so the row exists and
-            # already covers the run.
-            resident[removed[k]][start:end] = bytes(end - start)
+            resident.clear(removed[k], removed[k + 1], removed[k + 2])
 
     def _materialise_residency(self) -> None:
         for i in range(self._index):

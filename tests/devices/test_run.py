@@ -173,6 +173,20 @@ def test_long_bursts_accumulate_in_the_step_order():
                False)
 
 
+def test_a_regrouped_bucket_sum_differs_in_the_last_bit():
+    """Four 100,000-byte reads 1,000 blocks apart on an idle disk and a
+    card in CAM.  Summing this burst's charges apart and adding the sum
+    to the open bucket once gives a different last bit than adding them
+    one by one, on both devices, so a run that regroups fails here on
+    every run, not only when a drawn stage happens to expose it."""
+    bursts, thinks = _pack([([(100_000, True, 1000 * k)
+                              for k in range(4)], 0.0)])
+    _check(DISKS["idle"](), disk_step, disk_run, bursts, thinks, 0.0,
+           False)
+    _check(WNICS["cam"](), wnic_step, wnic_run, bursts, thinks, 0.0,
+           False)
+
+
 def test_a_steady_burst_leaves_the_step(monkeypatch):
     """Past its first request, a burst on an idle disk and on a card in
     CAM is served without the step (the properties above would also

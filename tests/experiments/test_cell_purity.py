@@ -60,6 +60,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: entries are pure functions of their keys.
 DECLARED_MEMOS = frozenset({
     ("repro.sim.plan", "_PLAN_MEMO"),
+    ("repro.sim.plan", "_LAYOUT_MEMO"),
     ("repro.experiments.parallel", "_WORKER_PAYLOADS"),
     ("repro.traces.compile", "_COMPILE_CACHE"),
 })

@@ -1,7 +1,5 @@
 """Determinism and failure-path tests for the parallel sweep executor."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
@@ -16,6 +14,7 @@ from repro.experiments.parallel import (
     ProgramRef,
     SweepCellError,
     SweepJob,
+    UnknownPayloadDigestError,
     _execute_job,
     resolve_payload,
     stage_payload,
@@ -156,16 +155,38 @@ class TestPlanStaging:
     def test_faulted_sweep_stages_the_plan(self, config, programs,
                                            monkeypatch):
         """Faulted single-program cells ride the BurstPlan, so the
-        parent builds and stages it once for every worker to inherit."""
+        parent builds and stages it once for every worker to inherit,
+        for as long as the sweep runs; the sweep releases it after."""
         monkeypatch.setattr(parallel_mod, "_WORKER_PAYLOADS", {})
         spec = programs.specs[0].prepared()
         key = plan_key(spec.compiled.digest, config.memory_bytes,
                        config.seed)
+        seen = []
+
+        def observing_policy():
+            seen.append(resolve_payload(key))
+            return DiskOnlyPolicy()
+
         ParallelSweepExecutor(1).run_sweep(
-            ProgramSet((spec,)), {"Disk-only": DiskOnlyPolicy},
+            ProgramSet((spec,)), {"Disk-only": observing_policy},
             [config.wnic_spec], config,
             faults=FaultSpec(spinup_fail_prob=0.3))
-        assert isinstance(resolve_payload(key), BurstPlan)
+        assert len(seen) == 1 and isinstance(seen[0], BurstPlan)
+        with pytest.raises(UnknownPayloadDigestError):
+            resolve_payload(key)
+        assert parallel_mod._WORKER_PAYLOADS == {}
+
+    def test_a_sweep_keeps_what_was_staged_before_it(self, config,
+                                                      programs,
+                                                      monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_WORKER_PAYLOADS", {})
+        spec = programs.specs[0].prepared()
+        stage_payload(spec.compiled.digest, spec.trace)
+        ParallelSweepExecutor(1).run_sweep(
+            ProgramSet((spec,)), {"Disk-only": DiskOnlyPolicy},
+            [config.wnic_spec], config)
+        assert list(parallel_mod._WORKER_PAYLOADS) == \
+            [spec.compiled.digest]
 
 
 class TestParallelWithCache:

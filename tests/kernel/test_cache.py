@@ -302,7 +302,7 @@ class TestRunLoopsMatchPageAtATime:
     @staticmethod
     def _state(c):
         return (list(c._a1in.items()), list(c._a1out), list(c._am),
-                list(c._dirty.items()), set(c._resident), c.stats)
+                list(c._dirty.items()), c._resident.pages(), c.stats)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(4, 16), _ops)

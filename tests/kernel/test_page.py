@@ -127,6 +127,27 @@ class TestRunsFromPages:
         runs = runs_from_pages(pages)
         assert {p for e in runs for p in e.pages()} == pages
 
+    @staticmethod
+    def _reference(pages):
+        """One one-page extent per distinct page, each merged into its
+        predecessor when they touch."""
+        out = []
+        for inode, index in sorted(set(pages)):
+            if out and out[-1].inode == inode and out[-1].end == index:
+                out[-1] = Extent(inode, out[-1].start, out[-1].npages + 1)
+            else:
+                out.append(Extent(inode, index, 1))
+        return out
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 40)),
+                    max_size=120))
+    def test_matches_the_page_at_a_time_grouping(self, raw):
+        """Unordered input with repeats over several inodes, as plain
+        tuples (the cache's eviction order) and as PageIds."""
+        want = self._reference(raw)
+        assert runs_from_pages(raw) == want
+        assert runs_from_pages([PageId(*page) for page in raw]) == want
+
 
 class TestSplitMaxPages:
     """The kernel path's read splits each miss run at the readahead
