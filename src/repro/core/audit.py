@@ -6,9 +6,9 @@ the other source."  The counterfactual side of that comparison lives
 here: the observed requests of the finished stage are reassembled into a
 burst/think structure and replayed on the alternative device through the
 shared :class:`~repro.core.costmodel.CostModel`.  During the stage they
-are kept as plain tuples; :class:`ProfiledRequest` objects are built only
-when the audit replays them.  The policy itself only compares the two
-joule numbers.
+are kept as plain tuples, and the audit lowers them straight into the
+cost model's request columns, building no request or burst objects.
+The policy itself only compares the two joule numbers.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from repro.core.burst import IOBurst, ProfiledRequest
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CostModel, RequestColumns
 from repro.core.decision import DataSource
 from repro.traces.record import OpType
 from repro.units import Joules, Seconds
@@ -49,33 +48,37 @@ class StageAccounting:
         self.observed.append((inode, offset, size, op, start, end))
 
 
-def observed_to_bursts(observed: Sequence[ObservedRequest],
-                       threshold: Seconds
-                       ) -> tuple[list[IOBurst], list[float]]:
-    """Reassemble observed request timings into bursts and thinks.
+def observed_columns(observed: Sequence[ObservedRequest],
+                     threshold: Seconds
+                     ) -> tuple[RequestColumns, list[float]]:
+    """Reassemble observed request timings into burst columns and
+    thinks.
 
     Gaps of at least ``threshold`` between one request's completion and
     the next request's start close a burst, mirroring the off-line
     profile extraction; the trailing think is zero (the stage ended).
     """
-    bursts: list[IOBurst] = []
+    inodes: list[int] = []
+    offsets: list[int] = []
+    sizes: list[int] = []
+    reads: list[bool] = []
+    bounds = [0]
     thinks: list[float] = []
-    inode, offset, size, op, cur_start, prev_end = observed[0]
-    cur = [ProfiledRequest(inode=inode, offset=offset, size=size, op=op)]
-    for inode, offset, size, op, start, end in observed[1:]:
-        req = ProfiledRequest(inode=inode, offset=offset, size=size, op=op)
+    read = OpType.READ
+    prev_end = observed[0][5]
+    for inode, offset, size, op, start, end in observed:
         gap = start - prev_end
-        if gap >= threshold:
-            bursts.append(IOBurst(tuple(cur), cur_start, prev_end))
+        if inodes and gap >= threshold:
+            bounds.append(len(inodes))
             thinks.append(max(0.0, gap))
-            cur = [req]
-            cur_start = start
-        else:
-            cur.append(req)
+        inodes.append(inode)
+        offsets.append(offset)
+        sizes.append(size)
+        reads.append(op is read)
         prev_end = max(prev_end, end)
-    bursts.append(IOBurst(tuple(cur), cur_start, prev_end))
+    bounds.append(len(inodes))
     thinks.append(0.0)
-    return bursts, thinks
+    return RequestColumns(inodes, offsets, sizes, reads, bounds), thinks
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +139,8 @@ def counterfactual_energy(cost_model: CostModel,
     if alt is DataSource.DISK and disk_kept_spinning:
         return cost_model.spinning_disk_marginal_energy(
             obs[2] for obs in observed)
-    bursts, thinks = observed_to_bursts(observed, burst_threshold)
+    requests, thinks = observed_columns(observed, burst_threshold)
     est = cost_model.stage_estimate(
-        alt, bursts, thinks, now=now, include_other=False,
+        alt, requests, thinks, now=now, include_other=False,
         min_duration=max(0.0, now - stage.start))
     return est.energy

@@ -34,21 +34,26 @@ requests whose data is resident in the page cache are shrunk or dropped.
 
 There is one evaluation path (DESIGN.md §16).  A profile is packed once
 per disk layout into the columns residency does not change (placement,
-block counts, the read mask, each burst's read inodes); a stage is a
-range of its bursts, and a decision copies only the bursts the cache
-filter changes.  Request lists (the stage audit, ad-hoc estimates) are
-lowered to the same columns.  This module holds no device arithmetic
-of its own; the test suite still holds the walk to a literal
-clone-and-replay oracle with Hypothesis, which checks the plumbing
-around the devices (packing, cache filter, placement, thinks,
-baselines).
+block counts, the read mask, cumulative bytes, each burst's read
+inodes); a stage is a range of its bursts, and a decision copies only
+the bursts the cache filter changes.  Each cost model (one per
+session) memoises every filtered burst under the residency versions of
+the inodes it reads, so a decision re-filters only the bursts whose
+read inodes changed residency since the last one.  Request columns
+(the stage audit's observed requests) are placed and packed directly.
+This module holds no device arithmetic of its own; the test suite
+still holds the walk to a literal clone-and-replay oracle with
+Hypothesis, which checks the plumbing around the devices (packing,
+cache filter, placement, thinks, baselines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from collections.abc import Callable, Iterable, Sequence
-from typing import Protocol
+from collections.abc import Set as AbstractSet
+from typing import NamedTuple, Protocol
 from weakref import WeakKeyDictionary
 
 from repro.core.burst import IOBurst
@@ -86,11 +91,28 @@ class ResidencyOracle(Protocol):
 
     Both kernel surfaces also answer ``resident_inodes()``: a set of
     inodes (``isdisjoint``, ``in``) outside which ``resident_bytes`` is
-    0, so the cache filter queries no other inode.  An oracle without
-    it has every read queried.
+    0, so the cache filter queries no other inode; and
+    ``residency_version(inode)``: a number that never decreases and
+    grows whenever the inode's residency changes, so a cost model can
+    reuse a burst it filtered before.  An oracle without the first has
+    every read queried, and one without the second every burst
+    filtered.
     """
 
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes: ...
+
+
+class RequestColumns(NamedTuple):
+    """A stage's requests as flat columns: request ``i`` reads or
+    writes ``sizes[i]`` bytes at ``offsets[i]`` of ``inodes[i]``
+    (a read where ``reads[i]``), and burst ``b`` owns requests
+    ``bounds[b]:bounds[b + 1]``."""
+
+    inodes: list[int]
+    offsets: list[int]
+    sizes: list[int]
+    reads: list[bool]
+    bounds: list[int]
 
 
 def replay_stage(source: DataSource,
@@ -132,6 +154,32 @@ def replay_stage(source: DataSource,
                           min_duration=min_duration)
 
 
+def _place(layout: DiskLayout | None, inodes: Sequence[int],
+           offsets: Sequence[int], sizes: Sequence[int]
+           ) -> tuple[list[int | None], list[int]]:
+    """Each request's disk block (``None`` when unplaced) and block
+    count (0 when unplaced).
+
+    Profiled offsets come from a *prior* run and may exceed the current
+    file (different data set), so an inode the layout does not know, or
+    an offset past the current file, falls back to an average seek.
+    """
+    if layout is None:
+        return [None] * len(sizes), [0] * len(sizes)
+    blocks: list[int | None] = []
+    nblocks: list[int] = []
+    for inode, offset, size in zip(inodes, offsets, sizes, strict=True):
+        block = None
+        if inode in layout:
+            ext = layout.get(inode)
+            rel = offset // 4096
+            if rel < ext.nblocks:
+                block = ext.start_block + rel
+        blocks.append(block)
+        nblocks.append(0 if block is None else -(-size // 4096))
+    return blocks, nblocks
+
+
 class _ProfilePack:
     """The residency-independent columns of a profile, packed once per
     disk layout (holding ``nfiles`` files).
@@ -139,33 +187,20 @@ class _ProfilePack:
     ``bursts[b]`` is burst ``b`` as a :data:`PackedBurst` over the whole
     profile's columns: its sizes and read mask are the profile's own
     (see :class:`~repro.core.profile.ProfileColumns`), its blocks the
-    disk block of each request's first page, ``None`` when unplaced —
-    profiled offsets come from a *prior* run and may exceed the current
-    file (different data set), so an inode the layout does not know, or
-    an offset past the current file, falls back to an average seek.
+    disk block of each request's first page (see :func:`_place`).
+    ``cum_bytes[i]`` is the bytes of the first ``i`` requests, and
     ``read_inodes[b]`` holds the inodes burst ``b`` reads.
     """
 
     __slots__ = ("nfiles", "inodes", "offsets", "sizes", "reads", "bounds",
-                 "blocks", "nblocks", "bursts", "read_inodes")
+                 "blocks", "nblocks", "cum_bytes", "bursts", "read_inodes")
 
     def __init__(self, cols: ProfileColumns,
                  layout: DiskLayout | None) -> None:
         inodes = cols.inodes
         sizes = cols.sizes
         reads = cols.reads
-        blocks: list[int | None] = []
-        nblocks: list[int] = []
-        for inode, offset, size in zip(inodes, cols.offsets, sizes,
-                                       strict=True):
-            block = None
-            if layout is not None and inode in layout:
-                ext = layout.get(inode)
-                rel = offset // 4096
-                if rel < ext.nblocks:
-                    block = ext.start_block + rel
-            blocks.append(block)
-            nblocks.append(0 if block is None else -(-size // 4096))
+        blocks, nblocks = _place(layout, inodes, cols.offsets, sizes)
         bounds = cols.bounds
         self.nfiles = len(layout) if layout is not None else 0
         self.inodes = inodes
@@ -175,6 +210,7 @@ class _ProfilePack:
         self.bounds = bounds
         self.blocks = blocks
         self.nblocks = nblocks
+        self.cum_bytes = [0, *accumulate(sizes)]
         self.bursts: list[PackedBurst] = [
             (sizes, reads, blocks, nblocks, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])]
@@ -200,8 +236,15 @@ class _PackedStage:
         self.total_requests = total_requests
 
 
+#: One memo slot of :meth:`CostModel.stage_pair`: the residency
+#: versions of the burst's read inodes, then what :func:`_filter_burst`
+#: returned under them.
+_MemoEntry = tuple[tuple[int, ...], PackedBurst | None, int, int]
+
+
 def _pack(base: _ProfilePack, first: int, stop: int,
-          vfs: ResidencyOracle | None) -> _PackedStage:
+          vfs: ResidencyOracle | None,
+          memo: list[_MemoEntry | None] | None = None) -> _PackedStage:
     """Bursts ``first:stop`` of ``base`` through the §2.3.2 cache filter.
 
     With ``vfs`` the filter drops fully resident reads and shrinks
@@ -210,55 +253,102 @@ def _pack(base: _ProfilePack, first: int, stop: int,
     residency, so they pass unfiltered.  When ``vfs`` names the inodes
     that may hold a resident page (``resident_inodes``, see
     :class:`ResidencyOracle`), a burst reading none of them passes
-    whole and only reads of those inodes are queried.
+    whole and only reads of those inodes are queried.  With a ``memo``
+    (one slot per burst of ``base``) and a ``vfs`` that versions its
+    residency, a burst is filtered again only when the version of an
+    inode it reads has changed since the slot was filled.
     """
     bounds = base.bounds
     start, end = bounds[first], bounds[stop]
     bursts = base.bursts[first:stop]
-    col_sizes = base.sizes
-    total_bytes = sum(col_sizes[start:end])
+    total_bytes = base.cum_bytes[end] - base.cum_bytes[start]
     total_requests = end - start
     if vfs is None:
         return _PackedStage(bursts, total_bytes, total_requests)
     holders = getattr(vfs, "resident_inodes", None)
     held = holders() if holders is not None else None
+    version = getattr(vfs, "residency_version", None)
+    if version is None:
+        memo = None
     resident_bytes = vfs.resident_bytes
-    inodes, offsets, reads = base.inodes, base.offsets, base.reads
     read_inodes = base.read_inodes
     for b in range(first, stop):
         touched = read_inodes[b]
         if not touched or (held is not None and held.isdisjoint(touched)):
             continue
-        lo, hi = bounds[b], bounds[b + 1]
-        # Residency of each read of a possibly cached inode: the
-        # request's new size, 0 when wholly resident.
-        shrunk: dict[int, int] = {}
-        for i in range(lo, hi):
-            if reads[i] and (held is None or inodes[i] in held):
-                size = col_sizes[i]
-                resident = resident_bytes(inodes[i], offsets[i], size)
-                if resident > 0:
-                    shrunk[i] = size - resident if resident < size else 0
-        if not shrunk:
-            continue
-        sizes = col_sizes[lo:hi]
-        recv = reads[lo:hi]
-        blocks = base.blocks[lo:hi]
-        nblocks = base.nblocks[lo:hi]
-        for i in reversed(shrunk):
-            k = i - lo
-            size = shrunk[i]
-            if size:
-                total_bytes -= sizes[k] - size
-                sizes[k] = size
-                if blocks[k] is not None:
-                    nblocks[k] = -(-size // 4096)
-            else:
-                total_bytes -= sizes[k]
-                total_requests -= 1
-                del sizes[k], recv[k], blocks[k], nblocks[k]
-        bursts[b - first] = (sizes, recv, blocks, nblocks, 0, len(sizes))
+        if memo is None:
+            burst, fewer_bytes, fewer_requests = _filter_burst(
+                base, b, held, resident_bytes)
+        else:
+            # An inode outside ``held`` holds no page: -1, below every
+            # version, and no query.
+            key = tuple(map(version, touched)) if held is None else tuple(
+                [version(inode) if inode in held else -1
+                 for inode in touched])
+            entry = memo[b]
+            if entry is None or entry[0] != key:
+                entry = memo[b] = (key, *_filter_burst(
+                    base, b, held, resident_bytes))
+            _, burst, fewer_bytes, fewer_requests = entry
+        if burst is not None:
+            bursts[b - first] = burst
+            total_bytes -= fewer_bytes
+            total_requests -= fewer_requests
     return _PackedStage(bursts, total_bytes, total_requests)
+
+
+def _filter_burst(base: _ProfilePack, b: int,
+                  held: AbstractSet[int] | None,
+                  resident_bytes: Callable[[int, int, int], Bytes]
+                  ) -> tuple[PackedBurst | None, Bytes, int]:
+    """Burst ``b`` of ``base`` through the cache filter: the filtered
+    burst (``None`` when none of its reads is resident) and the bytes
+    and requests the filter took out of it."""
+    lo, hi = base.bounds[b], base.bounds[b + 1]
+    col_sizes = base.sizes
+    inodes, offsets, reads = base.inodes, base.offsets, base.reads
+    # Residency of each read of a possibly cached inode: the request's
+    # new size, 0 when wholly resident.
+    shrunk: dict[int, int] = {}
+    for i in range(lo, hi):
+        if reads[i] and (held is None or inodes[i] in held):
+            size = col_sizes[i]
+            resident = resident_bytes(inodes[i], offsets[i], size)
+            if resident > 0:
+                shrunk[i] = size - resident if resident < size else 0
+    if not shrunk:
+        return None, 0, 0
+    sizes = col_sizes[lo:hi]
+    recv = reads[lo:hi]
+    blocks = base.blocks[lo:hi]
+    nblocks = base.nblocks[lo:hi]
+    fewer_bytes = fewer_requests = 0
+    for i in reversed(shrunk):
+        k = i - lo
+        size = shrunk[i]
+        if size:
+            fewer_bytes += sizes[k] - size
+            sizes[k] = size
+            if blocks[k] is not None:
+                nblocks[k] = -(-size // 4096)
+        else:
+            fewer_bytes += sizes[k]
+            fewer_requests += 1
+            del sizes[k], recv[k], blocks[k], nblocks[k]
+    return (sizes, recv, blocks, nblocks, 0, len(sizes)), fewer_bytes, \
+        fewer_requests
+
+
+def _lower(requests: RequestColumns,
+           layout: DiskLayout | None) -> _PackedStage:
+    """``requests`` as one packed stage, placed on ``layout`` (``None``
+    for a WNIC, which ignores placement), unfiltered."""
+    sizes, reads, bounds = requests.sizes, requests.reads, requests.bounds
+    blocks, nblocks = _place(layout, requests.inodes, requests.offsets,
+                             sizes)
+    return _PackedStage([(sizes, reads, blocks, nblocks, lo, hi)
+                         for lo, hi in zip(bounds, bounds[1:])],
+                        sum(sizes), len(sizes))
 
 
 def _replay_packed(source: DataSource,
@@ -318,7 +408,9 @@ class CostModel:
     One instance lives on each
     :class:`~repro.core.system.MobileSystem` (as ``env.cost_model``).
     All estimates run on what-if copies; the live devices are only ever
-    *advanced* (idempotent forward in time), never serviced.
+    *advanced* (idempotent forward in time), never serviced.  The
+    cache-filter memo of :meth:`stage_pair` lives here too, so it dies
+    with the session.
     """
 
     def __init__(self, disk: HardDisk, wnic: WirelessNic,
@@ -338,24 +430,30 @@ class CostModel:
                                                - spec.idle_power)
         self._disk_transition_investment: Joules = (spec.spinup_energy
                                                     + spec.spindown_energy)
+        #: filtered bursts per profile pack, valid for ``_memo_vfs``.
+        self._memos: dict[_ProfilePack, list[_MemoEntry | None]] = {}
+        self._memo_vfs: ResidencyOracle | None = None
 
     # -- stage-granular estimates --------------------------------------
     def stage_estimate(self, source: DataSource,
-                       bursts: Sequence[IOBurst],
+                       requests: RequestColumns,
                        thinks: Sequence[float], *,
                        now: Seconds,
-                       vfs: ResidencyOracle | None = None,
                        include_other: bool = True,
                        min_duration: Seconds | None = None,
                        disk: HardDisk | None = None,
                        wnic: WirelessNic | None = None) -> StageEstimate:
-        """One scenario's estimate for a stage.
+        """One scenario's estimate for a stage of request columns, with
+        ``thinks[b]`` after burst ``b`` (the stage audit's replay).
 
-        ``disk``/``wnic`` override the live devices (FlexFetch-static
-        estimates from pristine devices, blind to the runtime states);
+        ``disk``/``wnic`` override the live devices (estimates from
+        pristine devices, blind to the runtime states);
         ``include_other=False`` drops the idle cross-baseline — the
-        stage-end audit compares single-device energies.
+        stage-end audit compares single-device energies.  The requests
+        are placed on this system's layout and replayed unfiltered.
         """
+        if len(requests.bounds) - 1 != len(thinks):
+            raise ValueError("bursts and thinks must align")
         d = disk if disk is not None else self.disk
         w = wnic if wnic is not None else self.wnic
         device: HardDisk | WirelessNic = \
@@ -363,10 +461,11 @@ class CostModel:
         other: HardDisk | WirelessNic | None = None
         if include_other:
             other = w if source is DataSource.DISK else d
-        return replay_stage(source, device, bursts, thinks, now=now,
-                            layout=self.layout, vfs=vfs,
-                            other_device=other,
-                            min_duration=min_duration)
+        pack = _lower(requests, self.layout
+                      if source is DataSource.DISK else None)
+        return _replay_packed(source, device, pack, thinks, now=now,
+                              other_device=other,
+                              min_duration=min_duration)
 
     def stage_pair(self, profile: ExecutionProfile, first: int, stop: int,
                    *, now: Seconds,
@@ -381,13 +480,14 @@ class CostModel:
         residency does not change — placement, block counts, the read
         mask, each burst's read inodes — comes from :meth:`_packed`,
         once per profile and layout.  The §2.3.2 cache filter then runs
-        once over the range and the one :class:`_PackedStage` feeds
-        both walks.
+        once over the range, through this session's memo, and the one
+        :class:`_PackedStage` feeds both walks.
         """
         d_dev = disk if disk is not None else self.disk
         w_dev = wnic if wnic is not None else self.wnic
         thinks = profile.thinks[first:stop]
-        pack = _pack(self._packed(profile.columns), first, stop, vfs)
+        base = self._packed(profile.columns)
+        pack = _pack(base, first, stop, vfs, self._memo(base, vfs))
         return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
                                now=now, other_device=w_dev,
                                min_duration=None),
@@ -414,6 +514,24 @@ class CostModel:
         if not isinstance(pack, _ProfilePack) or pack.nfiles != len(layout):
             pack = packs[layout] = _ProfilePack(cols, layout)
         return pack
+
+    def _memo(self, base: _ProfilePack, vfs: ResidencyOracle | None
+              ) -> list[_MemoEntry | None] | None:
+        """The filtered-burst memo of ``base`` under ``vfs``, one slot
+        per burst.
+
+        Its slots hold only for the residency oracle that filled them,
+        so a different oracle starts every memo afresh.
+        """
+        if vfs is None:
+            return None
+        if vfs is not self._memo_vfs:
+            self._memos.clear()
+            self._memo_vfs = vfs
+        memo = self._memos.get(base)
+        if memo is None:
+            memo = self._memos[base] = [None] * len(base.bursts)
+        return memo
 
     # -- per-request marginal costs (BlueFS's myopic view) -------------
     def marginal_pair(self, now: Seconds, nbytes: Bytes,

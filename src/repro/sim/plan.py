@@ -14,16 +14,19 @@ which evicted pages are still dirty, and when laptop mode flushes.
 
 :func:`build_plan` runs that walk exactly once, over reads and writes
 alike, and freezes it into a :class:`BurstPlan`: the per-record device
-extents (already C-SCAN ordered), the net page-residency delta each
-record applies to the cache, the ordered victims of every write, the
-final cache counters and the placed disk layout.  A
-:class:`PlanCursor` replays it and keeps the clock-dependent part — a
-dirty index with the cache's exact semantics — live, under the same
+extents (already C-SCAN ordered), each inode's residency runs indexed
+by the record that applies them, the pages each record removes, the
+ordered victims of every write, the final cache counters and the
+placed disk layout.  A :class:`PlanCursor` replays it and keeps the
+clock-dependent part — a dirty index with the cache's exact semantics
+— live, under the same
 :class:`~repro.kernel.writeback.LaptopModeWriteback` the live kernel
-uses.  Plans are memoised by trace content digest via
-:func:`plan_for`, so one plan per trace per process is shared
-copy-on-write across all sweep cells and forked workers — the same
-lifecycle as the compile-once trace registry.
+uses.  Residency it keeps lazily, per inode: an inode's runs are
+applied only when a cache-filter query asks about that inode, so a
+replay pays only for the inodes a policy reads.  Plans are memoised
+by trace content digest via :func:`plan_for`, so one plan per trace
+per process is shared copy-on-write across all sweep cells and forked
+workers — the same lifecycle as the compile-once trace registry.
 
 The placed disk layout has the same lifecycle one level up:
 :func:`layout_for` places the files of an ordered program set once per
@@ -58,16 +61,26 @@ class BurstPlan:
     Everything here is policy- and device-independent.  ``extents[i]``
     are the device requests read record ``i`` issues, already in the
     order the C-SCAN elevator would hand them to a device (empty for a
-    write).  The three ragged columns are flat ``array('q')`` buffers
-    with per-record bounds: record ``i`` owns
-    ``column[bounds[i]:bounds[i + 1]]``.
+    write).  The columns are flat ``array('q')`` buffers:
 
-    * ``added``/``removed`` hold ``(inode, start, end)`` page runs: the
-      *net* residency delta record ``i`` applies to the page cache
-      (insertions minus reclaims, so a page appears at most once).
-    * ``victims`` holds ``(index, inode, page)`` triples: every page a
-      write's insertions reclaimed, in eviction order, tagged with the
-      page index of the write whose insertion evicted it.
+    * ``runs`` holds ``(record, fill, start, end)`` quadruples, grouped
+      by inode: the *net* residency delta record ``record`` applies to
+      pages ``[start, end)`` of that inode (insertions minus reclaims,
+      so a page appears at most once per record), filled when ``fill``
+      is 1 and cleared when it is 0.  An inode's runs start at
+      ``runs[run_starts[inode]]``, in record order, and end with a
+      sentinel whose record is ``record_count``, past every record.
+    * ``first_fills`` holds ``(record, inode)`` pairs in record order:
+      the record during which the cache first installed a page of the
+      inode (and gave it a residency row).
+    * ``removed`` holds the ``(inode, start, end)`` runs each record
+      clears (its cleared runs in ``runs`` again), with per-record
+      bounds: record ``i`` owns
+      ``removed[removed_bounds[i]:removed_bounds[i + 1]]``.
+    * ``victims`` holds ``(index, inode, page)`` triples with
+      per-record bounds: every page a write's insertions reclaimed, in
+      eviction order, tagged with the page index of the write whose
+      insertion evicted it.
 
     ``final_stats`` is the cache counter state after the last record,
     with the dirty counters zeroed (the cursor counts those live), and
@@ -80,8 +93,9 @@ class BurstPlan:
     record_count: int
     layout: DiskLayout
     extents: tuple[tuple[Extent, ...], ...]
-    added: array[int]
-    added_bounds: array[int]
+    runs: array[int]
+    run_starts: dict[int, int]
+    first_fills: array[int]
     removed: array[int]
     removed_bounds: array[int]
     victims: array[int]
@@ -93,11 +107,15 @@ class BurstPlan:
         return replace(self.final_stats)
 
 
-def _pack_runs(out: array[int], pages: Iterable[PageId]) -> None:
-    """Append ``pages`` to ``out`` as maximal ``(inode, start, end)``
-    runs."""
-    for run in page_runs(pages):
-        out.extend(run)
+def _index_runs(by_inode: dict[int, array[int]], record: int, fill: int,
+                runs: Iterable[tuple[int, int, int]]) -> None:
+    """File ``(inode, start, end)`` runs of ``record`` under their
+    inodes."""
+    for inode, start, end in runs:
+        column = by_inode.get(inode)
+        if column is None:
+            column = by_inode[inode] = array("q")
+        column.extend((record, fill, start, end))
 
 
 def file_table(traces: Iterable[CompiledTrace]) -> dict[int, Bytes]:
@@ -168,12 +186,15 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     sizes = memoryview(trace.sizes).cast("q")
 
     extents: list[tuple[Extent, ...]] = []
-    added, removed, victims = array("q"), array("q"), array("q")
-    added_bounds, removed_bounds, victim_bounds = (
-        array("q", [0]), array("q", [0]), array("q", [0]))
+    by_inode: dict[int, array[int]] = {}
+    first_fills, removed, victims = array("q"), array("q"), array("q")
+    removed_bounds, victim_bounds = array("q", [0]), array("q", [0])
     read = kernel.read
     for i in range(trace.record_count):
         inode, offset, size = inodes[i], offsets[i], sizes[i]
+        # A record installs pages of its own inode only, so only that
+        # inode can gain a residency row in it.
+        fresh = inode not in rows
         if ops[i] == _READ_OP:
             ordered = tuple(read(pids[i], inode, offset, size, 0.0))
             # The session completes each fetch in service order;
@@ -183,18 +204,25 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
             for extent in ordered:
                 cache.insert_run(extent.inode, extent.start, extent.end)
             extents.append(ordered)
-            if not evicted:
-                for extent in ordered:
-                    added.extend((extent.inode, extent.start, extent.end))
-            else:
+            filled = [(extent.inode, extent.start, extent.end)
+                      for extent in ordered]
+            if evicted:
                 # Fetched pages were absent before the read and every
                 # victim present, and a victim is never fetched back
-                # within the same record.
-                fetched = {(extent.inode, index) for extent in ordered
-                           for index in range(extent.start, extent.end)}
+                # within the same record; only a page fetched and
+                # reclaimed within the record is in neither delta, and
+                # only a victim of the record's inode can be one.
                 gone = {page for _, page in evicted}
-                _pack_runs(added, fetched - gone)
-                _pack_runs(removed, gone - fetched)
+                if any(page[0] == inode for page in gone):
+                    fetched = {(run[0], index) for run in filled
+                               for index in range(run[1], run[2])}
+                    filled = page_runs(fetched - gone)
+                    gone -= fetched
+                cleared = page_runs(gone)
+                _index_runs(by_inode, i, 0, cleared)
+                for run in cleared:
+                    removed.extend(run)
+            _index_runs(by_inode, i, 1, filled)
         else:
             extents.append(())
             # Residency of the written pages before the write; a victim
@@ -214,14 +242,28 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
                 before.setdefault(page, 1)
             # Every page here has a row now: the write installed its
             # own pages, and a victim was resident.
-            _pack_runs(added, [page for page, was in before.items()
-                               if not was and rows[page[0]][page[1]]])
-            _pack_runs(removed, [page for page, was in before.items()
+            _index_runs(by_inode, i, 1, page_runs(
+                [page for page, was in before.items()
+                 if not was and rows[page[0]][page[1]]]))
+            cleared = page_runs([page for page, was in before.items()
                                  if was and not rows[page[0]][page[1]]])
+            _index_runs(by_inode, i, 0, cleared)
+            for run in cleared:
+                removed.extend(run)
+        if fresh and inode in rows:
+            first_fills.extend((i, inode))
         evicted.clear()
-        added_bounds.append(len(added))
         removed_bounds.append(len(removed))
         victim_bounds.append(len(victims))
+
+    runs = array("q")
+    run_starts: dict[int, int] = {}
+    sentinel = (trace.record_count, 0, 0, 0)
+    while by_inode:
+        run_inode, column = by_inode.popitem()
+        run_starts[run_inode] = len(runs)
+        runs.extend(column)
+        runs.extend(sentinel)
 
     return BurstPlan(
         digest=trace.digest,
@@ -230,8 +272,9 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
         record_count=trace.record_count,
         layout=layout,
         extents=tuple(extents),
-        added=added,
-        added_bounds=added_bounds,
+        runs=runs,
+        run_starts=run_starts,
+        first_fills=first_fills,
         removed=removed,
         removed_bounds=removed_bounds,
         victims=victims,
@@ -248,17 +291,22 @@ class PlanCursor:
     ``read`` hands back record ``i``'s precomputed
     extents instead of re-walking cache/readahead/elevator, and
     ``resident_bytes`` answers policy cache-filter queries from the
-    plan's residency deltas.  The resident set is materialised lazily —
-    policies that never query residency never pay for it — and then
-    kept live by applying each record's net delta as it is read or
-    written.
+    plan's residency runs.  Residency is kept per inode and lazily: an
+    inode's runs are applied, up to the records read or written so far,
+    only when ``resident_bytes`` or ``residency_version`` asks about
+    that inode, so inodes no query reads never cost anything, and
+    ``resident_inodes`` grows from a pointer into the plan's first
+    fills.  An inode's residency version is how far into its runs the
+    cursor has applied: it grows exactly when the inode's residency
+    changes.
 
-    The delta timing matches the real cache exactly at every point the
+    The run timing matches the real cache exactly at every point the
     replay can observe it: residency is only queried before any read
     (empty), on the tick *before* record ``i`` is serviced (state after
     record ``i-1``), or in the syscall hook *after* it completes (state
-    after record ``i``), so applying record ``i``'s whole delta at
-    ``read(i)`` is indistinguishable from the page-by-page original.
+    after record ``i``), so applying record ``i``'s whole delta once
+    ``read(i)`` has run is indistinguishable from the page-by-page
+    original.
 
     Dirty pages replay live, in ``cache``, a
     :class:`~repro.kernel.cache.DirtyIndex` whose counters start from
@@ -270,7 +318,7 @@ class PlanCursor:
     """
 
     __slots__ = ("plan", "cache", "writeback", "_index", "_resident",
-                 "_tracking")
+                 "_applied", "_held", "_fills")
 
     def __init__(self, plan: BurstPlan) -> None:
         self.plan = plan
@@ -280,15 +328,18 @@ class PlanCursor:
         #: the live cache's residency form: a run applies as one slice
         #: assignment and a range counts in C.
         self._resident = ResidentRows()
-        self._tracking = False
+        #: ``inode -> its next run`` in ``plan.runs``, for each inode a
+        #: query has caught up.
+        self._applied: dict[int, int] = {}
+        #: inodes with a residency row, and the next first fill.
+        self._held: set[int] = set()
+        self._fills = 0
 
     # -- kernel surface ------------------------------------------------
     def read(self, pid: int, inode: int, offset: int, size: Bytes,
              now: Seconds) -> tuple[Extent, ...]:
         i = self._index
         self._index = i + 1
-        if self._tracking:
-            self._apply_delta(i)
         dirty = self.cache._dirty
         if dirty:
             # A read's fetches evict only pages resident before it, and
@@ -310,8 +361,6 @@ class PlanCursor:
               now: Seconds) -> list[Extent]:
         i = self._index
         self._index = i + 1
-        if self._tracking:
-            self._apply_delta(i)
         if size == 0:
             return []
         plan = self.plan
@@ -362,34 +411,49 @@ class PlanCursor:
             raise ValueError("negative offset or size")
         if size == 0:
             return 0
-        if not self._tracking:
-            self._materialise_residency()
+        self.residency_version(inode)
         return self._resident.count(
             inode, offset // 4096, (offset + size - 1) // 4096 + 1) * 4096
 
     def resident_inodes(self) -> AbstractSet[int]:
         """Inodes outside which :meth:`resident_bytes` is 0: every inode
-        with a residency row."""
-        if not self._tracking:
-            self._materialise_residency()
-        return self._resident.inodes()
+        with a residency row, as on the live cache."""
+        fills = self.plan.first_fills
+        k, index = self._fills, self._index
+        if k < len(fills) and fills[k] < index:
+            held = self._held
+            while k < len(fills) and fills[k] < index:
+                held.add(fills[k + 1])
+                k += 2
+            self._fills = k
+        return self._held
 
-    def _apply_delta(self, i: int) -> None:
-        """Apply record ``i``'s net residency delta."""
-        plan = self.plan
-        resident = self._resident
-        added = plan.added
-        for k in range(plan.added_bounds[i], plan.added_bounds[i + 1], 3):
-            resident.fill(added[k], added[k + 1], added[k + 2])
-        removed = plan.removed
-        for k in range(plan.removed_bounds[i],
-                       plan.removed_bounds[i + 1], 3):
-            resident.clear(removed[k], removed[k + 1], removed[k + 2])
+    def residency_version(self, inode: int) -> int:
+        """A number that never decreases and grows whenever ``inode``'s
+        residency changes: how far into ``plan.runs`` the inode's runs
+        are applied (0 for an inode the cache never holds).
 
-    def _materialise_residency(self) -> None:
-        for i in range(self._index):
-            self._apply_delta(i)
-        self._tracking = True
+        Applies the inode's runs of the records replayed so far first;
+        this is the only place residency changes.
+        """
+        k = self._applied.get(inode)
+        if k is None:
+            k = self.plan.run_starts.get(inode)
+            if k is None:
+                return 0
+            self._applied[inode] = k
+        runs = self.plan.runs
+        index = self._index
+        if runs[k] < index:
+            resident = self._resident
+            while runs[k] < index:
+                if runs[k + 1]:
+                    resident.fill(inode, runs[k + 2], runs[k + 3])
+                else:
+                    resident.clear(inode, runs[k + 2], runs[k + 3])
+                k += 4
+            self._applied[inode] = k
+        return k
 
 
 #: Plan-once memo, the planning sibling of the compile-once trace cache

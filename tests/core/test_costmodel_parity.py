@@ -20,8 +20,10 @@ models implement: fixed and adaptive spin-down, the sleep tier
 * **bucket coverage** — the zoo's fixed stages make the oracle charge
   every non-fault energy bucket, so the parity above is exercised on
   every one of them;
-* **whole sessions** — FlexFetch runs with each variant are unchanged
-  when the cost model is swapped for the oracle.
+* **whole sessions** — FlexFetch runs with each variant, and a
+  two-program run on the live kernel path, are unchanged when the cost
+  model (its filter memo and the stage audit's request columns
+  included) is swapped for the oracle.
 
 Hypothesis drives the first two over randomized stages; any drift — a
 reordered float reduction, a fused multiply, an off-by-one block
@@ -54,7 +56,7 @@ from repro.devices.layout import DiskLayout
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA
 from repro.devices.wnic import Direction, WirelessNic
 from repro.traces.record import OpType
-from repro.traces.synth import generate_grep_make
+from repro.traces.synth import generate_grep, generate_grep_make, generate_make
 from repro.units import Seconds
 
 
@@ -178,18 +180,27 @@ def _oracle_stage_pair(self, profile, first, stop, *, now, vfs=None,
                     layout=self.layout, vfs=vfs, other_device=d))
 
 
-def _oracle_stage_estimate(self, source, bursts, thinks, *, now, vfs=None,
+def _oracle_stage_estimate(self, source, requests, thinks, *, now,
                            include_other=True, min_duration=None,
                            disk=None, wnic=None):
-    """``CostModel.stage_estimate`` computed by the oracle."""
+    """``CostModel.stage_estimate`` computed by the oracle, from the
+    request columns the stage audit hands it."""
     d = disk if disk is not None else self.disk
     w = wnic if wnic is not None else self.wnic
     device = d if source is DataSource.DISK else w
     other = None
     if include_other:
         other = w if source is DataSource.DISK else d
+    records = [ProfiledRequest(inode=inode, offset=offset, size=size,
+                               op=OpType.READ if read else OpType.WRITE)
+               for inode, offset, size, read in zip(
+                   requests.inodes, requests.offsets, requests.sizes,
+                   requests.reads, strict=True)]
+    bounds = requests.bounds
+    bursts = [IOBurst(tuple(records[lo:hi]), 0.0, 0.0)
+              for lo, hi in zip(bounds, bounds[1:])]
     return _oracle(source, device, bursts, thinks, now=now,
-                   layout=self.layout, vfs=vfs, other_device=other,
+                   layout=self.layout, other_device=other,
                    min_duration=min_duration)
 
 
@@ -472,9 +483,36 @@ def grep_make():
     return trace, profile_from_trace(trace)
 
 
+@pytest.fixture(scope="module")
+def grep_with_make():
+    grep = generate_grep(SEED)
+    make = generate_make(SEED).renumbered(grep.max_inode())
+    return (grep, make), [profile_from_trace(grep), profile_from_trace(make)]
+
+
 class TestSessionVsOracle:
     """FlexFetch over each device variant decides and charges exactly
     as it does with the oracle as its cost model."""
+
+    def test_two_programs_on_the_live_kernel_match_oracle(
+            self, grep_with_make, monkeypatch):
+        """Two programs share the live kernel path, whose one coarse
+        residency version keys the cost model's filter memo."""
+        traces, profiles = grep_with_make
+
+        def run():
+            session = SimulationSession(
+                [ProgramSpec(trace) for trace in traces],
+                FlexFetchPolicy.for_programs(profiles), seed=SEED)
+            result = session.run()
+            assert not session.used_fast_path
+            return result
+
+        packed = run()
+        monkeypatch.setattr(CostModel, "stage_pair", _oracle_stage_pair)
+        monkeypatch.setattr(CostModel, "stage_estimate",
+                            _oracle_stage_estimate)
+        assert run() == packed
 
     @pytest.mark.parametrize("variant", sorted(_VARIANTS))
     def test_flexfetch_run_matches_oracle(self, grep_make, monkeypatch,

@@ -19,10 +19,10 @@ from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
 
 #: session: read, write, plan_writeback; router: complete_fetch; the
-#: cost model (FlexFetch's cache filter, the oracle): resident_bytes
-#: and resident_inodes.
+#: cost model (FlexFetch's cache filter, the oracle): resident_bytes,
+#: resident_inodes and residency_version.
 CALLS = ["read", "write", "complete_fetch", "plan_writeback",
-         "resident_bytes", "resident_inodes"]
+         "resident_bytes", "resident_inodes", "residency_version"]
 
 
 def _parameters(cls, name):
@@ -48,6 +48,7 @@ def test_both_surfaces_keep_the_books_the_session_reads():
     assert isinstance(planned.kernel, PlanCursor)
     for env in (live, planned):
         kernel = env.kernel
+        version = kernel.residency_version(1)
         for extent in kernel.read(100, 1, 0, 8192, 0.0):
             kernel.complete_fetch(extent, 0.0)
         kernel.write(100, 1, 0, 4096, 1.0)
@@ -58,5 +59,6 @@ def test_both_surfaces_keep_the_books_the_session_reads():
         assert kernel.plan_writeback(2.0, disk_active=True)
         assert (writeback.flush_count, writeback.flushed_pages) == (1, 1)
         assert kernel.resident_bytes(1, 0, 8192) == 8192
+        assert kernel.residency_version(1) > version
         assert 1 in kernel.resident_inodes()
         assert kernel.resident_inodes().isdisjoint({2, 3})

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.e2e.tracing import SPANS, _sites
 from repro.core.bluefs import BlueFSPolicy
 from repro.core.burst import IOBurst, ProfiledRequest
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CostModel, RequestColumns
 from repro.core.decision import DataSource
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.oracle import ClairvoyantStagePolicy
@@ -73,6 +73,8 @@ def test_stage_estimates_leave_advance_to_alone(monkeypatch):
     profile = ExecutionProfile(bursts, [30.0, 0.0])
     model = CostModel(HardDisk(), WirelessNic())
     model.stage_pair(profile, 0, 2, now=5.0)
-    model.stage_estimate(DataSource.DISK, bursts, [30.0, 0.0], now=5.0,
+    requests = RequestColumns([1, 1, 1], [0, 0, 0], [1 << 16] * 3,
+                              [True] * 3, [0, 2, 3])
+    model.stage_estimate(DataSource.DISK, requests, [30.0, 0.0], now=5.0,
                          min_duration=100.0)
     assert calls == []
