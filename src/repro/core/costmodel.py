@@ -39,8 +39,10 @@ inodes); a stage is a range of its bursts, and a decision copies only
 the bursts the cache filter changes.  Each cost model (one per
 session) memoises every filtered burst under the residency versions of
 the inodes it reads, so a decision re-filters only the bursts whose
-read inodes changed residency since the last one.  Request columns
-(the stage audit's observed requests) are placed and packed directly.
+read inodes changed residency since the last one.  It also memoises
+each per-request marginal cost under the devices' power states.
+Request columns (the stage audit's observed requests) are placed and
+packed directly.
 This module holds no device arithmetic of its own; the test suite
 still holds the walk to a literal clone-and-replay oracle with
 Hypothesis, which checks the plumbing around the devices (packing,
@@ -409,8 +411,9 @@ class CostModel:
     :class:`~repro.core.system.MobileSystem` (as ``env.cost_model``).
     All estimates run on what-if copies; the live devices are only ever
     *advanced* (idempotent forward in time), never serviced.  The
-    cache-filter memo of :meth:`stage_pair` lives here too, so it dies
-    with the session.
+    cache-filter memo of :meth:`stage_pair` and the marginal-cost memo
+    of :meth:`marginal_pair` live here too, so they die with the
+    session.
     """
 
     def __init__(self, disk: HardDisk, wnic: WirelessNic,
@@ -433,6 +436,11 @@ class CostModel:
         #: filtered bursts per profile pack, valid for ``_memo_vfs``.
         self._memos: dict[_ProfilePack, list[_MemoEntry | None]] = {}
         self._memo_vfs: ResidencyOracle | None = None
+        #: marginal costs by (disk state, WNIC state, bytes, op) and by
+        #: (disk state, bytes): pure functions of the frozen specs.
+        self._pairs: dict[tuple[str, str, Bytes, OpType],
+                          tuple[MarginalCost, MarginalCost]] = {}
+        self._disk_marginals: dict[tuple[str, Bytes], MarginalCost] = {}
 
     # -- stage-granular estimates --------------------------------------
     def stage_estimate(self, source: DataSource,
@@ -540,25 +548,36 @@ class CostModel:
 
         Advances the live devices to ``now`` first so a pending DPM
         timeout (spin-down, CAM->PSM) is reflected in the device state
-        the estimate starts from.
+        the estimate starts from.  The estimates read only the frozen
+        specs and the two power states, so the pair is memoised per
+        ``(disk state, WNIC state, nbytes, op)`` for the session.
         """
-        self.disk.advance_to(now)
-        self.wnic.advance_to(now)
-        t_d, e_d = self.disk.estimate_service(nbytes)
-        direction = Direction.RECV if op is OpType.READ else Direction.SEND
-        t_n, e_n = self.wnic.estimate_service(nbytes, direction=direction)
-        return MarginalCost(t_d, e_d), MarginalCost(t_n, e_n)
+        disk, wnic = self.disk, self.wnic
+        disk.advance_to(now)
+        wnic.advance_to(now)
+        key = (disk.core.state, wnic.core.state, nbytes, op)
+        pair = self._pairs.get(key)
+        if pair is None:
+            t_d, e_d = disk.estimate_service(nbytes)
+            direction = (Direction.RECV if op is OpType.READ
+                         else Direction.SEND)
+            t_n, e_n = wnic.estimate_service(nbytes, direction=direction)
+            pair = self._pairs[key] = (MarginalCost(t_d, e_d),
+                                       MarginalCost(t_n, e_n))
+        return pair
 
     def disk_marginal(self, nbytes: Bytes, *,
                       from_state: str | None = None) -> MarginalCost:
         """Marginal disk cost of one request, optionally from a forced
-        power state (the ghost-hint counterfactual uses IDLE)."""
-        if from_state is None:
-            t, e = self.disk.estimate_service(nbytes)
-        else:
-            t, e = self.disk.estimate_service(nbytes,
-                                              from_state=from_state)
-        return MarginalCost(t, e)
+        power state (the ghost-hint counterfactual uses IDLE); memoised
+        per ``(state, nbytes)`` like :meth:`marginal_pair`."""
+        state = from_state or self.disk.core.state
+        key = (state, nbytes)
+        cost = self._disk_marginals.get(key)
+        if cost is None:
+            cost = self._disk_marginals[key] = MarginalCost(
+                *self.disk.estimate_service(nbytes, from_state=state))
+        return cost
 
     # -- one-time investments and marginals ----------------------------
     def disk_transition_investment(self) -> Joules:

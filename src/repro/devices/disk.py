@@ -233,8 +233,17 @@ def disk_step(core: DiskCore, time: float, size: Bytes = -1,
         # Spinning already: a free, instantaneous switch to active (its
         # zero impulse still opens the bucket).
         energy["disk.idle->active"] += 0.0
-        if core.timeline is not None:
-            core.timeline.record(start, _ACTIVE)
+        # PowerCore.transition's accrual, inline: a live disk makes this
+        # switch on nearly every request.
+        seconds = core.state_seconds
+        if seconds is not None:
+            since = core.state_since
+            if start > since:
+                seconds[_IDLE] += start - since
+                core.state_since = start
+            elif start < since - 1e-9:
+                raise ValueError(f"disk: state change at {start} before"
+                                 f" the last one at {since}")
     elif state != _ACTIVE:
         start = _spin_up(core, start)
         clock = core._last_time
@@ -253,8 +262,13 @@ def disk_step(core: DiskCore, time: float, size: Bytes = -1,
     core._power = spec.idle_power
     core._bucket = "disk.idle"
     core.state = _IDLE
-    if core.timeline is not None:
-        core.timeline.record(completion, _IDLE)
+    seconds = core.state_seconds
+    if seconds is not None:
+        # Active since the switch or the spin-up, which ``start`` follows.
+        since = core.state_since
+        if completion > since:
+            seconds[_ACTIVE] += completion - since
+            core.state_since = completion
     if completion > core.busy_until:
         core.busy_until = completion
     if completion > core.last_activity:
@@ -274,7 +288,7 @@ def disk_run(core: DiskCore, time: float, bursts: Sequence[PackedBurst],
     completion, and after every burst but the last its think,
     ``time += thinks[b]`` and an advance through the step.  The step
     serves each think and each request until the disk is in its steady
-    state: idle with no advance due, no timeline to record, and every
+    state: idle with no advance due, no residency to accrue, and every
     bucket a request charges already open, so
     :meth:`~repro.sim.metrics.EnergyMeter.total` sums the buckets in
     the same order.  No state can change from there to the burst's
@@ -294,7 +308,7 @@ def disk_run(core: DiskCore, time: float, bursts: Sequence[PackedBurst],
     for b, (sizes, recv, blocks, nblocks, lo, hi) in enumerate(bursts):
         while lo < hi:
             if not opened:
-                opened = (core.timeline is None
+                opened = (core.state_seconds is None
                           and "disk.idle->active" in energy
                           and "disk.active->idle" in energy
                           and (not charge or "disk.active" in energy))
@@ -558,8 +572,8 @@ class HardDisk(PowerStateMachine):
         # Clamp to the busy horizon exactly as service() does: a hint can
         # arrive timestamped before an in-flight transition (e.g. a failed
         # demand spin-up) has finished, and starting the transition inside
-        # that window would let the timeline disagree with the (clamping)
-        # energy meter.
+        # that window would let the residency disagree with the
+        # (clamping) energy meter.
         ready = _spin_up(core, max(time, core.busy_until))
         core.transition(ready, _IDLE)
         self.note_activity(ready)

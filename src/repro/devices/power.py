@@ -4,9 +4,9 @@ Both device models share the same skeleton: a set of named states each
 drawing constant power, and transitions that take wall time and burn a
 lump of energy.  :class:`PowerCore` holds a machine's whole operating
 point in one slots record: the energy meter it extends (clock, draw,
-joules per bucket), the power state, the DPM timers and the state
-timeline.  :class:`PowerStateMachine` wraps a core with the state and
-transition tables.
+joules per bucket), the power state, the DPM timers and the seconds
+spent in each state.  :class:`PowerStateMachine` wraps a core with the
+state and transition tables.
 
 Each device adds one plain *step* function over its core
 (:func:`~repro.devices.disk.disk_step`,
@@ -22,6 +22,11 @@ estimator (§2.2) calls the same step on a :meth:`PowerCore.what_if`
 copy, so the estimate starts from the device's *actual* operating
 point and can never drift from it.
 
+A live core accrues the seconds per state at every state change, in
+:meth:`PowerCore.transition` and inline at
+:func:`~repro.devices.disk.disk_step`'s idle<->active switches; a
+what-if copy does not.
+
 The machine is *pull-based*: callers advance it to an absolute time with
 :meth:`PowerStateMachine.advance_to`, then query or mutate state.  This
 matches how the replay simulator uses devices — they only need to be
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, TypeVar
 
-from repro.sim.metrics import EnergyMeter, StateTimeline
+from repro.sim.metrics import EnergyMeter
 from repro.units import Joules, Seconds, Watts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,13 +98,15 @@ class PowerCore(EnergyMeter):
     """A machine's operating point: its meter plus state and DPM timers.
 
     ``counts`` tallies the transitions made through :meth:`transition`
-    by bucket.  ``timeline`` is the machine's, and ``None`` on a
-    what-if copy: estimation only reads energy deltas.  ``transitions``
-    is the machine's immutable table, shared by reference.
+    by bucket.  ``state_seconds`` holds the seconds spent in each state
+    before ``state_since``, the time of the last state change; it is
+    ``None`` on a what-if copy, as estimation only reads energy deltas.
+    ``transitions`` is the machine's immutable table, shared by
+    reference.
     """
 
     __slots__ = ("name", "state", "last_activity", "busy_until",
-                 "counts", "timeline", "transitions")
+                 "counts", "state_seconds", "state_since", "transitions")
 
     def __init__(self, name: str, transitions: TransitionTable,
                  state: str, power: Watts, start_time: Seconds) -> None:
@@ -111,14 +118,16 @@ class PowerCore(EnergyMeter):
         #: time until which the device is committed (transition/transfer).
         self.busy_until = start_time
         self.counts: defaultdict[str, int] = defaultdict(int)
-        self.timeline: StateTimeline | None = None
+        self.state_seconds: defaultdict[str, float] | None = \
+            defaultdict(float)
+        self.state_since = start_time
         self.set_power(start_time, power, f"{name}.{state}")
 
     def what_if(self: _C) -> _C:
         """A copy at this operating point for what-if simulation.
 
         The copy's meter starts fresh at this clock and draw (its bucket
-        is the state's own), and it keeps no timeline.
+        is the state's own), and it accrues no residency.
         """
         new = object.__new__(type(self))
         for name in _slot_names(type(self)):
@@ -126,8 +135,13 @@ class PowerCore(EnergyMeter):
         new._bucket = f"{self.name}.{self.state}"
         new._energy = defaultdict(float)
         new.counts = defaultdict(int)
-        new.timeline = None
+        new.state_seconds = None
         return new
+
+    def accrue(self) -> None:
+        """Start accruing residency from this core's clock."""
+        self.state_seconds = defaultdict(float)
+        self.state_since = self._last_time
 
     def transition(self, time: float, dst: str,
                    bucket: str | None = None) -> float:
@@ -143,6 +157,17 @@ class PowerCore(EnergyMeter):
                 f"{self.name}: illegal transition {self.state!r}->{dst!r}")
         tr_time, tr_energy, default_bucket, dst_power, dst_bucket = info
         bucket = bucket or default_bucket
+        seconds = self.state_seconds
+        if seconds is not None:
+            # The change is stamped at max(time, last change); a repeated
+            # state is no change.
+            since = self.state_since
+            if time < since - 1e-9:
+                raise ValueError(f"{self.name}: state change at {time}"
+                                 f" before the last one at {since}")
+            if time > since and dst != self.state:
+                seconds[self.state] += time - since
+                self.state_since = time
         # The datasheet impulse covers the whole switching window, so no
         # supplemental draw is charged during [time, done); the
         # destination state's power applies from completion.
@@ -155,8 +180,6 @@ class PowerCore(EnergyMeter):
         self._power = dst_power
         self._bucket = dst_bucket
         self.state = dst
-        if self.timeline is not None:
-            self.timeline.record(time, dst)
         if done > self.busy_until:
             self.busy_until = done
         return done
@@ -195,8 +218,6 @@ class PowerStateMachine:
         self.core = self._core_type(name, table, initial_state,
                                     by_name[initial_state].power,
                                     start_time)
-        self.timeline = self.core.timeline = StateTimeline(initial_state,
-                                                           start_time)
         #: injected-fault timeline (None = the paper's fault-free devices).
         self._faults: FaultSchedule | None = None
 
@@ -210,16 +231,15 @@ class PowerStateMachine:
 
         The clone carries the machine's *current* operating point
         (state, power draw, DPM timers, head position) but a fresh
-        meter and timeline — estimation only ever reads energy deltas,
+        meter and residency — estimation only ever reads energy deltas,
         and copying the full history made cloning O(run length).  It
         is blind to the fault schedule: estimation must neither consume
         fault state nor foresee failures.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new.core = core = self.core.what_if()
-        new.timeline = core.timeline = StateTimeline(core.state,
-                                                     core.last_time)
+        new.core = self.core.what_if()
+        new.core.accrue()
         new._faults = None
         return new
 
@@ -248,8 +268,19 @@ class PowerStateMachine:
         return self.core.total(upto)
 
     def residency(self, end_time: Seconds) -> dict[str, float]:
-        """Seconds per state from start to ``end_time``."""
-        return self.timeline.residency(end_time)
+        """Seconds per state from start to ``end_time``: the accrued
+        seconds plus the open segment.  ``end_time`` may not precede the
+        last state change (a run ends past every busy horizon)."""
+        core = self.core
+        seconds = core.state_seconds
+        since = core.state_since
+        if seconds is None or end_time < since:
+            raise ValueError(f"{self.name}: no residency up to {end_time}"
+                             f" (last state change at {since})")
+        out = dict(seconds)
+        if end_time > since:
+            out[core.state] = out.get(core.state, 0.0) + (end_time - since)
+        return out
 
     # -- time advancement -------------------------------------------------
     def advance_to(self, time: float) -> None:

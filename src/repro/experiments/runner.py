@@ -226,7 +226,8 @@ def build_fault_schedule(faults: FaultSpec | None,
 
     Schedules carry a mutable spin-up cursor, so every cell gets its
     own; building from ``(spec, seed)`` keeps the timeline a pure
-    function of the cache-key inputs.
+    function of the cache-key inputs, and the timelines themselves are
+    generated once per key.
     """
     if faults is None or not faults.enabled:
         return None

@@ -203,6 +203,52 @@ def _spinup_draws(rng: np.random.Generator, prob: float, n: int,
     return tuple(out)
 
 
+#: A schedule's outages, rate windows and spin-up draws, sorted.
+_Timelines = tuple[tuple[tuple[float, float], ...], tuple[RateWindow, ...],
+                   tuple[bool, ...]]
+#: The timelines generated per ``(spec, seed)``: pure functions of their
+#: key, so every schedule built from one key (each faulted cell of a
+#: sweep) shares one generation.
+_GENERATED: dict[tuple[FaultSpec, int], _Timelines] = {}
+
+
+def _generated(spec: FaultSpec, seed: int) -> _Timelines:
+    """The memoised timelines of ``(spec, seed)``, each process on its
+    own :func:`~repro.sim.rng.child_seed` stream."""
+    timelines = _GENERATED.get((spec, seed))
+    if timelines is None:
+        windows = _poisson_windows(
+            make_rng(seed, "faults.rate"), spec.rate_flap_rate,
+            spec.rate_flap_mean, spec.horizon)
+        pick = make_rng(seed, "faults.rate-choice")
+        timelines = _GENERATED[(spec, seed)] = (
+            _sorted_outages(_poisson_windows(
+                make_rng(seed, "faults.outages"), spec.outage_rate,
+                spec.outage_mean, spec.horizon)),
+            _sorted_windows([
+                RateWindow(start, end, FALLBACK_RATES_BPS[
+                    int(pick.integers(len(FALLBACK_RATES_BPS)))])
+                for start, end in windows]),
+            _spinup_draws(
+                make_rng(seed, "faults.spinup"), spec.spinup_fail_prob,
+                _SPINUP_DRAWS, spec.max_consecutive_spinup_failures))
+    return timelines
+
+
+def _sorted_outages(outages: Sequence[tuple[float, float]]
+                    ) -> tuple[tuple[float, float], ...]:
+    out = tuple((float(a), float(b)) for a, b in sorted(outages))
+    for a, b in out:
+        if b <= a:
+            raise FaultSpecError(f"outage ({a}, {b}) has no duration")
+    return out
+
+
+def _sorted_windows(windows: Sequence[RateWindow]
+                    ) -> tuple[RateWindow, ...]:
+    return tuple(sorted(windows, key=lambda w: w.start))
+
+
 class FaultSchedule:
     """A concrete, fully materialised fault timeline.
 
@@ -220,7 +266,9 @@ class FaultSchedule:
 
     The schedule's only mutable state is the spin-up outcome cursor;
     use :meth:`copy` to obtain a fresh, rewound schedule for another
-    run over the same timeline.
+    run over the same timeline.  Generated timelines are built once per
+    ``(spec, seed)`` in a process and shared: a schedule only wraps them
+    with its own cursor.
     """
 
     def __init__(self, spec: FaultSpec | None = None, *,
@@ -228,59 +276,32 @@ class FaultSchedule:
                  outages: Sequence[tuple[float, float]] | None = None,
                  rate_windows: Sequence[RateWindow] | None = None,
                  spinup_failures: Sequence[bool] | None = None) -> None:
-        self.spec = spec or FaultSpec()
-        self.seed = int(seed)
-        if outages is None:
-            outages = _poisson_windows(
-                make_rng(seed, "faults.outages"), self.spec.outage_rate,
-                self.spec.outage_mean, self.spec.horizon)
-        if rate_windows is None:
-            windows = _poisson_windows(
-                make_rng(seed, "faults.rate"), self.spec.rate_flap_rate,
-                self.spec.rate_flap_mean, self.spec.horizon)
-            pick = make_rng(seed, "faults.rate-choice")
-            rate_windows = [
-                RateWindow(start, end,
-                           FALLBACK_RATES_BPS[
-                               int(pick.integers(len(FALLBACK_RATES_BPS)))])
-                for start, end in windows
-            ]
-        if spinup_failures is None:
-            spinup_failures = _spinup_draws(
-                make_rng(seed, "faults.spinup"), self.spec.spinup_fail_prob,
-                _SPINUP_DRAWS, self.spec.max_consecutive_spinup_failures)
-        self.outages: tuple[tuple[float, float], ...] = tuple(
-            (float(a), float(b)) for a, b in sorted(outages))
-        for a, b in self.outages:
-            if b <= a:
-                raise FaultSpecError(f"outage ({a}, {b}) has no duration")
-        self.rate_windows: tuple[RateWindow, ...] = tuple(
-            sorted(rate_windows, key=lambda w: w.start))
-        self._spinup_failures: tuple[bool, ...] = tuple(
-            bool(x) for x in spinup_failures)
+        self.spec = spec = spec or FaultSpec()
+        self.seed = seed = int(seed)
+        if outages is None or rate_windows is None \
+                or spinup_failures is None:
+            generated = _generated(spec, seed)
+        self.outages: tuple[tuple[float, float], ...] = (
+            generated[0] if outages is None else _sorted_outages(outages))
+        self.rate_windows: tuple[RateWindow, ...] = (
+            generated[1] if rate_windows is None
+            else _sorted_windows(rate_windows))
+        self._spinup_failures: tuple[bool, ...] = (
+            generated[2] if spinup_failures is None
+            else tuple(bool(x) for x in spinup_failures))
         self._spinup_cursor = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether this schedule can perturb a run at all."""
-        return bool(self.outages or self.rate_windows
-                    or any(self._spinup_failures))
-
-    @property
-    def affects_network(self) -> bool:
-        return bool(self.outages or self.rate_windows)
-
-    @property
-    def affects_disk(self) -> bool:
-        return any(self._spinup_failures)
+        #: whether the link can fail or slow down.
+        self.affects_network = bool(self.outages or self.rate_windows)
+        #: whether a spin-up can fail.
+        self.affects_disk = any(self._spinup_failures)
+        #: whether this schedule can perturb a run at all.
+        self.enabled = self.affects_network or self.affects_disk
 
     def copy(self) -> FaultSchedule:
         """Same timeline, spin-up cursor rewound (for a fresh run)."""
-        new = FaultSchedule(self.spec, seed=self.seed,
-                            outages=self.outages,
-                            rate_windows=self.rate_windows,
-                            spinup_failures=self._spinup_failures)
+        new = object.__new__(FaultSchedule)
+        new.__dict__.update(self.__dict__)
+        new._spinup_cursor = 0
         return new
 
     # ------------------------------------------------------------------

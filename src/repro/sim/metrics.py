@@ -1,73 +1,19 @@
-"""Energy and state-residency accounting.
+"""Energy accounting.
 
 Devices report *which state they are in*; these meters turn that into
-joules and per-state residency seconds by integrating power over time.
-Transition costs (spin-up energy, mode-switch energy) are added as
-impulses via :meth:`EnergyMeter.add_impulse` so the per-cause breakdown in
-the experiment reports stays exact.
+joules by integrating power over time (the seconds per state accrue on
+the device's power core, :mod:`repro.devices.power`).  Transition costs
+(spin-up energy, mode-switch energy) are added as impulses via
+:meth:`EnergyMeter.add_impulse` so the per-cause breakdown in the
+experiment reports stays exact.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Iterator
+
 from repro.units import ABS_TOLERANCE, Joules, Seconds, Watts
-
-
-class StateTimeline:
-    """Append-only record of ``(time, state)`` changes.
-
-    Useful for debugging policies (e.g. verifying the disk really stayed
-    spun down through a make compile gap) and for residency assertions in
-    tests.  Consecutive duplicate states are coalesced.
-    """
-
-    def __init__(self, initial_state: str, start_time: Seconds = 0.0) -> None:
-        self._times: list[float] = [start_time]
-        self._states: list[str] = [initial_state]
-
-    def record(self, time: float, state: str) -> None:
-        """Record that the state became ``state`` at ``time``."""
-        if time < self._times[-1] - 1e-9:
-            raise ValueError(
-                f"timeline must be monotonic: {time} < {self._times[-1]}")
-        if state == self._states[-1]:
-            return
-        self._times.append(max(time, self._times[-1]))
-        self._states.append(state)
-
-    def segments(self, end_time: Seconds) -> Iterator[tuple[float, float, str]]:
-        """Yield ``(start, end, state)`` segments up to ``end_time``."""
-        for i, (t, s) in enumerate(zip(self._times, self._states, strict=True)):
-            t_next = self._times[i + 1] if i + 1 < len(self._times) else end_time
-            if t_next > t:
-                yield (t, min(t_next, end_time), s)
-            if t_next >= end_time:
-                break
-
-    def residency(self, end_time: Seconds) -> dict[str, float]:
-        """Seconds spent in each state from start to ``end_time``.
-
-        The sum over :meth:`segments`, in the same order, written as a
-        plain loop: a run's timeline has thousands of segments.
-        """
-        times = self._times
-        states = self._states
-        last = len(times) - 1
-        out: dict[str, float] = {}
-        for i, t in enumerate(times):
-            t_next = times[i + 1] if i < last else end_time
-            if t_next > t:
-                state = states[i]
-                end = end_time if end_time < t_next else t_next
-                out[state] = out.get(state, 0.0) + (end - t)
-            if t_next >= end_time:
-                break
-        return out
-
-    def __len__(self) -> int:
-        return len(self._states)
 
 
 @dataclass

@@ -88,6 +88,42 @@ class TestService:
             HardDisk().service(0.0, -1)
 
 
+class TestResidency:
+    """The step accrues the free idle<->active switches inline; each
+    request splits the time before it (idle) from its service
+    (active)."""
+
+    def test_requests_split_idle_from_active(self):
+        disk = HardDisk(initially_standby=False)
+        first = disk.service(5.0, 1 * MB)
+        second = disk.service(first.completion + 2.0, 64 * 1024)
+        end = second.completion + 3.0
+        idle = 0.0 + (first.start - 0.0)
+        active = 0.0 + (first.completion - first.start)
+        idle += second.start - first.completion
+        active += second.completion - second.start
+        idle += end - second.completion
+        assert disk.residency(end) == {"idle": idle, "active": active}
+
+    def test_a_spin_up_is_standby_then_active(self):
+        disk = HardDisk()
+        result = disk.service(4.0, 1 * MB)
+        end = result.completion + 1.0
+        assert disk.residency(end) == {
+            "standby": 4.0, "active": result.completion - 4.0,
+            "idle": end - result.completion}
+
+
+    def test_a_clone_accrues_from_its_own_clock(self):
+        disk = HardDisk(initially_standby=False)
+        disk.advance_to(10.0)
+        clone = disk.clone()
+        assert clone.residency(12.0) == {"idle": 2.0}
+        # Switching to active before the clone's accrual began raises.
+        with pytest.raises(ValueError):
+            clone.service(5.0, 4096)
+
+
 class TestSpinupRetry:
     """Demand spin-ups under injected failures: each failed attempt
     runs a full spin-up window, then backs off exponentially.  Expected

@@ -5,8 +5,9 @@ request.
 the device is in its steady state, then serve the rest of the burst
 with the step's own float operations.  These properties hold the two to
 bit equality on equal cores: the returned time, every ``__slots__``
-field (the DPM policy and the timeline by their state), and the energy
-buckets in order, since ``total()`` sums them in dict order.  The drawn
+field (the DPM policy by its state, the residency a live core accrues
+by its floats in order), and the energy buckets in order, since
+``total()`` sums them in dict order.  The drawn
 stages reach every hand-back: bursts that start in standby or asleep,
 PSM-sized requests on a dozing card, a first write after reads, and
 zero-latency or zero-power specs.
@@ -26,7 +27,6 @@ from repro.devices.dpm import AdaptiveTimeout
 from repro.devices.power import PackedBurst, PowerCore
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA
 from repro.devices.wnic import WirelessNic, wnic_run, wnic_step
-from repro.sim.metrics import StateTimeline
 
 
 def _asleep_disk() -> HardDisk:
@@ -125,12 +125,12 @@ def _state(core: PowerCore) -> list[tuple[str, object]]:
     return [(name, _bits(getattr(core, name))) for name in names]
 
 
-def _check(device, step, run, bursts, thinks, now, with_timeline):
+def _check(device, step, run, bursts, thinks, now, accruing):
     ran, stepped = device.core.what_if(), device.core.what_if()
-    if with_timeline:
-        # A live core records its states: every request is the step's.
+    if accruing:
+        # A live core accrues residency: every request is the step's.
         for core in (ran, stepped):
-            core.timeline = StateTimeline(core.state, core.last_time)
+            core.accrue()
     assert _state(ran) == _state(stepped)
     t_run = run(ran, now, bursts, thinks)
     t_step = _step_loop(step, stepped, now, bursts, thinks)
@@ -141,21 +141,21 @@ def _check(device, step, run, bursts, thinks, now, with_timeline):
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(DISKS)), stage=_stage,
        now=st.sampled_from([0.0, 0.5, 30.0]),
-       with_timeline=st.booleans())
-def test_disk_run_is_the_step_loop(kind, stage, now, with_timeline):
+       accruing=st.booleans())
+def test_disk_run_is_the_step_loop(kind, stage, now, accruing):
     bursts, thinks = _pack(stage)
     _check(DISKS[kind](), disk_step, disk_run, bursts, thinks, now,
-           with_timeline)
+           accruing)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(WNICS)), stage=_stage,
        now=st.sampled_from([0.0, 0.5, 30.0]),
-       with_timeline=st.booleans())
-def test_wnic_run_is_the_step_loop(kind, stage, now, with_timeline):
+       accruing=st.booleans())
+def test_wnic_run_is_the_step_loop(kind, stage, now, accruing):
     bursts, thinks = _pack(stage)
     _check(WNICS[kind](), wnic_step, wnic_run, bursts, thinks, now,
-           with_timeline)
+           accruing)
 
 
 def test_long_bursts_accumulate_in_the_step_order():

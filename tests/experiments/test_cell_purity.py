@@ -51,6 +51,7 @@ from repro.experiments.parallel import (
     _execute_job,
     stage_payload,
 )
+from repro.faults import schedule
 from repro.faults.schedule import FaultSpec
 from tests.conftest import make_trace
 
@@ -63,7 +64,14 @@ DECLARED_MEMOS = frozenset({
     ("repro.sim.plan", "_LAYOUT_MEMO"),
     ("repro.experiments.parallel", "_WORKER_PAYLOADS"),
     ("repro.traces.compile", "_COMPILE_CACHE"),
+    ("repro.faults.schedule", "_GENERATED"),
 })
+
+#: every cell's seed.
+SEED = 3
+#: the faulted cell's fault processes.
+FAULTS = FaultSpec(outage_rate=0.02, rate_flap_rate=0.02,
+                   spinup_fail_prob=0.3)
 
 
 def _trace():
@@ -88,7 +96,7 @@ def _run(specs: tuple[ProgramSpec, ...],
          faults: FaultSpec | None) -> tuple[str, RunResult]:
     """Build, key and execute one FlexFetch cell, as a sweep worker
     would; the first program is the profiled one."""
-    config = ExperimentConfig(seed=3)
+    config = ExperimentConfig(seed=SEED)
     refs = tuple(ProgramRef.of(spec) for spec in specs)
     for spec, ref in zip(specs, refs, strict=True):
         stage_payload(ref.digest, spec.trace)
@@ -105,11 +113,9 @@ def _run(specs: tuple[ProgramSpec, ...],
     return key, _execute_job(job).result
 
 
-def _cell() -> tuple[str, RunResult]:
+def _cell(faults: FaultSpec = FAULTS) -> tuple[str, RunResult]:
     """The faulted single-program cell."""
-    return _run((ProgramSpec(_trace()).prepared(),),
-                FaultSpec(outage_rate=0.02, rate_flap_rate=0.02,
-                          spinup_fail_prob=0.3))
+    return _run((ProgramSpec(_trace()).prepared(),), faults)
 
 
 def _two_program_cell() -> tuple[str, RunResult]:
@@ -190,7 +196,13 @@ def test_cell_leaves_module_state_unchanged() -> None:
     _import_all_repro_modules()
     before = _module_containers()
     snapshot = {where: copy.copy(value) for where, value in before.items()}
-    _cell()
+    # Faults no other cell in this process draws, so the declared fault
+    # memo grows here.
+    generated = schedule._GENERATED
+    faults = dataclasses.replace(FAULTS, horizon=FAULTS.horizon + 1.0)
+    assert (faults, SEED) not in generated
+    _cell(faults)
+    assert (faults, SEED) in generated
     after = _module_containers()
     changed = sorted(
         f"{module}.{attr}" for (module, attr), value in before.items()

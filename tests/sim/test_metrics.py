@@ -1,11 +1,16 @@
-"""Unit and property tests for energy/state accounting."""
+"""Unit and property tests for energy/state accounting.
+
+Per-state residency accrues on a device's power core
+(:mod:`repro.devices.power`); its tests live here with the meter's.
+"""
 
 from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.sim.metrics import EnergyMeter, StateTimeline, TimeWeightedStat
+from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
+from repro.sim.metrics import EnergyMeter, TimeWeightedStat
 
 
 class TestEnergyMeter:
@@ -70,93 +75,145 @@ class TestEnergyMeter:
             prev_total = total
 
 
+STATES = ("active", "idle", "standby")
+
+
+def _machine(start: float = 0.0,
+             initial: str = "active") -> PowerStateMachine:
+    """A machine whose states may all change into each other, and into
+    themselves (a repeated state), freely and instantly."""
+    return PowerStateMachine(
+        "m", [StateSpec(name, 1.0) for name in STATES],
+        [TransitionSpec(src, dst, 0.0, 0.0)
+         for src in STATES for dst in STATES], initial, start)
+
+
+class _Timeline:
+    """The reference: an append-only list of ``(time, state)`` changes.
+
+    A change is stamped at ``max(time, last change)``, a repeated state
+    is coalesced, and a time more than 1e-9 before the last change
+    raises.
+    """
+
+    def __init__(self, state: str, start: float) -> None:
+        self.changes = [(start, state)]
+
+    def record(self, time: float, state: str) -> None:
+        last_time, last_state = self.changes[-1]
+        if time < last_time - 1e-9:
+            raise ValueError("time went backwards")
+        if state != last_state:
+            self.changes.append((max(time, last_time), state))
+
+    def residency(self, end_time: float) -> dict[str, float]:
+        """The sum over the segments, in order, from a zero per state."""
+        out: defaultdict[str, float] = defaultdict(float)
+        ends = [t for t, _ in self.changes[1:]] + [end_time]
+        for (start, state), end in zip(self.changes, ends, strict=True):
+            if end > start:
+                out[state] += end - start
+        return dict(out)
+
+
 class TestStateTimeline:
+    """A machine's state timeline accrues on its power core: each state
+    change adds the seconds since the previous one to the state left."""
+
     def test_residency(self):
-        tl = StateTimeline("idle", 0.0)
-        tl.record(4.0, "active")
-        tl.record(6.0, "idle")
-        res = tl.residency(10.0)
-        assert res["idle"] == pytest.approx(8.0)
-        assert res["active"] == pytest.approx(2.0)
+        m = _machine(initial="idle")
+        m.transition(4.0, "active")
+        m.transition(6.0, "idle")
+        assert m.residency(10.0) == {"idle": 8.0, "active": 2.0}
 
     def test_duplicate_states_coalesce(self):
-        tl = StateTimeline("idle")
-        tl.record(1.0, "idle")
-        tl.record(2.0, "idle")
-        assert len(tl) == 1
+        m = _machine(initial="idle")
+        m.transition(1.0, "idle")
+        m.transition(2.0, "idle")
+        assert m.core.state_seconds == {}
+        assert m.core.state_since == 0.0
+        assert m.residency(3.0) == {"idle": 3.0}
 
     def test_monotonicity_enforced(self):
-        tl = StateTimeline("idle", 5.0)
+        m = _machine(start=5.0, initial="idle")
         with pytest.raises(ValueError):
-            tl.record(1.0, "active")
+            m.transition(1.0, "active")
+        # Within the 1e-9 slack, the change is stamped at the last one.
+        m.transition(5.0 - 1e-10, "active")
+        assert m.core.state_since == 5.0
 
     def test_segments_clip_at_end(self):
-        tl = StateTimeline("a", 0.0)
-        tl.record(3.0, "b")
-        segs = list(tl.segments(2.0))
-        assert segs == [(0.0, 2.0, "a")]
+        m = _machine(initial="active")
+        m.transition(3.0, "idle")
+        assert m.residency(3.0) == {"active": 3.0}
+        assert m.residency(4.5) == {"active": 3.0, "idle": 1.5}
 
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
-                    max_size=40))
+    @given(st.lists(st.sampled_from(STATES), min_size=1, max_size=40))
     def test_residency_sums_to_elapsed(self, states):
-        tl = StateTimeline("a", 0.0)
+        m = _machine()
         for i, s in enumerate(states):
-            tl.record(float(i + 1), s)
+            m.transition(float(i + 1), s)
         end = float(len(states) + 3)
-        assert sum(tl.residency(end).values()) == pytest.approx(end)
-
-
-def _reference_residency(tl, end_time):
-    """The sum over ``segments()`` that ``residency`` must reproduce."""
-    out = defaultdict(float)
-    for start, end, state in tl.segments(end_time):
-        out[state] += end - start
-    return dict(out)
+        assert sum(m.residency(end).values()) == pytest.approx(end)
 
 
 class TestResidencyMatchesSegments:
-    """``residency`` is a plain loop over the timeline; it must add the
-    same segments in the same order as the sum over ``segments()``, so
-    its floats are equal, not close."""
+    """The accrual adds the same segments in the same order as a sum
+    over the recorded changes, so its floats are equal, not close, and
+    its keys come in the same first-seen order."""
 
     def test_end_before_the_last_change(self):
-        tl = StateTimeline("a", 1.0)
-        for t, s in ((2.5, "b"), (4.0, "c"), (7.0, "a")):
-            tl.record(t, s)
-        for end in (0.5, 1.0, 2.5, 3.0, 5.0, 7.0):
-            assert tl.residency(end) == _reference_residency(tl, end)
-        assert tl.residency(3.0) == {"a": 1.5, "b": 0.5}
-        assert tl.residency(1.0) == {"a": 0.0}
+        m = _machine(start=1.0, initial="active")
+        for t, s in ((2.5, "idle"), (4.0, "standby"), (7.0, "active")):
+            m.transition(t, s)
+        for end in (0.5, 1.0, 2.5, 6.9):
+            with pytest.raises(ValueError):
+                m.residency(end)
+        assert m.residency(7.0) == {"active": 1.5, "idle": 1.5,
+                                    "standby": 3.0}
 
     def test_coalesced_duplicate_states(self):
-        tl = StateTimeline("a", 0.0)
-        for t, s in ((1.0, "a"), (2.0, "b"), (2.0, "b"), (3.0, "b"),
-                     (3.0, "a")):
-            tl.record(t, s)
-        assert len(tl) == 3
-        assert tl.residency(10.0) == _reference_residency(tl, 10.0) \
-            == {"a": 9.0, "b": 1.0}
+        m = _machine(initial="active")
+        timeline = _Timeline("active", 0.0)
+        for t, s in ((1.0, "active"), (2.0, "idle"), (2.0, "idle"),
+                     (3.0, "idle"), (3.0, "active")):
+            m.transition(t, s)
+            timeline.record(t, s)
+        assert len(timeline.changes) == 3
+        assert m.residency(10.0) == timeline.residency(10.0) \
+            == {"active": 9.0, "idle": 1.0}
 
     @given(start=st.floats(-50.0, 50.0, allow_nan=False),
            steps=st.lists(
                st.tuples(st.one_of(st.just(0.0),
-                                   st.floats(0.0, 30.0, allow_nan=False)),
-                         st.sampled_from(["active", "idle", "standby"])),
+                                   st.floats(-1e-3, 30.0, allow_nan=False)),
+                         st.sampled_from(STATES)),
                max_size=40),
-           end_offset=st.floats(-10.0, 1500.0, allow_nan=False))
+           end_offset=st.floats(0.0, 1500.0, allow_nan=False))
     @example(start=0.0, steps=[(1.0, "idle"), (1.0, "active")],
              end_offset=1.5)
+    @example(start=0.0, steps=[(1.0, "idle"), (-1e-10, "standby"),
+                               (0.0, "standby")], end_offset=0.0)
     def test_equals_the_sum_over_segments(self, start, steps, end_offset):
-        tl = StateTimeline("active", start)
+        """Random changes: equal-time ones, repeated states, steps back
+        within and beyond the slack."""
+        m = _machine(start=start)
+        timeline = _Timeline("active", start)
         t = start
         for dt, state in steps:
             t += dt
-            tl.record(t, state)
-        end = start + end_offset
-        got = tl.residency(end)
-        want = _reference_residency(tl, end)
-        assert got == want
-        assert list(got) == list(want)     # same first-seen order
+            try:
+                timeline.record(t, state)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    m.transition(t, state)
+                return
+            m.transition(t, state)
+        end = timeline.changes[-1][0] + end_offset
+        got = m.residency(end)
+        want = timeline.residency(end)
+        assert [(k, v.hex()) for k, v in got.items()] \
+            == [(k, v.hex()) for k, v in want.items()]
 
 
 class TestTimeWeightedStat:
