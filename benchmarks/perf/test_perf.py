@@ -15,7 +15,8 @@ gates apply:
 * **serial budget** — the cold serial grid (compile + plan + evaluate)
   must finish within ``BENCH_SERIAL_BUDGET`` seconds (default 3.0);
 * **speedup floor** — on a multi-core host, parallel execution must
-  beat serial outright (``BENCH_SPEEDUP_FLOOR``, default 1.0);
+  beat serial outright (``BENCH_SPEEDUP_FLOOR``, default 1.0), each
+  side timed as the best of two uncached runs;
 * **baseline** — the committed ``BENCH_sweep.json`` doubles as the
   perf baseline: the parallel speedup may not regress below
   ``SPEEDUP_SLACK`` of the recorded one, gated only when ``cpu_count``
@@ -32,7 +33,6 @@ overhead, which is noise, not signal.
 
 import json
 import os
-import pickle
 import time
 from pathlib import Path
 
@@ -45,12 +45,7 @@ from repro.core.profile import profile_from_trace
 from repro.core.workload import ProgramSpec
 from repro.experiments.cache import RunCache
 from repro.experiments.figures import FlexFetchFactory
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    ProgramRef,
-    SweepJob,
-    _prepare_factory,
-)
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import ProgramSet, _build_session
 from repro.sim import plan as plan_mod
 from repro.sim.plan import plan_for
@@ -63,7 +58,7 @@ GOLDEN_PATH = RESULTS_DIR / "golden.json"
 
 # A new measurement may fall to 70% of the recorded speedup before the
 # smoke fails — wide enough for shared-runner noise, tight enough to
-# catch the dispatch path growing an O(trace) pickle again.
+# catch a per-cell dispatch cost growing back.
 SPEEDUP_SLACK = 0.7
 #: Cold serial seconds the whole grid must fit in (env-overridable for
 #: slower shared runners).
@@ -160,17 +155,6 @@ def _assert_matches_golden(curves, bench_config):
                     f"{panel}/{name}[{i}]: {g} != pinned {w}"
 
 
-def _job_pickle_bytes(programs, policies, bench_config):
-    """Size of the largest per-cell job the pool would ship."""
-    refs = tuple(ProgramRef.of(spec) for spec in programs.specs)
-    return max(
-        len(pickle.dumps(SweepJob(
-            index=0, curve=name, programs=refs,
-            policy_factory=_prepare_factory(factory),
-            wnic_spec=bench_config.wnic_spec, config=bench_config)))
-        for name, factory in policies.items())
-
-
 def _load_baseline():
     if not BENCH_PATH.exists():
         return None
@@ -242,19 +226,29 @@ def test_sweep_modes(sweep_inputs, bench_config, tmp_path_factory):
         f"(compile {compile_s:.3f} + plan {plan_s:.3f} + evaluate "
         f"{evaluate_s:.3f}) > budget {SERIAL_BUDGET_S:.1f}s")
 
-    # Parallel run doubles as the cache-populating cold run.
-    cold = ParallelSweepExecutor(workers, cache=RunCache(cache_dir),
-                                 clamp_to_cpus=True)
-    parallel_curves, parallel_s = _timed_sweep(
-        cold, programs, policies, panels, bench_config)
-    _assert_identical(serial_curves, parallel_curves, "parallel")
-    assert cold.live_runs == cells and cold.cache_hits == 0
+    # Best-of-two uncached parallel runs, timed the way the serial side
+    # is, so one unlucky run on a loaded host cannot fail the floor.
+    parallel_s = float("inf")
+    for label in ("parallel", "parallel rerun"):
+        parallel_curves, elapsed = _timed_sweep(
+            ParallelSweepExecutor(workers, clamp_to_cpus=True), programs,
+            policies, panels, bench_config)
+        _assert_identical(serial_curves, parallel_curves, label)
+        parallel_s = min(parallel_s, elapsed)
 
     speedup = evaluate_s / parallel_s
     if cpu_count >= 2 and workers >= 2:
         assert speedup >= SPEEDUP_FLOOR, (
             f"parallel ({workers} workers on {cpu_count} CPUs) must "
             f"beat serial: {speedup:.2f}x < floor {SPEEDUP_FLOOR:.2f}x")
+
+    # The warm leg needs a populated cache: fill it in a run of its own.
+    cold = ParallelSweepExecutor(workers, cache=RunCache(cache_dir),
+                                 clamp_to_cpus=True)
+    cold_curves, _ = _timed_sweep(cold, programs, policies, panels,
+                                  bench_config)
+    _assert_identical(serial_curves, cold_curves, "cache fill")
+    assert cold.live_runs == cells and cold.cache_hits == 0
 
     warm = ParallelSweepExecutor(workers, cache=RunCache(cache_dir),
                                  clamp_to_cpus=True)
@@ -292,8 +286,6 @@ def test_sweep_modes(sweep_inputs, bench_config, tmp_path_factory):
         "parallel_live_runs": cold.live_runs,
         "warm_live_runs": warm.live_runs,
         "warm_cache_hits": warm.cache_hits,
-        "job_pickle_bytes": _job_pickle_bytes(programs, policies,
-                                              bench_config),
     }
     verdict = _gate_against_baseline(report, baseline)
     report["baseline_gate"] = verdict

@@ -144,10 +144,9 @@ def _describe(obj: Any) -> Any:
 def payload_digest(obj: Any) -> str:
     """Content digest of a describable value (profile, spec, ...).
 
-    The sha256 of the canonical JSON :func:`_describe` produces — the
-    hash a heavy payload is keyed under in the worker registry and in
-    digest-based ``cache_token()`` implementations, so shipping a
-    payload by reference and by value key identically.
+    The sha256 of the canonical JSON :func:`_describe` produces — how
+    digest-based ``cache_token()`` implementations key a heavy payload
+    such as an execution profile.
     """
     canonical = json.dumps(_describe(obj), sort_keys=True,
                            separators=(",", ":"))

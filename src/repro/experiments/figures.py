@@ -34,7 +34,7 @@ from repro.core.telemetry import RunResult
 from repro.core.workload import ProgramSpec
 from repro.experiments.cache import RunCache, payload_digest
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ParallelSweepExecutor, resolve_payload
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import (
     PolicyFactory,
     ProgramSet,
@@ -77,15 +77,22 @@ class FlexFetchFactory:
     """Picklable, cache-keyable FlexFetch policy factory.
 
     Historically a closure; made a value object so sweep cells can be
-    shipped to worker processes and described for run-cache keys.  The
-    fields are exactly the inputs the built policy's behaviour depends
-    on, which is what :meth:`cache_token` promises.
+    described for run-cache keys.  The ``__init__`` fields are exactly
+    the inputs the built policy's behaviour depends on, which is what
+    :meth:`cache_token` promises.
     """
 
     profile: ExecutionProfile
     loss_rate: float
     stage_length: float
     adaptive: bool = True
+    #: ``payload_digest(profile)``, filled by the first
+    #: :meth:`cache_token` call.  Hashing a profile costs up to tens of
+    #: milliseconds and a sweep keys every cell, so it is done once per
+    #: factory — and lazily, because building a factory that is never
+    #: keyed must stay cheap.
+    profile_digest: str | None = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     def __call__(self) -> FlexFetchPolicy:
         return FlexFetchPolicy(self.profile, FlexFetchConfig(
@@ -94,57 +101,13 @@ class FlexFetchFactory:
             adaptive=self.adaptive))
 
     def cache_token(self) -> dict[str, object]:
-        # The profile participates by content digest, not by value —
-        # the same token the dispatch form produces, so a cell keys
-        # identically however the factory is shipped.
+        # The profile participates by content digest, not by value.
+        digest = self.profile_digest
+        if digest is None:
+            digest = payload_digest(self.profile)
+            object.__setattr__(self, "profile_digest", digest)
         return {"factory": type(self).__qualname__,
-                "profile_digest": payload_digest(self.profile),
-                "loss_rate": self.loss_rate,
-                "stage_length": self.stage_length,
-                "adaptive": self.adaptive}
-
-    def prepare_for_dispatch(self, stage: Callable[[str, object], str]
-                             ) -> _PreparedFlexFetchFactory:
-        """Digest-referencing form for worker dispatch.
-
-        Stages the execution profile (the one heavy field) via
-        ``stage`` and returns a factory that carries only its digest —
-        a :class:`~repro.experiments.parallel.SweepJob` holding the
-        prepared form pickles to a constant size however long the
-        profiled trace was.
-        """
-        digest = stage(payload_digest(self.profile), self.profile)
-        return _PreparedFlexFetchFactory(
-            profile_digest=digest, loss_rate=self.loss_rate,
-            stage_length=self.stage_length, adaptive=self.adaptive)
-
-
-@dataclass(frozen=True, slots=True)
-class _PreparedFlexFetchFactory:
-    """:class:`FlexFetchFactory` with the profile staged by digest.
-
-    Built only via :meth:`FlexFetchFactory.prepare_for_dispatch`; the
-    profile is resolved from the fork-inherited payload registry at
-    policy-construction time in the worker.  ``cache_token()`` is
-    byte-identical to the unprepared factory's.
-    """
-
-    profile_digest: str
-    loss_rate: float
-    stage_length: float
-    adaptive: bool = True
-
-    def __call__(self) -> FlexFetchPolicy:
-        profile = resolve_payload(self.profile_digest)
-        assert isinstance(profile, ExecutionProfile)
-        return FlexFetchPolicy(profile, FlexFetchConfig(
-            loss_rate=self.loss_rate,
-            stage_length=self.stage_length,
-            adaptive=self.adaptive))
-
-    def cache_token(self) -> dict[str, object]:
-        return {"factory": FlexFetchFactory.__qualname__,
-                "profile_digest": self.profile_digest,
+                "profile_digest": digest,
                 "loss_rate": self.loss_rate,
                 "stage_length": self.stage_length,
                 "adaptive": self.adaptive}

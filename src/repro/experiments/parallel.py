@@ -18,15 +18,11 @@ of the codebase already guarantees:
   :class:`~repro.core.session.SimulationSession`), independent of
   whatever else ran in the worker process.
 
-Heavy payloads never ride inside job pickles.  Before the pool spawns,
-the parent stages each distinct compiled trace (and any policy-factory
-payload, such as an execution profile) in the module-level
-:data:`_WORKER_PAYLOADS` registry, keyed by content digest; forked
-workers inherit the registry copy-on-write.  A :class:`SweepJob`
-therefore carries only parameters plus :class:`ProgramRef` digests —
-its pickled size is independent of trace length — and
-:func:`_execute_job` resolves the digests against the worker's
-inherited registry.
+No job crosses a pipe.  The pool stores the job table before it forks
+any worker (supervision respawns included), so every worker inherits
+the :class:`SweepJob` values — prepared specs, the caller's policy
+factories, and the parent-built burst plan in
+:data:`repro.sim.plan._PLAN_MEMO` — and is sent only cell indices.
 
 On top of the fan-out the executor layers the resilience story:
 
@@ -52,8 +48,7 @@ import os
 import pstats
 import time
 import traceback
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -67,6 +62,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
     PolicyFactory,
+    ProgramSet,
     SweepPoint,
     build_fault_schedule,
     progress_line,
@@ -81,8 +77,7 @@ from repro.experiments.supervisor import (
 )
 from repro.faults.chaos import CacheChaos, ChaosInjector, ChaosSpec
 from repro.faults.schedule import FaultSpec
-from repro.sim.plan import plan_for, plan_key
-from repro.traces.compile import CompiledTrace
+from repro.sim.plan import plan_for
 from repro.units import BytesPerSecond, Seconds
 
 
@@ -111,133 +106,24 @@ class SweepCellError(RuntimeError):
         self.remote_traceback = remote_traceback or ""
 
 
-#: Per-process payload registry, keyed by content digest.  The parent
-#: stages every distinct compiled trace and policy-factory payload here
-#: before the pool spawns; workers fork from the parent (including
-#: supervision respawns) and inherit the mapping copy-on-write, so each
-#: payload crosses the process boundary once per worker lifetime
-#: instead of once per job pickle.  Staging is idempotent — digests are
-#: content hashes, so re-staging the same digest stores an equal value.
-_WORKER_PAYLOADS: dict[str, object] = {}
-
-
-class UnknownPayloadDigestError(KeyError):
-    """A job referenced a digest absent from the payload registry.
-
-    Only possible when a :class:`SweepJob` (or prepared policy factory)
-    is executed in a process that did not fork from the parent that
-    staged its payloads — e.g. a hand-built job in a fresh interpreter.
-    """
-
-    def __init__(self, digest: str) -> None:
-        super().__init__(
-            f"payload digest {digest[:12]}... is not staged in this"
-            " process; sweep jobs must run in workers forked from the"
-            " parent that built them (see stage_payload)")
-        self.digest = digest
-
-
-#: payload types :func:`stage_payload` refuses: a staged value is shared
-#: copy-on-write by every forked worker under a content digest, so a
-#: mutable one could drift from the digest it is keyed under.
-_MUTABLE_PAYLOADS = (list, dict, set, bytearray)
-
-
-def stage_payload(digest: str, payload: object) -> str:
-    """Stage an immutable payload for digest-keyed worker resolution."""
-    if isinstance(payload, _MUTABLE_PAYLOADS):
-        raise TypeError(
-            f"cannot stage a mutable {type(payload).__name__} payload;"
-            " stage an immutable value (tuple, frozenset, frozen"
-            " dataclass)")
-    _WORKER_PAYLOADS[digest] = payload
-    return digest
-
-
-def resolve_payload(digest: str) -> object:
-    """The staged payload for ``digest`` (parent or forked worker)."""
-    try:
-        return _WORKER_PAYLOADS[digest]
-    except KeyError:
-        raise UnknownPayloadDigestError(digest) from None
-
-
-@contextmanager
-def _sweep_staging() -> Iterator[None]:
-    """Release, when a sweep ends, every payload it staged that was not
-    staged before it.
-
-    A sweep's workers fork while it runs and inherit the registry
-    then, so nothing resolves its payloads after it: keeping them
-    would hold every trace, profile and plan a process ever swept.
-    """
-    before = set(_WORKER_PAYLOADS)
-    try:
-        yield
-    finally:
-        for digest in _WORKER_PAYLOADS.keys() - before:
-            del _WORKER_PAYLOADS[digest]
-
-
-@dataclass(frozen=True, slots=True)
-class ProgramRef:
-    """A :class:`ProgramSpec` by reference: flags plus trace digest.
-
-    The job-pickle form of a prepared spec — constant-size however long
-    the trace is.  ``digest`` is the compiled trace's content digest,
-    resolved against the worker's inherited payload registry.
-    """
-
-    digest: str
-    profiled: bool = True
-    disk_pinned: bool = False
-
-    @classmethod
-    def of(cls, spec: ProgramSpec) -> ProgramRef:
-        return cls(digest=spec.compiled.digest, profiled=spec.profiled,
-                   disk_pinned=spec.disk_pinned)
-
-    def resolve(self) -> ProgramSpec:
-        trace = resolve_payload(self.digest)
-        assert isinstance(trace, CompiledTrace)
-        return ProgramSpec(trace=trace, profiled=self.profiled,
-                           disk_pinned=self.disk_pinned)
-
-
-def _prepare_factory(factory: PolicyFactory) -> PolicyFactory:
-    """A factory's dispatch form, with its heavy payloads staged.
-
-    Factories that embed large values (e.g. an execution profile)
-    expose ``prepare_for_dispatch(stage)``; it stages the payloads via
-    the given callable and returns an equivalent digest-referencing
-    factory whose ``cache_token()`` is identical.  Plain factories pass
-    through unchanged.
-    """
-    prepare = getattr(factory, "prepare_for_dispatch", None)
-    if prepare is None:
-        return factory
-    return prepare(stage_payload)
-
-
 @dataclass(frozen=True, slots=True)
 class SweepJob:
     """Everything one worker needs to run one sweep cell.
 
-    The job is a plain picklable value whose size does not scale with
-    trace length: programs are :class:`ProgramRef` digests into the
-    fork-inherited payload registry, and prepared policy factories
-    reference their payloads the same way.
+    Workers inherit jobs at fork rather than receiving them pickled, so
+    ``programs`` holds the prepared specs themselves and
+    ``policy_factory`` is the caller's factory, lambdas included.
     """
 
     index: int
     curve: str
-    programs: tuple[ProgramRef, ...]
+    programs: tuple[ProgramSpec, ...]
     policy_factory: PolicyFactory
     wnic_spec: WnicSpec
     config: ExperimentConfig
-    #: fault *spec*, not schedule: the frozen spec pickles cheaply and
-    #: the worker rebuilds the (mutable-cursor) schedule from
-    #: (spec, seed) — the same pair the cache key hashes.
+    #: fault *spec*, not schedule: the cell rebuilds its own
+    #: (mutable-cursor) schedule from (spec, seed) — the same pair the
+    #: cache key hashes.
     faults: FaultSpec | None = None
     #: shadow-verify the cell against the live kernel path
     #: (:mod:`repro.core.shadow`); None defers to ``REPRO_SANITIZE``.
@@ -247,7 +133,7 @@ class SweepJob:
 
 
 #: Per-cell profiling sink, armed parent-side before the pool forks
-#: (like the payload registry, workers inherit the value copy-on-write).
+#: (like the job table, workers inherit the value copy-on-write).
 #: When set, every executed cell dumps a cProfile capture into it.
 _PROFILE_DIR: str | None = None
 
@@ -293,17 +179,17 @@ def profile_report(stats: pstats.Stats, *, top: int = 25) -> str:
 
 
 def _execute_job(job: SweepJob) -> SweepPoint:
-    """Worker entry point: run one cell (module-level, hence picklable)."""
-    specs = [ref.resolve() for ref in job.programs]
+    """Run one cell, in a pool worker or in-process."""
+    programs = ProgramSet(job.programs)
     schedule = build_fault_schedule(job.faults, job.config.seed)
     if _PROFILE_DIR is None:
-        return run_point(lambda: list(specs), job.policy_factory,
+        return run_point(programs, job.policy_factory,
                          job.wnic_spec, job.config, faults=schedule,
                          sanitize=job.sanitize)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        return run_point(lambda: list(specs), job.policy_factory,
+        return run_point(programs, job.policy_factory,
                          job.wnic_spec, job.config, faults=schedule,
                          sanitize=job.sanitize)
     finally:
@@ -400,8 +286,8 @@ class ParallelSweepExecutor:
     Parameters
     ----------
     workers:
-        Process count.  ``1`` runs every cell in-process (no pool, no
-        pickling of jobs) — the zero-risk fallback path.  Retries apply
+        Process count.  ``1`` runs every cell in-process (no pool) —
+        the zero-risk fallback path.  Retries apply
         on both paths; timeouts and chaos worker-kill/hang only exist
         on the pool path (the parent cannot SIGKILL itself).
     cache:
@@ -501,107 +387,88 @@ class ParallelSweepExecutor:
         then an empty-curves dict, and peak point retention is bounded
         by the out-of-order completion window rather than the grid size.
 
-        The payloads the sweep stages for its workers are released when
-        it ends (see :func:`_sweep_staging`).
+        A single-program sweep builds its burst plan here, before any
+        cell runs: :func:`~repro.sim.plan.plan_for` memoises it
+        process-wide, so every serial cell and every forked worker
+        reuses that one plan.
         """
-        with _sweep_staging():
-            specs = tuple(spec.prepared() for spec in programs_factory())
-            refs = tuple(ProgramRef.of(spec) for spec in specs)
-            for spec, ref in zip(specs, refs, strict=True):
-                stage_payload(ref.digest, spec.trace)
-            if len(specs) == 1:
-                # Build the burst plan once, parent-side: plan_for memoises
-                # it process-wide, so forked workers (and every serial cell)
-                # inherit the finished plan copy-on-write instead of each
-                # re-walking the kernel path.  Staging it in the payload
-                # registry alongside the trace makes the sharing observable.
-                plan = plan_for(specs[0].compiled, config.memory_bytes,
-                                config.seed)
-                stage_payload(plan_key(plan.digest, config.memory_bytes,
-                                       config.seed), plan)
-            factories = {name: _prepare_factory(factory)
-                         for name, factory in policy_factories.items()}
-            self._ensure_cache_chaos(config.seed)
-            jobs: list[SweepJob] = []
-            for spec in wnic_specs:
-                for name, factory in factories.items():
-                    jobs.append(SweepJob(index=len(jobs), curve=name,
-                                         programs=refs,
-                                         policy_factory=factory,
-                                         wnic_spec=spec, config=config,
-                                         faults=faults,
-                                         sanitize=self.sanitize))
+        specs = tuple(spec.prepared() for spec in programs_factory())
+        if len(specs) == 1:
+            plan_for(specs[0].compiled, config.memory_bytes, config.seed)
+        self._ensure_cache_chaos(config.seed)
+        jobs: list[SweepJob] = []
+        for spec in wnic_specs:
+            for name, factory in policy_factories.items():
+                jobs.append(SweepJob(index=len(jobs), curve=name,
+                                     programs=specs,
+                                     policy_factory=factory,
+                                     wnic_spec=spec, config=config,
+                                     faults=faults,
+                                     sanitize=self.sanitize))
 
-            keys = self._keys_for(jobs, specs)
-            if self.journal is not None:
-                assert keys is not None
-                self.journal.begin_sweep(
-                    [keys[job.index] for job in jobs],
-                    salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
+        keys = self._keys_for(jobs)
+        if self.journal is not None:
+            assert keys is not None
+            self.journal.begin_sweep(
+                [keys[job.index] for job in jobs],
+                salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
 
-            points = _PointStore(consumer)
-            failures: list[CellFailure] = []
-            corrupt_before = self.cache.corrupt_rows if self.cache else 0
-            pending = self._drain_journal(jobs, points, progress, keys)
-            pending = self._drain_cache(pending, points, progress, keys)
-            if pending:
-                # Worker-count footgun guard: a pool wider than the pending
-                # cell count only spawns idle processes, and a 1-cell pool
-                # pays fork/pickle overhead for no concurrency — clamp, and
-                # fall back to in-process execution for tiny remainders.
-                pool_workers = min(self.workers, len(pending))
-                if pool_workers <= 1:
-                    if self.workers > 1 and progress is not None:
-                        progress(f"[workers] {len(pending)} pending"
-                                 f" cell(s); running serially instead of"
-                                 f" spawning {self.workers} workers")
-                    self._run_serial(pending, points, failures, progress,
-                                     keys)
-                else:
-                    if pool_workers < self.workers and progress is not None:
-                        progress(f"[workers] clamped {self.workers} ->"
-                                 f" {pool_workers} for {len(pending)}"
-                                 " pending cell(s)")
-                    self._run_pool(pending, points, failures, progress,
-                                   keys, config.seed, pool_workers)
+        points = _PointStore(consumer)
+        failures: list[CellFailure] = []
+        corrupt_before = self.cache.corrupt_rows if self.cache else 0
+        pending = self._drain_journal(jobs, points, progress, keys)
+        pending = self._drain_cache(pending, points, progress, keys)
+        if pending:
+            # Worker-count footgun guard: a pool wider than the pending
+            # cell count only spawns idle processes, and a 1-cell pool
+            # pays fork overhead for no concurrency — clamp, and
+            # fall back to in-process execution for tiny remainders.
+            pool_workers = min(self.workers, len(pending))
+            if pool_workers <= 1:
+                if self.workers > 1 and progress is not None:
+                    progress(f"[workers] {len(pending)} pending"
+                             f" cell(s); running serially instead of"
+                             f" spawning {self.workers} workers")
+                self._run_serial(pending, points, failures, progress,
+                                 keys)
+            else:
+                if pool_workers < self.workers and progress is not None:
+                    progress(f"[workers] clamped {self.workers} ->"
+                             f" {pool_workers} for {len(pending)}"
+                             " pending cell(s)")
+                self._run_pool(pending, points, failures, progress,
+                               keys, config.seed, pool_workers)
 
-            if self.cache is not None and progress is not None:
-                corrupt = self.cache.corrupt_rows - corrupt_before
-                if corrupt:
-                    progress(f"[cache] {corrupt} corrupt row(s) fell back"
-                             " to live simulation")
+        if self.cache is not None and progress is not None:
+            corrupt = self.cache.corrupt_rows - corrupt_before
+            if corrupt:
+                progress(f"[cache] {corrupt} corrupt row(s) fell back"
+                         " to live simulation")
 
-            failures.sort(key=lambda f: f.index)
-            if failures:
-                self._finalise_failures(jobs, failures, points, progress,
-                                        keys)
-            if self.journal is not None:
-                self.journal.end_sweep(
-                    completed=points.added - len(failures),
-                    failed=len(failures))
+        failures.sort(key=lambda f: f.index)
+        if failures:
+            self._finalise_failures(jobs, failures, points, progress,
+                                    keys)
+        if self.journal is not None:
+            self.journal.end_sweep(
+                completed=points.added - len(failures),
+                failed=len(failures))
 
-            curves: dict[str, list[SweepPoint]] = {
-                name: [] for name in policy_factories}
-            if consumer is None:
-                for job in jobs:
-                    curves[job.curve].append(points.get(job.index))
-            return curves
+        curves: dict[str, list[SweepPoint]] = {
+            name: [] for name in policy_factories}
+        if consumer is None:
+            for job in jobs:
+                curves[job.curve].append(points.get(job.index))
+        return curves
 
     # ------------------------------------------------------------------
-    def _keys_for(self, jobs: list[SweepJob],
-                  specs: tuple[ProgramSpec, ...]
-                  ) -> dict[int, str] | None:
-        """Content keys per cell, when caching or journaling needs them.
-
-        Keys are computed from the resolved (prepared) specs — the
-        digest-bearing values — not the :class:`ProgramRef` wire form,
-        so a cell keys identically however it is shipped.
-        """
+    def _keys_for(self, jobs: list[SweepJob]) -> dict[int, str] | None:
+        """Content keys per cell, when caching or journaling needs them."""
         if self.cache is None and self.journal is None:
             return None
         salt = self.cache.salt if self.cache is not None \
             else CODE_VERSION_SALT
-        return {job.index: run_key(specs, job.policy_factory,
+        return {job.index: run_key(job.programs, job.policy_factory,
                                    job.wnic_spec, job.config,
                                    faults=job.faults, salt=salt)
                 for job in jobs}

@@ -258,7 +258,7 @@ def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
     *results* stay in sweep order but progress lines arrive in
     completion order.  A cell that raises surfaces, after the other
     cells ran, as :class:`~repro.experiments.parallel.SweepCellError`
-    with the cell's exception chained.  ``faults`` (a picklable spec,
+    with the cell's exception chained.  ``faults`` (a frozen spec,
     not a schedule) applies the same fault processes to every cell and
     participates in the cache key.  A pre-built ``executor`` overrides
     ``workers`` and ``cache`` — the seam through which supervision,

@@ -30,13 +30,11 @@ results/failures by index.  :mod:`repro.experiments.parallel` layers
 the sweep-ordering, caching, and journaling on top.
 
 Workers are **forked** from the parent — both the initial spawn and
-every supervision respawn — so they inherit, copy-on-write, whatever
-the parent staged before ``run()``: in particular the digest-keyed
-payload registry (:func:`repro.experiments.parallel.stage_payload`)
-that compiled traces and policy payloads ride in on.  Jobs shipped
-over the pipes can therefore reference those payloads by digest
-instead of carrying them, which is what keeps per-cell pickles
-constant-size.
+every supervision respawn — after ``run()`` has stored the job table,
+and each receives that table as a ``Process`` argument, which fork
+never pickles.  A worker therefore already holds every job: the pipe
+carries only ``(index, attempt)`` down, and the pickled result or
+exception back.
 
 Wall-clock reads in this module are supervision-only (deadlines and
 backoff sleeps); they never reach simulation results, which stay a pure
@@ -165,8 +163,10 @@ def _send_safe(exc: BaseException) -> BaseException:
 
 def _worker_main(conn: Connection,
                  execute: Callable[[Any], Any],
-                 chaos: ChaosInjector | None) -> None:
-    """Worker slot loop: receive ``(index, attempt, job)``, reply, repeat.
+                 chaos: ChaosInjector | None,
+                 jobs: Mapping[int, Any]) -> None:
+    """Worker slot loop: receive ``(index, attempt)``, run ``jobs[index]``,
+    reply, repeat.
 
     Module-level so the forked child runs no closure state; ``None``
     is the shutdown sentinel.  The chaos injector (if any) perturbs the
@@ -180,11 +180,11 @@ def _worker_main(conn: Connection,
             return
         if message is None:
             return
-        index, attempt, job = message
+        index, attempt = message
         try:
             if chaos is not None:
                 chaos.perturb(index, attempt)
-            result = execute(job)
+            result = execute(jobs[index])
         except Exception as exc:  # noqa: BLE001 - shipped to parent
             try:
                 conn.send(("error", index, attempt, _send_safe(exc),
@@ -338,7 +338,7 @@ class SupervisedPool:
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=_worker_main,
-            args=(child_conn, self.execute, self.chaos),
+            args=(child_conn, self.execute, self.chaos, self._jobs),
             daemon=True)
         process.start()
         child_conn.close()
@@ -360,13 +360,13 @@ class SupervisedPool:
         if self.on_start is not None:
             self.on_start(index, attempt)
         try:
-            worker.conn.send((index, attempt, self._jobs[index]))
+            worker.conn.send((index, attempt))
         except (BrokenPipeError, OSError):
             # The slot died while idle; replace it and re-queue by
             # retrying the dispatch on the fresh worker.
             self._replace(worker, pool)
             replacement = next(w for w in pool if w.task is None)
-            replacement.conn.send((index, attempt, self._jobs[index]))
+            replacement.conn.send((index, attempt))
             worker = replacement
         worker.task = (index, attempt)
         worker.deadline = None if self.timeout is None else \

@@ -11,7 +11,7 @@ built on (the closed-loop scheduler itself is a small heap inside
   :class:`~repro.sim.plan.PlanCursor` that replays them.
 * :mod:`repro.sim.rng` — reproducible per-component random streams.
 * :mod:`repro.sim.metrics` — continuous energy integration
-  (:class:`~repro.sim.metrics.EnergyMeter`) and time-weighted means.
+  (:class:`~repro.sim.metrics.EnergyMeter`).
 
 All times are float seconds; all energies are joules; all powers are watts.
 """
@@ -26,7 +26,7 @@ from repro.sim.clock import (
     bytes_per_second,
     SimulationError,
 )
-from repro.sim.metrics import EnergyMeter, TimeWeightedStat
+from repro.sim.metrics import EnergyMeter
 from repro.sim.rng import child_seed, make_rng
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "bytes_per_second",
     "SimulationError",
     "EnergyMeter",
-    "TimeWeightedStat",
     "child_seed",
     "make_rng",
 ]

@@ -11,37 +11,8 @@ experiment reports stays exact.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.units import ABS_TOLERANCE, Joules, Seconds, Watts
-
-
-@dataclass
-class TimeWeightedStat:
-    """Running time-weighted mean of a piecewise-constant signal."""
-
-    last_time: Seconds = 0.0
-    last_value: float = 0.0
-    weighted_sum: float = 0.0
-    total_time: Seconds = 0.0
-
-    def update(self, time: float, value: float) -> None:
-        """Signal changed to ``value`` at ``time``."""
-        if time < self.last_time:
-            raise ValueError(f"time went backwards: {time} < {self.last_time}")
-        dt = time - self.last_time
-        self.weighted_sum += self.last_value * dt
-        self.total_time += dt
-        self.last_time = time
-        self.last_value = value
-
-    def mean(self, now: float | None = None) -> float:
-        """Time-weighted mean, optionally extending the last value to ``now``."""
-        ws, tt = self.weighted_sum, self.total_time
-        if now is not None and now > self.last_time:
-            ws += self.last_value * (now - self.last_time)
-            tt += now - self.last_time
-        return ws / tt if tt > 0 else 0.0
 
 
 class EnergyMeter:

@@ -26,7 +26,7 @@ applied only when a cache-filter query asks about that inode, so a
 replay pays only for the inodes a policy reads.  Plans are memoised
 by trace content digest via :func:`plan_for`, so one plan per trace
 per process is shared copy-on-write across all sweep cells and forked
-workers — the same lifecycle as the compile-once trace registry.
+workers — the same lifecycle as the compile-once trace cache.
 
 The placed disk layout has the same lifecycle one level up:
 :func:`layout_for` places the files of an ordered program set once per
@@ -456,16 +456,12 @@ class PlanCursor:
         return k
 
 
-#: Plan-once memo, the planning sibling of the compile-once trace cache
-#: and the worker payload registry: populated in the sweep parent before
-#: the pool forks, inherited copy-on-write by every worker.  Keyed by
-#: content digest plus the two kernel-path inputs.
+#: Plan-once memo, the planning sibling of the compile-once trace
+#: cache: a single-program sweep fills it in the parent before the pool
+#: forks, and every worker inherits it copy-on-write.  Entries live as
+#: long as the process.  Keyed by content digest plus the two
+#: kernel-path inputs.
 _PLAN_MEMO: dict[tuple[str, int, int], BurstPlan] = {}
-
-
-def plan_key(digest: str, memory_bytes: Bytes, seed: int) -> str:
-    """Registry digest under which a plan is staged for workers."""
-    return f"burst-plan/{digest}/{int(memory_bytes)}/{int(seed)}"
 
 
 def plan_for(trace: CompiledTrace, memory_bytes: Bytes,

@@ -13,8 +13,8 @@ per op code, int64 per pid/inode/offset/size, float64 per think time)
 plus the file table, stamped with a content digest.  Everything the
 replay loop reads is precomputed with the exact float expressions the
 record-level driver used, so a compiled replay is bit-identical to a
-record-level one; the digest keys the run cache and the worker trace
-registry.
+record-level one; the digest keys the run cache and the burst-plan
+memo.
 
 :class:`TraceSource` is the seam real-trace ingestion plugs into: a
 source knows how to *load* a record-level trace and how to hand out its
@@ -59,7 +59,7 @@ class CompiledTrace:
     ``digest`` is a content hash over everything that reaches the
     simulator (name, op/pid/inode/offset/size columns, think times,
     start time, and the inode-sorted file table).  It keys the run
-    cache (salt v3) and the per-worker trace registry.
+    cache (salt v3) and the burst-plan memo.
     """
 
     name: str

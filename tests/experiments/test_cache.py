@@ -329,14 +329,39 @@ class TestPayloadDigest:
         assert payload_digest(profile_from_trace(small_trace())) != \
             payload_digest(profile_from_trace(other))
 
-    def test_prepared_factory_keys_like_unprepared(self, config):
-        """Shipping a factory by digest must not change cache keys."""
+    def test_factory_hashes_its_profile_once(self, monkeypatch):
+        """``cache_token()`` hashes each factory's profile on its first
+        call only; the kept digest is neither compared nor hashed."""
         from repro.core.profile import profile_from_trace
-        from repro.experiments.cache import policy_token
+        from repro.experiments import figures
+        from repro.experiments.cache import payload_digest, policy_token
         from repro.experiments.figures import FlexFetchFactory
-        from repro.experiments.parallel import _prepare_factory
-        factory = FlexFetchFactory(
-            profile=profile_from_trace(small_trace()),
-            loss_rate=0.25, stage_length=40.0)
-        assert policy_token(_prepare_factory(factory)) == \
-            policy_token(factory)
+        hashed = []
+
+        def counting_digest(obj):
+            hashed.append(obj)
+            return payload_digest(obj)
+
+        monkeypatch.setattr(figures, "payload_digest", counting_digest)
+        profile = profile_from_trace(small_trace())
+        other = profile_from_trace(make_trace(
+            [(1, 0, 65536, "read", 0.0)], name="cached",
+            file_sizes={1: 65536}))
+        factory = FlexFetchFactory(profile=profile, loss_rate=0.25,
+                                   stage_length=40.0)
+        tokens = [factory.cache_token() for _ in range(5)]
+        assert hashed == [profile]
+        assert tokens == [{"factory": "FlexFetchFactory",
+                           "profile_digest": payload_digest(profile),
+                           "loss_rate": 0.25, "stage_length": 40.0,
+                           "adaptive": True}] * 5
+        second = FlexFetchFactory(profile=other, loss_rate=0.25,
+                                  stage_length=40.0)
+        assert second.cache_token()["profile_digest"] == \
+            payload_digest(other)
+        assert hashed == [profile, other]
+        unhashed = FlexFetchFactory(profile=profile, loss_rate=0.25,
+                                    stage_length=40.0)
+        assert unhashed == factory
+        assert hash(unhashed) == hash(factory)
+        assert policy_token(unhashed) == policy_token(factory)

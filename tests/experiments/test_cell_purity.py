@@ -45,12 +45,7 @@ from repro.core.workload import ProgramSpec
 from repro.experiments.cache import run_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FlexFetchFactory
-from repro.experiments.parallel import (
-    ProgramRef,
-    SweepJob,
-    _execute_job,
-    stage_payload,
-)
+from repro.experiments.parallel import SweepJob, _execute_job
 from repro.faults import schedule
 from repro.faults.schedule import FaultSpec
 from tests.conftest import make_trace
@@ -62,7 +57,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 DECLARED_MEMOS = frozenset({
     ("repro.sim.plan", "_PLAN_MEMO"),
     ("repro.sim.plan", "_LAYOUT_MEMO"),
-    ("repro.experiments.parallel", "_WORKER_PAYLOADS"),
     ("repro.traces.compile", "_COMPILE_CACHE"),
     ("repro.faults.schedule", "_GENERATED"),
 })
@@ -97,15 +91,11 @@ def _run(specs: tuple[ProgramSpec, ...],
     """Build, key and execute one FlexFetch cell, as a sweep worker
     would; the first program is the profiled one."""
     config = ExperimentConfig(seed=SEED)
-    refs = tuple(ProgramRef.of(spec) for spec in specs)
-    for spec, ref in zip(specs, refs, strict=True):
-        stage_payload(ref.digest, spec.trace)
     factory = FlexFetchFactory(profile=profile_from_trace(_trace()),
                                loss_rate=config.loss_rate,
                                stage_length=config.stage_length)
-    job = SweepJob(index=0, curve="FlexFetch", programs=refs,
-                   policy_factory=factory.prepare_for_dispatch(
-                       stage_payload),
+    job = SweepJob(index=0, curve="FlexFetch", programs=specs,
+                   policy_factory=factory,
                    wnic_spec=config.wnic_spec, config=config,
                    faults=faults)
     key = run_key(specs, job.policy_factory, job.wnic_spec, job.config,

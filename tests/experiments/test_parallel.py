@@ -8,20 +8,16 @@ from repro.core.workload import ProgramSpec
 from repro.experiments.cache import RunCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FlexFetchFactory
-import repro.experiments.parallel as parallel_mod
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
-    ProgramRef,
     SweepCellError,
     SweepJob,
-    UnknownPayloadDigestError,
     _execute_job,
-    resolve_payload,
-    stage_payload,
 )
 from repro.experiments.runner import ProgramSet, run_sweep
 from repro.faults.schedule import FaultSpec
-from repro.sim.plan import BurstPlan, plan_key
+from repro.sim import plan as plan_mod
+from repro.sim.plan import BurstPlan
 from tests.conftest import make_trace
 
 
@@ -128,11 +124,8 @@ class TestWorkerFailure:
 
 class TestJobExecution:
     def test_execute_job_matches_direct_run(self, config, programs):
-        spec = programs.specs[0].prepared()
-        ref = ProgramRef.of(spec)
-        stage_payload(ref.digest, spec.trace)
         job = SweepJob(index=0, curve="Disk-only",
-                       programs=(ref,),
+                       programs=(programs.specs[0].prepared(),),
                        policy_factory=DiskOnlyPolicy,
                        wnic_spec=config.wnic_spec, config=config)
         direct = ParallelSweepExecutor(1).run_sweep(
@@ -141,30 +134,36 @@ class TestJobExecution:
         assert _execute_job(job).result == direct["Disk-only"][0].result
 
 
-class TestStagePayload:
-    @pytest.mark.parametrize("payload", [[1], {"a": 1}, {1}, bytearray(b"x")],
-                             ids=["list", "dict", "set", "bytearray"])
-    def test_mutable_payloads_are_refused(self, payload):
-        with pytest.raises(TypeError, match="mutable"):
-            stage_payload("digest-of-a-mutable-payload", payload)
-        with pytest.raises(KeyError):
-            resolve_payload("digest-of-a-mutable-payload")
+class TestInheritedJobs:
+    def test_pool_runs_unpicklable_factories(self, config, programs):
+        """Workers inherit the job table at fork, so a lambda — which
+        cannot be pickled — reaches them intact."""
+        profile = profile_from_trace(programs.specs[0].trace)
+        facts = {
+            "Disk-only": lambda: DiskOnlyPolicy(),
+            "FlexFetch": lambda: FlexFetchFactory(
+                profile=profile, loss_rate=0.25, stage_length=40.0)(),
+        }
+        specs = config.latency_points()
+        serial = ParallelSweepExecutor(1).run_sweep(
+            lambda: list(programs.specs), facts, specs, config)
+        pooled = ParallelSweepExecutor(2).run_sweep(
+            lambda: list(programs.specs), facts, specs, config)
+        assert pooled == serial
 
-
-class TestPlanStaging:
-    def test_faulted_sweep_stages_the_plan(self, config, programs,
-                                           monkeypatch):
+    def test_faulted_sweep_plans_in_the_parent(self, config, programs,
+                                              monkeypatch):
         """Faulted single-program cells ride the BurstPlan, so the
-        parent builds and stages it once for every worker to inherit,
-        for as long as the sweep runs; the sweep releases it after."""
-        monkeypatch.setattr(parallel_mod, "_WORKER_PAYLOADS", {})
+        sweep builds it in the parent before any cell runs, where
+        forked workers inherit it."""
+        monkeypatch.setattr(plan_mod, "_PLAN_MEMO", {})
         spec = programs.specs[0].prepared()
-        key = plan_key(spec.compiled.digest, config.memory_bytes,
-                       config.seed)
+        key = (spec.compiled.digest, int(config.memory_bytes),
+               int(config.seed))
         seen = []
 
         def observing_policy():
-            seen.append(resolve_payload(key))
+            seen.append(plan_mod._PLAN_MEMO.get(key))
             return DiskOnlyPolicy()
 
         ParallelSweepExecutor(1).run_sweep(
@@ -172,21 +171,7 @@ class TestPlanStaging:
             [config.wnic_spec], config,
             faults=FaultSpec(spinup_fail_prob=0.3))
         assert len(seen) == 1 and isinstance(seen[0], BurstPlan)
-        with pytest.raises(UnknownPayloadDigestError):
-            resolve_payload(key)
-        assert parallel_mod._WORKER_PAYLOADS == {}
-
-    def test_a_sweep_keeps_what_was_staged_before_it(self, config,
-                                                      programs,
-                                                      monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_WORKER_PAYLOADS", {})
-        spec = programs.specs[0].prepared()
-        stage_payload(spec.compiled.digest, spec.trace)
-        ParallelSweepExecutor(1).run_sweep(
-            ProgramSet((spec,)), {"Disk-only": DiskOnlyPolicy},
-            [config.wnic_spec], config)
-        assert list(parallel_mod._WORKER_PAYLOADS) == \
-            [spec.compiled.digest]
+        assert plan_mod._PLAN_MEMO[key] is seen[0]
 
 
 class TestParallelWithCache:
@@ -217,42 +202,6 @@ class TestParallelWithCache:
         assert mixed.live_runs == len(specs) - 1
         assert [p.latency for p in curves["Disk-only"]] == \
             [s.latency for s in specs]
-
-
-class TestJobPayloadSize:
-    """SweepJob pickles must not scale with trace length."""
-
-    BYTE_BUDGET = 4096
-
-    def _job_bytes(self, trace, config):
-        import pickle
-
-        from repro.core.profile import profile_from_trace
-        from repro.experiments.figures import FlexFetchFactory
-        from repro.experiments.parallel import _prepare_factory
-        spec = ProgramSpec(trace).prepared()
-        ref = ProgramRef.of(spec)
-        stage_payload(ref.digest, spec.trace)
-        factory = _prepare_factory(FlexFetchFactory(
-            profile=profile_from_trace(trace), loss_rate=0.25,
-            stage_length=40.0))
-        job = SweepJob(index=0, curve="FlexFetch", programs=(ref,),
-                       policy_factory=factory,
-                       wnic_spec=config.wnic_spec, config=config)
-        return len(pickle.dumps(job))
-
-    def test_fig3_cell_job_stays_under_byte_budget(self, config):
-        from repro.traces.synth import generate_thunderbird
-        size = self._job_bytes(generate_thunderbird(config.seed), config)
-        assert size < self.BYTE_BUDGET, \
-            f"fig3 SweepJob pickles to {size} B (> {self.BYTE_BUDGET})"
-
-    def test_job_size_independent_of_trace_length(self, config):
-        from repro.traces.synth import generate_thunderbird
-        tiny = self._job_bytes(small_trace(), config)
-        big = self._job_bytes(generate_thunderbird(config.seed), config)
-        # 2908 records vs 8 — the pickles differ only in digest noise.
-        assert abs(big - tiny) < 128, (tiny, big)
 
 
 class TestWorkerClamp:

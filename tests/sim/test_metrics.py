@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.devices.power import PowerStateMachine, StateSpec, TransitionSpec
-from repro.sim.metrics import EnergyMeter, TimeWeightedStat
+from repro.sim.metrics import EnergyMeter
 
 
 class TestEnergyMeter:
@@ -215,25 +215,3 @@ class TestResidencyMatchesSegments:
         assert [(k, v.hex()) for k, v in got.items()] \
             == [(k, v.hex()) for k, v in want.items()]
 
-
-class TestTimeWeightedStat:
-    def test_mean(self):
-        s = TimeWeightedStat()
-        s.update(0.0, 2.0)
-        s.update(10.0, 4.0)     # value was 2.0 for 10 s
-        s.update(20.0, 0.0)     # value was 4.0 for 10 s
-        assert s.mean() == pytest.approx(3.0)
-
-    def test_mean_with_projection(self):
-        s = TimeWeightedStat()
-        s.update(0.0, 2.0)
-        assert s.mean(now=5.0) == pytest.approx(2.0)
-
-    def test_empty_mean_is_zero(self):
-        assert TimeWeightedStat().mean() == 0.0
-
-    def test_backwards_time_rejected(self):
-        s = TimeWeightedStat()
-        s.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            s.update(4.0, 1.0)
