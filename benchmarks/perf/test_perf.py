@@ -3,8 +3,9 @@
 Runs the Figure-3 reduced grid (the same cells ``test_fig3.py`` pins to
 golden energies) three ways — serial, parallel workers, warm run cache —
 asserts all three produce bit-identical curves that match the pinned
-golden energies, and rewrites ``BENCH_sweep.json`` at the repo root
-(uploaded as a CI artifact by the perf-smoke job).
+golden energies, and writes the fresh report to the git-ignored
+``benchmarks/perf/results/BENCH_sweep.json`` (uploaded as a CI
+artifact by the perf-smoke job).
 
 The cold cost of a sweep is reported as a **phase breakdown** matching
 the two-phase replay pipeline (DESIGN.md §15, §16): lowering the trace
@@ -17,10 +18,10 @@ gates apply:
 * **speedup floor** — on a multi-core host, parallel execution must
   beat serial outright (``BENCH_SPEEDUP_FLOOR``, default 1.0), each
   side timed as the best of two uncached runs;
-* **baseline** — the committed ``BENCH_sweep.json`` doubles as the
-  perf baseline: the parallel speedup may not regress below
-  ``SPEEDUP_SLACK`` of the recorded one, gated only when ``cpu_count``
-  matches the baseline's;
+* **baseline** — the committed ``BENCH_sweep.json`` at the repo root
+  is the perf baseline, and no run rewrites it: the parallel speedup
+  may not regress below ``SPEEDUP_SLACK`` of the recorded one, gated
+  only when ``cpu_count`` matches the baseline's;
 * **sanitize budget** — a serial sweep under ``sanitize=True`` (which
   re-runs every fast-path cell through the event loop in shadow) must
   stay within ``SANITIZE_BUDGET_FACTOR`` (default 2.2) of the sum of
@@ -53,7 +54,10 @@ from repro.traces.compile import compile_trace
 from repro.traces.synth import generate_thunderbird
 from repro.units import approx_eq
 
+#: The committed baseline; a run only reads it.
 BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_sweep.json"
+#: Where each run writes its fresh report (git-ignored).
+REPORT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_sweep.json"
 GOLDEN_PATH = RESULTS_DIR / "golden.json"
 
 # A new measurement may fall to 70% of the recorded speedup before the
@@ -289,7 +293,8 @@ def test_sweep_modes(sweep_inputs, bench_config, tmp_path_factory):
     }
     verdict = _gate_against_baseline(report, baseline)
     report["baseline_gate"] = verdict
-    BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n",
-                          encoding="utf-8")
-    print(f"\nwrote {BENCH_PATH}:")
+    REPORT_PATH.parent.mkdir(exist_ok=True)
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
+                           encoding="utf-8")
+    print(f"\nwrote {REPORT_PATH}:")
     print(json.dumps(report, indent=2))

@@ -115,13 +115,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for policy in policies:
         faults = FaultSchedule(fault_spec, seed=args.seed) \
             if fault_spec is not None else None
-        result = (SimulationSession(list(scenario.programs), policy,
-                                    disk_spec=config.disk_spec,
-                                    wnic_spec=config.wnic_spec,
-                                    memory_bytes=config.memory_bytes,
-                                    seed=config.seed)
-                  .with_faults(faults)
-                  .run())
+        result = SimulationSession(list(scenario.programs), policy,
+                                   disk_spec=config.disk_spec,
+                                   wnic_spec=config.wnic_spec,
+                                   memory_bytes=config.memory_bytes,
+                                   seed=config.seed, faults=faults).run()
         line = result.summary()
         failovers = sum(result.fault_failovers.values())
         if failovers or result.disk_spinup_failures:

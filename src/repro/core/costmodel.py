@@ -36,11 +36,11 @@ There is one evaluation path (DESIGN.md §16).  A profile is packed once
 per disk layout into the columns residency does not change (placement,
 block counts, the read mask, cumulative bytes, each burst's read
 inodes); a stage is a range of its bursts, and a decision copies only
-the bursts the cache filter changes.  Each cost model (one per
-session) memoises every filtered burst under the residency versions of
-the inodes it reads, so a decision re-filters only the bursts whose
-read inodes changed residency since the last one.  It also memoises
-each per-request marginal cost under the devices' power states.
+the bursts the cache filter changes, querying residency live and only
+for the inodes the cache holds.  The layout is placed in full before
+any replay and never changes, so a pack never goes stale.  Each cost
+model (one per session) memoises each per-request marginal cost under
+the devices' power states.
 Request columns (the stage audit's observed requests) are placed and
 packed directly.
 This module holds no device arithmetic of its own; the test suite
@@ -91,17 +91,14 @@ class MarginalCost:
 class ResidencyOracle(Protocol):
     """Anything that can answer 'how much of this range is cached?'.
 
-    Both kernel surfaces also answer ``resident_inodes()``: a set of
-    inodes (``isdisjoint``, ``in``) outside which ``resident_bytes`` is
-    0, so the cache filter queries no other inode; and
-    ``residency_version(inode)``: a number that never decreases and
-    grows whenever the inode's residency changes, so a cost model can
-    reuse a burst it filtered before.  An oracle without the first has
-    every read queried, and one without the second every burst
-    filtered.
+    ``resident_inodes()`` is a set of inodes (``isdisjoint``, ``in``)
+    outside which ``resident_bytes`` is 0, so the cache filter queries
+    no other inode.  Both kernel surfaces answer both.
     """
 
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes: ...
+
+    def resident_inodes(self) -> AbstractSet[int]: ...
 
 
 class RequestColumns(NamedTuple):
@@ -184,7 +181,7 @@ def _place(layout: DiskLayout | None, inodes: Sequence[int],
 
 class _ProfilePack:
     """The residency-independent columns of a profile, packed once per
-    disk layout (holding ``nfiles`` files).
+    disk layout.
 
     ``bursts[b]`` is burst ``b`` as a :data:`PackedBurst` over the whole
     profile's columns: its sizes and read mask are the profile's own
@@ -194,8 +191,8 @@ class _ProfilePack:
     ``read_inodes[b]`` holds the inodes burst ``b`` reads.
     """
 
-    __slots__ = ("nfiles", "inodes", "offsets", "sizes", "reads", "bounds",
-                 "blocks", "nblocks", "cum_bytes", "bursts", "read_inodes")
+    __slots__ = ("inodes", "offsets", "sizes", "reads", "bounds", "blocks",
+                 "nblocks", "cum_bytes", "bursts", "read_inodes")
 
     def __init__(self, cols: ProfileColumns,
                  layout: DiskLayout | None) -> None:
@@ -204,7 +201,6 @@ class _ProfilePack:
         reads = cols.reads
         blocks, nblocks = _place(layout, inodes, cols.offsets, sizes)
         bounds = cols.bounds
-        self.nfiles = len(layout) if layout is not None else 0
         self.inodes = inodes
         self.offsets = cols.offsets
         self.sizes = sizes
@@ -238,27 +234,16 @@ class _PackedStage:
         self.total_requests = total_requests
 
 
-#: One memo slot of :meth:`CostModel.stage_pair`: the residency
-#: versions of the burst's read inodes, then what :func:`_filter_burst`
-#: returned under them.
-_MemoEntry = tuple[tuple[int, ...], PackedBurst | None, int, int]
-
-
 def _pack(base: _ProfilePack, first: int, stop: int,
-          vfs: ResidencyOracle | None,
-          memo: list[_MemoEntry | None] | None = None) -> _PackedStage:
+          vfs: ResidencyOracle | None) -> _PackedStage:
     """Bursts ``first:stop`` of ``base`` through the §2.3.2 cache filter.
 
     With ``vfs`` the filter drops fully resident reads and shrinks
     partially resident ones by their resident bytes (an approximation
     that preserves totals).  Writes always dirty pages regardless of
-    residency, so they pass unfiltered.  When ``vfs`` names the inodes
-    that may hold a resident page (``resident_inodes``, see
-    :class:`ResidencyOracle`), a burst reading none of them passes
-    whole and only reads of those inodes are queried.  With a ``memo``
-    (one slot per burst of ``base``) and a ``vfs`` that versions its
-    residency, a burst is filtered again only when the version of an
-    inode it reads has changed since the slot was filled.
+    residency, so they pass unfiltered.  A burst reading none of the
+    inodes ``vfs.resident_inodes()`` names passes whole, and only reads
+    of those inodes are queried.
     """
     bounds = base.bounds
     start, end = bounds[first], bounds[stop]
@@ -267,31 +252,15 @@ def _pack(base: _ProfilePack, first: int, stop: int,
     total_requests = end - start
     if vfs is None:
         return _PackedStage(bursts, total_bytes, total_requests)
-    holders = getattr(vfs, "resident_inodes", None)
-    held = holders() if holders is not None else None
-    version = getattr(vfs, "residency_version", None)
-    if version is None:
-        memo = None
+    held = vfs.resident_inodes()
     resident_bytes = vfs.resident_bytes
     read_inodes = base.read_inodes
     for b in range(first, stop):
         touched = read_inodes[b]
-        if not touched or (held is not None and held.isdisjoint(touched)):
+        if not touched or held.isdisjoint(touched):
             continue
-        if memo is None:
-            burst, fewer_bytes, fewer_requests = _filter_burst(
-                base, b, held, resident_bytes)
-        else:
-            # An inode outside ``held`` holds no page: -1, below every
-            # version, and no query.
-            key = tuple(map(version, touched)) if held is None else tuple(
-                [version(inode) if inode in held else -1
-                 for inode in touched])
-            entry = memo[b]
-            if entry is None or entry[0] != key:
-                entry = memo[b] = (key, *_filter_burst(
-                    base, b, held, resident_bytes))
-            _, burst, fewer_bytes, fewer_requests = entry
+        burst, fewer_bytes, fewer_requests = _filter_burst(
+            base, b, held, resident_bytes)
         if burst is not None:
             bursts[b - first] = burst
             total_bytes -= fewer_bytes
@@ -300,7 +269,7 @@ def _pack(base: _ProfilePack, first: int, stop: int,
 
 
 def _filter_burst(base: _ProfilePack, b: int,
-                  held: AbstractSet[int] | None,
+                  held: AbstractSet[int],
                   resident_bytes: Callable[[int, int, int], Bytes]
                   ) -> tuple[PackedBurst | None, Bytes, int]:
     """Burst ``b`` of ``base`` through the cache filter: the filtered
@@ -313,7 +282,7 @@ def _filter_burst(base: _ProfilePack, b: int,
     # new size, 0 when wholly resident.
     shrunk: dict[int, int] = {}
     for i in range(lo, hi):
-        if reads[i] and (held is None or inodes[i] in held):
+        if reads[i] and inodes[i] in held:
             size = col_sizes[i]
             resident = resident_bytes(inodes[i], offsets[i], size)
             if resident > 0:
@@ -411,9 +380,8 @@ class CostModel:
     :class:`~repro.core.system.MobileSystem` (as ``env.cost_model``).
     All estimates run on what-if copies; the live devices are only ever
     *advanced* (idempotent forward in time), never serviced.  The
-    cache-filter memo of :meth:`stage_pair` and the marginal-cost memo
-    of :meth:`marginal_pair` live here too, so they die with the
-    session.
+    marginal-cost memo of :meth:`marginal_pair` lives here too, so it
+    dies with the session.
     """
 
     def __init__(self, disk: HardDisk, wnic: WirelessNic,
@@ -433,9 +401,6 @@ class CostModel:
                                                - spec.idle_power)
         self._disk_transition_investment: Joules = (spec.spinup_energy
                                                     + spec.spindown_energy)
-        #: filtered bursts per profile pack, valid for ``_memo_vfs``.
-        self._memos: dict[_ProfilePack, list[_MemoEntry | None]] = {}
-        self._memo_vfs: ResidencyOracle | None = None
         #: marginal costs by (disk state, WNIC state, bytes, op) and by
         #: (disk state, bytes): pure functions of the frozen specs.
         self._pairs: dict[tuple[str, str, Bytes, OpType],
@@ -488,14 +453,14 @@ class CostModel:
         residency does not change — placement, block counts, the read
         mask, each burst's read inodes — comes from :meth:`_packed`,
         once per profile and layout.  The §2.3.2 cache filter then runs
-        once over the range, through this session's memo, and the one
-        :class:`_PackedStage` feeds both walks.
+        once over the range, and the one :class:`_PackedStage` feeds
+        both walks.
         """
         d_dev = disk if disk is not None else self.disk
         w_dev = wnic if wnic is not None else self.wnic
         thinks = profile.thinks[first:stop]
         base = self._packed(profile.columns)
-        pack = _pack(base, first, stop, vfs, self._memo(base, vfs))
+        pack = _pack(base, first, stop, vfs)
         return (_replay_packed(DataSource.DISK, d_dev, pack, thinks,
                                now=now, other_device=w_dev,
                                min_duration=None),
@@ -508,9 +473,8 @@ class CostModel:
 
         Kept on the columns for as long as the layout lives, so every
         cost model over one layout — each cell of a plan sweep — shares
-        it; packed on the first decision, once every file is
-        registered.  ``add_file`` never moves a placed file, so only a
-        grown layout invalidates.
+        it.  A layout never changes once placed, so neither does its
+        pack.
         """
         layout = self.layout
         if layout is None:
@@ -519,27 +483,9 @@ class CostModel:
         if packs is None:
             packs = cols.packed = WeakKeyDictionary()
         pack = packs.get(layout)
-        if not isinstance(pack, _ProfilePack) or pack.nfiles != len(layout):
+        if not isinstance(pack, _ProfilePack):
             pack = packs[layout] = _ProfilePack(cols, layout)
         return pack
-
-    def _memo(self, base: _ProfilePack, vfs: ResidencyOracle | None
-              ) -> list[_MemoEntry | None] | None:
-        """The filtered-burst memo of ``base`` under ``vfs``, one slot
-        per burst.
-
-        Its slots hold only for the residency oracle that filled them,
-        so a different oracle starts every memo afresh.
-        """
-        if vfs is None:
-            return None
-        if vfs is not self._memo_vfs:
-            self._memos.clear()
-            self._memo_vfs = vfs
-        memo = self._memos.get(base)
-        if memo is None:
-            memo = self._memos[base] = [None] * len(base.bursts)
-        return memo
 
     # -- per-request marginal costs (BlueFS's myopic view) -------------
     def marginal_pair(self, now: Seconds, nbytes: Bytes,

@@ -20,17 +20,11 @@ scheduler (a ``(time, seq, program)`` heap in
 * **telemetry** (`repro.core.telemetry`) — pluggable metrics sinks and
   the final :class:`RunResult`.
 
-Use it constructor-style::
+Every input is a constructor argument; the fast-path toggle and sinks
+can also be set afterwards::
 
-    result = SimulationSession([ProgramSpec(trace)], policy,
-                               seed=7).run()
-
-or builder-style::
-
-    result = (SimulationSession()
-              .with_programs(ProgramSpec(trace))
-              .with_policy(FlexFetchPolicy(profile))
-              .with_seed(7)
+    result = (SimulationSession([ProgramSpec(trace)],
+                                FlexFetchPolicy(profile), seed=7)
               .add_sink(RecordingSink())
               .run())
 
@@ -81,10 +75,9 @@ _STANDBY = DiskState.STANDBY.value
 
 
 class SimulationSession:
-    """Builder-style facade over the layered replay simulator."""
+    """Facade over the layered replay simulator."""
 
-    def __init__(self, programs: Sequence[ProgramSpec] | None = None,
-                 policy: Policy | None = None, *,
+    def __init__(self, programs: Sequence[ProgramSpec], policy: Policy, *,
                  disk_spec: DiskSpec = HITACHI_DK23DA,
                  wnic_spec: WnicSpec = AIRONET_350,
                  memory_bytes: Bytes = 64 * MB,
@@ -92,7 +85,7 @@ class SimulationSession:
                  spindown_policy: SpindownPolicy | None = None,
                  faults: FaultSchedule | None = None,
                  sinks: Iterable[MetricsSink] = ()) -> None:
-        self._program_specs: list[ProgramSpec] = list(programs or ())
+        self._program_specs: list[ProgramSpec] = list(programs)
         self._policy = policy
         self._disk_spec = disk_spec
         self._wnic_spec = wnic_spec
@@ -118,61 +111,6 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # builder surface
     # ------------------------------------------------------------------
-    def _configure(self) -> None:
-        if self._materialised:
-            raise SimulationError(
-                "session already materialised; configure before run()"
-                " or env/policy access")
-
-    def with_programs(self, *programs: ProgramSpec) -> SimulationSession:
-        """Add programs to the replay (order is the scheduling order)."""
-        self._configure()
-        self._program_specs.extend(programs)
-        return self
-
-    def with_policy(self, policy: Policy) -> SimulationSession:
-        """Set the data-source selection policy under test."""
-        self._configure()
-        self._policy = policy
-        return self
-
-    def with_devices(self, *, disk_spec: DiskSpec | None = None,
-                     wnic_spec: WnicSpec | None = None
-                     ) -> SimulationSession:
-        """Override the disk and/or WNIC hardware specs."""
-        self._configure()
-        if disk_spec is not None:
-            self._disk_spec = disk_spec
-        if wnic_spec is not None:
-            self._wnic_spec = wnic_spec
-        return self
-
-    def with_memory(self, memory_bytes: Bytes) -> SimulationSession:
-        """Set the buffer-cache size."""
-        self._configure()
-        self._memory_bytes = memory_bytes
-        return self
-
-    def with_seed(self, seed: int) -> SimulationSession:
-        """Set the experiment seed (disk layout placement)."""
-        self._configure()
-        self._seed = seed
-        return self
-
-    def with_spindown_policy(self, policy: SpindownPolicy
-                             ) -> SimulationSession:
-        """Override the disk's DPM spin-down policy."""
-        self._configure()
-        self._spindown_policy = policy
-        return self
-
-    def with_faults(self, faults: FaultSchedule | None
-                    ) -> SimulationSession:
-        """Attach a fault schedule."""
-        self._configure()
-        self._faults = faults
-        return self
-
     def with_fast_path(self, enabled: bool = True) -> SimulationSession:
         """Toggle the BurstPlan fast path (on by default).
 
@@ -184,7 +122,10 @@ class SimulationSession:
         is audited the same way on either surface.
         Turning it off forces the live kernel path — parity tests do.
         """
-        self._configure()
+        if self._materialised:
+            raise SimulationError(
+                "session already materialised; configure before run()"
+                " or env/policy access")
         self._fast_path = enabled
         return self
 
@@ -210,8 +151,6 @@ class SimulationSession:
             return
         if not self._program_specs:
             raise ValueError("need at least one program")
-        if self._policy is None:
-            raise ValueError("need a policy (with_policy or constructor)")
         # Compile-once: record-level specs are lowered here (memoised
         # per trace object), so repeated sessions over the same trace
         # share one CompiledTrace and construction is O(1) in its size.
@@ -225,7 +164,7 @@ class SimulationSession:
             [spec.compiled for spec in self._program_specs], self._seed)
         self.env = MobileSystem(
             disk_spec=self._disk_spec, wnic_spec=self._wnic_spec,
-            memory_bytes=self._memory_bytes, seed=self._seed,
+            memory_bytes=self._memory_bytes,
             spindown_policy=self._spindown_policy, plan=plan,
             layout=layout)
         self.policy = self._policy

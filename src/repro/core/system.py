@@ -24,9 +24,7 @@ from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.devices.wnic import WirelessNic
 from repro.kernel.path import KernelPath
 from repro.sim.clock import MB
-from repro.sim.plan import BurstPlan, PlanCursor, file_table
-from repro.traces.compile import CompiledTrace, compile_trace
-from repro.traces.trace import Trace
+from repro.sim.plan import BurstPlan, PlanCursor
 from repro.units import Bytes, Seconds
 
 
@@ -35,32 +33,31 @@ class MobileSystem:
 
     Given a :class:`~repro.sim.plan.BurstPlan`, the kernel surface is a
     :class:`~repro.sim.plan.PlanCursor` over it and the layout is the
-    plan's.  Given a placed ``layout`` (the session passes the shared
-    one from :func:`~repro.sim.plan.layout_for`), the live kernel path
-    reads it.  Either way no trace is registered; without either, the
-    layout starts empty and :meth:`register_trace` places the files.
+    plan's.  Otherwise the live kernel path reads the placed ``layout``
+    (the session passes the shared one from
+    :func:`~repro.sim.plan.layout_for`).
     """
 
     def __init__(self, *, disk_spec: DiskSpec = HITACHI_DK23DA,
                  wnic_spec: WnicSpec = AIRONET_350,
                  memory_bytes: Bytes = 64 * MB,
-                 seed: int = 0,
                  spindown_policy: SpindownPolicy | None = None,
                  plan: BurstPlan | None = None,
                  layout: DiskLayout | None = None) -> None:
         self.disk = HardDisk(disk_spec, spindown_policy=spindown_policy)
         self.wnic = WirelessNic(wnic_spec)
         self.kernel: KernelPath | PlanCursor
-        if plan is None:
-            self.layout = layout if layout is not None \
-                else DiskLayout(seed)
-            self.kernel = KernelPath(memory_bytes, self.layout)
-        else:
+        if plan is not None:
             # A plan was walked at this memory size and seed: it already
             # placed the trace's files, and its cursor answers for the
             # kernel path.
             self.layout = plan.layout
             self.kernel = PlanCursor(plan)
+        elif layout is not None:
+            self.layout = layout
+            self.kernel = KernelPath(memory_bytes, layout)
+        else:
+            raise ValueError("need a placed layout or a burst plan")
         # -- layer seams over the raw devices --------------------------
         self.cost_model = CostModel(self.disk, self.wnic, self.layout)
         self._services: dict[DataSource, DeviceService] = {
@@ -71,17 +68,6 @@ class MobileSystem:
     def service_for(self, source: DataSource) -> DeviceService:
         """The device service a request routed to ``source`` runs on."""
         return self._services[source]
-
-    def register_trace(self, *traces: Trace | CompiledTrace) -> None:
-        """Place the traces' files on the disk layout, the kernel
-        path's file table.
-
-        The union of the file tables (:func:`~repro.sim.plan.file_table`)
-        is placed in one call, as :func:`~repro.sim.plan.layout_for`
-        places it for a session.  A sealed (shared) layout refuses it.
-        """
-        table = file_table(compile_trace(trace) for trace in traces)
-        self.layout.add_files(table.keys(), table.values())
 
     def advance(self, now: Seconds) -> None:
         """Advance both devices (DPM timers fire as needed)."""

@@ -58,6 +58,9 @@ class RunResult:
     fault_retries: dict[str, int] = field(default_factory=dict)
     fault_failovers: dict[str, int] = field(default_factory=dict)
     fault_wasted_energy: dict[str, float] = field(default_factory=dict)
+    #: pages still dirty when the run ends: never written back and never
+    #: charged (``PAGE_SIZE`` bytes each).
+    dirty_pages_at_end: int = 0
 
     @property
     def total_energy(self) -> Joules:
@@ -359,4 +362,5 @@ def build_run_result(env: MobileSystem, *, policy_name: str,
         fault_retries=dict(fault_retries),
         fault_failovers=dict(fault_failovers),
         fault_wasted_energy=dict(fault_wasted_energy),
+        dirty_pages_at_end=env.kernel.writeback.dirty_count,
     )

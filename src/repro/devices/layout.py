@@ -13,7 +13,7 @@ block counts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +23,9 @@ from repro.units import Bytes
 
 #: Block size used throughout the kernel path (Linux page size).
 BLOCK_SIZE: int = 4096
+
+#: Largest gap, in blocks, drawn between two consecutive files.
+MAX_GAP_BLOCKS: int = 16
 
 
 def bytes_to_blocks(size_bytes: Bytes) -> int:
@@ -59,79 +62,33 @@ class FileExtentMap:
 class DiskLayout:
     """Sequential per-file placement with small random inter-file gaps.
 
-    Files are laid out in the order they are registered (which the trace
-    generators do in creation order), matching how a freshly hoarded data
-    set lands on a laptop disk.  The gap between consecutive files is
-    uniform in ``[0, max_gap_blocks]``.  A layout after :meth:`seal` is
-    shared between replays and refuses further placement.
+    ``files`` maps inode to size in bytes; the files are placed in its
+    order (which the trace generators make creation order), matching
+    how a freshly hoarded data set lands on a laptop disk.  Each file
+    but the first is preceded by a gap uniform in ``[0, MAX_GAP_BLOCKS]``,
+    all drawn at once from the seed's stream, and every file takes at
+    least one block, empty ones included.  A layout is placed in full
+    when built and never changes afterwards, so replays share it.
     """
 
-    def __init__(self, seed: int = 0, *, max_gap_blocks: int = 16,
-                 capacity_blocks: int | None = None) -> None:
-        if max_gap_blocks < 0:
-            raise ValueError("negative gap")
-        self._rng = make_rng(seed, "disk-layout")
-        self._max_gap = int(max_gap_blocks)
-        self._capacity = capacity_blocks
-        self._next_block = 0
-        self._files: dict[int, FileExtentMap] = {}
-        self._sealed = False
-
-    def seal(self) -> None:
-        """Refuse any further placement: the layout is shared now."""
-        self._sealed = True
-
-    def add_file(self, inode: int, size_bytes: Bytes) -> FileExtentMap:
-        """Place a file; re-registering the same inode must match size."""
-        self.add_files((inode,), (size_bytes,))
-        return self._files[inode]
-
-    def add_files(self, inodes: Iterable[int],
-                  sizes: Iterable[Bytes]) -> None:
-        """Place a file table in order, as :meth:`add_file` would one
-        file at a time.
-
-        Each new file but the layout's very first is preceded by a gap
-        uniform in ``[0, max_gap_blocks]``.  The gaps come from one
-        vectorised draw, which yields the same numbers as one scalar
-        draw per file.  A re-registered inode (already placed, or
-        earlier in the table) draws nothing and must match its size.
-        Every file takes at least one block, empty ones included.
-        Nothing is placed if any check fails, or if the layout is
-        sealed.
-        """
-        if self._sealed:
-            raise RuntimeError(
-                "disk layout is sealed (shared between replays);"
-                " place files on a fresh DiskLayout")
-        files = self._files
-        new: dict[int, int] = {}
-        for inode, size_bytes in zip(inodes, sizes, strict=True):
-            nblocks = max(1, bytes_to_blocks(size_bytes))
-            placed = files.get(inode)
-            known = new.setdefault(inode, nblocks) if placed is None \
-                else placed.nblocks
-            if known != nblocks:
-                raise ValueError(
-                    f"inode {inode} re-registered with different size")
-        gaps: list[int] = self._rng.integers(
-            0, self._max_gap + 1, size=max(len(new) - (not files), 0)
-        ).tolist()
-        if new and not files:
-            gaps.insert(0, 0)
-        start = self._next_block
-        if (self._capacity is not None
-                and start + sum(gaps) + sum(new.values()) > self._capacity):
-            raise ValueError("disk layout capacity exceeded")
-        for (inode, nblocks), gap in zip(new.items(), gaps, strict=True):
+    def __init__(self, seed: int, files: Mapping[int, Bytes]) -> None:
+        gaps: list[int] = make_rng(seed, "disk-layout").integers(
+            0, MAX_GAP_BLOCKS + 1, size=max(len(files) - 1, 0)).tolist()
+        start = 0
+        placed: dict[int, FileExtentMap] = {}
+        # The first file draws no gap; an empty table zips to nothing.
+        for (inode, size), gap in zip(files.items(), [0, *gaps],
+                                      strict=False):
+            nblocks = max(1, bytes_to_blocks(size))
             start += gap
-            files[inode] = FileExtentMap(inode, start, nblocks)
+            placed[inode] = FileExtentMap(inode, start, nblocks)
             start += nblocks
+        self._files = placed
         self._next_block = start
 
     @property
     def files(self) -> Mapping[int, FileExtentMap]:
-        """Live read-only view: inode -> placement, in placement order."""
+        """Read-only view: inode -> placement, in placement order."""
         return self._files
 
     def get(self, inode: int) -> FileExtentMap:

@@ -60,8 +60,7 @@ class DiskService:
     def __init__(self, disk: HardDisk, layout: DiskLayout) -> None:
         self.disk = disk
         self.layout = layout
-        #: the layout's live inode -> placement map (add_file extends
-        #: it in place).
+        #: the layout's inode -> placement map.
         self._placed = layout.files
 
     def transfer(self, when: Seconds, nbytes: Bytes, inode: int,

@@ -359,7 +359,7 @@ class WirelessNic(PowerStateMachine):
         faults = self._faults
         if (faults is not None and faults.affects_network
                 and not self._psm_safe(faults, start, size_bytes)):
-            return self._service_with_faults(faults, time, start,
+            return self._service_faulted(faults, time, start,
                                              size_bytes, direction, e_pre)
         in_psm = core.state == _PSM
         start, first_byte, completion = wnic_step(
@@ -406,7 +406,7 @@ class WirelessNic(PowerStateMachine):
         return WnicServiceResult(arrival, t, deadline, deadline,
                                  self.core.total() - e_pre, woke, True)
 
-    def _service_with_faults(self, faults: FaultSchedule, time: float,
+    def _service_faulted(self, faults: FaultSchedule, time: float,
                              start: float, size_bytes: Bytes,
                              direction: Direction,
                              e_pre: float) -> WnicServiceResult:

@@ -52,8 +52,9 @@ from repro.traces.trace import Trace
 #: and parameterised policy factories key payloads such as execution
 #: profiles by digest too; every v2 row misses once and is
 #: re-simulated to an identical result.  v4: RunResult gained the
-#: disk_wakes and wnic_dozes transition counts.)
-CODE_VERSION_SALT = "flexfetch-sim-v4"
+#: disk_wakes and wnic_dozes transition counts.  v5: RunResult gained
+#: dirty_pages_at_end.)
+CODE_VERSION_SALT = "flexfetch-sim-v5"
 
 
 #: Per-process sequence distinguishing concurrent tmp files.  Combined

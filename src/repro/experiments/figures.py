@@ -327,13 +327,11 @@ def fault_panel(config: ExperimentConfig | None = None, *,
             # for every policy at this rate.
             faults = FaultSchedule(spec, seed=config.seed) \
                 if spec.enabled else None
-            result = (SimulationSession(list(built.programs), factory(),
-                                        disk_spec=config.disk_spec,
-                                        wnic_spec=config.wnic_spec,
-                                        memory_bytes=config.memory_bytes,
-                                        seed=config.seed)
-                      .with_faults(faults)
-                      .run())
+            result = SimulationSession(list(built.programs), factory(),
+                                       disk_spec=config.disk_spec,
+                                       wnic_spec=config.wnic_spec,
+                                       memory_bytes=config.memory_bytes,
+                                       seed=config.seed, faults=faults).run()
             panel.curves[name].append(FaultSweepPoint(
                 policy=result.policy, outage_rate=rate, result=result))
             if progress is not None:

@@ -167,16 +167,11 @@ def _build_session(programs_factory: Callable[[], list[ProgramSpec]],
                    policy: Policy, wnic_spec: WnicSpec,
                    config: ExperimentConfig,
                    faults: FaultSchedule | None) -> SimulationSession:
-    session = (SimulationSession()
-               .with_programs(*programs_factory())
-               .with_policy(policy)
-               .with_devices(disk_spec=config.disk_spec,
-                             wnic_spec=wnic_spec)
-               .with_memory(config.memory_bytes)
-               .with_seed(config.seed))
-    if faults is not None:
-        session = session.with_faults(faults)
-    return session
+    return SimulationSession(programs_factory(), policy,
+                             disk_spec=config.disk_spec,
+                             wnic_spec=wnic_spec,
+                             memory_bytes=config.memory_bytes,
+                             seed=config.seed, faults=faults)
 
 
 def run_point(programs_factory: Callable[[], list[ProgramSpec]],

@@ -199,10 +199,6 @@ class TwoQCache(DirtyIndex):
         #: probe of a read's window) index bytes.  Every inode a run
         #: has installed pages of has a row.
         self._resident = ResidentRows()
-        #: bumped by every call that may change residency (an install
-        #: run or a drop), never per page: the cost model's cache-filter
-        #: memo reads it as the residency version of every inode.
-        self.version = 0
         super().__init__(CacheStats())
         #: When a list, every eviction appends ``(index, victim)``: the
         #: page index whose insertion reclaimed ``victim``.  The plan
@@ -355,7 +351,6 @@ class TwoQCache(DirtyIndex):
         its own earlier pages.  Clean evictions vanish silently; dirty
         ones are returned so the write-back layer can flush them.
         """
-        self.version += 1
         rows = self._resident.rows
         row = self._resident.row(inode, end)
         a1in, a1out, am, dirty = self._a1in, self._a1out, self._am, self._dirty
@@ -428,7 +423,6 @@ class TwoQCache(DirtyIndex):
 
     def drop(self, page: PageId) -> None:
         """Invalidate a page (used by tests and failure injection)."""
-        self.version += 1
         if self._dirty.pop(page, None) is not None:
             self.stats.dirty_drops += 1
         self._a1in.pop(page, None)

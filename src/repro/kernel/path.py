@@ -149,9 +149,3 @@ class KernelPath:
         """Inodes outside which :meth:`resident_bytes` is 0: every inode
         the cache ever installed pages of."""
         return self.cache.resident_inodes()
-
-    def residency_version(self, inode: int) -> int:
-        """A number that never decreases and grows whenever ``inode``'s
-        residency changes: here one counter for every inode, bumped per
-        install run or drop."""
-        return self.cache.version

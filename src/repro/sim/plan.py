@@ -31,8 +31,9 @@ workers — the same lifecycle as the compile-once trace cache.
 The placed disk layout has the same lifecycle one level up:
 :func:`layout_for` places the files of an ordered program set once per
 seed, and both the plan walk and every live-kernel replay of that set
-(several programs, or the fast path turned off) share the one sealed
-:class:`~repro.devices.layout.DiskLayout`.
+(several programs, or the fast path turned off) share the one
+:class:`~repro.devices.layout.DiskLayout`, which never changes once
+placed.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def file_table(traces: Iterable[CompiledTrace]) -> dict[int, Bytes]:
     return table
 
 
-#: Place-once memo: one sealed layout per ordered program set and seed,
+#: Place-once memo: one layout per ordered program set and seed,
 #: keyed by the traces' content digests (which cover their file
 #: tables).  Same lifecycle as :data:`_PLAN_MEMO`.
 _LAYOUT_MEMO: dict[tuple[tuple[str, ...], int], DiskLayout] = {}
@@ -145,18 +146,12 @@ _LAYOUT_MEMO: dict[tuple[tuple[str, ...], int], DiskLayout] = {}
 
 def layout_for(traces: Sequence[CompiledTrace], seed: int) -> DiskLayout:
     """The placed disk layout of ``traces`` (in program order) at
-    ``seed``, built once per process and sealed, since every replay of
-    the set shares it."""
+    ``seed``, ``DiskLayout(seed, file_table(traces))``, built once per
+    process, since every replay of the set shares it."""
     key = (tuple(trace.digest for trace in traces), int(seed))
-    try:
-        return _LAYOUT_MEMO[key]
-    except KeyError:
-        pass
-    layout = DiskLayout(seed)
-    table = file_table(traces)
-    layout.add_files(table.keys(), table.values())
-    layout.seal()
-    _LAYOUT_MEMO[key] = layout
+    layout = _LAYOUT_MEMO.get(key)
+    if layout is None:
+        layout = _LAYOUT_MEMO[key] = DiskLayout(seed, file_table(traces))
     return layout
 
 
@@ -293,12 +288,9 @@ class PlanCursor:
     ``resident_bytes`` answers policy cache-filter queries from the
     plan's residency runs.  Residency is kept per inode and lazily: an
     inode's runs are applied, up to the records read or written so far,
-    only when ``resident_bytes`` or ``residency_version`` asks about
-    that inode, so inodes no query reads never cost anything, and
-    ``resident_inodes`` grows from a pointer into the plan's first
-    fills.  An inode's residency version is how far into its runs the
-    cursor has applied: it grows exactly when the inode's residency
-    changes.
+    only when ``resident_bytes`` asks about that inode, so inodes no
+    query reads never cost anything, and ``resident_inodes`` grows from
+    a pointer into the plan's first fills.
 
     The run timing matches the real cache exactly at every point the
     replay can observe it: residency is only queried before any read
@@ -411,7 +403,7 @@ class PlanCursor:
             raise ValueError("negative offset or size")
         if size == 0:
             return 0
-        self.residency_version(inode)
+        self._catch_up(inode)
         return self._resident.count(
             inode, offset // 4096, (offset + size - 1) // 4096 + 1) * 4096
 
@@ -428,19 +420,14 @@ class PlanCursor:
             self._fills = k
         return self._held
 
-    def residency_version(self, inode: int) -> int:
-        """A number that never decreases and grows whenever ``inode``'s
-        residency changes: how far into ``plan.runs`` the inode's runs
-        are applied (0 for an inode the cache never holds).
-
-        Applies the inode's runs of the records replayed so far first;
-        this is the only place residency changes.
-        """
+    def _catch_up(self, inode: int) -> None:
+        """Apply ``inode``'s runs of the records replayed so far: the
+        only place residency changes."""
         k = self._applied.get(inode)
         if k is None:
             k = self.plan.run_starts.get(inode)
             if k is None:
-                return 0
+                return
             self._applied[inode] = k
         runs = self.plan.runs
         index = self._index
@@ -453,7 +440,6 @@ class PlanCursor:
                     resident.clear(inode, runs[k + 2], runs[k + 3])
                 k += 4
             self._applied[inode] = k
-        return k
 
 
 #: Plan-once memo, the planning sibling of the compile-once trace

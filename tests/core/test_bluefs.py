@@ -9,6 +9,7 @@ from repro.core.session import SimulationSession
 from repro.core.system import MobileSystem
 from repro.core.workload import ProgramSpec
 from repro.devices.disk import DiskState
+from repro.devices.layout import DiskLayout
 from repro.sim.clock import MB
 from repro.traces.record import OpType
 
@@ -21,8 +22,7 @@ def ctx(now=0.0, nbytes=4096, op=OpType.READ):
 
 def attached_policy(config=None):
     policy = BlueFSPolicy(config)
-    env = MobileSystem()
-    env.layout.add_file(1, 100 * MB)
+    env = MobileSystem(layout=DiskLayout(0, {1: 100 * MB}))
     policy.attach(env)
     policy.begin_run(0.0)
     return policy, env

@@ -22,8 +22,8 @@ models implement: fixed and adaptive spin-down, the sleep tier
   every one of them;
 * **whole sessions** — FlexFetch runs with each variant, and a
   two-program run on the live kernel path, are unchanged when the cost
-  model (its filter memo and the stage audit's request columns
-  included) is swapped for the oracle.
+  model (the stage audit's request columns included) is swapped for
+  the oracle.
 
 Hypothesis drives the first two over randomized stages; any drift — a
 reordered float reduction, a fused multiply, an off-by-one block
@@ -285,13 +285,14 @@ class FakeResidency:
             return size
         return size + 4096
 
+    def resident_inodes(self) -> frozenset[int]:
+        """Every inode a drawn request reads may hold a resident page."""
+        return frozenset(INODES + (SMALL_INODE, UNPLACED_INODE))
+
 
 def _layout() -> DiskLayout:
-    layout = DiskLayout(seed=0)
-    for inode in INODES:
-        layout.add_file(inode, 8 << 20)
-    layout.add_file(SMALL_INODE, 64 << 10)
-    return layout
+    return DiskLayout(0, {**dict.fromkeys(INODES, 8 << 20),
+                          SMALL_INODE: 64 << 10})
 
 
 def _thinks_for(stage, data):
@@ -368,25 +369,6 @@ class TestProfileRangeVsRequestLists:
                                 vfs=_vfs(salt))
         assert pair == _oracle_stage_pair(model, profile, first, stop,
                                           now=now, vfs=_vfs(salt))
-
-    def test_placement_follows_a_grown_layout(self):
-        """A file registered after a decision is placed at the next one."""
-        near = ProfiledRequest(inode=1, offset=0, size=8192,
-                               op=OpType.READ)
-        late = ProfiledRequest(inode=UNPLACED_INODE, offset=0, size=8192,
-                               op=OpType.READ)
-        profile = ExecutionProfile([IOBurst((near, late), 0.0, 0.0)],
-                                   [0.0])
-        layout = _layout()
-        model = CostModel(HardDisk(HITACHI_DK23DA),
-                          WirelessNic(AIRONET_350), layout)
-        before = model.stage_pair(profile, 0, 1, now=0.0)
-        layout.add_file(UNPLACED_INODE, 1 << 20)
-        after = model.stage_pair(profile, 0, 1, now=0.0)
-        fresh = CostModel(HardDisk(HITACHI_DK23DA),
-                          WirelessNic(AIRONET_350), layout)
-        assert after == fresh.stage_pair(profile, 0, 1, now=0.0)
-        assert after != before
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,9 @@ class TestCacheFilter:
         def resident_bytes(self, inode, offset, size):
             return size if inode == 1 else 0
 
+        def resident_inodes(self):
+            return {1}
+
     @staticmethod
     def filtered(bursts, vfs):
         return replay_stage(DataSource.DISK, HardDisk(), bursts,
@@ -138,6 +141,9 @@ class TestCacheFilter:
         class HalfVfs:
             def resident_bytes(self, inode, offset, size):
                 return size // 2
+
+            def resident_inodes(self):
+                return {1}
         est = self.filtered([burst(1 * MB)], HalfVfs())
         assert (est.nbytes, est.requests) == (MB // 2, 1)
 

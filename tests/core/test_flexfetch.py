@@ -9,6 +9,8 @@ from repro.core.profile import profile_from_trace
 from repro.core.session import SimulationSession
 from repro.core.system import MobileSystem
 from repro.core.workload import ProgramSpec
+from repro.sim.plan import layout_for
+from repro.traces.compile import compile_trace
 from repro.traces.record import OpType
 from tests.conftest import make_trace
 
@@ -142,8 +144,7 @@ class TestFreeRider:
     def test_external_activity_diverts_to_disk(self):
         trace = sparse_small_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        env = MobileSystem()
-        env.register_trace(trace)
+        env = MobileSystem(layout=layout_for([compile_trace(trace)], 0))
         policy.attach(env)
         policy.begin_run(0.0)
         policy.current_source = DataSource.NETWORK
@@ -159,8 +160,7 @@ class TestFreeRider:
     def test_stale_external_activity_ignored(self):
         trace = sparse_small_trace()
         policy = FlexFetchPolicy(profile_from_trace(trace))
-        env = MobileSystem()
-        env.register_trace(trace)
+        env = MobileSystem(layout=layout_for([compile_trace(trace)], 0))
         policy.attach(env)
         policy.begin_run(0.0)
         policy.current_source = DataSource.NETWORK
@@ -177,8 +177,7 @@ class TestFreeRider:
         policy = FlexFetchPolicy(
             profile_from_trace(trace),
             FlexFetchConfig(use_free_rider=False))
-        env = MobileSystem()
-        env.register_trace(trace)
+        env = MobileSystem(layout=layout_for([compile_trace(trace)], 0))
         policy.attach(env)
         policy.begin_run(0.0)
         policy.current_source = DataSource.NETWORK

@@ -2,7 +2,7 @@
 
 Placement depends only on the programs' file tables, in program order,
 and the seed, so :func:`~repro.sim.plan.layout_for` places it once per
-process and every replay of the set shares the sealed layout: the plan
+process and every replay of the set shares the one layout: the plan
 walk, each live-kernel session, and through the layout the cost
 model's packed profiles.  Sharing must not change a single bit.
 """
@@ -25,11 +25,11 @@ from repro.core.policies import DiskOnlyPolicy
 from repro.core.profile import profile_from_trace
 from repro.core.session import SimulationSession
 from repro.core.flexfetch import FlexFetchPolicy
-from repro.core.system import MobileSystem
 from repro.core.workload import ProgramSpec
+from repro.devices.layout import DiskLayout
 from repro.experiments.config import ExperimentConfig
 from repro.sim.clock import MB
-from repro.sim.plan import build_plan, layout_for
+from repro.sim.plan import build_plan, file_table, layout_for
 from tests.conftest import make_trace
 
 
@@ -64,10 +64,9 @@ class TestSharedLayout:
         fresh = _session(specs)
         assert fresh.run() == a
         assert fresh.env.layout is not first.env.layout
-        # ... and the same placement as MobileSystem.register_trace.
-        placed = MobileSystem(seed=3)
-        placed.register_trace(*(spec.trace for spec in specs))
-        assert dict(placed.layout.files) == dict(first.env.layout.files)
+        # ... and the same placement as the union of the file tables.
+        placed = DiskLayout(3, file_table(spec.compiled for spec in specs))
+        assert dict(placed.files) == dict(first.env.layout.files)
 
     def test_plan_and_live_kernel_share_the_layout(self):
         (spec, _) = _programs()
@@ -96,18 +95,6 @@ class TestSharedLayout:
         assert reseeded is not shared and reordered is not shared
         assert dict(reseeded.files) != dict(shared.files)
         assert list(reordered.files) != list(shared.files)
-
-    def test_a_shared_layout_refuses_placement(self):
-        fg, bg = (spec.compiled for spec in _programs())
-        shared = layout_for([fg, bg], 3)
-        before = dict(shared.files)
-        with pytest.raises(RuntimeError, match="sealed"):
-            shared.add_files([99], [4096])
-        with pytest.raises(RuntimeError, match="sealed"):
-            shared.add_file(1, 65536)
-        with pytest.raises(RuntimeError, match="sealed"):
-            MobileSystem(layout=shared).register_trace(fg)
-        assert dict(shared.files) == before
 
 
 @pytest.mark.parametrize("policy", ["FlexFetch", "WNIC-only"])

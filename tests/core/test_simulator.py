@@ -7,9 +7,13 @@ from repro.core.session import SimulationSession
 from repro.core.system import MobileSystem
 from repro.core.workload import ProgramSpec
 from repro.devices.disk import DiskState
+from repro.devices.layout import DiskLayout
 from repro.devices.specs import AIRONET_350
 from repro.sim.clock import MB
+from repro.sim.plan import layout_for
+from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
+from tests.devices.test_layout import placement, scalar_placement
 
 
 class TestClosedLoop:
@@ -158,9 +162,9 @@ class TestDeterminism:
 
 
 class TestMobileSystem:
-    def test_register_trace_populates_layout_and_vfs(self, tiny_trace):
-        env = MobileSystem()
-        env.register_trace(tiny_trace)
+    def test_layout_for_populates_layout_and_vfs(self, tiny_trace):
+        env = MobileSystem(layout=layout_for([compile_trace(tiny_trace)],
+                                             0))
         assert 1 in env.layout
         # The layout is the kernel path's file table.
         assert env.kernel.layout.get(1).nblocks >= 3
@@ -173,8 +177,8 @@ class TestMobileSystem:
                         (2, 0, 4096, "read", 1.0)], pid=100)
         b = make_trace([(3, 0, 4096, "read", 0.5),
                         (1, 0, 65536, "read", 2.0)], pid=200)
-        env = MobileSystem()
-        env.register_trace(a, b)
+        env = MobileSystem(layout=layout_for(
+            [compile_trace(a), compile_trace(b)], 0))
         assert list(env.layout.files) == [1, 2, 3]
         assert env.layout.get(1).nblocks == 16
         assert env.kernel.layout is env.layout
@@ -187,12 +191,13 @@ class TestMobileSystem:
                         for inode in (1, 4, 9)], pid=100)
         b = make_trace([(inode, 0, 3 * 4096, "read", float(inode))
                         for inode in (2, 3, 7)], pid=200)
-        together, apart = MobileSystem(seed=7), MobileSystem(seed=7)
-        together.register_trace(a, b)
-        apart.register_trace(a)
-        apart.register_trace(b)
-        assert dict(together.layout.files) == dict(apart.layout.files)
-        assert list(together.layout.files) == [1, 4, 9, 2, 3, 7]
+        together = layout_for([compile_trace(a), compile_trace(b)], 7)
+        apart = scalar_placement(7, [(inode, inode * 4096)
+                                     for inode in (1, 4, 9)]
+                                 + [(inode, 3 * 4096)
+                                    for inode in (2, 3, 7)])
+        assert placement(together) == apart
+        assert list(together.files) == [1, 4, 9, 2, 3, 7]
 
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_appends_within_the_declared_size_flush(self, fast_path):
@@ -206,8 +211,12 @@ class TestMobileSystem:
         assert session.used_fast_path is fast_path
         assert result.device_bytes["disk"] == 40 * 4096
 
+    def test_needs_a_layout_or_a_plan(self):
+        with pytest.raises(ValueError, match="layout or a burst plan"):
+            MobileSystem()
+
     def test_disk_active_flag(self):
-        env = MobileSystem()
+        env = MobileSystem(layout=DiskLayout(0, {}))
         assert env.disk.state == DiskState.STANDBY.value
         env.disk.force_spinup(0.0)
         assert env.disk.state != DiskState.STANDBY.value

@@ -3,8 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.devices.layout import BLOCK_SIZE, DiskLayout, bytes_to_blocks
+from repro.devices.layout import (
+    BLOCK_SIZE,
+    MAX_GAP_BLOCKS,
+    DiskLayout,
+    bytes_to_blocks,
+)
+from repro.sim.plan import layout_for
 from repro.sim.rng import make_rng
+from repro.traces.compile import compile_trace
+from tests.conftest import make_trace
 
 
 class TestBytesToBlocks:
@@ -23,73 +31,67 @@ class TestBytesToBlocks:
             bytes_to_blocks(-1)
 
 
+def layout_of(seed, table):
+    """A layout placing ``(inode, size)`` pairs in order."""
+    return DiskLayout(seed, dict(table))
+
+
 class TestPlacement:
     def test_sequential_registration(self):
-        layout = DiskLayout(seed=1, max_gap_blocks=0)
-        a = layout.add_file(1, 10 * BLOCK_SIZE)
-        b = layout.add_file(2, 4 * BLOCK_SIZE)
+        layout = layout_of(1, [(1, 10 * BLOCK_SIZE), (2, 4 * BLOCK_SIZE)])
+        a, b = layout.get(1), layout.get(2)
         assert a.start_block == 0
-        assert b.start_block == a.end_block    # no gap configured
+        assert a.end_block <= b.start_block <= a.end_block + MAX_GAP_BLOCKS
+        assert list(layout.files) == [1, 2]
 
     def test_gaps_are_bounded(self):
-        layout = DiskLayout(seed=1, max_gap_blocks=8)
-        prev_end = layout.add_file(1, BLOCK_SIZE).end_block
+        layout = layout_of(1, [(inode, BLOCK_SIZE) for inode in range(1, 50)])
+        prev_end = layout.get(1).end_block
         for inode in range(2, 50):
-            ext = layout.add_file(inode, BLOCK_SIZE)
+            ext = layout.get(inode)
             gap = ext.start_block - prev_end
-            assert 0 <= gap <= 8
+            assert 0 <= gap <= MAX_GAP_BLOCKS
             prev_end = ext.end_block
 
     def test_zero_byte_file_still_gets_a_block(self):
-        layout = DiskLayout(seed=1)
-        assert layout.add_file(1, 0).nblocks == 1
+        assert layout_of(1, [(1, 0)]).get(1).nblocks == 1
 
     def test_reregistration_same_size_is_idempotent(self):
-        layout = DiskLayout(seed=1)
-        a = layout.add_file(1, 5 * BLOCK_SIZE)
-        b = layout.add_file(1, 5 * BLOCK_SIZE)
-        assert a == b
+        """Two programs declaring one file at one size place it once."""
+        a = make_trace([(1, 0, 5 * BLOCK_SIZE, "read", 0.0)], pid=100)
+        b = make_trace([(1, 0, 5 * BLOCK_SIZE, "read", 1.0)], pid=200)
+        layout = layout_for([compile_trace(a), compile_trace(b)], 1)
         assert len(layout) == 1
+        assert layout.get(1) == layout_of(1, [(1, 5 * BLOCK_SIZE)]).get(1)
 
     def test_zero_byte_reregistration_is_idempotent(self):
-        layout = DiskLayout(seed=1)
-        a = layout.add_file(1, 0)
-        assert layout.add_file(1, 0) == a
-        assert layout.add_file(1, 1) == a     # one block either way
+        """An empty file declared again at one byte keeps its one
+        block."""
+        a = make_trace([(1, 0, 0, "read", 0.0)], pid=100,
+                       file_sizes={1: 0})
+        b = make_trace([(1, 0, 1, "read", 1.0)], pid=200,
+                       file_sizes={1: 1})
+        layout = layout_for([compile_trace(a), compile_trace(b)], 1)
         assert len(layout) == 1
-        with pytest.raises(ValueError):
-            layout.add_file(1, BLOCK_SIZE + 1)
+        assert layout.get(1) == layout_of(1, [(1, 0)]).get(1)
 
     def test_zero_byte_file_is_placed_like_a_one_byte_file(self):
         sizes = [0, 3 * BLOCK_SIZE, 0, 1, 0, BLOCK_SIZE]
-        a, b = DiskLayout(seed=4), DiskLayout(seed=4)
-        for inode, size in enumerate(sizes):
-            a.add_file(inode, size)
-            b.add_file(inode, max(size, 1))
+        a = layout_of(4, enumerate(sizes))
+        b = layout_of(4, [(inode, max(size, 1))
+                          for inode, size in enumerate(sizes)])
         assert dict(a.files) == dict(b.files)
-
-    def test_reregistration_different_size_rejected(self):
-        layout = DiskLayout(seed=1)
-        layout.add_file(1, 5 * BLOCK_SIZE)
-        with pytest.raises(ValueError):
-            layout.add_file(1, 50 * BLOCK_SIZE)
-
-    def test_capacity_enforced(self):
-        layout = DiskLayout(seed=1, max_gap_blocks=0, capacity_blocks=10)
-        layout.add_file(1, 8 * BLOCK_SIZE)
-        with pytest.raises(ValueError):
-            layout.add_file(2, 8 * BLOCK_SIZE)
 
     def test_deterministic_under_seed(self):
         def build(seed):
-            layout = DiskLayout(seed=seed)
-            return [layout.add_file(i, i * BLOCK_SIZE).start_block
-                    for i in range(1, 30)]
+            layout = layout_of(seed, [(i, i * BLOCK_SIZE)
+                                      for i in range(1, 30)])
+            return [f.start_block for f in layout.files.values()]
         assert build(5) == build(5)
         assert build(5) != build(6)
 
 
-def scalar_placement(seed, table, max_gap=16):
+def scalar_placement(seed, table):
     """Reference placement: one scalar gap draw per new file (none for
     the very first), as files were placed one at a time."""
     rng = make_rng(seed, "disk-layout")
@@ -99,7 +101,7 @@ def scalar_placement(seed, table, max_gap=16):
         if inode in placed:
             assert placed[inode][1] == nblocks
             continue
-        gap = int(rng.integers(0, max_gap + 1)) if placed else 0
+        gap = int(rng.integers(0, MAX_GAP_BLOCKS + 1)) if placed else 0
         placed[inode] = (next_block + gap, nblocks)
         next_block += gap + nblocks
     return placed
@@ -118,85 +120,68 @@ class TestAddFiles:
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_matches_scalar_draws(self, seed):
-        layout = DiskLayout(seed=seed)
-        inodes, sizes = zip(*self.TABLE, strict=True)
-        layout.add_files(inodes, sizes)
+        layout = layout_of(seed, self.TABLE)
         assert placement(layout) == scalar_placement(seed, self.TABLE)
-        assert list(layout.files) == list(inodes)
-
-    @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_matches_add_file_loop(self, seed):
-        bulk, loop = DiskLayout(seed=seed), DiskLayout(seed=seed)
-        inodes, sizes = zip(*self.TABLE, strict=True)
-        bulk.add_files(inodes, sizes)
-        for inode, size in self.TABLE:
-            loop.add_file(inode, size)
-        assert placement(bulk) == placement(loop)
-        assert bulk.used_blocks == loop.used_blocks
+        assert list(layout.files) == [inode for inode, _ in self.TABLE]
+        assert layout.used_blocks == max(
+            f.end_block for f in layout.files.values())
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_onto_a_non_empty_layout(self, seed):
+        """A second program's table goes onto the first's: its first
+        file draws a gap, and the draws continue the one stream."""
         head, tail = self.TABLE[:50], self.TABLE[50:]
-        layout = DiskLayout(seed=seed)
-        for inode, size in head:
-            layout.add_file(inode, size)
-        inodes, sizes = zip(*tail, strict=True)
-        layout.add_files(inodes, sizes)
+        traces = [compile_trace(make_trace(
+            [(inode, 0, 1, "read", 0.0) for inode, _ in table], pid=pid,
+            file_sizes=dict(table)))
+            for pid, table in ((100, head), (200, tail))]
+        layout = layout_for(traces, seed)
         assert placement(layout) == scalar_placement(seed, self.TABLE)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_reregistered_inodes_draw_nothing(self, seed):
-        layout = DiskLayout(seed=seed)
-        layout.add_files([1, 2, 3], [BLOCK_SIZE, 0, 5 * BLOCK_SIZE])
-        # 2 and 3 again (same blocks), 2 twice within the table.
-        table = [(2, 1), (4, 9 * BLOCK_SIZE), (3, 5 * BLOCK_SIZE - 7),
-                 (5, 0), (2, BLOCK_SIZE), (6, 3 * BLOCK_SIZE)]
-        inodes, sizes = zip(*table, strict=True)
-        layout.add_files(inodes, sizes)
-        want = scalar_placement(
-            seed, [(1, BLOCK_SIZE), (2, 0), (3, 5 * BLOCK_SIZE)] + table)
+        """An inode a later program declares again is placed once, at
+        its largest size, and draws no gap of its own."""
+        first = {1: BLOCK_SIZE, 2: 0, 3: 5 * BLOCK_SIZE}
+        # 2 and 3 again (2 larger, 3 smaller), then new inodes.
+        second = {2: BLOCK_SIZE, 3: 5 * BLOCK_SIZE - 7,
+                  4: 9 * BLOCK_SIZE, 5: 0, 6: 3 * BLOCK_SIZE}
+        traces = [compile_trace(make_trace(
+            [(inode, 0, 1, "read", float(inode)) for inode in files],
+            pid=pid, file_sizes=files))
+            for pid, files in ((100, first), (200, second))]
+        layout = layout_for(traces, seed)
+        want = scalar_placement(seed, [(1, BLOCK_SIZE), (2, BLOCK_SIZE),
+                                       (3, 5 * BLOCK_SIZE),
+                                       (4, 9 * BLOCK_SIZE), (5, 0),
+                                       (6, 3 * BLOCK_SIZE)])
         assert placement(layout) == want
 
-    def test_size_mismatch_places_nothing(self):
-        layout = DiskLayout(seed=1)
-        layout.add_file(1, 5 * BLOCK_SIZE)
-        before = placement(layout)
-        with pytest.raises(ValueError, match="re-registered"):
-            layout.add_files([2, 1], [BLOCK_SIZE, 50 * BLOCK_SIZE])
-        with pytest.raises(ValueError, match="re-registered"):
-            layout.add_files([2, 2], [BLOCK_SIZE, 9 * BLOCK_SIZE])
-        assert placement(layout) == before
-
     def test_empty_table_draws_nothing(self):
-        layout = DiskLayout(seed=7)
-        layout.add_files([], [])
+        layout = DiskLayout(7, {})
         assert len(layout) == 0 and layout.used_blocks == 0
-        layout.add_files([1, 2], [BLOCK_SIZE, BLOCK_SIZE])
-        assert placement(layout) == scalar_placement(
-            7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])
+        assert placement(layout_of(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])) \
+            == scalar_placement(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])
 
 
 class TestBlockOf:
     def test_block_of_offsets(self):
-        layout = DiskLayout(seed=1, max_gap_blocks=0)
-        layout.add_file(1, 10 * BLOCK_SIZE)
+        layout = layout_of(1, [(1, 10 * BLOCK_SIZE)])
         assert layout.block_of(1, 0) == 0
         assert layout.block_of(1, BLOCK_SIZE) == 1
         assert layout.block_of(1, BLOCK_SIZE - 1) == 0
 
     def test_offset_past_eof_rejected(self):
-        layout = DiskLayout(seed=1)
-        layout.add_file(1, BLOCK_SIZE)
+        layout = layout_of(1, [(1, BLOCK_SIZE)])
         with pytest.raises(ValueError):
             layout.block_of(1, 2 * BLOCK_SIZE)
 
     def test_unknown_inode_raises(self):
         with pytest.raises(KeyError):
-            DiskLayout(seed=1).get(99)
+            DiskLayout(1, {}).get(99)
 
     def test_contains(self):
-        layout = DiskLayout(seed=1)
-        layout.add_file(1, BLOCK_SIZE)
+        layout = layout_of(1, [(1, BLOCK_SIZE)])
         assert 1 in layout
         assert 2 not in layout
 
@@ -206,9 +191,7 @@ class TestProperties:
     @given(st.lists(st.integers(0, 1_000_000), min_size=1, max_size=60),
            st.integers(0, 2 ** 31))
     def test_no_two_files_overlap(self, sizes, seed):
-        layout = DiskLayout(seed=seed, max_gap_blocks=16)
-        for inode, size in enumerate(sizes, start=1):
-            layout.add_file(inode, size)
+        layout = layout_of(seed, enumerate(sizes, start=1))
         span = layout.span()
         # span() is ordered by start block: each file must end before
         # the next begins.
@@ -218,7 +201,6 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 100_000), min_size=1, max_size=40))
     def test_used_blocks_bounds_everything(self, sizes):
-        layout = DiskLayout(seed=3)
-        for inode, size in enumerate(sizes, start=1):
-            ext = layout.add_file(inode, size)
+        layout = layout_of(3, enumerate(sizes, start=1))
+        for ext in layout.files.values():
             assert ext.end_block <= layout.used_blocks

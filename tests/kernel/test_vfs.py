@@ -3,19 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.system import MobileSystem
 from repro.devices.layout import DiskLayout
 from repro.kernel.page import PAGE_SIZE, Extent, PageId
 from repro.kernel.path import KernelPath
 from repro.sim.clock import MB
+from repro.sim.plan import layout_for
+from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
 
 
 def kernel_with_files(files, memory=4 * MB, seed=0):
     """A kernel path whose layout places ``files`` (inode -> bytes)."""
-    layout = DiskLayout(seed)
-    layout.add_files(files, files.values())
-    return KernelPath(memory, layout)
+    return KernelPath(memory, DiskLayout(seed, files))
 
 
 def kernel_with_file(inode=1, size=10 * MB, memory=4 * MB):
@@ -68,7 +67,7 @@ class TestReadPath:
         assert hits == misses == 0   # no demand pages
 
     def test_unregistered_inode_rejected(self):
-        v = KernelPath(64 * MB, DiskLayout())
+        v = KernelPath(64 * MB, DiskLayout(0, {}))
         with pytest.raises(KeyError):
             v.read(1, 99, 0, 4096, now=0.0)
 
@@ -131,20 +130,18 @@ class TestNamespace:
         # the file in the kernel path's file table.
         big = make_trace([(1, 0, 25 * PAGE_SIZE, "read", 0.0)], pid=100)
         small = make_trace([(1, 0, 2 * PAGE_SIZE, "read", 1.0)], pid=200)
-        env = MobileSystem()
-        env.register_trace(big, small)
-        assert env.kernel.layout.get(1).nblocks == 25
-        with pytest.raises(ValueError):
-            env.register_trace(small)
+        for order in ((big, small), (small, big)):
+            layout = layout_for([compile_trace(t) for t in order], 0)
+            assert KernelPath(4 * MB, layout).layout.get(1).nblocks == 25
 
     def test_negative_size_rejected(self):
         # The layout is the kernel's file table.
         with pytest.raises(ValueError):
-            DiskLayout().add_file(1, -1)
+            DiskLayout(0, {1: -1})
 
     def test_bad_memory_size_rejected(self):
         with pytest.raises(ValueError):
-            KernelPath(0, DiskLayout())
+            KernelPath(0, DiskLayout(0, {}))
 
 
 class _ReadModel:

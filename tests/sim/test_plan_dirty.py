@@ -16,7 +16,7 @@ from repro.core.system import MobileSystem
 from repro.core.telemetry import RecordingSink
 from repro.core.workload import ProgramSpec
 from repro.kernel.page import PAGE_SIZE
-from repro.sim.plan import PlanCursor, build_plan
+from repro.sim.plan import PlanCursor, build_plan, layout_for
 from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
 
@@ -43,8 +43,8 @@ def test_cursor_dirty_index_tracks_the_cache():
     trace = make_trace([(inode, first * PAGE_SIZE, pages * PAGE_SIZE, op,
                          ts) for inode, first, pages, op, ts, _ in SCRIPT])
     compiled = compile_trace(trace)
-    live = MobileSystem(memory_bytes=MEMORY, seed=0)
-    live.register_trace(compiled)
+    live = MobileSystem(memory_bytes=MEMORY,
+                        layout=layout_for([compiled], 0))
     cursor = PlanCursor(build_plan(compiled, MEMORY, 0))
     cache = live.kernel.cache
 

@@ -14,15 +14,15 @@ from repro.core.system import MobileSystem
 from repro.kernel.cache import CacheStats
 from repro.kernel.path import KernelPath
 from repro.sim.clock import MB
-from repro.sim.plan import PlanCursor, build_plan
+from repro.sim.plan import PlanCursor, build_plan, layout_for
 from repro.traces.compile import compile_trace
 from tests.conftest import make_trace
 
 #: session: read, write, plan_writeback; router: complete_fetch; the
-#: cost model (FlexFetch's cache filter, the oracle): resident_bytes,
-#: resident_inodes and residency_version.
+#: cost model (FlexFetch's cache filter, the oracle): resident_bytes
+#: and resident_inodes.
 CALLS = ["read", "write", "complete_fetch", "plan_writeback",
-         "resident_bytes", "resident_inodes", "residency_version"]
+         "resident_bytes", "resident_inodes"]
 
 
 def _parameters(cls, name):
@@ -40,15 +40,14 @@ def test_both_surfaces_keep_the_books_the_session_reads():
     reads the write-back counters and its cache's stats."""
     trace = make_trace([(1, 0, 8192, "read", 0.0),
                         (1, 0, 4096, "write", 1.0)])
-    live = MobileSystem(memory_bytes=MB)
-    live.register_trace(trace)
+    live = MobileSystem(memory_bytes=MB,
+                        layout=layout_for([compile_trace(trace)], 0))
     planned = MobileSystem(
         plan=build_plan(compile_trace(trace), MB, 0))
     assert isinstance(live.kernel, KernelPath)
     assert isinstance(planned.kernel, PlanCursor)
     for env in (live, planned):
         kernel = env.kernel
-        version = kernel.residency_version(1)
         for extent in kernel.read(100, 1, 0, 8192, 0.0):
             kernel.complete_fetch(extent, 0.0)
         kernel.write(100, 1, 0, 4096, 1.0)
@@ -59,6 +58,5 @@ def test_both_surfaces_keep_the_books_the_session_reads():
         assert kernel.plan_writeback(2.0, disk_active=True)
         assert (writeback.flush_count, writeback.flushed_pages) == (1, 1)
         assert kernel.resident_bytes(1, 0, 8192) == 8192
-        assert kernel.residency_version(1) > version
         assert 1 in kernel.resident_inodes()
         assert kernel.resident_inodes().isdisjoint({2, 3})

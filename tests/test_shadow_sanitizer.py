@@ -114,9 +114,10 @@ class TestDivergenceDetection:
         monkeypatch.setattr(
             plan_mod.PlanCursor, "resident_bytes",
             lambda self, inode, offset, size: size)
-        # Claiming everything resident, it names no inode as clear of
-        # the cache either.
-        monkeypatch.delattr(plan_mod.PlanCursor, "resident_inodes")
+        # Claiming everything resident, it names every inode as held.
+        monkeypatch.setattr(
+            plan_mod.PlanCursor, "resident_inodes",
+            lambda self: frozenset(self.plan.layout.files))
         session = _session(trace, factory(), config,
                            config.memory_bytes)
         with pytest.raises(ReplayDivergenceError) as excinfo:
