@@ -10,17 +10,10 @@ every device service and profiled syscall, and the finished
 :class:`RunResult`.  Sinks are strictly read-only passengers —
 :class:`SinkSet` isolates them so a raising sink is disabled and
 reported, never allowed to perturb simulation state or determinism.
-
-:class:`StreamingStat` / :class:`P2Quantile` are the out-of-core
-aggregation primitives: count/sum/min/max plus P² streaming
-percentiles in O(1) memory, so a sweep can fold thousands of cells
-without retaining every :class:`RunResult` (see
-:class:`~repro.experiments.runner.SweepAggregate`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
@@ -180,150 +173,6 @@ class SinkSet:
 
     def on_run_end(self, result: RunResult) -> None:
         self._dispatch("on_run_end", result)
-
-
-class P2Quantile:
-    """Streaming quantile estimation by the P² algorithm.
-
-    Jain & Chlamtac's piecewise-parabolic estimator: five markers track
-    the running quantile in O(1) memory, adjusted per observation.  The
-    estimate is **order-sensitive**, which is why the sweep layers fold
-    points in sweep-index order (parallel completions are reordered
-    first) — the streamed estimate then matches a serial fold
-    bit-for-bit.  With fewer than five observations the exact
-    nearest-rank value of the buffered samples is returned.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_n", "_ns", "_dns")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._initial: list[float] = []
-        self._heights: list[float] | None = None
-        self._n = [0, 1, 2, 3, 4]
-        self._ns = [0.0, 2 * q, 4 * q, 2 + 2 * q, 4.0]
-        self._dns = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    @property
-    def count(self) -> int:
-        if self._heights is None:
-            return len(self._initial)
-        return self._n[4] + 1
-
-    def observe(self, x: float) -> None:
-        if self._heights is None:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._heights = sorted(self._initial)
-            return
-        h, n = self._heights, self._n
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        elif x < h[1]:
-            k = 0
-        elif x < h[2]:
-            k = 1
-        elif x < h[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._ns[i] += self._dns[i]
-        for i in range(1, 4):
-            excess = self._ns[i] - n[i]
-            if (excess >= 1.0 and n[i + 1] - n[i] > 1) or \
-                    (excess <= -1.0 and n[i - 1] - n[i] < -1):
-                d = 1 if excess >= 0.0 else -1
-                candidate = self._parabolic(i, d)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, d)
-                n[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        h, n = self._heights, self._n
-        assert h is not None
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, d: int) -> float:
-        h, n = self._heights, self._n
-        assert h is not None
-        return h[i] + d * (h[i + d] - h[i]) / (n[i + d] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate (NaN with no observations)."""
-        if self._heights is not None:
-            return self._heights[2]
-        if not self._initial:
-            return math.nan
-        ordered = sorted(self._initial)
-        rank = round(self.q * (len(ordered) - 1))
-        return ordered[rank]
-
-
-class StreamingStat:
-    """O(1)-memory summary of a value stream.
-
-    Exact count/sum/min/max/mean plus P² percentile estimates.  The
-    default percentiles (p50/p90) are what the sweep aggregate reports;
-    pass a different ``quantiles`` tuple to track others.
-    """
-
-    __slots__ = ("count", "total", "minimum", "maximum", "_estimators")
-
-    DEFAULT_QUANTILES = (0.5, 0.9)
-
-    def __init__(self, quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-                 ) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self._estimators = {float(q): P2Quantile(q) for q in quantiles}
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
-        for estimator in self._estimators.values():
-            estimator.observe(x)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Current estimate of the tracked quantile ``q``."""
-        return self._estimators[float(q)].value()
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-value summary (stable keys, exact floats)."""
-        summary = {
-            "count": float(self.count),
-            "sum": self.total,
-            "min": self.minimum if self.count else math.nan,
-            "max": self.maximum if self.count else math.nan,
-            "mean": self.mean,
-        }
-        for q, estimator in sorted(self._estimators.items()):
-            summary[f"p{q * 100:g}"] = estimator.value()
-        return summary
 
 
 def build_run_result(env: MobileSystem, *, policy_name: str,

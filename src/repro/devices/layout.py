@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim.rng import make_rng
 from repro.units import Bytes
 
@@ -48,16 +46,6 @@ class FileExtentMap:
         """One past the last block of the file."""
         return self.start_block + self.nblocks
 
-    def block_of(self, offset: int) -> int:
-        """Absolute block containing byte ``offset`` of the file."""
-        if offset < 0:
-            raise ValueError("negative offset")
-        rel = offset // BLOCK_SIZE
-        if rel >= self.nblocks:
-            raise ValueError(
-                f"offset {offset} beyond file of {self.nblocks} blocks")
-        return self.start_block + rel
-
 
 class DiskLayout:
     """Sequential per-file placement with small random inter-file gaps.
@@ -84,7 +72,6 @@ class DiskLayout:
             placed[inode] = FileExtentMap(inode, start, nblocks)
             start += nblocks
         self._files = placed
-        self._next_block = start
 
     @property
     def files(self) -> Mapping[int, FileExtentMap]:
@@ -100,20 +87,3 @@ class DiskLayout:
 
     def __len__(self) -> int:
         return len(self._files)
-
-    @property
-    def used_blocks(self) -> int:
-        """High-water block mark of the layout."""
-        return self._next_block
-
-    def block_of(self, inode: int, offset: int) -> int:
-        """Absolute block of byte ``offset`` in file ``inode``."""
-        return self.get(inode).block_of(offset)
-
-    def span(self) -> np.ndarray:
-        """(N, 3) array of ``inode, start_block, nblocks`` rows, sorted
-        by start block — handy for layout statistics and tests."""
-        rows = sorted((f.start_block, f.inode, f.nblocks)
-                      for f in self._files.values())
-        return np.array([(i, s, n) for s, i, n in rows], dtype=np.int64) \
-            if rows else np.empty((0, 3), dtype=np.int64)

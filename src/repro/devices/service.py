@@ -66,8 +66,8 @@ class DiskService:
     def transfer(self, when: Seconds, nbytes: Bytes, inode: int,
                  offset: int, npages: int,
                  direction: Direction) -> DiskServiceResult:
-        # Inlined layout.block_of(inode, offset), same KeyError and
-        # bounds checks: this is the per-extent hot path.
+        # The file's block of byte ``offset``: an unknown inode raises
+        # KeyError, an offset outside the file ValueError.
         placed = self._placed[inode]
         if offset < 0:
             raise ValueError("negative offset")

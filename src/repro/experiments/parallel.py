@@ -3,10 +3,11 @@
 A figure sweep is an embarrassingly parallel matrix: every (policy x
 link point) cell is one independent, deterministic simulation.  The
 :class:`ParallelSweepExecutor` fans those cells out over a
-:class:`~repro.experiments.supervisor.SupervisedPool` and reassembles
-the curves in sweep order, so a parallel run is **bit-identical** to the
-serial one — completion order affects only the interleaving of progress
-lines, never the results.
+:class:`~repro.experiments.supervisor.SupervisedPool`, holds each
+completed cell in one index -> point map, and assembles the curves from
+it in sweep order once every cell is in, so a parallel run is
+**bit-identical** to the serial one — completion order affects only the
+interleaving of progress lines, never the results.
 
 Determinism across process boundaries rests on two properties the rest
 of the codebase already guarantees:
@@ -241,44 +242,6 @@ def is_placeholder(result: RunResult) -> bool:
     return math.isnan(result.end_time) and result.requests == 0
 
 
-class _PointStore:
-    """Completed sweep points, materialised or streamed.
-
-    Without a consumer this is a plain index -> point map the executor
-    assembles curves from at the end.  With one it becomes a reorder
-    buffer: each point is handed to the consumer exactly once, in
-    sweep-index order regardless of completion order, then dropped — a
-    streaming sweep never retains more points than its out-of-order
-    window, however many cells the grid has.
-    """
-
-    def __init__(self, consumer: Callable[[int, str, SweepPoint], None]
-                 | None = None) -> None:
-        self._consumer = consumer
-        self._held: dict[int, tuple[str, SweepPoint]] = {}
-        self._next = 0
-        #: total points ever added (journal end-of-sweep accounting).
-        self.added = 0
-
-    def add(self, index: int, curve: str, point: SweepPoint) -> None:
-        self.added += 1
-        self._held[index] = (curve, point)
-        if self._consumer is None:
-            return
-        while self._next in self._held:
-            curve, point = self._held.pop(self._next)
-            self._consumer(self._next, curve, point)
-            self._next += 1
-
-    def get(self, index: int) -> SweepPoint:
-        return self._held[index][1]
-
-    @property
-    def held(self) -> int:
-        """Points currently buffered (0 after a streamed sweep ends)."""
-        return len(self._held)
-
-
 class ParallelSweepExecutor:
     """Run sweep matrices across worker processes, with optional caching,
     journaling, supervision, and graceful degradation.
@@ -365,9 +328,7 @@ class ParallelSweepExecutor:
                   wnic_specs: Sequence[WnicSpec],
                   config: ExperimentConfig,
                   *, progress: Callable[[str], None] | None = None,
-                  faults: FaultSpec | None = None,
-                  consumer: Callable[[int, str, SweepPoint], None]
-                  | None = None
+                  faults: FaultSpec | None = None
                   ) -> dict[str, list[SweepPoint]]:
         """Run every policy across every link point.
 
@@ -380,12 +341,6 @@ class ParallelSweepExecutor:
         its remote traceback attached), or — in ``partial`` mode — the
         failed cells are returned as placeholders and recorded in
         :attr:`failures`.
-
-        With a ``consumer`` the sweep streams instead of materialising:
-        each ``(index, curve, point)`` is delivered exactly once, in
-        sweep order, and dropped immediately after — the return value is
-        then an empty-curves dict, and peak point retention is bounded
-        by the out-of-order completion window rather than the grid size.
 
         A single-program sweep builds its burst plan here, before any
         cell runs: :func:`~repro.sim.plan.plan_for` memoises it
@@ -413,7 +368,9 @@ class ParallelSweepExecutor:
                 [keys[job.index] for job in jobs],
                 salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
 
-        points = _PointStore(consumer)
+        # Journal, cache, serial/pool and placeholder fills each take a
+        # disjoint set of indices, so every cell is added exactly once.
+        points: dict[int, SweepPoint] = {}
         failures: list[CellFailure] = []
         corrupt_before = self.cache.corrupt_rows if self.cache else 0
         pending = self._drain_journal(jobs, points, progress, keys)
@@ -451,14 +408,13 @@ class ParallelSweepExecutor:
                                     keys)
         if self.journal is not None:
             self.journal.end_sweep(
-                completed=points.added - len(failures),
+                completed=len(points) - len(failures),
                 failed=len(failures))
 
         curves: dict[str, list[SweepPoint]] = {
             name: [] for name in policy_factories}
-        if consumer is None:
-            for job in jobs:
-                curves[job.curve].append(points.get(job.index))
+        for job in jobs:
+            curves[job.curve].append(points[job.index])
         return curves
 
     # ------------------------------------------------------------------
@@ -474,7 +430,7 @@ class ParallelSweepExecutor:
                 for job in jobs}
 
     def _drain_journal(self, jobs: list[SweepJob],
-                       points: _PointStore,
+                       points: dict[int, SweepPoint],
                        progress: Callable[[str], None] | None,
                        keys: dict[int, str] | None) -> list[SweepJob]:
         """Fill cells already completed in the journal being resumed."""
@@ -491,14 +447,14 @@ class ParallelSweepExecutor:
                                latency=job.wnic_spec.latency,
                                bandwidth_bps=job.wnic_spec.bandwidth_bps,
                                result=result)
-            points.add(job.index, job.curve, point)
+            points[job.index] = point
             self.journal_hits += 1
             if progress is not None:
                 progress(progress_line(point) + " [journal]")
         return pending
 
     def _drain_cache(self, jobs: list[SweepJob],
-                     points: _PointStore,
+                     points: dict[int, SweepPoint],
                      progress: Callable[[str], None] | None,
                      keys: dict[int, str] | None) -> list[SweepJob]:
         """Fill cached cells; return the jobs that must run live."""
@@ -515,7 +471,7 @@ class ParallelSweepExecutor:
                                latency=job.wnic_spec.latency,
                                bandwidth_bps=job.wnic_spec.bandwidth_bps,
                                result=result)
-            points.add(job.index, job.curve, point)
+            points[job.index] = point
             self.cache_hits += 1
             if self.journal is not None:
                 self.journal.record_finish(job.index, keys[job.index],
@@ -526,10 +482,10 @@ class ParallelSweepExecutor:
 
     # ------------------------------------------------------------------
     def _record(self, job: SweepJob, point: SweepPoint,
-                points: _PointStore,
+                points: dict[int, SweepPoint],
                 progress: Callable[[str], None] | None,
                 keys: dict[int, str] | None) -> None:
-        points.add(job.index, job.curve, point)
+        points[job.index] = point
         self.live_runs += 1
         if self.cache is not None:
             assert keys is not None
@@ -544,7 +500,7 @@ class ParallelSweepExecutor:
             progress(progress_line(point))
 
     def _run_serial(self, pending: list[SweepJob],
-                    points: _PointStore,
+                    points: dict[int, SweepPoint],
                     failures: list[CellFailure],
                     progress: Callable[[str], None] | None,
                     keys: dict[int, str] | None) -> None:
@@ -580,7 +536,7 @@ class ParallelSweepExecutor:
                 break
 
     def _run_pool(self, pending: list[SweepJob],
-                  points: _PointStore,
+                  points: dict[int, SweepPoint],
                   failures: list[CellFailure],
                   progress: Callable[[str], None] | None,
                   keys: dict[int, str] | None, seed: int,
@@ -620,7 +576,7 @@ class ParallelSweepExecutor:
     # ------------------------------------------------------------------
     def _finalise_failures(self, jobs: list[SweepJob],
                            failures: list[CellFailure],
-                           points: _PointStore,
+                           points: dict[int, SweepPoint],
                            progress: Callable[[str], None] | None,
                            keys: dict[int, str] | None) -> None:
         for failure in failures:
@@ -643,10 +599,10 @@ class ParallelSweepExecutor:
                 remote_traceback=first.remote_traceback) from first.cause
         for failure in failures:
             job = jobs[failure.index]
-            points.add(failure.index, job.curve, SweepPoint(
+            points[failure.index] = SweepPoint(
                 policy=job.curve, latency=job.wnic_spec.latency,
                 bandwidth_bps=job.wnic_spec.bandwidth_bps,
-                result=placeholder_result(job.curve)))
+                result=placeholder_result(job.curve))
             if progress is not None:
                 progress(f"{job.curve}"
                          f" @ lat={job.wnic_spec.latency * 1e3:.0f}ms"
@@ -662,8 +618,3 @@ class ParallelSweepExecutor:
         if self.chaos.corrupt_prob > 0 or self.chaos.truncate_prob > 0:
             self.cache_chaos = CacheChaos(self.chaos, seed)
 
-
-def sweep_grid_size(policy_factories: dict[str, Any],
-                    wnic_specs: Sequence[WnicSpec]) -> int:
-    """Number of cells in a sweep matrix (for progress/benchmark sizing)."""
-    return len(policy_factories) * len(wnic_specs)

@@ -3,22 +3,12 @@
 The runner owns nothing scenario-specific: figures hand it the program
 specs and a *policy factory* per curve (policies are stateful, so every
 point needs a fresh instance), and it returns the energy/time rows the
-report layer renders.
-
-Two result shapes exist.  The default materialises every
-:class:`SweepPoint` into per-curve lists — what the figure renderers
-plot.  ``stream=True`` instead folds each point into a
-:class:`SweepAggregate` the moment it completes and drops it, so a
-sweep of thousands of cells holds O(curves) state: per-curve
-count/sum/min/max plus P² percentile estimates
-(:class:`~repro.core.telemetry.StreamingStat`).  Both paths see the
-points in the same sweep order, so the streamed statistics are
-bit-identical to folding the materialised lists after the fact.
+report layer renders: one list of :class:`SweepPoint` per curve, in
+sweep order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
@@ -26,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.core.policies import Policy
 from repro.core.session import SimulationSession
 from repro.core.shadow import SANITIZE_DEFAULT, run_shadowed
-from repro.core.telemetry import RunResult, StreamingStat
+from repro.core.telemetry import RunResult
 from repro.core.workload import ProgramSpec
 from repro.devices.specs import WnicSpec
 from repro.experiments.config import ExperimentConfig
@@ -73,79 +63,6 @@ class SweepPoint:
     @property
     def time(self) -> Seconds:
         return self.result.end_time
-
-
-class CurveAggregate:
-    """Streaming statistics of one policy curve.
-
-    Folds each completed point's energy and end time into
-    :class:`StreamingStat` accumulators.  Failed-cell placeholders
-    (NaN end time, from ``partial`` sweeps) are counted in ``failed``
-    and excluded from the statistics — NaN would otherwise poison every
-    downstream aggregate.
-    """
-
-    __slots__ = ("name", "cells", "failed", "energy", "time")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.cells = 0
-        self.failed = 0
-        self.energy = StreamingStat()
-        self.time = StreamingStat()
-
-    def observe(self, point: SweepPoint) -> None:
-        self.cells += 1
-        if math.isnan(point.time):
-            self.failed += 1
-            return
-        self.energy.observe(point.energy)
-        self.time.observe(point.time)
-
-    def as_dict(self) -> dict[str, object]:
-        return {"cells": self.cells, "failed": self.failed,
-                "energy": self.energy.as_dict(),
-                "time": self.time.as_dict()}
-
-
-class SweepAggregate:
-    """Constant-space fold of a whole sweep, one curve at a time.
-
-    What ``run_sweep(..., stream=True)`` returns instead of the
-    materialised curve lists.  :meth:`observe` matches the executor's
-    streaming-consumer signature; :meth:`from_curves` folds an already
-    materialised result, which the tests use to prove both paths agree.
-    """
-
-    def __init__(self, curve_names: Sequence[str] | dict[str, object]
-                 ) -> None:
-        self.curves: dict[str, CurveAggregate] = {
-            name: CurveAggregate(name) for name in curve_names}
-
-    def observe(self, index: int, curve: str, point: SweepPoint) -> None:
-        self.curves[curve].observe(point)
-
-    @property
-    def cells(self) -> int:
-        return sum(c.cells for c in self.curves.values())
-
-    @property
-    def failed(self) -> int:
-        return sum(c.failed for c in self.curves.values())
-
-    @classmethod
-    def from_curves(cls, curves: dict[str, list[SweepPoint]]
-                    ) -> SweepAggregate:
-        aggregate = cls(curves)
-        for name, points in curves.items():
-            for i, point in enumerate(points):
-                aggregate.observe(i, name, point)
-        return aggregate
-
-    def as_dict(self) -> dict[str, object]:
-        return {"cells": self.cells, "failed": self.failed,
-                "curves": {name: c.as_dict()
-                           for name, c in sorted(self.curves.items())}}
 
 
 def progress_line(point: SweepPoint) -> str:
@@ -237,9 +154,8 @@ def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
               workers: int = 1,
               cache: RunCache | None = None,
               faults: FaultSpec | None = None,
-              executor: ParallelSweepExecutor | None = None,
-              stream: bool = False
-              ) -> dict[str, list[SweepPoint]] | SweepAggregate:
+              executor: ParallelSweepExecutor | None = None
+              ) -> dict[str, list[SweepPoint]]:
     """Run every policy across every link point.
 
     Returns ``{policy name: [SweepPoint, ...]}`` with points in sweep
@@ -258,19 +174,11 @@ def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
     participates in the cache key.  A pre-built ``executor`` overrides
     ``workers`` and ``cache`` — the seam through which supervision,
     journaling, and partial-mode sweeps (``flexfetch sweep``) plug in.
-
-    ``stream=True`` returns a :class:`SweepAggregate` instead: every
-    point is folded into per-curve streaming statistics the moment it
-    completes and immediately dropped, so no per-cell
-    :class:`RunResult` is retained however large the grid.
     """
-    aggregate = SweepAggregate(policy_factories) if stream else None
-    consumer = aggregate.observe if aggregate is not None else None
     if executor is None:
         # Local import: the executor's module imports this one.
         from repro.experiments.parallel import ParallelSweepExecutor
         executor = ParallelSweepExecutor(workers, cache=cache)
-    curves = executor.run_sweep(programs_factory, policy_factories,
-                                wnic_specs, config, progress=progress,
-                                faults=faults, consumer=consumer)
-    return aggregate if aggregate is not None else curves
+    return executor.run_sweep(programs_factory, policy_factories,
+                              wnic_specs, config, progress=progress,
+                              faults=faults)

@@ -153,83 +153,3 @@ class TestBuilder:
         session, _ = run(trace)
         with pytest.raises(SimulationError):
             session.add_sink(NullSink())
-
-
-# ----------------------------------------------------------------------
-# streaming aggregation primitives
-# ----------------------------------------------------------------------
-class TestP2Quantile:
-    def test_small_samples_are_exact_nearest_rank(self):
-        from repro.core.telemetry import P2Quantile
-        est = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            est.observe(x)
-        assert est.value() == 3.0
-
-    def test_empty_is_nan(self):
-        import math
-
-        from repro.core.telemetry import P2Quantile
-        assert math.isnan(P2Quantile(0.9).value())
-
-    def test_invalid_quantile_rejected(self):
-        from repro.core.telemetry import P2Quantile
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_tracks_known_distribution(self):
-        import random
-
-        from repro.core.telemetry import P2Quantile
-        rng = random.Random(7)
-        est = P2Quantile(0.5)
-        values = [rng.uniform(0.0, 100.0) for _ in range(5000)]
-        for x in values:
-            est.observe(x)
-        exact = sorted(values)[2500]
-        assert abs(est.value() - exact) < 2.0
-        assert est.count == 5000
-
-    def test_deterministic_for_a_given_order(self):
-        from repro.core.telemetry import P2Quantile
-        xs = [((i * 29) % 97) / 7.0 for i in range(200)]
-        a, b = P2Quantile(0.9), P2Quantile(0.9)
-        for x in xs:
-            a.observe(x)
-            b.observe(x)
-        assert a.value() == b.value()
-
-
-class TestStreamingStat:
-    def test_exact_moments(self):
-        from repro.core.telemetry import StreamingStat
-        stat = StreamingStat()
-        for x in (2.0, 8.0, 4.0, 6.0):
-            stat.observe(x)
-        assert stat.count == 4
-        assert stat.total == 20.0
-        assert stat.minimum == 2.0
-        assert stat.maximum == 8.0
-        assert stat.mean == 5.0
-
-    def test_as_dict_keys_and_percentiles(self):
-        from repro.core.telemetry import StreamingStat
-        stat = StreamingStat()
-        for x in range(1, 101):
-            stat.observe(float(x))
-        summary = stat.as_dict()
-        assert set(summary) == {"count", "sum", "min", "max", "mean",
-                                "p50", "p90"}
-        assert abs(summary["p50"] - 50.0) < 3.0
-        assert abs(summary["p90"] - 90.0) < 4.0
-
-    def test_empty_stat_has_nan_mean(self):
-        import math
-
-        from repro.core.telemetry import StreamingStat
-        stat = StreamingStat()
-        assert stat.count == 0
-        assert math.isnan(stat.mean)
-        assert math.isnan(stat.quantile(0.5))

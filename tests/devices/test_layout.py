@@ -1,4 +1,5 @@
-"""Unit and property tests for the disk layout."""
+"""Unit and property tests for the disk layout and the disk service's
+offset-to-block mapping over it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from repro.devices.layout import (
     DiskLayout,
     bytes_to_blocks,
 )
+from repro.devices.service import DiskService
+from repro.devices.wnic import Direction
 from repro.sim.plan import layout_for
 from repro.sim.rng import make_rng
 from repro.traces.compile import compile_trace
@@ -123,8 +126,6 @@ class TestAddFiles:
         layout = layout_of(seed, self.TABLE)
         assert placement(layout) == scalar_placement(seed, self.TABLE)
         assert list(layout.files) == [inode for inode, _ in self.TABLE]
-        assert layout.used_blocks == max(
-            f.end_block for f in layout.files.values())
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_onto_a_non_empty_layout(self, seed):
@@ -159,26 +160,45 @@ class TestAddFiles:
 
     def test_empty_table_draws_nothing(self):
         layout = DiskLayout(7, {})
-        assert len(layout) == 0 and layout.used_blocks == 0
+        assert len(layout) == 0
         assert placement(layout_of(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])) \
             == scalar_placement(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])
 
 
+class _BlockDisk:
+    """Stands in for the disk: a service call returns its block."""
+
+    def service(self, when, nbytes, block, npages):
+        return block
+
+
+def block_of(layout, inode, offset):
+    """The disk block ``DiskService.transfer`` sends ``offset`` to."""
+    return DiskService(_BlockDisk(), layout).transfer(
+        0.0, 1, inode, offset, 1, Direction.RECV)
+
+
 class TestBlockOf:
     def test_block_of_offsets(self):
-        layout = layout_of(1, [(1, 10 * BLOCK_SIZE)])
-        assert layout.block_of(1, 0) == 0
-        assert layout.block_of(1, BLOCK_SIZE) == 1
-        assert layout.block_of(1, BLOCK_SIZE - 1) == 0
+        layout = layout_of(1, [(1, 10 * BLOCK_SIZE), (2, BLOCK_SIZE)])
+        assert block_of(layout, 1, 0) == 0
+        assert block_of(layout, 1, BLOCK_SIZE) == 1
+        assert block_of(layout, 1, BLOCK_SIZE - 1) == 0
+        assert block_of(layout, 1, 10 * BLOCK_SIZE - 1) == 9
+        assert block_of(layout, 2, 0) == layout.get(2).start_block
 
     def test_offset_past_eof_rejected(self):
         layout = layout_of(1, [(1, BLOCK_SIZE)])
         with pytest.raises(ValueError):
-            layout.block_of(1, 2 * BLOCK_SIZE)
+            block_of(layout, 1, 2 * BLOCK_SIZE)
+        with pytest.raises(ValueError):
+            block_of(layout, 1, -1)
 
     def test_unknown_inode_raises(self):
         with pytest.raises(KeyError):
             DiskLayout(1, {}).get(99)
+        with pytest.raises(KeyError):
+            block_of(layout_of(1, [(1, BLOCK_SIZE)]), 99, 0)
 
     def test_contains(self):
         layout = layout_of(1, [(1, BLOCK_SIZE)])
@@ -192,15 +212,18 @@ class TestProperties:
            st.integers(0, 2 ** 31))
     def test_no_two_files_overlap(self, sizes, seed):
         layout = layout_of(seed, enumerate(sizes, start=1))
-        span = layout.span()
-        # span() is ordered by start block: each file must end before
-        # the next begins.
-        for i in range(len(span) - 1):
-            assert span[i][1] + span[i][2] <= span[i + 1][1]
+        # Ordered by start block, each file must end before the next
+        # begins.
+        extents = sorted(layout.files.values(),
+                         key=lambda f: f.start_block)
+        for a, b in zip(extents, extents[1:]):
+            assert a.end_block <= b.start_block
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 100_000), min_size=1, max_size=40))
     def test_used_blocks_bounds_everything(self, sizes):
+        """The last file placed ends past every block in use."""
         layout = layout_of(3, enumerate(sizes, start=1))
+        last = list(layout.files.values())[-1]
         for ext in layout.files.values():
-            assert ext.end_block <= layout.used_blocks
+            assert ext.end_block <= last.end_block

@@ -261,6 +261,54 @@ class TestPartialMode:
             executor.failures[0].attempts[-1].traceback
 
 
+class BoomPolicy:
+    """A policy class whose construction always fails, so each of its
+    cells fails permanently; as a class it still has a cache key."""
+
+    def __init__(self):
+        raise RuntimeError("boom in worker")
+
+
+def end_record(path):
+    """The last ``end`` record of a journal file."""
+    records = [json.loads(line)
+               for line in path.read_text().splitlines()]
+    return [r for r in records if r["kind"] == "end"][-1]
+
+
+class TestEndRecord:
+    """The executor's own ``end`` record counts each cell once, whether
+    it came from the journal, the cache, a live run or a placeholder."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_failing_cell_ends_with_cells_minus_one(self, tmp_path,
+                                                        workers):
+        programs, _, specs, config = make_grid()
+        factories = {"Disk-only": DiskOnlyPolicy,
+                     "WNIC-only": WnicOnlyPolicy, "Boom": BoomPolicy}
+        specs = specs[:1]
+        cells = len(factories) * len(specs)
+
+        def sweep(journal_path, **kwargs):
+            executor = ParallelSweepExecutor(
+                workers, partial=True, journal=SweepJournal(journal_path),
+                cache=RunCache(tmp_path / "cache"), **kwargs)
+            got = executor.run_sweep(programs, factories, specs, config)
+            executor.journal.close()
+            assert is_placeholder(got["Boom"][0].result)
+            assert len(executor.failures) == 1
+            assert end_record(journal_path) == {
+                "kind": "end", "completed": cells - 1, "failed": 1}
+            return executor
+
+        live = sweep(tmp_path / "live.jsonl")
+        assert live.live_runs == cells - 1
+        resumed = sweep(tmp_path / "live.jsonl")
+        assert resumed.journal_hits == cells - 1
+        warm = sweep(tmp_path / "warm.jsonl")
+        assert warm.cache_hits == cells - 1
+
+
 _CHILD_SCRIPT = textwrap.dedent("""\
     import os, signal, sys
 

@@ -214,7 +214,8 @@ class TestOnePassRead:
         layout = kernel.layout
 
         def locate(extent):
-            return layout.block_of(extent.inode, extent.start * PAGE_SIZE)
+            # Disk blocks are page-sized.
+            return layout.get(extent.inode).start_block + extent.start
 
         model = _ReadModel(locate)
         ends = {}
