@@ -235,7 +235,7 @@ def test_sweep_modes(sweep_inputs, bench_config, tmp_path_factory):
     parallel_s = float("inf")
     for label in ("parallel", "parallel rerun"):
         parallel_curves, elapsed = _timed_sweep(
-            ParallelSweepExecutor(workers, clamp_to_cpus=True), programs,
+            ParallelSweepExecutor(workers), programs,
             policies, panels, bench_config)
         _assert_identical(serial_curves, parallel_curves, label)
         parallel_s = min(parallel_s, elapsed)
@@ -247,15 +247,13 @@ def test_sweep_modes(sweep_inputs, bench_config, tmp_path_factory):
             f"beat serial: {speedup:.2f}x < floor {SPEEDUP_FLOOR:.2f}x")
 
     # The warm leg needs a populated cache: fill it in a run of its own.
-    cold = ParallelSweepExecutor(workers, cache=RunCache(cache_dir),
-                                 clamp_to_cpus=True)
+    cold = ParallelSweepExecutor(workers, cache=RunCache(cache_dir))
     cold_curves, _ = _timed_sweep(cold, programs, policies, panels,
                                   bench_config)
     _assert_identical(serial_curves, cold_curves, "cache fill")
     assert cold.live_runs == cells and cold.cache_hits == 0
 
-    warm = ParallelSweepExecutor(workers, cache=RunCache(cache_dir),
-                                 clamp_to_cpus=True)
+    warm = ParallelSweepExecutor(workers, cache=RunCache(cache_dir))
     warm_curves, warm_s = _timed_sweep(
         warm, programs, policies, panels, bench_config)
     _assert_identical(serial_curves, warm_curves, "warm cache")

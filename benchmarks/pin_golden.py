@@ -50,7 +50,7 @@ def _figure_programs(config):
     """(figure id -> (programs factory, policy factories)) map."""
     from repro.core.profile import profile_from_trace
     from repro.core.workload import ProgramSpec
-    from repro.experiments.figures import _standard_policies
+    from repro.experiments.figures import standard_policies
     from repro.traces.synth import (
         generate_acroread_profile_run,
         generate_acroread_search_run,
@@ -69,19 +69,19 @@ def _figure_programs(config):
     stale5 = profile_from_trace(generate_acroread_profile_run(seed))
     return {
         "fig1": (lambda: [ProgramSpec(fig1)],
-                 _standard_policies(profile_from_trace(fig1), config)),
+                 standard_policies(profile_from_trace(fig1), config)),
         "fig2": (lambda: [ProgramSpec(fig2)],
-                 _standard_policies(profile_from_trace(fig2), config)),
+                 standard_policies(profile_from_trace(fig2), config)),
         "fig3": (lambda: [ProgramSpec(fig3)],
-                 _standard_policies(profile_from_trace(fig3), config)),
+                 standard_policies(profile_from_trace(fig3), config)),
         "fig4": (lambda: [ProgramSpec(fg4),
                           ProgramSpec(bg4, profiled=False,
                                       disk_pinned=True)],
-                 _standard_policies(profile_from_trace(fg4), config,
-                                    include_static=True)),
+                 standard_policies(profile_from_trace(fg4), config,
+                                   include_static=True)),
         "fig5": (lambda: [ProgramSpec(search5)],
-                 _standard_policies(stale5, config,
-                                    include_static=True)),
+                 standard_policies(stale5, config,
+                                   include_static=True)),
     }
 
 

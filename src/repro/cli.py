@@ -10,7 +10,7 @@
                                      # default link settings
     flexfetch run grep+make --faults outage-rate=0.01
     flexfetch faults grep+make       # energy vs wireless outage rate
-    flexfetch lint                   # units/float-equality static analysis
+    flexfetch lint                   # units static analysis
     flexfetch sweep fig3 --journal s.jsonl --retries 3 --timeout 120
     flexfetch sweep fig3 --resume s.jsonl   # skip completed cells
     flexfetch sweep fig3 --partial          # placeholders, exit 3
@@ -27,13 +27,9 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.core.bluefs import BlueFSPolicy
-from repro.core.flexfetch import FlexFetchPolicy
-from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.session import SimulationSession
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import FIGURES, fault_panel
-from repro.experiments.parallel import SweepCellError
+from repro.experiments.figures import FIGURES, fault_panel, standard_policies
+from repro.experiments.parallel import ParallelSweepExecutor, SweepCellError
 from repro.experiments.report import (
     fault_panel_to_csv,
     render_fault_panel,
@@ -41,9 +37,10 @@ from repro.experiments.report import (
     render_table,
     sweep_to_csv,
 )
+from repro.experiments.runner import ProgramSet
 from repro.experiments.tables import table1, table2, table3
 from repro.faults.invariants import SimulationInvariantError
-from repro.faults.schedule import FaultSchedule, FaultSpec, FaultSpecError
+from repro.faults.schedule import FaultSpec, FaultSpecError
 from repro.sim.clock import SimulationError
 from repro.traces.io import TraceValidationError, save_trace_csv, \
     save_trace_jsonl
@@ -72,7 +69,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         from repro.experiments.cache import RunCache
         cache = RunCache(args.cache_dir)
     result = builder(config, panels=args.panel, progress=progress,
-                     workers=args.workers, cache=cache)
+                     executor=ParallelSweepExecutor(args.workers,
+                                                    cache=cache))
     print(render_figure(result))
     if args.svg:
         from repro.experiments.svg import save_figure_svg
@@ -110,16 +108,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"  {len(scenario.programs)} program(s), {total_calls} calls")
     if fault_spec is not None and fault_spec.enabled:
         print(f"  faults: {args.faults}")
-    policies = [DiskOnlyPolicy(), WnicOnlyPolicy(), BlueFSPolicy(),
-                FlexFetchPolicy(scenario.profile)]
-    for policy in policies:
-        faults = FaultSchedule(fault_spec, seed=args.seed) \
-            if fault_spec is not None else None
-        result = SimulationSession(list(scenario.programs), policy,
-                                   disk_spec=config.disk_spec,
-                                   wnic_spec=config.wnic_spec,
-                                   memory_bytes=config.memory_bytes,
-                                   seed=config.seed, faults=faults).run()
+    curves = ParallelSweepExecutor().run_sweep(
+        ProgramSet(scenario.programs),
+        standard_policies(scenario.profile, config), [config.wnic_spec],
+        config, faults=fault_spec)
+    for (point,) in curves.values():
+        result = point.result
         line = result.summary()
         failovers = sum(result.fault_failovers.values())
         if failovers or result.disk_spinup_failures:
@@ -169,7 +163,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.experiments.journal import SweepJournal
     from repro.experiments.parallel import (
-        ParallelSweepExecutor,
         enable_profiling,
         failure_manifest,
         merged_profile_stats,
@@ -434,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("workload", choices=sorted(SCENARIOS))
 
     p_lint = sub.add_parser(
-        "lint", help="run the repo's units/float-equality static analyzer")
+        "lint", help="run the repo's units static analyzer")
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")
 

@@ -41,11 +41,6 @@ class FileExtentMap:
     start_block: int
     nblocks: int
 
-    @property
-    def end_block(self) -> int:
-        """One past the last block of the file."""
-        return self.start_block + self.nblocks
-
 
 class DiskLayout:
     """Sequential per-file placement with small random inter-file gaps.
@@ -84,6 +79,3 @@ class DiskLayout:
 
     def __contains__(self, inode: int) -> bool:
         return inode in self._files
-
-    def __len__(self) -> int:
-        return len(self._files)

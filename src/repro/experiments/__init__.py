@@ -2,10 +2,13 @@
 
 * :mod:`repro.experiments.config` — sweep definitions (latency 0-20 ms,
   the four 802.11b rates) and run configuration.
-* :mod:`repro.experiments.runner` — run a (workload x policy x link)
-  matrix and collect :class:`~repro.core.telemetry.RunResult` rows.
-* :mod:`repro.experiments.figures` — builders for Figures 1-5.
-* :mod:`repro.experiments.parallel` — process-pool sweep execution.
+* :mod:`repro.experiments.runner` — run one (workload x policy x link)
+  cell and return its :class:`~repro.core.telemetry.RunResult` row.
+* :mod:`repro.experiments.parallel` — run a matrix of cells, in-process
+  or on a supervised process pool; every figure, the fault panel,
+  ``flexfetch run`` and the seed-sensitivity report sweep through it.
+* :mod:`repro.experiments.figures` — builders for Figures 1-5 and the
+  fault panel.
 * :mod:`repro.experiments.cache` — content-addressed run cache.
 * :mod:`repro.experiments.tables` — Tables 1-3.
 * :mod:`repro.experiments.report` — ASCII rendering and CSV export.
@@ -34,7 +37,6 @@ from repro.experiments.runner import (
     SweepPoint,
     progress_line,
     run_point,
-    run_sweep,
 )
 from repro.experiments.report import render_figure, render_table, sweep_to_csv
 from repro.experiments.tables import table1, table2, table3
@@ -61,7 +63,6 @@ __all__ = [
     "progress_line",
     "run_key",
     "run_point",
-    "run_sweep",
     "render_figure",
     "render_table",
     "sweep_to_csv",

@@ -176,8 +176,7 @@ def run_key(programs: tuple[ProgramSpec, ...] | list[ProgramSpec],
             wnic_spec: WnicSpec,
             config: ExperimentConfig,
             *, faults: Any = None,
-            spindown: Any = None,
-            salt: str = CODE_VERSION_SALT) -> str:
+            spindown: Any = None) -> str:
     """Stable content hash identifying one simulation cell.
 
     Only inputs that reach the simulation participate: the sweep grids
@@ -189,7 +188,7 @@ def run_key(programs: tuple[ProgramSpec, ...] | list[ProgramSpec],
     return a stale cached no-fault row.
     """
     description = {
-        "salt": salt,
+        "salt": CODE_VERSION_SALT,
         "programs": [_describe(spec) for spec in programs],
         "policy": policy_token(policy_factory),
         "wnic": _describe(wnic_spec),
@@ -212,14 +211,13 @@ class RunCache:
     root:
         Cache directory (created on first :meth:`put`).  The repo
         convention is ``benchmarks/results/cache/``.
-    salt:
-        Code-version salt mixed into every key.
+
+    Rows are keyed by :func:`run_key`, whose :data:`CODE_VERSION_SALT`
+    retires every row written by an older simulator.
     """
 
-    def __init__(self, root: str | Path, *,
-                 salt: str = CODE_VERSION_SALT) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.salt = salt
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -228,14 +226,6 @@ class RunCache:
         self._warned_corrupt = False
 
     # ------------------------------------------------------------------
-    def key_for(self, programs: tuple[ProgramSpec, ...] | list[ProgramSpec],
-                policy_factory: Any, wnic_spec: WnicSpec,
-                config: ExperimentConfig, *,
-                faults: Any = None, spindown: Any = None) -> str:
-        """Cache key of one cell under this cache's salt."""
-        return run_key(programs, policy_factory, wnic_spec, config,
-                       faults=faults, spindown=spindown, salt=self.salt)
-
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
@@ -276,7 +266,7 @@ class RunCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         payload = {
-            "salt": self.salt,
+            "salt": CODE_VERSION_SALT,
             "key": key,
             "result": dataclasses.asdict(result),
         }

@@ -18,6 +18,12 @@ FlexFetch's profile is extracted from a *prior run* of the same
 workload — which for every figure but 5 is the same trace being
 replayed (a stable program, §1.2), and for Figure 5 is deliberately the
 casual-reading execution while the replay is the bursty search run.
+
+Every builder sweeps :func:`standard_policies` over its link points on
+one :class:`~repro.experiments.parallel.ParallelSweepExecutor`; the
+caller chooses workers, a run cache, a journal or supervision by
+passing that executor.  :func:`fault_panel` sweeps the same policies
+over wireless-outage rates at the default link.
 """
 
 from __future__ import annotations
@@ -29,19 +35,12 @@ from repro.core.bluefs import BlueFSPolicy
 from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import ExecutionProfile, profile_from_trace
-from repro.core.session import SimulationSession
-from repro.core.telemetry import RunResult
 from repro.core.workload import ProgramSpec
-from repro.experiments.cache import RunCache, payload_digest
+from repro.experiments.cache import payload_digest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.runner import (
-    PolicyFactory,
-    ProgramSet,
-    SweepPoint,
-    run_sweep,
-)
-from repro.faults.schedule import FaultSchedule, FaultSpec
+from repro.experiments.runner import PolicyFactory, ProgramSet, SweepPoint
+from repro.faults.schedule import FaultSpec
 from repro.traces.synth import (
     generate_acroread_profile_run,
     generate_acroread_search_run,
@@ -50,7 +49,6 @@ from repro.traces.synth import (
     generate_mplayer,
     generate_thunderbird,
 )
-from repro.units import Joules
 
 
 @dataclass
@@ -113,28 +111,26 @@ class FlexFetchFactory:
                 "adaptive": self.adaptive}
 
 
-def _flexfetch_factory(profile: ExecutionProfile,
-                       config: ExperimentConfig, *,
-                       adaptive: bool = True) -> PolicyFactory:
-    return FlexFetchFactory(profile=profile,
-                            loss_rate=config.loss_rate,
-                            stage_length=config.stage_length,
-                            adaptive=adaptive)
+def standard_policies(profile: ExecutionProfile,
+                      config: ExperimentConfig,
+                      *, include_static: bool = False
+                      ) -> dict[str, PolicyFactory]:
+    """The paper's four policies (plus, optionally, FlexFetch-static).
 
-
-def _standard_policies(profile: ExecutionProfile,
-                       config: ExperimentConfig,
-                       *, include_static: bool = False
-                       ) -> dict[str, PolicyFactory]:
+    FlexFetch is built from ``profile`` with ``config``'s loss rate and
+    stage length.  Every figure, the fault panel, ``flexfetch run`` and
+    the seed-sensitivity report sweep this one set.
+    """
     policies: dict[str, PolicyFactory] = {
         "Disk-only": DiskOnlyPolicy,
         "WNIC-only": WnicOnlyPolicy,
         "BlueFS": BlueFSPolicy,
     }
     if include_static:
-        policies["FlexFetch-static"] = _flexfetch_factory(
-            profile, config, adaptive=False)
-    policies["FlexFetch"] = _flexfetch_factory(profile, config)
+        policies["FlexFetch-static"] = FlexFetchFactory(
+            profile, config.loss_rate, config.stage_length, adaptive=False)
+    policies["FlexFetch"] = FlexFetchFactory(
+        profile, config.loss_rate, config.stage_length)
     return policies
 
 
@@ -145,22 +141,19 @@ def _run_figure(figure_id: str, title: str,
                 config: ExperimentConfig,
                 *, panels: str = "ab",
                 progress: Callable[[str], None] | None = None,
-                workers: int = 1,
-                cache: RunCache | None = None,
                 executor: ParallelSweepExecutor | None = None
                 ) -> FigureResult:
+    executor = executor or ParallelSweepExecutor()
     result = FigureResult(figure_id=figure_id, title=title,
                           workload=workload_name)
     if "a" in panels:
-        result.by_latency = run_sweep(
+        result.by_latency = executor.run_sweep(
             programs_factory, policies, config.latency_points(), config,
-            progress=progress, workers=workers, cache=cache,
-            executor=executor)
+            progress=progress)
     if "b" in panels:
-        result.by_bandwidth = run_sweep(
+        result.by_bandwidth = executor.run_sweep(
             programs_factory, policies, config.bandwidth_points(), config,
-            progress=progress, workers=workers, cache=cache,
-            executor=executor)
+            progress=progress)
     return result
 
 
@@ -169,18 +162,21 @@ def _run_figure(figure_id: str, title: str,
 # ----------------------------------------------------------------------
 def figure1(config: ExperimentConfig | None = None, *, panels: str = "ab",
             progress: Callable[[str], None] | None = None,
-            workers: int = 1, cache: RunCache | None = None,
             executor: ParallelSweepExecutor | None = None) -> FigureResult:
-    """grep+make energy vs WNIC latency (a) and bandwidth (b)."""
+    """grep+make energy vs WNIC latency (a) and bandwidth (b).
+
+    ``panels`` picks the panel(s), ``progress`` gets a line per cell
+    and ``executor`` runs the cells (default: serial, uncached).
+    Figures 2-5 take the same options.
+    """
     config = config or ExperimentConfig()
     trace = generate_grep_make(config.seed)
     profile = profile_from_trace(trace)
     return _run_figure(
         "fig1", "grep+make: energy vs WNIC latency/bandwidth",
         ProgramSet((ProgramSpec(trace).prepared(),)), trace.name,
-        _standard_policies(profile, config), config,
-        panels=panels, progress=progress, workers=workers, cache=cache,
-        executor=executor)
+        standard_policies(profile, config), config,
+        panels=panels, progress=progress, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +184,6 @@ def figure1(config: ExperimentConfig | None = None, *, panels: str = "ab",
 # ----------------------------------------------------------------------
 def figure2(config: ExperimentConfig | None = None, *, panels: str = "ab",
             progress: Callable[[str], None] | None = None,
-            workers: int = 1, cache: RunCache | None = None,
             executor: ParallelSweepExecutor | None = None) -> FigureResult:
     """mplayer energy vs WNIC latency (a) and bandwidth (b)."""
     config = config or ExperimentConfig()
@@ -197,9 +192,8 @@ def figure2(config: ExperimentConfig | None = None, *, panels: str = "ab",
     return _run_figure(
         "fig2", "mplayer: energy vs WNIC latency/bandwidth",
         ProgramSet((ProgramSpec(trace).prepared(),)), trace.name,
-        _standard_policies(profile, config), config,
-        panels=panels, progress=progress, workers=workers, cache=cache,
-        executor=executor)
+        standard_policies(profile, config), config,
+        panels=panels, progress=progress, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +201,6 @@ def figure2(config: ExperimentConfig | None = None, *, panels: str = "ab",
 # ----------------------------------------------------------------------
 def figure3(config: ExperimentConfig | None = None, *, panels: str = "ab",
             progress: Callable[[str], None] | None = None,
-            workers: int = 1, cache: RunCache | None = None,
             executor: ParallelSweepExecutor | None = None) -> FigureResult:
     """Thunderbird energy vs WNIC latency (a) and bandwidth (b)."""
     config = config or ExperimentConfig()
@@ -216,9 +209,8 @@ def figure3(config: ExperimentConfig | None = None, *, panels: str = "ab",
     return _run_figure(
         "fig3", "Thunderbird: energy vs WNIC latency/bandwidth",
         ProgramSet((ProgramSpec(trace).prepared(),)), trace.name,
-        _standard_policies(profile, config), config,
-        panels=panels, progress=progress, workers=workers, cache=cache,
-        executor=executor)
+        standard_policies(profile, config), config,
+        panels=panels, progress=progress, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +218,6 @@ def figure3(config: ExperimentConfig | None = None, *, panels: str = "ab",
 # ----------------------------------------------------------------------
 def figure4(config: ExperimentConfig | None = None, *, panels: str = "ab",
             progress: Callable[[str], None] | None = None,
-            workers: int = 1, cache: RunCache | None = None,
             executor: ParallelSweepExecutor | None = None) -> FigureResult:
     """grep+make ∥ xmms, including the FlexFetch-static ablation.
 
@@ -243,9 +234,8 @@ def figure4(config: ExperimentConfig | None = None, *, panels: str = "ab",
                     ProgramSpec(bg, profiled=False,
                                 disk_pinned=True).prepared())),
         f"{fg.name} | {bg.name}",
-        _standard_policies(profile, config, include_static=True), config,
-        panels=panels, progress=progress, workers=workers, cache=cache,
-        executor=executor)
+        standard_policies(profile, config, include_static=True), config,
+        panels=panels, progress=progress, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +243,6 @@ def figure4(config: ExperimentConfig | None = None, *, panels: str = "ab",
 # ----------------------------------------------------------------------
 def figure5(config: ExperimentConfig | None = None, *, panels: str = "ab",
             progress: Callable[[str], None] | None = None,
-            workers: int = 1, cache: RunCache | None = None,
             executor: ParallelSweepExecutor | None = None) -> FigureResult:
     """Acroread search run driven by the stale casual-reading profile."""
     config = config or ExperimentConfig()
@@ -262,39 +251,21 @@ def figure5(config: ExperimentConfig | None = None, *, panels: str = "ab",
     return _run_figure(
         "fig5", "Acroread: energy with an out-of-date profile",
         ProgramSet((ProgramSpec(search).prepared(),)), search.name,
-        _standard_policies(stale, config, include_static=True), config,
-        panels=panels, progress=progress, workers=workers, cache=cache,
-        executor=executor)
+        standard_policies(stale, config, include_static=True), config,
+        panels=panels, progress=progress, executor=executor)
 
 
 # ----------------------------------------------------------------------
 # Fault panel — energy under increasing wireless-outage rates
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class FaultSweepPoint:
-    """One (policy, outage rate) cell of the fault panel."""
-
-    policy: str
-    outage_rate: float
-    result: RunResult
-
-    @property
-    def energy(self) -> Joules:
-        return self.result.total_energy
-
-    @property
-    def time(self) -> float:
-        return self.result.end_time
-
-
 @dataclass
 class FaultPanelResult:
     """Energy-vs-outage-rate curves for all policies on one workload."""
 
     workload: str
     rates: tuple[float, ...]
-    #: policy -> points in ``rates`` order.
-    curves: dict[str, list[FaultSweepPoint]] = field(default_factory=dict)
+    #: policy -> points at the default link, in ``rates`` order.
+    curves: dict[str, list[SweepPoint]] = field(default_factory=dict)
 
     def curve_energy(self, policy: str) -> list[float]:
         return [p.energy for p in self.curves[policy]]
@@ -309,35 +280,29 @@ def fault_panel(config: ExperimentConfig | None = None, *,
     """All four policies' energy as the wireless link degrades.
 
     Each point replays ``scenario`` at the paper's default link settings
-    under a deterministic :class:`FaultSchedule` whose Poisson outage
-    rate is swept over ``rates`` (a rate of 0 disables the fault layer
+    under a deterministic fault schedule whose Poisson outage rate is
+    swept over ``rates`` (a rate of 0 disables the fault layer
     entirely, giving the fault-free baseline).  Any other fault knobs —
     rate-fallback windows, spin-up failures — come from ``base_spec``.
+    Every policy sees the same fault timeline at a given rate: each
+    cell rebuilds its schedule from ``(spec, config.seed)``.
     """
     from repro.traces.synth.scenarios import build_scenario
     config = config or ExperimentConfig()
     built = build_scenario(scenario, seed=config.seed)
-    policies = _standard_policies(built.profile, config)
+    policies = standard_policies(built.profile, config)
+    executor = ParallelSweepExecutor()
     panel = FaultPanelResult(workload=built.name, rates=tuple(rates))
     panel.curves = {name: [] for name in policies}
     for rate in rates:
         spec = replace(base_spec or FaultSpec(), outage_rate=rate)
-        for name, factory in policies.items():
-            # A fresh schedule per run: same seed, same fault timeline
-            # for every policy at this rate.
-            faults = FaultSchedule(spec, seed=config.seed) \
-                if spec.enabled else None
-            result = SimulationSession(list(built.programs), factory(),
-                                       disk_spec=config.disk_spec,
-                                       wnic_spec=config.wnic_spec,
-                                       memory_bytes=config.memory_bytes,
-                                       seed=config.seed, faults=faults).run()
-            panel.curves[name].append(FaultSweepPoint(
-                policy=result.policy, outage_rate=rate, result=result))
-            if progress is not None:
-                progress(f"{name} @ outage={rate:g}/s"
-                         f" -> {result.total_energy:.1f} J"
-                         f" (failovers={sum(result.fault_failovers.values())})")
+        rate_progress = None if progress is None else \
+            (lambda line, rate=rate: progress(f"outage={rate:g}/s {line}"))
+        curves = executor.run_sweep(
+            ProgramSet(built.programs), policies, [config.wnic_spec],
+            config, progress=rate_progress, faults=spec)
+        for name, points in curves.items():
+            panel.curves[name].extend(points)
     return panel
 
 

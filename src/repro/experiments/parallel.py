@@ -291,14 +291,9 @@ class ParallelSweepExecutor:
                  journal: SweepJournal | None = None,
                  partial: bool = False,
                  chaos: ChaosSpec | None = None,
-                 clamp_to_cpus: bool = False,
                  sanitize: bool | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if clamp_to_cpus:
-            # A pool wider than the machine only adds scheduling churn;
-            # benchmarks pass a nominal width and let the host decide.
-            workers = min(workers, os.cpu_count() or 1)
         self.workers = int(workers)
         self.cache = cache
         self.retry = retry or NO_RETRY
@@ -332,9 +327,12 @@ class ParallelSweepExecutor:
                   ) -> dict[str, list[SweepPoint]]:
         """Run every policy across every link point.
 
-        Same contract as :func:`repro.experiments.runner.run_sweep`:
-        returns ``{policy name: [SweepPoint, ...]}`` with points in
-        sweep order regardless of completion order.  If any cell fails
+        Returns ``{policy name: [SweepPoint, ...]}`` with points in
+        sweep order regardless of completion order; ``progress`` (if
+        given) receives one line per cell, in completion order.
+        ``faults`` (a frozen spec, not a schedule) applies the same
+        fault processes to every cell and is part of its cache key.
+        If any cell fails
         permanently, the remaining cells still run to completion; then
         either the failure with the lowest sweep index is raised as
         :class:`SweepCellError` (with the worker's exception chained and
@@ -366,7 +364,7 @@ class ParallelSweepExecutor:
             assert keys is not None
             self.journal.begin_sweep(
                 [keys[job.index] for job in jobs],
-                salt=self.cache.salt if self.cache else CODE_VERSION_SALT)
+                salt=CODE_VERSION_SALT)
 
         # Journal, cache, serial/pool and placeholder fills each take a
         # disjoint set of indices, so every cell is added exactly once.
@@ -422,11 +420,9 @@ class ParallelSweepExecutor:
         """Content keys per cell, when caching or journaling needs them."""
         if self.cache is None and self.journal is None:
             return None
-        salt = self.cache.salt if self.cache is not None \
-            else CODE_VERSION_SALT
         return {job.index: run_key(job.programs, job.policy_factory,
                                    job.wnic_spec, job.config,
-                                   faults=job.faults, salt=salt)
+                                   faults=job.faults)
                 for job in jobs}
 
     def _drain_journal(self, jobs: list[SweepJob],

@@ -99,9 +99,9 @@ def fault_panel_to_csv(panel: FaultPanelResult) -> str:
     out.write("policy,outage_rate,energy_j,time_s,failovers,retries,"
               "spinup_failures\n")
     for policy, points in panel.curves.items():
-        for p in points:
+        for rate, p in zip(panel.rates, points, strict=True):
             r = p.result
-            out.write(f"{policy},{p.outage_rate:g},{p.energy:.3f},"
+            out.write(f"{policy},{rate:g},{p.energy:.3f},"
                       f"{p.time:.3f},{sum(r.fault_failovers.values())},"
                       f"{sum(r.fault_retries.values())},"
                       f"{r.disk_spinup_failures}\n")

@@ -1,17 +1,18 @@
-"""Run matrices of (workload x policy x link point).
+"""One simulation cell: (programs x policy x link point x faults x seed).
 
-The runner owns nothing scenario-specific: figures hand it the program
-specs and a *policy factory* per curve (policies are stateful, so every
-point needs a fresh instance), and it returns the energy/time rows the
-report layer renders: one list of :class:`SweepPoint` per curve, in
-sweep order.
+:func:`run_point` is the only place the experiment layer turns a cell
+into a :class:`~repro.core.session.SimulationSession`.  It owns nothing
+scenario-specific: callers hand it the program specs and a *policy
+factory* (policies are stateful, so every cell needs a fresh instance)
+and get back one :class:`SweepPoint`.  Whole matrices of cells run on
+:class:`~repro.experiments.parallel.ParallelSweepExecutor`, which calls
+:func:`run_point` once per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable
 
 from repro.core.policies import Policy
 from repro.core.session import SimulationSession
@@ -22,10 +23,6 @@ from repro.devices.specs import WnicSpec
 from repro.experiments.config import ExperimentConfig
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.units import BytesPerSecond, Joules, Seconds
-
-if TYPE_CHECKING:
-    from repro.experiments.cache import RunCache
-    from repro.experiments.parallel import ParallelSweepExecutor
 
 #: Builds a fresh policy instance for one run.
 PolicyFactory = Callable[[], Policy]
@@ -144,41 +141,3 @@ def build_fault_schedule(faults: FaultSpec | None,
     if faults is None or not faults.enabled:
         return None
     return FaultSchedule(faults, seed=seed)
-
-
-def run_sweep(programs_factory: Callable[[], list[ProgramSpec]],
-              policy_factories: dict[str, PolicyFactory],
-              wnic_specs: Sequence[WnicSpec],
-              config: ExperimentConfig,
-              *, progress: Callable[[str], None] | None = None,
-              workers: int = 1,
-              cache: RunCache | None = None,
-              faults: FaultSpec | None = None,
-              executor: ParallelSweepExecutor | None = None
-              ) -> dict[str, list[SweepPoint]]:
-    """Run every policy across every link point.
-
-    Returns ``{policy name: [SweepPoint, ...]}`` with points in sweep
-    order.  ``progress`` (if given) receives a line per completed point.
-
-    Every sweep runs on a
-    :class:`~repro.experiments.parallel.ParallelSweepExecutor`; with the
-    default ``workers=1`` it runs the cells in-process.  ``workers > 1``
-    fans the cells out across processes and ``cache`` reuses previously
-    simulated cells, bit-identically.  With parallel workers the
-    *results* stay in sweep order but progress lines arrive in
-    completion order.  A cell that raises surfaces, after the other
-    cells ran, as :class:`~repro.experiments.parallel.SweepCellError`
-    with the cell's exception chained.  ``faults`` (a frozen spec,
-    not a schedule) applies the same fault processes to every cell and
-    participates in the cache key.  A pre-built ``executor`` overrides
-    ``workers`` and ``cache`` — the seam through which supervision,
-    journaling, and partial-mode sweeps (``flexfetch sweep``) plug in.
-    """
-    if executor is None:
-        # Local import: the executor's module imports this one.
-        from repro.experiments.parallel import ParallelSweepExecutor
-        executor = ParallelSweepExecutor(workers, cache=cache)
-    return executor.run_sweep(programs_factory, policy_factories,
-                              wnic_specs, config, progress=progress,
-                              faults=faults)

@@ -5,22 +5,22 @@ as strong as its stability across those draws.  This module re-runs a
 scenario under several seeds and reports, per policy, the mean / spread
 of total energy plus how often each qualitative ordering held — the
 quantitative backing for EXPERIMENTS.md's "shape holds" statements.
+Every seed's cells run on the same sweep executor as the figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.core.bluefs import BlueFSPolicy
-from repro.core.flexfetch import FlexFetchPolicy
-from repro.core.policies import DiskOnlyPolicy, Policy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import standard_policies
+from repro.experiments.parallel import ParallelSweepExecutor
+from repro.experiments.runner import ProgramSet
 from repro.traces.trace import Trace
 
 
@@ -81,6 +81,10 @@ def analyze_scenario(
     """Run the standard four policies on ``trace_factory(seed)`` for
     every seed and aggregate.
 
+    Each seed is one sweep of
+    :func:`~repro.experiments.figures.standard_policies` at
+    ``config``'s default link, with ``config.seed`` replaced by that
+    seed; FlexFetch takes ``config``'s loss rate and stage length.
     ``orderings`` lists ``(cheaper, dearer)`` policy-name pairs whose
     per-seed truth rate is reported, e.g. ``[("FlexFetch",
     "WNIC-only")]``.
@@ -88,25 +92,20 @@ def analyze_scenario(
     if not seeds:
         raise ValueError("need at least one seed")
     config = config or ExperimentConfig()
-
-    def fresh_policies(profile) -> list[Policy]:
-        return [DiskOnlyPolicy(), WnicOnlyPolicy(), BlueFSPolicy(),
-                FlexFetchPolicy(profile)]
+    executor = ParallelSweepExecutor()
 
     by_policy: dict[str, list[float]] = {}
     per_seed: list[dict[str, float]] = []
     for seed in seeds:
         trace = trace_factory(seed)
-        profile = profile_from_trace(trace)
-        row: dict[str, float] = {}
-        for policy in fresh_policies(profile):
-            result = SimulationSession(
-                [ProgramSpec(trace)], policy,
-                disk_spec=config.disk_spec, wnic_spec=config.wnic_spec,
-                memory_bytes=config.memory_bytes, seed=seed).run()
-            row[result.policy] = result.total_energy
-            by_policy.setdefault(result.policy, []).append(
-                result.total_energy)
+        seeded = replace(config, seed=seed)
+        curves = executor.run_sweep(
+            ProgramSet((ProgramSpec(trace),)),
+            standard_policies(profile_from_trace(trace), seeded),
+            [seeded.wnic_spec], seeded)
+        row = {name: point.energy for name, (point,) in curves.items()}
+        for name, energy in row.items():
+            by_policy.setdefault(name, []).append(energy)
         per_seed.append(row)
 
     rates: dict[str, float] = {}

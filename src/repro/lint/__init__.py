@@ -3,13 +3,10 @@
 An AST-based checker with repo-specific rules that generic linters
 cannot express (see DESIGN.md §10 for the catalogue and rationale).
 One visitor checks one file at a time and applies only inside the
-``repro`` package:
-
-* **R2 unit-discipline** — physical quantities carry the
-  :mod:`repro.units` aliases, and ``+``/``-``/ordering never mixes
-  dimensions (seconds vs joules);
-* **R3 float-equality** — no ``==``/``!=`` on measured float
-  quantities.
+``repro`` package.  It has one rule, **R2 unit-discipline**: physical
+quantities carry the :mod:`repro.units` aliases, and ``+``/``-``/
+ordering never mixes dimensions (seconds vs joules).  Files that do not
+parse are reported as **E1**.
 
 Determinism and layering are checked by tier-1 tests instead:
 ``tests/experiments/test_cell_purity.py`` replays cells with the wall

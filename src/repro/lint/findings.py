@@ -13,7 +13,6 @@ from dataclasses import dataclass
 #: (``# repro-lint: ignore[R2]``) reference them.
 RULES: dict[str, str] = {
     "R2": "unit-discipline",
-    "R3": "float-equality",
     "E1": "parse-error",
 }
 

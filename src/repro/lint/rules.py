@@ -1,15 +1,13 @@
-"""The rule implementations (R2, R3) for :mod:`repro.lint`.
+"""The rule implementation (R2) for :mod:`repro.lint`.
 
 One :class:`ast.NodeVisitor` walks each module with a per-function unit
-environment and emits both rules' :class:`Finding` objects.  The
+environment and emits the rule's :class:`Finding` objects.  The
 analyzer never imports or executes the code under analysis — pure
 syntax, so it runs identically on any tree (including broken
 work-in-progress checkouts, as long as they parse).
 
-Both rules apply to every file inside the ``repro`` package and to
-nothing outside it (see DESIGN.md §10).  Tests may compare replays for
-*exact* equality on purpose (bit-reproducibility assertions), so they
-are exempt.
+The rule applies to every file inside the ``repro`` package and to
+nothing outside it (see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 from repro.lint.findings import Finding
 from repro.lint.unitinfer import (
     DIMENSION_ALIASES,
-    FLOAT_DIMENSIONS,
     UnitEnv,
     dimension_of_identifier,
     is_bare_numeric_annotation,
@@ -42,8 +39,7 @@ class FileContext:
 
 
 class UnitDisciplineRule(ast.NodeVisitor):
-    """R2: physical quantities use the aliases and dimensions never mix;
-    R3: no ``==``/``!=`` on time/energy/power/bandwidth values."""
+    """R2: physical quantities use the aliases and dimensions never mix."""
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
@@ -134,27 +130,18 @@ class UnitDisciplineRule(ast.NodeVisitor):
             self._check_mix(node, op, node.target, node.value)
         self.generic_visit(node)
 
-    # -- R2 ordering and R3 equality -----------------------------------
+    # -- R2: ordering --------------------------------------------------
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
         for op, left, right in zip(node.ops, operands, operands[1:],
                                    strict=False):
             if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
                 self._check_mix(node, "comparison", left, right)
-            elif isinstance(op, (ast.Eq, ast.NotEq)):
-                for side in (left, right):
-                    dim = self._env.dimension_of(side)
-                    if dim in FLOAT_DIMENSIONS:
-                        self._flag(node, "R3",
-                                   f"exact equality on a measured {dim}"
-                                   " value — use repro.units.approx_eq"
-                                   " / is_zero (or math.isclose)")
-                        break
         self.generic_visit(node)
 
 
 def run_rules(tree: ast.AST, ctx: FileContext) -> list[Finding]:
-    """Run R2 and R3 over a parsed module, in (line, col, rule) order."""
+    """Run R2 over a parsed module, in (line, col, rule) order."""
     if not ctx.in_package:
         return []
     visitor = UnitDisciplineRule(ctx)

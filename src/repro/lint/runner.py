@@ -6,7 +6,7 @@ Invocation forms (all equivalent)::
     flexfetch lint src/
     from repro.lint import lint_paths; lint_paths(["src"])
 
-Each file is parsed once and checked in isolation by R2 and R3 when it
+Each file is parsed once and checked in isolation by R2 when it
 lies inside the ``repro`` package (:func:`repro.lint.rules.run_rules`).
 Findings are ordered by (path, line, col, rule, message), so output is
 deterministic.
@@ -101,8 +101,7 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="FlexFetch repo static analyzer: unit discipline"
-                    " and float equality."
+        description="FlexFetch repo static analyzer: unit discipline."
                     " Suppress with '# repro-lint: ignore[R2]'.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories (default: src)")

@@ -1,8 +1,8 @@
 """Suppression-comment parsing for :mod:`repro.lint`.
 
-One pragma, an ordinary comment: ``# repro-lint: ignore[R2]`` /
-``ignore[R2,R3]`` / ``ignore`` suppresses the named rules (or all
-rules) on that physical line.  Findings anchor to a statement's first
+One pragma, an ordinary comment: ``# repro-lint: ignore[R2]`` (a
+comma-separated list of rule ids) / ``ignore`` suppresses the named
+rules (or all rules) on that physical line.  Findings anchor to a statement's first
 line, so that is where the pragma goes.
 """
 

@@ -1,4 +1,4 @@
-"""Lexical and annotation-driven unit inference shared by rules R2/R3.
+"""Lexical and annotation-driven unit inference for rule R2.
 
 The analyzer never executes the code it checks, so it infers the
 physical dimension of an expression two ways:
@@ -25,9 +25,6 @@ ENERGY = "energy"
 POWER = "power"
 DATA = "data"
 BANDWIDTH = "bandwidth"
-
-#: dimensions carried by floats, where exact equality is meaningless.
-FLOAT_DIMENSIONS = frozenset({TIME, ENERGY, POWER, BANDWIDTH})
 
 #: repro.units alias name -> dimension.
 ALIAS_DIMENSIONS: dict[str, str] = {

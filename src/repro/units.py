@@ -17,8 +17,9 @@ The aliases are :data:`typing.Annotated` forms, not ``NewType`` wrappers:
   parameters/returns and flags arithmetic inside a function that mixes
   incompatible dimensions (see DESIGN.md §10).
 
-Float equality on measured quantities is rule R3's business: compare
-with :func:`approx_eq` / :func:`is_zero`, never ``==``.
+:func:`approx_eq` / :func:`is_zero` compare measured quantities with a
+tolerance, for call sites where float noise must not flip the answer
+(``WirelessNic._psm_safe``'s rate check, the golden-number checks).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def transfer_seconds(size: Bytes, bandwidth: BytesPerSecond) -> Seconds:
 
 
 # ----------------------------------------------------------------------
-# tolerant comparison (rule R3's sanctioned escape hatch)
+# tolerant comparison of measured quantities
 # ----------------------------------------------------------------------
 #: Default absolute slack for measured quantities; well below one
 #: microjoule / one nanosecond, far above accumulated float noise.

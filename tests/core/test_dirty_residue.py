@@ -16,7 +16,7 @@ from repro.core.profile import profile_from_trace
 from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import _standard_policies
+from repro.experiments.figures import standard_policies
 from repro.traces.synth import generate_grep_make
 
 CONFIG = ExperimentConfig(seed=7)
@@ -29,7 +29,7 @@ RESIDUE = {"Disk-only": 0, "WNIC-only": 1221, "BlueFS": 1221,
 @pytest.fixture(scope="module")
 def grep_make():
     trace = generate_grep_make(CONFIG.seed)
-    return trace, _standard_policies(profile_from_trace(trace), CONFIG)
+    return trace, standard_policies(profile_from_trace(trace), CONFIG)
 
 
 @pytest.mark.parametrize("fast_path", [True, False], ids=["plan", "live"])

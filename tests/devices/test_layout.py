@@ -44,17 +44,19 @@ class TestPlacement:
         layout = layout_of(1, [(1, 10 * BLOCK_SIZE), (2, 4 * BLOCK_SIZE)])
         a, b = layout.get(1), layout.get(2)
         assert a.start_block == 0
-        assert a.end_block <= b.start_block <= a.end_block + MAX_GAP_BLOCKS
+        a_end = a.start_block + a.nblocks
+        assert a_end <= b.start_block <= a_end + MAX_GAP_BLOCKS
         assert list(layout.files) == [1, 2]
 
     def test_gaps_are_bounded(self):
         layout = layout_of(1, [(inode, BLOCK_SIZE) for inode in range(1, 50)])
-        prev_end = layout.get(1).end_block
+        first = layout.get(1)
+        prev_end = first.start_block + first.nblocks
         for inode in range(2, 50):
             ext = layout.get(inode)
             gap = ext.start_block - prev_end
             assert 0 <= gap <= MAX_GAP_BLOCKS
-            prev_end = ext.end_block
+            prev_end = ext.start_block + ext.nblocks
 
     def test_zero_byte_file_still_gets_a_block(self):
         assert layout_of(1, [(1, 0)]).get(1).nblocks == 1
@@ -64,7 +66,7 @@ class TestPlacement:
         a = make_trace([(1, 0, 5 * BLOCK_SIZE, "read", 0.0)], pid=100)
         b = make_trace([(1, 0, 5 * BLOCK_SIZE, "read", 1.0)], pid=200)
         layout = layout_for([compile_trace(a), compile_trace(b)], 1)
-        assert len(layout) == 1
+        assert len(layout.files) == 1
         assert layout.get(1) == layout_of(1, [(1, 5 * BLOCK_SIZE)]).get(1)
 
     def test_zero_byte_reregistration_is_idempotent(self):
@@ -75,7 +77,7 @@ class TestPlacement:
         b = make_trace([(1, 0, 1, "read", 1.0)], pid=200,
                        file_sizes={1: 1})
         layout = layout_for([compile_trace(a), compile_trace(b)], 1)
-        assert len(layout) == 1
+        assert len(layout.files) == 1
         assert layout.get(1) == layout_of(1, [(1, 0)]).get(1)
 
     def test_zero_byte_file_is_placed_like_a_one_byte_file(self):
@@ -160,7 +162,7 @@ class TestAddFiles:
 
     def test_empty_table_draws_nothing(self):
         layout = DiskLayout(7, {})
-        assert len(layout) == 0
+        assert len(layout.files) == 0
         assert placement(layout_of(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])) \
             == scalar_placement(7, [(1, BLOCK_SIZE), (2, BLOCK_SIZE)])
 
@@ -217,7 +219,7 @@ class TestProperties:
         extents = sorted(layout.files.values(),
                          key=lambda f: f.start_block)
         for a, b in zip(extents, extents[1:]):
-            assert a.end_block <= b.start_block
+            assert a.start_block + a.nblocks <= b.start_block
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 100_000), min_size=1, max_size=40))
@@ -226,4 +228,5 @@ class TestProperties:
         layout = layout_of(3, enumerate(sizes, start=1))
         last = list(layout.files.values())[-1]
         for ext in layout.files.values():
-            assert ext.end_block <= last.end_block
+            assert ext.start_block + ext.nblocks \
+                <= last.start_block + last.nblocks

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.workload import ProgramSpec
+from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
     RunCache,
     RunCacheCorruptionWarning,
@@ -37,6 +38,11 @@ def config():
 @pytest.fixture
 def programs():
     return (ProgramSpec(small_trace()).prepared(),)
+
+
+def _key(config, programs):
+    """Key of the Disk-only cell at the config's default link."""
+    return run_key(programs, DiskOnlyPolicy, config.wnic_spec, config)
 
 
 class TestRunKey:
@@ -79,11 +85,12 @@ class TestRunKey:
                        config) != \
             run_key(other, DiskOnlyPolicy, config.wnic_spec, config)
 
-    def test_salt_changes_key(self, config, programs):
+    def test_salt_changes_key(self, config, programs, monkeypatch):
+        monkeypatch.setattr(cache_mod, "CODE_VERSION_SALT", "v1")
+        old = run_key(programs, DiskOnlyPolicy, config.wnic_spec, config)
+        monkeypatch.setattr(cache_mod, "CODE_VERSION_SALT", "v2")
         assert run_key(programs, DiskOnlyPolicy, config.wnic_spec,
-                       config, salt="v1") != \
-            run_key(programs, DiskOnlyPolicy, config.wnic_spec,
-                    config, salt="v2")
+                       config) != old
 
     def test_fault_spec_changes_key(self, config, programs):
         """Regression: a --faults run must never hit a no-fault row."""
@@ -132,8 +139,7 @@ class TestRunCache:
 
     def test_miss_then_hit_round_trip(self, tmp_path, config, programs):
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         assert cache.get(key) is None
         point = self._point(config, programs)
         cache.put(key, point.result)
@@ -142,14 +148,13 @@ class TestRunCache:
         assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
 
     def test_salt_invalidates_previous_entries(self, tmp_path, config,
-                                               programs):
-        old = RunCache(tmp_path, salt="code-v1")
+                                               programs, monkeypatch):
+        monkeypatch.setattr(cache_mod, "CODE_VERSION_SALT", "code-v1")
+        cache = RunCache(tmp_path)
         point = self._point(config, programs)
-        old.put(old.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config), point.result)
-        new = RunCache(tmp_path, salt="code-v2")
-        assert new.get(new.key_for(programs, DiskOnlyPolicy,
-                                   config.wnic_spec, config)) is None
+        cache.put(_key(config, programs), point.result)
+        monkeypatch.setattr(cache_mod, "CODE_VERSION_SALT", "code-v2")
+        assert cache.get(_key(config, programs)) is None
 
     @pytest.mark.parametrize("payload", [
         "not json {",
@@ -160,8 +165,7 @@ class TestRunCache:
     def test_corrupted_entry_is_a_miss(self, tmp_path, config, programs,
                                        payload):
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         cache.path_for(key).write_text(payload, encoding="utf-8")
         assert cache.get(key) is None
@@ -175,8 +179,7 @@ class TestRunCache:
         curves = executor.run_sweep(
             ProgramSet(programs), {"Disk-only": DiskOnlyPolicy},
             [config.wnic_spec], config)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         cache.path_for(key).write_text("garbage", encoding="utf-8")
         again = ParallelSweepExecutor(1, cache=RunCache(tmp_path))
         repaired = again.run_sweep(
@@ -221,8 +224,7 @@ class TestRunCache:
 
         monkeypatch.setattr(Path, "replace", spy)
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         result = self._point(config, programs).result
         cache.put(key, result)
         cache.put(key, result)
@@ -231,8 +233,7 @@ class TestRunCache:
 
     def test_put_leaves_no_tmp_files(self, tmp_path, config, programs):
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         cache.put(key, self._point(config, programs).result)
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.get(key) is not None
@@ -240,8 +241,7 @@ class TestRunCache:
     def test_corrupt_rows_counted_and_warned_once(self, tmp_path, config,
                                                   programs):
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         cache.path_for(key).write_text("garbage", encoding="utf-8")
         with pytest.warns(RunCacheCorruptionWarning):
@@ -259,8 +259,7 @@ class TestRunCache:
     def test_missing_entry_is_not_a_corrupt_row(self, tmp_path, config,
                                                 programs):
         cache = RunCache(tmp_path)
-        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
-                            config)
+        key = _key(config, programs)
         assert cache.get(key) is None
         assert cache.corrupt_rows == 0
 
@@ -290,13 +289,6 @@ class TestUncompiledTraces:
         with pytest.raises(UncompiledTraceError,
                            match="compile it first"):
             run_key(raw, DiskOnlyPolicy, config.wnic_spec, config)
-
-    def test_key_for_raises_the_same_error(self, tmp_path, config):
-        from repro.experiments.cache import UncompiledTraceError
-        cache = RunCache(tmp_path)
-        with pytest.raises(UncompiledTraceError):
-            cache.key_for((ProgramSpec(small_trace()),), DiskOnlyPolicy,
-                          config.wnic_spec, config)
 
     def test_error_is_a_type_error(self):
         from repro.experiments.cache import UncompiledTraceError

@@ -14,7 +14,7 @@ from repro.experiments.parallel import (
     SweepJob,
     _execute_job,
 )
-from repro.experiments.runner import ProgramSet, run_sweep
+from repro.experiments.runner import ProgramSet
 from repro.faults.schedule import FaultSpec
 from repro.sim import plan as plan_mod
 from repro.sim.plan import BurstPlan
@@ -71,12 +71,6 @@ class TestBitIdenticalToSerial:
                 assert a.result == b.result     # exact, field by field
                 assert a.energy == b.energy
                 assert a.time == b.time
-
-    def test_run_sweep_workers_kwarg_delegates(self, config, programs):
-        facts = {"Disk-only": DiskOnlyPolicy}
-        specs = config.latency_points()
-        assert run_sweep(programs, facts, specs, config, workers=2) == \
-            run_sweep(programs, facts, specs, config)
 
 
 class TestProgressMarshalling:

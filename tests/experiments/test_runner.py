@@ -8,12 +8,12 @@ from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, figure2
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import (
     ProgramSet,
     SweepPoint,
     progress_line,
     run_point,
-    run_sweep,
 )
 from tests.conftest import make_trace
 
@@ -62,10 +62,10 @@ class TestRunPoint:
 class TestRunSweep:
     def test_curves_cover_all_points(self, config):
         trace = small_trace()
-        curves = run_sweep(lambda: [ProgramSpec(trace)],
-                           {"Disk-only": DiskOnlyPolicy,
-                            "WNIC-only": WnicOnlyPolicy},
-                           config.latency_points(), config)
+        curves = ParallelSweepExecutor().run_sweep(
+            lambda: [ProgramSpec(trace)],
+            {"Disk-only": DiskOnlyPolicy, "WNIC-only": WnicOnlyPolicy},
+            config.latency_points(), config)
         assert set(curves) == {"Disk-only", "WNIC-only"}
         for points in curves.values():
             assert len(points) == 2
@@ -75,10 +75,11 @@ class TestRunSweep:
     def test_progress_callback(self, config):
         trace = small_trace()
         lines = []
-        run_sweep(lambda: [ProgramSpec(trace)],
-                  {"Disk-only": DiskOnlyPolicy},
-                  config.latency_points(), config,
-                  progress=lines.append)
+        ParallelSweepExecutor().run_sweep(
+            lambda: [ProgramSpec(trace)],
+            {"Disk-only": DiskOnlyPolicy},
+            config.latency_points(), config,
+            progress=lines.append)
         assert len(lines) == 2
         assert "Disk-only" in lines[0]
 
@@ -92,10 +93,11 @@ class TestRunSweep:
         """
         trace = small_trace()
         lines = []
-        run_sweep(lambda: [ProgramSpec(trace)],
-                  {"WNIC-only": WnicOnlyPolicy},
-                  [replace(config.wnic_spec, bandwidth_bps=11e6 / 8)],
-                  config, progress=lines.append)
+        ParallelSweepExecutor().run_sweep(
+            lambda: [ProgramSpec(trace)],
+            {"WNIC-only": WnicOnlyPolicy},
+            [replace(config.wnic_spec, bandwidth_bps=11e6 / 8)],
+            config, progress=lines.append)
         (line,) = lines
         assert "bw=1.4MB/s (11.0Mbps)" in line
         assert "lat=" in line and line.endswith("J")
@@ -124,10 +126,10 @@ class TestProgramSet:
 
     def test_latency_moves_wnic_energy_only(self, config):
         trace = small_trace()
-        curves = run_sweep(lambda: [ProgramSpec(trace)],
-                           {"Disk-only": DiskOnlyPolicy,
-                            "WNIC-only": WnicOnlyPolicy},
-                           config.latency_points(), config)
+        curves = ParallelSweepExecutor().run_sweep(
+            lambda: [ProgramSpec(trace)],
+            {"Disk-only": DiskOnlyPolicy, "WNIC-only": WnicOnlyPolicy},
+            config.latency_points(), config)
         disk = [p.energy for p in curves["Disk-only"]]
         wnic = [p.energy for p in curves["WNIC-only"]]
         assert disk[0] == pytest.approx(disk[1], rel=1e-6)

@@ -11,10 +11,10 @@ from repro.lint.runner import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: an R3 violation; it only counts inside a ``repro`` package tree.
-R3_BAD = ("from repro.units import Seconds\n\n\n"
-          "def finished(end_time: Seconds) -> bool:\n"
-          "    return end_time == 0.0\n")
+#: an R2 violation; it only counts inside a ``repro`` package tree.
+R2_BAD = ("from repro.units import Joules, Seconds\n\n\n"
+          "def late(end_time: Seconds, total_energy: Joules) -> bool:\n"
+          "    return end_time > total_energy\n")
 
 
 def _in_package(tmp_path: Path, source: str) -> Path:
@@ -33,10 +33,10 @@ def test_clean_tree_exits_zero(capsys: pytest.CaptureFixture[str]) -> None:
 
 def test_findings_exit_one(tmp_path: Path,
                            capsys: pytest.CaptureFixture[str]) -> None:
-    bad = _in_package(tmp_path, R3_BAD)
+    bad = _in_package(tmp_path, R2_BAD)
     assert lint_main([str(bad)]) == 1
     captured = capsys.readouterr()
-    assert "R3(float-equality)" in captured.out
+    assert "R2(unit-discipline)" in captured.out
     assert "1 finding" in captured.err
 
 
@@ -51,7 +51,7 @@ def test_flexfetch_lint_subcommand(
     good = tmp_path / "good.py"
     good.write_text("X = 1\n", encoding="utf-8")
     assert flexfetch_main(["lint", str(good)]) == 0
-    bad = _in_package(tmp_path, R3_BAD)
+    bad = _in_package(tmp_path, R2_BAD)
     assert flexfetch_main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "R3" in out
+    assert "R2" in out

@@ -21,15 +21,20 @@ class TestOrdering:
             "from repro.units import Joules, Seconds\n\n\n"
             "def f(end_time: float, start_time: Seconds,\n"
             "      total_energy: Joules) -> bool:\n"
-            "    return end_time == start_time < total_energy\n",
+            "    return end_time < total_energy < start_time\n",
             encoding="utf-8")
         (pkg / "a.py").write_text(
             "def done(end_time, total_energy):\n"
-            "    return end_time == total_energy\n", encoding="utf-8")
+            "    return end_time < total_energy\n", encoding="utf-8")
         first = lint_paths([tmp_path])
         assert first == lint_paths([tmp_path])
         keys = [(f.path, f.line, f.col, f.rule, f.message) for f in first]
         assert keys == sorted(keys)
-        # a.py: R3; b.py: R2 (bare float), then R2 and R3 on one
-        # comparison chain, ordered by rule.
-        assert [f.rule for f in first] == ["R3", "R2", "R2", "R3"]
+        # a.py: one mix; b.py: a bare float, then two mixes on one
+        # comparison chain, ordered by message.
+        assert [(Path(f.path).name, f.line, f.message[-14:])
+                for f in first] == [
+            ("a.py", 2, "time vs energy"),
+            ("b.py", 4, "bare float/int"),
+            ("b.py", 6, "energy vs time"),
+            ("b.py", 6, "time vs energy")]

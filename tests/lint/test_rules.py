@@ -1,7 +1,7 @@
 """Rule-level tests for :mod:`repro.lint`.
 
-Rules R2 and R3 each have a failing fixture (must trigger that rule and
-only that rule) and a passing fixture (must be silent).  Fixtures use
+Rule R2 has failing fixtures (must trigger that rule and only that
+rule) and passing fixtures (must be silent).  Fixtures use
 the ``.pysnippet`` extension so CLI runs over ``tests/`` never walk into
 deliberately-broken code.
 """
@@ -20,11 +20,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: the package-scoped rules apply.
 IN_PACKAGE = ("repro", "core", "fixture.py")
 
-#: an R3 violation on line 4 of an otherwise clean module.
-R3_ON_LINE_4 = ("from repro.units import Seconds\n"
+#: an R2 violation on line 4 of an otherwise clean module.
+R2_ON_LINE_4 = ("from repro.units import Joules, Seconds\n"
                 "\n"
-                "def f(end_time: Seconds) -> bool:\n"
-                "    return end_time == 0.5{pragma}\n")
+                "def f(end_time: Seconds, total_energy: Joules) -> bool:\n"
+                "    return end_time < total_energy{pragma}\n")
 
 
 def lint_fixture(name: str,
@@ -34,14 +34,14 @@ def lint_fixture(name: str,
     return lint_source(source, path=name, package_rel=package_rel)
 
 
-@pytest.mark.parametrize("rule", ["R2", "R3"])
+@pytest.mark.parametrize("rule", ["R2"])
 def test_bad_fixture_triggers_only_its_rule(rule: str) -> None:
     findings = lint_fixture(f"{rule.lower()}_bad.pysnippet")
     assert findings, f"{rule} fixture produced no findings"
     assert {f.rule for f in findings} == {rule}
 
 
-@pytest.mark.parametrize("rule", ["R2", "R3"])
+@pytest.mark.parametrize("rule", ["R2"])
 def test_good_fixture_is_clean(rule: str) -> None:
     assert lint_fixture(f"{rule.lower()}_good.pysnippet") == []
 
@@ -53,21 +53,27 @@ def test_r2_flags_mixed_dimensions() -> None:
     assert "time vs energy" in mixes[0].message
 
 
-def test_r3_both_equality_directions() -> None:
-    findings = lint_fixture("r3_bad.pysnippet")
-    assert len(findings) == 2
-    assert {"energy", "time"} == {
-        "energy" if "energy" in f.message else "time" for f in findings}
+def test_r2_flags_both_comparison_directions() -> None:
+    findings = lint_fixture("r2_compare_bad.pysnippet")
+    assert {f.rule for f in findings} == {"R2"}
+    assert [f.message.rsplit(": ", 1)[1] for f in findings] == [
+        "energy vs time", "time vs energy"]
+
+
+def test_equality_is_not_a_finding() -> None:
+    # Exact equality on floats is legal: a tolerance belongs only where
+    # a behavioural test shows float noise would flip the answer.
+    assert lint_fixture("r2_compare_good.pysnippet") == []
 
 
 # ----------------------------------------------------------------------
 # rule scoping
 # ----------------------------------------------------------------------
 def test_package_rules_do_not_apply_outside_the_package() -> None:
-    # No rule applies outside repro/: the R2 and R3 fixtures are legal
-    # there.
+    # No rule applies outside repro/: the R2 fixtures are legal there.
     assert lint_fixture("r2_bad.pysnippet", package_rel=None) == []
-    assert lint_fixture("r3_bad.pysnippet", package_rel=None) == []
+    assert lint_fixture("r2_compare_bad.pysnippet",
+                        package_rel=None) == []
 
 
 # ----------------------------------------------------------------------
@@ -78,13 +84,13 @@ def test_inline_pragma_suppresses_the_named_rule() -> None:
 
 
 def test_pragma_for_a_different_rule_does_not_suppress() -> None:
-    source = R3_ON_LINE_4.format(pragma="  # repro-lint: ignore[R2]")
+    source = R2_ON_LINE_4.format(pragma="  # repro-lint: ignore[E1]")
     findings = lint_source(source, path="x.py", package_rel=IN_PACKAGE)
-    assert [f.rule for f in findings] == ["R3"]
+    assert [f.rule for f in findings] == ["R2"]
 
 
 def test_bare_ignore_suppresses_everything_on_the_line() -> None:
-    source = R3_ON_LINE_4.format(pragma="  # repro-lint: ignore")
+    source = R2_ON_LINE_4.format(pragma="  # repro-lint: ignore")
     assert lint_source(source, path="x.py", package_rel=IN_PACKAGE) == []
 
 
@@ -126,7 +132,7 @@ def test_same_dimension_arithmetic_is_silent() -> None:
 
 
 def test_finding_render_is_editor_clickable() -> None:
-    findings = lint_source(R3_ON_LINE_4.format(pragma=""),
+    findings = lint_source(R2_ON_LINE_4.format(pragma=""),
                            path="mod.py", package_rel=IN_PACKAGE)
     assert findings and findings[0].render().startswith("mod.py:4:")
-    assert "R3(float-equality)" in findings[0].render()
+    assert "R2(unit-discipline)" in findings[0].render()

@@ -9,7 +9,8 @@ from repro.core.policies import DiskOnlyPolicy
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, FigureResult
-from repro.experiments.runner import ProgramSet, run_sweep
+from repro.experiments.parallel import ParallelSweepExecutor
+from repro.experiments.runner import ProgramSet
 from tests.conftest import make_trace
 
 
@@ -23,8 +24,7 @@ class _BoomFactory:
 def _tiny_figure(factories):
     """A FIGURES-compatible builder over a 1x2 grid of tiny cells."""
 
-    def build(config, *, panels="ab", progress=None, workers=1,
-              cache=None, executor=None):
+    def build(config, *, panels="ab", progress=None, executor=None):
         tiny = ExperimentConfig(seed=config.seed,
                                 latency_sweep=(0.0, 0.010),
                                 bandwidth_sweep_bps=(11e6 / 8,))
@@ -33,10 +33,9 @@ def _tiny_figure(factories):
                            name="tiny", file_sizes={1: 2 * 65536})
         result = FigureResult(figure_id="tiny", title="tiny sweep",
                               workload="tiny")
-        result.by_latency = run_sweep(
+        result.by_latency = (executor or ParallelSweepExecutor()).run_sweep(
             ProgramSet((ProgramSpec(trace),)), factories,
-            tiny.latency_points(), tiny, progress=progress,
-            workers=workers, cache=cache, executor=executor)
+            tiny.latency_points(), tiny, progress=progress)
         return result
 
     return build

@@ -26,7 +26,7 @@ from repro.core.profile import profile_from_trace
 from repro.core.session import SimulationSession
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import _standard_policies
+from repro.experiments.figures import standard_policies
 from repro.experiments.runner import run_point
 from repro.traces.synth import (
     generate_acroread_profile_run,
@@ -66,19 +66,19 @@ def figure_setups(config):
     stale5 = profile_from_trace(generate_acroread_profile_run(seed))
     return {
         "fig1": (lambda: [ProgramSpec(fig1)],
-                 _standard_policies(profile_from_trace(fig1), config)),
+                 standard_policies(profile_from_trace(fig1), config)),
         "fig2": (lambda: [ProgramSpec(fig2)],
-                 _standard_policies(profile_from_trace(fig2), config)),
+                 standard_policies(profile_from_trace(fig2), config)),
         "fig3": (lambda: [ProgramSpec(fig3)],
-                 _standard_policies(profile_from_trace(fig3), config)),
+                 standard_policies(profile_from_trace(fig3), config)),
         "fig4": (lambda: [ProgramSpec(fg4),
                           ProgramSpec(bg4, profiled=False,
                                       disk_pinned=True)],
-                 _standard_policies(profile_from_trace(fg4), config,
-                                    include_static=True)),
+                 standard_policies(profile_from_trace(fg4), config,
+                                   include_static=True)),
         "fig5": (lambda: [ProgramSpec(search5)],
-                 _standard_policies(stale5, config,
-                                    include_static=True)),
+                 standard_policies(stale5, config,
+                                   include_static=True)),
     }
 
 

@@ -36,7 +36,7 @@ from repro.core.shadow import (
 )
 from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import _standard_policies
+from repro.experiments.figures import standard_policies
 from repro.experiments.runner import run_point
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.traces.synth import (
@@ -60,7 +60,7 @@ def _scaled(trace: Trace, scale: float) -> Trace:
 def _setup(seed: int, think_scale: float):
     config = ExperimentConfig()
     trace = _scaled(generate_thunderbird(seed), think_scale)
-    policies = _standard_policies(profile_from_trace(trace), config)
+    policies = standard_policies(profile_from_trace(trace), config)
     return config, trace, policies
 
 
@@ -164,8 +164,8 @@ class TestPlumbing:
         build (or run) a shadow twin for it."""
         config = ExperimentConfig()
         fg, bg = generate_grep_make_xmms(config.seed)
-        factory = _standard_policies(profile_from_trace(fg),
-                                     config)["FlexFetch"]
+        factory = standard_policies(profile_from_trace(fg),
+                                    config)["FlexFetch"]
         session = SimulationSession(
             [ProgramSpec(fg),
              ProgramSpec(bg, profiled=False, disk_pinned=True)],
@@ -185,8 +185,8 @@ class TestPlumbing:
         sanitizer replays its twin on the live kernel and diffs it."""
         config = ExperimentConfig()
         trace = generate_grep_make(config.seed)
-        factory = _standard_policies(profile_from_trace(trace),
-                                     config)["FlexFetch"]
+        factory = standard_policies(profile_from_trace(trace),
+                                    config)["FlexFetch"]
         session = _session(trace, factory(), config, config.memory_bytes)
         result = run_shadowed(
             session,
