@@ -52,7 +52,6 @@ class RequestRouter:
         self.faults = faults
         self._disk_service = env.service_for(DataSource.DISK)
         self._wnic_service = env.service_for(DataSource.NETWORK)
-        self._complete_fetch = env.kernel.complete_fetch
         #: the policy's per-extent hooks, resolved once from its class;
         #: None where the class keeps the base no-op.
         self._on_serviced = resolve_hook(policy, "on_serviced")
@@ -104,8 +103,6 @@ class RequestRouter:
         else:
             source, result = self._service_with_recovery(
                 prog, extent, source, when, op, ctx)
-        if op is _READ:
-            self._complete_fetch(extent, result.completion)
         on_external = self._on_external_disk_request
         if (on_external is not None and not prog.profiled
                 and source is _DISK):

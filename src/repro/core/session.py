@@ -5,7 +5,8 @@ execution traces...  It simulates the management of two storage devices
 (hard disk and wireless interface card) and the buffer cache in the
 memory."  :class:`SimulationSession` is that simulator: one closed-loop
 scheduler (a ``(time, seq, program)`` heap in
-:meth:`SimulationSession._replay`) driving explicit layers:
+:meth:`SimulationSession._replay`) that takes each record in one pass
+through explicit layers:
 
 * **workload** (`repro.core.workload`) — closed-loop
   :class:`ProgramDriver`\\ s replaying recorded traces;
@@ -65,7 +66,7 @@ from repro.sim.clock import MB, SimulationError
 from repro.sim.plan import BurstPlan, layout_for, plan_for
 from repro.traces.compile import OPS_BY_CODE
 from repro.traces.record import OpType
-from repro.units import Bytes, Seconds
+from repro.units import Bytes
 
 # Module aliases for the per-record path (an enum member looked up on
 # its class costs several times a global load).
@@ -178,97 +179,7 @@ class SimulationSession:
             self.env.wnic.set_fault_schedule(self.faults)
         self.router = RequestRouter(self.env, self.policy,
                                     faults=self.faults)
-        # Resolved once per session rather than per record: the layer
-        # handles _service_record calls, the disk's core (whose state
-        # says whether the disk spins, read once per record), and the
-        # policy's per-record hooks (None where its class keeps the
-        # base no-op).
-        self._kernel = self.env.kernel
-        self._route = self.router.service
-        self._advance_disk = self.env.disk.advance_to
-        self._advance_wnic = self.env.wnic.advance_to
-        self._disk_core = self.env.disk.core
-        self._on_tick = resolve_hook(self.policy, "on_tick")
-        self._on_syscall = resolve_hook(self.policy, "on_syscall")
         self._materialised = True
-
-    # ------------------------------------------------------------------
-    # syscall processing
-    # ------------------------------------------------------------------
-    def _service_record(self, prog: ProgramDriver,
-                        now: Seconds) -> float:
-        """Service one record at ``now``; returns its completion time.
-
-        :meth:`_replay` calls it for every record, whichever kernel
-        surface is in place: the live kernel path or a
-        :class:`~repro.sim.plan.PlanCursor`.
-        """
-        # Index the compiled columns directly: no object allocation
-        # per record.
-        i = prog.index
-        pid = prog.pids[i]
-        inode = prog.inodes[i]
-        offset = prog.offsets[i]
-        size = prog.sizes[i]
-        op = OPS_BY_CODE[prog.ops[i]]
-        self._request_count += 1
-        kernel = self._kernel
-        service = self._route
-        sinks = self._sinks_hot
-        # Inlined env.advance(now): one frame per record adds up.
-        self._advance_disk(now)
-        self._advance_wnic(now)
-        on_tick = self._on_tick
-        if on_tick is not None:
-            on_tick(now)
-
-        if op is _READ:
-            extents = kernel.read(pid, inode, offset, size, now)
-            completion = now
-            for extent in extents:
-                _source, result = service(prog, extent, completion, _READ)
-                completion = result.completion
-                if sinks is not None:
-                    sinks.on_service(prog.name, _source.value,
-                                     extent.nbytes, result.energy,
-                                     result.completion)
-        else:
-            forced = kernel.write(pid, inode, offset, size, now)
-            completion = now  # async write-back: write() returns at once
-            for extent in forced:
-                # Forced evictions must hit a device immediately; they
-                # run asynchronously and do not delay the program.
-                source, result = service(prog, extent, now, _WRITE)
-                if sinks is not None:
-                    sinks.on_service(prog.name, source.value,
-                                     extent.nbytes, result.energy,
-                                     result.completion)
-
-        # Laptop-mode opportunistic flush; eager while the disk spins.
-        flush = kernel.plan_writeback(
-            completion, disk_active=self._disk_core.state != _STANDBY)
-        for extent in flush:
-            source, result = service(prog, extent, completion, _WRITE)
-            if sinks is not None:
-                sinks.on_service(prog.name, source.value,
-                                 extent.nbytes, result.energy,
-                                 result.completion)
-
-        if prog.profiled and size > 0:
-            # Demand-level observation (§2.1): every data-moving call,
-            # cached or not, with the application's byte count.
-            on_syscall = self._on_syscall
-            if on_syscall is not None:
-                # Positional, in field order, as the router builds it.
-                on_syscall(RequestContext(now, prog.name, True,
-                                          prog.disk_pinned, inode,
-                                          offset, size, op),
-                           now, completion)
-            if sinks is not None:
-                sinks.on_syscall(prog.name, op.value, size, now)
-
-        prog.last_completion = completion
-        return completion
 
     # ------------------------------------------------------------------
     # BurstPlan fast path
@@ -284,7 +195,7 @@ class SimulationSession:
         clock-dependent rest — which pages are still dirty and when
         laptop mode flushes — stays live in the cursor, faults act only
         on the devices behind the router, and the router audits every
-        service result, all still live in :meth:`_service_record`.
+        service result, all still live in :meth:`_replay`.
         """
         if len(self._program_specs) != 1:
             return None
@@ -303,24 +214,111 @@ class SimulationSession:
         at the start).  A record issues at its scheduled time or the
         clock, whichever is later, and its successor follows one
         recorded think time after it completes.
+
+        Each record is one pass through the layers, whichever kernel
+        surface is in place (the live kernel path or a
+        :class:`~repro.sim.plan.PlanCursor`): the devices advance to
+        its issue time, the policy ticks, the kernel read or write
+        hands back its device extents, the router services them, and a
+        laptop-mode flush follows while any page is dirty.  Every layer
+        call is resolved once, here, and made through its bound method
+        (None for a policy hook its class keeps as the base no-op).
         """
+        kernel = self.env.kernel
+        read, write = kernel.read, kernel.write
+        plan_writeback = kernel.plan_writeback
+        # The surface's dirty index; its dict is read per record, since
+        # a flush swaps it for a fresh one.
+        dirty_index = kernel.cache
+        service = self.router.service
+        advance_disk = self.env.disk.advance_to
+        advance_wnic = self.env.wnic.advance_to
+        # Its state says whether the disk spins, for laptop mode.
+        disk_core = self.env.disk.core
+        on_tick = resolve_hook(self.policy, "on_tick")
+        on_syscall = resolve_hook(self.policy, "on_syscall")
+        sinks = self._sinks_hot
         heap: list[tuple[float, int, ProgramDriver]] = [
             (prog.start_time, seq, prog)
             for seq, prog in enumerate(self.programs) if not prog.done]
         heapify(heap)
         seq = len(self.programs)
         now = 0.0
+        requests = 0
         while heap:
             t, _, prog = heap[0]
             if t > now:
                 now = t
-            completion = self._service_record(prog, now)
+            # Index the compiled columns directly: no object allocation
+            # per record.
+            i = prog.index
+            inode = prog.inodes[i]
+            offset = prog.offsets[i]
+            size = prog.sizes[i]
+            op = OPS_BY_CODE[prog.ops[i]]
+            requests += 1
+            advance_disk(now)
+            advance_wnic(now)
+            if on_tick is not None:
+                on_tick(now)
+
+            completion = now
+            if op is _READ:
+                for extent in read(prog.pids[i], inode, offset, size, now):
+                    source, result = service(prog, extent, completion,
+                                             _READ)
+                    completion = result.completion
+                    if sinks is not None:
+                        sinks.on_service(prog.name, source.value,
+                                         extent.nbytes, result.energy,
+                                         completion)
+            else:
+                # Async write-back: write() returns at once.  Forced
+                # evictions must hit a device immediately; they run
+                # asynchronously and do not delay the program.
+                for extent in write(prog.pids[i], inode, offset, size,
+                                    now):
+                    source, result = service(prog, extent, now, _WRITE)
+                    if sinks is not None:
+                        sinks.on_service(prog.name, source.value,
+                                         extent.nbytes, result.energy,
+                                         result.completion)
+
+            if dirty_index._dirty:
+                # Laptop-mode opportunistic flush; eager while the disk
+                # spins.
+                for extent in plan_writeback(
+                        completion,
+                        disk_active=disk_core.state != _STANDBY):
+                    source, result = service(prog, extent, completion,
+                                             _WRITE)
+                    if sinks is not None:
+                        sinks.on_service(prog.name, source.value,
+                                         extent.nbytes, result.energy,
+                                         result.completion)
+
+            if prog.profiled and size > 0:
+                # Demand-level observation (§2.1): every data-moving
+                # call, cached or not, with the application's byte
+                # count.
+                if on_syscall is not None:
+                    # Positional, in field order, as the router builds
+                    # it.
+                    on_syscall(RequestContext(now, prog.name, True,
+                                              prog.disk_pinned, inode,
+                                              offset, size, op),
+                               now, completion)
+                if sinks is not None:
+                    sinks.on_syscall(prog.name, op.value, size, now)
+
+            prog.last_completion = completion
             think = prog.advance()
             if think is None:
                 heappop(heap)
             else:
                 heapreplace(heap, (completion + think, seq, prog))
                 seq += 1
+        self._request_count = requests
 
     # ------------------------------------------------------------------
     def _check_dirty_conservation(self) -> None:

@@ -347,7 +347,9 @@ class WirelessNic(PowerStateMachine):
         if size_bytes < 0:
             raise ValueError("negative request size")
         core = self.core
-        wnic_step(core, time)
+        if time > core._last_time:
+            # As in HardDisk.service: a no-op advance is skipped.
+            wnic_step(core, time)
         busy = core.busy_until
         start = time if time >= busy else busy
         if start > core._last_time:

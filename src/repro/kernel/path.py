@@ -10,18 +10,23 @@ replays walks it:
 3. resident pages are subtracted — "applications' requests for data that
    are resident in system buffer cache should not incur accesses to
    storage devices" (§2.1);
-4. the remaining miss runs are split at the 128 KB window and returned,
-   C-SCAN ordered by their disk blocks, as device-agnostic extents —
-   routing them to the disk or the WNIC is the *policy's* job, which is
-   the whole point of the paper;
+4. the remaining miss runs are split at the 128 KB window, C-SCAN
+   ordered by their disk blocks, installed in the cache in that order,
+   and returned as device-agnostic extents — routing them to the disk
+   or the WNIC is the *policy's* job, which is the whole point of the
+   paper;
 5. writes dirty pages and return, as extents, the dirty pages their
    insertion evicted; laptop-mode flushes piggy-back on an active disk.
 
 Steps 1-4 are one pass over plain ints: one readahead call, one
-:meth:`~repro.kernel.cache.TwoQCache.scan_window`, and an
-:class:`~repro.kernel.page.Extent` only for each fetch.  The layout is
-the only file table; the kernel (layer 2) reads it from the device
-layer below and never touches a device itself.
+:meth:`~repro.kernel.cache.TwoQCache.scan_window`, an
+:class:`~repro.kernel.page.Extent` and an ``insert_run`` for each
+fetch.  Installing at read time rather than when each device transfer
+completes is exact: nothing between a read and its transfers' ends
+asks the cache about residency, and the dirty pages a fetch evicts are
+dropped either way (DESIGN.md §6).  The layout is the only file table;
+the kernel (layer 2) reads it from the device layer below and never
+touches a device itself.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections.abc import Set as AbstractSet
 
 from repro.devices.layout import DiskLayout
 from repro.kernel.cache import TwoQCache
-from repro.kernel.page import Extent, PageId, pages_of_range, runs_from_pages
+from repro.kernel.page import Extent, pages_of_range, runs_from_pages
 from repro.kernel.readahead import TwoWindowReadahead
 from repro.kernel.writeback import LaptopModeWriteback
 from repro.units import Bytes, Seconds
@@ -68,9 +73,9 @@ class KernelPath:
         their readahead window, as extents of at most
         ``readahead.max_pages`` pages in C-SCAN order: those at or past
         the head first, then the wrap.  The demand pages count as cache
-        hits or misses in ``cache.stats``.  The caller must follow up
-        with :meth:`complete_fetch` for each extent it actually fetched,
-        which installs the pages.
+        hits or misses in ``cache.stats``.  Each fetch is installed in
+        the cache, in that order, before the read returns; the dirty
+        pages an install evicts are dropped (DESIGN.md §6).
         """
         placed = self.layout.get(inode)
         # Inline of pages_of_range (same validation, no Extent built).
@@ -99,6 +104,9 @@ class KernelPath:
             base, head = placed.start_block, self.head
             fetches.sort(key=lambda e: base + e.start < head)
             self.head = base + fetches[-1].start
+        insert_run = self.cache.insert_run
+        for extent in fetches:
+            insert_run(inode, extent.start, extent.end)
         return fetches
 
     def write(self, pid: int, inode: int, offset: int, size: Bytes,
@@ -117,17 +125,7 @@ class KernelPath:
     def plan_writeback(self, now: Seconds, *,
                        disk_active: bool) -> list[Extent]:
         """Laptop-mode opportunistic flush plan (empty if nothing due)."""
-        if not self.cache._dirty:
-            return []  # a read-only stretch: nothing can be due
         return self.writeback.plan_flush(now, disk_active=disk_active)
-
-    def complete_fetch(self, extent: Extent, now: Seconds) -> list[PageId]:
-        """A device finished fetching ``extent``; install its pages.
-
-        Returns the dirty pages evicted en route, which the router drops
-        (DESIGN.md §6).
-        """
-        return self.cache.insert_run(extent.inode, extent.start, extent.end)
 
     # -- profile support (§2.3.2) --------------------------------------
     def resident_bytes(self, inode: int, offset: int, size: int) -> Bytes:

@@ -22,15 +22,11 @@ from repro.kernel.page import MAX_READAHEAD_PAGES
 class ReadaheadState:
     """Per-(process, file) stream state.
 
-    ``window_start``/``window_pages`` describe the current window;
-    ``ahead_start``/``ahead_pages`` the ahead window (0 pages = none);
-    ``next_size`` the size the next ahead window will get.
+    ``next_size`` is the size the next ahead window will get and
+    ``last_page`` the last page the stream read; the counters tally
+    sequential and random reads.
     """
 
-    window_start: int = 0
-    window_pages: int = 0
-    ahead_start: int = 0
-    ahead_pages: int = 0
     next_size: int = 0
     last_page: int = -2  # sentinel: nothing read yet
     sequential_count: int = 0
@@ -113,9 +109,5 @@ class TwoWindowReadahead:
             st.random_count += 1
             st.next_size = 0
 
-        st.window_start = start
-        st.window_pages = end - start
-        st.ahead_start = end
-        st.ahead_pages = fetch_end - end
         st.last_page = end - 1
         return fetch_end

@@ -191,13 +191,8 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
         # inode can gain a residency row in it.
         fresh = inode not in rows
         if ops[i] == _READ_OP:
+            # The read installs its fetches, as in every replay.
             ordered = tuple(read(pids[i], inode, offset, size, 0.0))
-            # The session completes each fetch in service order;
-            # residency is time-independent, so installing here
-            # reproduces the cache state the replay observes after the
-            # record.  (KernelPath.complete_fetch is this insert_run.)
-            for extent in ordered:
-                cache.insert_run(extent.inode, extent.start, extent.end)
             extents.append(ordered)
             filled = [(extent.inode, extent.start, extent.end)
                       for extent in ordered]
@@ -297,8 +292,8 @@ class PlanCursor:
     (empty), on the tick *before* record ``i`` is serviced (state after
     record ``i-1``), or in the syscall hook *after* it completes (state
     after record ``i``), so applying record ``i``'s whole delta once
-    ``read(i)`` has run is indistinguishable from the page-by-page
-    original.
+    ``read(i)`` has run matches the live kernel, whose ``read``
+    installs all of its fetches before it returns.
 
     Dirty pages replay live, in ``cache``, a
     :class:`~repro.kernel.cache.DirtyIndex` whose counters start from
@@ -381,17 +376,8 @@ class PlanCursor:
         stats.dirtied += len(dirty) - dirty_before + len(flushed)
         return runs_from_pages(flushed) if flushed else []
 
-    def complete_fetch(self, extent: Extent,
-                       now: Seconds) -> list[PageId]:
-        # The plan already holds the fetch's residency change, and
-        # ``read`` already evicted its dirty victims; the live kernel's
-        # return value here is discarded by the router either way.
-        return []
-
     def plan_writeback(self, now: Seconds, *,
                        disk_active: bool) -> list[Extent]:
-        if not self.cache._dirty:
-            return []  # a read-only stretch: nothing can be due
         return self.writeback.plan_flush(now, disk_active=disk_active)
 
     # -- profile support -----------------------------------------------

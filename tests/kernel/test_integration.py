@@ -1,20 +1,14 @@
 """Kernel-path integration tests: cache + readahead + write-back acting
 together through :class:`~repro.kernel.path.KernelPath`, on access
-patterns the workloads actually produce."""
+patterns the workloads actually produce.  A read installs its fetches
+before it returns, so each read below leaves the cache as a replay
+would."""
 
 
 from repro.kernel.page import PAGE_SIZE
 from repro.kernel.writeback import LaptopModeWriteback, WritebackConfig
 from repro.sim.clock import MB
 from tests.kernel.test_vfs import counted_read, kernel_with_files
-
-
-def fetch_all(kernel, fetches, now=0.0):
-    total = 0
-    for extent in fetches:
-        kernel.complete_fetch(extent, now)
-        total += extent.nbytes
-    return total
 
 
 class TestSequentialScan:
@@ -26,7 +20,7 @@ class TestSequentialScan:
         offset = 0
         while offset < 8 * MB:
             fetches = kernel.read(1, 1, offset, 64 * 1024, now=offset / 1e6)
-            device_bytes += fetch_all(kernel, fetches)
+            device_bytes += sum(extent.nbytes for extent in fetches)
             offset += 64 * 1024
         assert 8 * MB <= device_bytes <= 8 * MB * 1.05
 
@@ -37,9 +31,8 @@ class TestSequentialScan:
         total = 0
         offset = 0
         while offset < 8 * MB:
-            fetches, demand_hits, demand_misses = counted_read(
+            _, demand_hits, demand_misses = counted_read(
                 kernel, 1, 1, offset, 64 * 1024, now=0.0)
-            fetch_all(kernel, fetches)
             hits += demand_hits
             total += demand_hits + demand_misses
             offset += 64 * 1024
@@ -54,13 +47,11 @@ class TestWorkingSetResidency:
         kernel = kernel_with_files({hot: 512 * 1024, scan: 64 * MB}, 16 * MB)
         # Touch the header set several times to promote it.
         for round_ in range(3):
-            fetch_all(kernel, kernel.read(100 + round_, hot, 0, 512 * 1024,
-                                    now=0.0))
+            kernel.read(100 + round_, hot, 0, 512 * 1024, now=0.0)
         # A 64 MB scan through the 16 MB cache.
         offset = 0
         while offset < 64 * MB:
-            fetch_all(kernel, kernel.read(200, scan, offset, 128 * 1024,
-                                    now=1.0), now=1.0)
+            kernel.read(200, scan, offset, 128 * 1024, now=1.0)
             offset += 128 * 1024
         assert kernel.resident_bytes(hot, 0, 512 * 1024) > 256 * 1024
 
@@ -68,7 +59,7 @@ class TestWorkingSetResidency:
         kernel = kernel_with_files({1: 64 * MB}, 4 * MB)
         offset = 0
         while offset < 64 * MB:
-            fetch_all(kernel, kernel.read(1, 1, offset, 128 * 1024, now=0.0))
+            kernel.read(1, 1, offset, 128 * 1024, now=0.0)
             offset += 128 * 1024
         assert len(kernel.cache) <= kernel.cache.capacity
 
@@ -122,9 +113,8 @@ class TestInterleavedStreams:
         for step in range(32):
             for inode in (1, 2):
                 offset = step * 128 * 1024
-                fetches, demand_hits, demand_misses = counted_read(
+                _, demand_hits, demand_misses = counted_read(
                     kernel, inode, inode, offset, 128 * 1024, now=float(step))
-                fetch_all(kernel, fetches)
                 hits[inode] += demand_hits
                 total[inode] += demand_hits + demand_misses
         for inode in (1, 2):

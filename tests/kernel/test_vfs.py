@@ -46,16 +46,14 @@ class TestReadPath:
 
     def test_completed_fetch_makes_reread_cached(self):
         v = kernel_with_file()
-        for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
-            v.complete_fetch(e, now=0.0)
+        v.read(1, 1, 0, 64 * 1024, now=0.0)
         fetches, hits, _ = counted_read(v, 1, 1, 0, 64 * 1024, now=1.0)
         assert fetches == []
         assert hits == 16
 
     def test_readahead_prefetches_beyond_demand(self):
         v = kernel_with_file()
-        for e in v.read(1, 1, 0, 16 * 1024, now=0.0):    # 4 demand pages
-            v.complete_fetch(e, now=0.0)
+        v.read(1, 1, 0, 16 * 1024, now=0.0)    # 4 demand pages
         # The next sequential pages are already resident.
         _, hits, _ = counted_read(v, 1, 1, 16 * 1024, 16 * 1024, now=0.1)
         assert hits > 0
@@ -73,8 +71,7 @@ class TestReadPath:
 
     def test_partial_hit_fetches_only_missing(self):
         v = kernel_with_file()
-        for e in v.read(1, 1, 0, 8 * PAGE_SIZE, now=0.0):
-            v.complete_fetch(e, now=0.0)
+        v.read(1, 1, 0, 8 * PAGE_SIZE, now=0.0)
         # Random read overlapping cached head and uncached tail.
         fetches, cached_demand, _ = counted_read(
             v, 1, 1, 4 * PAGE_SIZE, 500 * PAGE_SIZE, now=1.0)
@@ -105,8 +102,7 @@ class TestWritePath:
 
     def test_overwrite_of_cached_page_dirties_it(self):
         v = kernel_with_file()
-        for e in v.read(1, 1, 0, PAGE_SIZE, now=0.0):
-            v.complete_fetch(e, now=0.0)
+        v.read(1, 1, 0, PAGE_SIZE, now=0.0)
         v.write(1, 1, 0, 100, now=1.0)
         assert v.cache.is_dirty(PageId(1, 0))
 
@@ -115,8 +111,7 @@ class TestResidency:
     def test_resident_bytes(self):
         v = kernel_with_file()
         assert v.resident_bytes(1, 0, 64 * 1024) == 0
-        for e in v.read(1, 1, 0, 64 * 1024, now=0.0):
-            v.complete_fetch(e, now=0.0)
+        v.read(1, 1, 0, 64 * 1024, now=0.0)
         assert v.resident_bytes(1, 0, 64 * 1024) == 64 * 1024
 
     def test_resident_bytes_zero_size(self):
@@ -194,16 +189,17 @@ class _ReadModel:
         return fetches, hits, size_now
 
 
-#: one read: (pid, inode, where, start page, byte skew, pages, fetch it)
+#: one read: (pid, inode, where, start page, byte skew, pages)
 _reads = st.lists(st.tuples(
     st.integers(1, 2), st.integers(1, 3),
     st.sampled_from(["next", "next", "next", "same", "random"]),
     st.integers(0, 150), st.integers(0, PAGE_SIZE - 1),
-    st.integers(1, 80), st.booleans()), min_size=1, max_size=40)
+    st.integers(1, 80)), min_size=1, max_size=40)
 
 
 class TestOnePassRead:
-    """``KernelPath.read`` against :class:`_ReadModel`."""
+    """``KernelPath.read`` against :class:`_ReadModel`; each read
+    installs its fetches, so the next one probes the cache it left."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(16, 200), _reads)
@@ -219,7 +215,7 @@ class TestOnePassRead:
 
         model = _ReadModel(locate)
         ends = {}
-        for pid, inode, where, page, skew, npages, fetch in reads:
+        for pid, inode, where, page, skew, npages in reads:
             file_bytes = sizes[inode]
             if where == "next":
                 offset = ends.get((pid, inode), 0)
@@ -241,9 +237,6 @@ class TestOnePassRead:
             assert stats.accesses - accesses == demand + 1
             assert stats.hits - hits == want_hits
             assert kernel.readahead.state(pid, inode).next_size == want_window
-            if fetch:
-                for extent in got:
-                    kernel.complete_fetch(extent, now=0.0)
 
     def test_window_doubles_to_the_cap_and_resets(self):
         kernel = kernel_with_file()

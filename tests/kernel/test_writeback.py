@@ -129,8 +129,9 @@ def _conserved(kernel):
 class TestDirtyIndexModel:
     """The cache's dirty index against a reference built from what the
     kernel path returns: written pages, minus forced-eviction extents,
-    minus the pages fetches evicted dirty, minus flushed extents
-    (residency places a page written and evicted by the same write)."""
+    minus the pages a read's installs evicted (the cache reports its
+    victims), minus flushed extents (residency places a page written
+    and evicted by the same write)."""
 
     MAX_AGE = 10.0
     DIRTY_LIMIT = 6
@@ -182,11 +183,14 @@ class TestDirtyIndexModel:
                         assert page in forced_pages
             elif op[0] == "read":
                 _, inode, start, npages = op
-                fetches = kernel.read(1, inode, start * PAGE_SIZE,
-                                   npages * PAGE_SIZE, now)
-                for fetched in fetches:
-                    for page in kernel.complete_fetch(fetched, now):
-                        del ref[page]
+                kernel.cache.victims = evicted = []
+                kernel.read(1, inode, start * PAGE_SIZE,
+                            npages * PAGE_SIZE, now)
+                kernel.cache.victims = None
+                # A victim was resident before the read, and a read
+                # dirties nothing: a dirty one is dropped unwritten.
+                for _, page in evicted:
+                    ref.pop(page, None)
             else:
                 disk_active = op[1]
                 due = bool(ref) and (

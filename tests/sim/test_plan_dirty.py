@@ -54,8 +54,6 @@ def test_cursor_dirty_index_tracks_the_cache():
         evictions_before = cache.stats.dirty_evictions
         if op == "read":
             extents = live.kernel.read(100, inode, offset, size, now)
-            for extent in extents:
-                live.kernel.complete_fetch(extent, now)
             assert tuple(extents) == cursor.read(100, inode, offset, size,
                                                  now)
             saw_read_eviction |= (cache.stats.dirty_evictions
@@ -92,10 +90,10 @@ def _read_evicts_dirty_trace():
 
 
 def test_read_fetch_drops_its_dirty_victims_on_both_surfaces():
-    """``RequestRouter.service`` discards ``complete_fetch``'s return
-    value, so a dirty page a *read* fetch evicts is counted in
-    ``dirty_evictions`` and never written to a device (DESIGN.md §6).
-    The live kernel path and the plan cursor must agree on that."""
+    """``KernelPath.read`` installs its fetches and drops the dirty pages
+    they evict, so such a page is counted in ``dirty_evictions`` and
+    never written to a device (DESIGN.md §6).  The live kernel path and
+    the plan cursor must agree on that."""
     results = []
     for fast_path in (True, False):
         sink = RecordingSink()

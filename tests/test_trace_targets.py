@@ -28,13 +28,17 @@ from repro.traces.record import OpType
 POLICY_CLASSES = (DiskOnlyPolicy, WnicOnlyPolicy, BlueFSPolicy,
                   FlexFetchPolicy, ClairvoyantStagePolicy)
 
-#: the event loop these spans wrapped was deleted; a benchmark change
-#: retargets them.
-STALE_MODULES = ("repro.sim.engine",)
+#: targets deleted from the program, whose spans read ``calls=0`` until
+#: a benchmark change retargets or drops them: the event loop, and the
+#: fetch-completion calls that reads replaced by installing their
+#: fetches.
+STALE_TARGETS = ("repro.sim.engine:",
+                 "repro.kernel.path:KernelPath.complete_fetch",
+                 "repro.sim.plan:PlanCursor.complete_fetch")
 
 TARGETS = sorted(
     (span, target) for span, targets in SPANS.items() for target in targets
-    if not target.startswith(STALE_MODULES))
+    if not target.startswith(STALE_TARGETS))
 
 
 @pytest.mark.parametrize("span,target", TARGETS,
@@ -42,6 +46,16 @@ TARGETS = sorted(
 def test_span_target_resolves(span, target):
     assert _sites(target, POLICY_CLASSES), (
         f"span {span!r}: tracer target {target!r} no longer exists")
+
+
+def test_stale_targets_are_gone():
+    """A target listed as stale must really be missing: the list never
+    hides a live span from the check above."""
+    stale = [target for targets in SPANS.values() for target in targets
+             if target.startswith(STALE_TARGETS)]
+    assert len(stale) == 4
+    for target in stale:
+        assert not _sites(target, POLICY_CLASSES), target
 
 
 def test_device_and_cost_model_spans_are_traced():
